@@ -8,17 +8,17 @@ Euler class 4*m1, and check the unit-coefficient criterion.  Run with
 """
 
 from swfold import (
+    BUILTIN_KNOTS,
     fiber_sum_with_knot,
     fold,
-    knot_lookup,
+    require_b_plus,
     taubes_report,
-    fold_applicable,
     three_torus,
 )
 
 # The figure-eight knot is fibered, so the fiber sum is a fibered
 # 3-manifold: its product with the circle is symplectic.
-fig8 = knot_lookup("4_1")
+fig8 = BUILTIN_KNOTS.lookup("4_1")
 print(f"knot {fig8.name}: alexander = {fig8.alexander}, fibered = {fig8.fibered}")
 
 manifold = three_torus()
@@ -27,11 +27,12 @@ manifold = fiber_sum_with_knot(manifold, fig8, "m2")
 print(f"\nmanifold {manifold.name}  (b1 = {manifold.b1}, fibered = {manifold.fibered})")
 print(f"sw3 = {manifold.sw3}")
 
-# Folding needs a nonzero Euler class and b_+ = b1 - 1 >= 2.
+# Folding needs a nonzero Euler class and b_+ = b1 - 1 >= 2; fold()
+# checks b_+ itself and raises HypothesisError when it fails.
 chi = "4*m1"
-check = fold_applicable(manifold, [4, 0, 0])
-print(f"\nfold hypotheses for chi = {chi}: chi_nonzero = {check.chi_nonzero}, "
-      f"b_+ = {check.b_plus} (need >= 2)")
+require_b_plus(manifold)
+print(f"\nfold hypotheses for chi = {chi}: chi is nonzero, "
+      f"b_+ = {manifold.b1 - 1} (need >= 2)")
 
 folded = fold(manifold, chi)
 print(f"sw4 = {folded.poly}")

@@ -1,26 +1,25 @@
 """Walkthrough: Seifert matrices, Alexander polynomials, custom knots.
 
 Shows the built-in table, rederives each polynomial from its Seifert
-matrix, and registers a custom knot both ways.  Run with
+matrix, and adds a custom knot both ways.  Knot tables are immutable
+values: adding knots returns a new table.  Run with
 
     python demos/knot_table.py
 """
 
 from swfold import (
+    BUILTIN_KNOTS,
     KNOT_BASIS,
     alexander_from_seifert,
-    available_knots,
     from_text,
     knot_from_alexander,
     knot_from_seifert,
-    knot_lookup,
-    register_knot,
     validate_alexander,
 )
 
 print("built-in table:")
-for name in available_knots():
-    record = knot_lookup(name)
+for name in BUILTIN_KNOTS.names():
+    record = BUILTIN_KNOTS.lookup(name)
     seifert = [list(r) for r in record.seifert.entries]
     print(f"  {name}  fibered={record.fibered}  V={seifert}  alexander = {record.alexander}")
 
@@ -32,7 +31,7 @@ print(f"  alexander = {alexander_from_seifert(V)}")
 
 # The unknot: empty Seifert matrix, trivial polynomial.
 unknot = knot_from_seifert("unknot", True, ())
-register_knot(unknot)
+table = BUILTIN_KNOTS.with_records([unknot])
 print(f"\nregistered {unknot.name}: alexander = {unknot.alexander}")
 
 # Registering by polynomial runs the validation gate instead: the
@@ -43,7 +42,8 @@ print(f"\ncandidate {candidate}: symmetric={check.symmetric}, "
       f"value at 1 = {check.value_at_one}, passes={check.passes}")
 if check.passes:
     record = knot_from_alexander("custom", False, candidate)
-    register_knot(record)
+    table = table.with_records([record])
     print(f"registered {record.name}: alexander = {record.alexander}")
 
-print(f"\ntable is now: {', '.join(available_knots())}")
+print(f"\ntable is now: {', '.join(table.names())}")
+print(f"built-in table is unchanged: {', '.join(BUILTIN_KNOTS.names())}")

@@ -11,14 +11,14 @@ box; the stabilization note explains why the box suffices.  Run with
 """
 
 from swfold import (
+    BUILTIN_KNOTS,
     euler_search,
     fiber_sum_with_knot,
-    knot_lookup,
     stabilization_note,
     three_torus,
 )
 
-five2 = knot_lookup("5_2")
+five2 = BUILTIN_KNOTS.lookup("5_2")
 print(f"knot {five2.name}: alexander = {five2.alexander}, fibered = {five2.fibered}")
 
 manifold = three_torus()

@@ -6,9 +6,10 @@ and sign-normalized so that the result Delta satisfies
 Delta(1/t) = Delta(t) and Delta(1) = +1, or directly as a polynomial that
 passes :func:`validate_alexander`.
 
-The built-in table ships the three knots the bundled demos are built on:
-the trefoil 3_1 and the figure-eight 4_1 (both fibered) and the
-nonfibered twist knot 5_2.
+The built-in table :data:`BUILTIN_KNOTS` ships the three knots the
+bundled demos are built on: the trefoil 3_1 and the figure-eight 4_1
+(both fibered) and the nonfibered twist knot 5_2.  Tables are immutable
+values; registering knots yields a new table.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable
 
 from .errors import (
     KnotLookupError,
@@ -165,6 +166,15 @@ class KnotRecord:
     alexander: LaurentPoly
     fibered: bool
 
+    def to_row(self) -> dict:
+        """JSON-ready row, as the command line lists and shows knots."""
+        return {
+            "name": self.name,
+            "fibered": self.fibered,
+            "alexander": to_text(self.alexander),
+            "seifert": [list(r) for r in self.seifert.entries] if self.seifert is not None else None,
+        }
+
 
 def knot_from_seifert(name: str, fibered: bool, entries) -> KnotRecord:
     matrix = entries if isinstance(entries, SeifertMatrix) else SeifertMatrix(
@@ -195,42 +205,47 @@ def knot_from_alexander(name: str, fibered: bool, poly) -> KnotRecord:
     return KnotRecord(name=name, seifert=None, alexander=poly, fibered=bool(fibered))
 
 
-_BUILTIN_KNOTS = (
-    ("3_1", True, ((-1, 1), (0, -1))),
-    ("4_1", True, ((1, 1), (0, -1))),
-    ("5_2", False, ((1, 1), (0, 2))),
+class KnotTable:
+    """Immutable set of knot records keyed by name.
+
+    :meth:`with_records` returns a new table and leaves this one as it
+    was.  Adding a record identical to one already present is a no-op; a
+    different record under an existing name is rejected.
+    """
+
+    def __init__(self, records: Iterable[KnotRecord]):
+        self._records: dict[str, KnotRecord] = {}
+        for record in records:
+            existing = self._records.setdefault(record.name, record)
+            if existing != record:
+                raise StructuralError(f"knot {record.name!r} is already registered with different data")
+
+    def with_records(self, records: Iterable[KnotRecord]) -> KnotTable:
+        return KnotTable((*self._records.values(), *records))
+
+    def lookup(self, name: str) -> KnotRecord:
+        try:
+            return self._records[name]
+        except KeyError:
+            raise KnotLookupError(name, self.names()) from None
+
+    def names(self) -> tuple[str, ...]:
+        return tuple(sorted(self._records))
+
+
+#: The knots every table starts from: the trefoil, the figure-eight and 5_2.
+BUILTIN_KNOTS = KnotTable(
+    knot_from_seifert(name, fibered, entries)
+    for name, fibered, entries in (
+        ("3_1", True, ((-1, 1), (0, -1))),
+        ("4_1", True, ((1, 1), (0, -1))),
+        ("5_2", False, ((1, 1), (0, 2))),
+    )
 )
 
-_TABLE: dict[str, KnotRecord] = {}
 
-
-def register_knot(record: KnotRecord, replace: bool = False) -> KnotRecord:
-    """Add a record to the process-wide table (single-threaded configuration only).
-
-    Re-registering an identical record is a no-op; a conflicting record
-    under an existing name is rejected unless ``replace`` is set.
-    """
-    existing = _TABLE.get(record.name)
-    if existing is not None and not replace:
-        if existing == record:
-            return existing
-        raise StructuralError(f"knot {record.name!r} is already registered with different data")
-    _TABLE[record.name] = record
-    return record
-
-
-def available_knots() -> tuple[str, ...]:
-    return tuple(sorted(_TABLE))
-
-
-def knot_lookup(name: str) -> KnotRecord:
-    try:
-        return _TABLE[name]
-    except KeyError:
-        raise KnotLookupError(name, available_knots()) from None
-
-
-def _record_from_dict(data: dict, where: str) -> KnotRecord:
+def record_from_dict(data: dict, where: str) -> KnotRecord:
+    """Validate one registration object (``where`` prefixes error field paths)."""
     if not isinstance(data, dict):
         raise SpecFileError(f"{where}: expected an object, got {type(data).__name__}")
     name = data.get("name")
@@ -254,8 +269,8 @@ def _record_from_dict(data: dict, where: str) -> KnotRecord:
     return knot_from_alexander(name, fibered, alexander)
 
 
-def load_knot_file(path: str, replace: bool = False) -> list[KnotRecord]:
-    """Read a registration file (one object or a list of objects) and register all."""
+def load_knot_file(path: str) -> list[KnotRecord]:
+    """Read a registration file (one object or a list of objects) into records."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -264,30 +279,7 @@ def load_knot_file(path: str, replace: bool = False) -> list[KnotRecord]:
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}: invalid JSON: {exc}") from None
     entries = data if isinstance(data, list) else [data]
-    records = [
-        _record_from_dict(entry, f"{path}[{i}]" if isinstance(data, list) else path)
+    return [
+        record_from_dict(entry, f"{path}[{i}]" if isinstance(data, list) else path)
         for i, entry in enumerate(entries)
     ]
-    for record in records:
-        register_knot(record, replace=replace)
-    return records
-
-
-def knot_table_summary() -> list[dict]:
-    """Deterministic listing used by the command line."""
-    out = []
-    for name in available_knots():
-        record = _TABLE[name]
-        out.append(
-            {
-                "name": record.name,
-                "fibered": record.fibered,
-                "alexander": to_text(record.alexander),
-                "seifert": [list(r) for r in record.seifert.entries] if record.seifert else None,
-            }
-        )
-    return out
-
-
-for _name, _fibered, _entries in _BUILTIN_KNOTS:
-    register_knot(knot_from_seifert(_name, _fibered, _entries))

@@ -19,10 +19,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import alexander
-from .alexander import knot_lookup, knot_table_summary, load_knot_file
+from .alexander import BUILTIN_KNOTS, KnotTable, load_knot_file, record_from_dict
 from .errors import (
     DomainError,
     HypothesisError,
@@ -34,13 +33,16 @@ from .errors import (
     UnknownVariableError,
 )
 from .fold import circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
-from .laurent import to_text
 from .manifolds import ThreeManifold, fiber_sum_with_knot, surface_times_circle, three_torus
 from .obstruction import euler_search, stabilization_note, taubes_report
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "schemas")
 
 ENV_KNOT_TABLE = "SWFOLD_KNOT_TABLE"
+
+#: Knots visible to every command run in this process; ``knot register``
+#: is the only command that rebinds it.
+session_knots: KnotTable = BUILTIN_KNOTS
 
 
 @dataclass(frozen=True)
@@ -52,14 +54,11 @@ class OutputRecord:
     payload: dict
     status: int = 0
     json_output: bool = False
-    quiet: bool = False
 
 
-def emit(record: OutputRecord, as_json: bool | None = None) -> bytes:
+def emit(record: OutputRecord) -> bytes:
     """Deterministic bytes for standard output (sorted JSON keys, canonical text)."""
-    if as_json is None:
-        as_json = record.json_output
-    if as_json:
+    if record.json_output:
         out = json.dumps(record.payload, sort_keys=True, indent=2) + "\n"
     else:
         out = record.text
@@ -81,8 +80,12 @@ def _load_json(path: str):
         raise SpecFileError(f"{path}: invalid JSON: {exc}") from None
 
 
-def build_manifold(data: dict, where: str = "spec") -> ThreeManifold:
-    """Construct a manifold from a parsed spec object, registering its knots."""
+def build_manifold(data: dict, table: KnotTable, where: str = "spec") -> ThreeManifold:
+    """Construct a manifold from a parsed spec object over the knots of ``table``.
+
+    Knots the spec declares inline under ``knots`` are added for this
+    spec only; ``table`` itself is left as it was.
+    """
     if not isinstance(data, dict):
         raise SpecFileError(f"{where}: expected a JSON object")
     allowed = {"base", "sums", "knots"}
@@ -95,8 +98,9 @@ def build_manifold(data: dict, where: str = "spec") -> ThreeManifold:
     knots = data.get("knots", [])
     if not isinstance(knots, list):
         raise SpecFileError(f"{where}.knots: expected a list")
-    for i, entry in enumerate(knots):
-        alexander.register_knot(alexander._record_from_dict(entry, f"{where}.knots[{i}]"))
+    table = table.with_records(
+        record_from_dict(entry, f"{where}.knots[{i}]") for i, entry in enumerate(knots)
+    )
 
     base = data["base"]
     if base == "t3":
@@ -117,13 +121,13 @@ def build_manifold(data: dict, where: str = "spec") -> ThreeManifold:
             raise SpecFileError(f"{where}.sums[{i}]: expected {{\"knot\": name, \"meridian\": variable}}")
         if not isinstance(entry["knot"], str) or not isinstance(entry["meridian"], str):
             raise SpecFileError(f"{where}.sums[{i}]: knot and meridian must be strings")
-        manifold = fiber_sum_with_knot(manifold, knot_lookup(entry["knot"]), entry["meridian"])
+        manifold = fiber_sum_with_knot(manifold, table.lookup(entry["knot"]), entry["meridian"])
     return manifold
 
 
 def load_spec(path: str) -> ThreeManifold:
-    """Read a manifold spec file and build the manifold it describes."""
-    return build_manifold(_load_json(path), where=path)
+    """Read a manifold spec file and build it over the session's knots."""
+    return build_manifold(_load_json(path), session_knots, where=path)
 
 
 # -- subcommand handlers ------------------------------------------------
@@ -133,43 +137,33 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _cmd_knot(args) -> tuple[list[str], list[str], dict]:
+def _cmd_knot(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
+    global session_knots
     if args.action == "list":
-        rows = knot_table_summary()
+        rows = [table.lookup(name).to_row() for name in table.names()]
         body = [f"{r['name']}  fibered={_bool(r['fibered'])}  alexander = {r['alexander']}" for r in rows]
         return [], body, {"command": "knot-list", "knots": rows}
     if args.action == "show":
-        record = knot_lookup(args.name)
-        row = {
-            "name": record.name,
-            "fibered": record.fibered,
-            "alexander": to_text(record.alexander),
-            "seifert": [list(r) for r in record.seifert.entries] if record.seifert else None,
-        }
+        row = table.lookup(args.name).to_row()
         body = [
-            f"name = {record.name}",
-            f"fibered = {_bool(record.fibered)}",
+            f"name = {row['name']}",
+            f"fibered = {_bool(row['fibered'])}",
             f"alexander = {row['alexander']}",
             f"seifert = {row['seifert'] if row['seifert'] is not None else '(registered by polynomial)'}",
         ]
         return [], body, {"command": "knot-show", "knot": row}
-    # register
+    # register: reject a clash with any knot this command sees, the environment's
+    # included, then keep the records for later commands
     records = load_knot_file(args.file)
-    rows = [
-        {
-            "name": r.name,
-            "fibered": r.fibered,
-            "alexander": to_text(r.alexander),
-            "seifert": [list(row) for row in r.seifert.entries] if r.seifert else None,
-        }
-        for r in records
-    ]
+    table.with_records(records)
+    session_knots = session_knots.with_records(records)
+    rows = [r.to_row() for r in records]
     body = [f"registered {r['name']}  fibered={_bool(r['fibered'])}  alexander = {r['alexander']}" for r in rows]
     return [], body, {"command": "knot-register", "registered": rows}
 
 
-def _cmd_sw3(args) -> tuple[list[str], list[str], dict]:
-    manifold = load_spec(args.spec)
+def _cmd_sw3(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
+    manifold = build_manifold(_load_json(args.spec), table, where=args.spec)
     header = [
         f"manifold = {manifold.name}",
         f"basis = {' '.join(manifold.basis.names)}",
@@ -189,8 +183,8 @@ def _cmd_sw3(args) -> tuple[list[str], list[str], dict]:
     return header, body, payload
 
 
-def _cmd_fold(args) -> tuple[list[str], list[str], dict]:
-    manifold = load_spec(args.spec)
+def _cmd_fold(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
+    manifold = build_manifold(_load_json(args.spec), table, where=args.spec)
     folded = fold(manifold, args.chi)
     header = [f"manifold = {manifold.name}", f"chi = {folded.chi_text}"]
     if folded.product_case:
@@ -215,7 +209,7 @@ def _cmd_fold(args) -> tuple[list[str], list[str], dict]:
     return header, body, payload
 
 
-def _cmd_bundle(args) -> tuple[list[str], list[str], dict]:
+def _cmd_bundle(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
     header = [f"genus = {args.genus}, euler = {args.euler}"]
     direct = closed = None
     match = None
@@ -241,8 +235,8 @@ def _cmd_bundle(args) -> tuple[list[str], list[str], dict]:
     return header, body, payload
 
 
-def _cmd_obstruct(args) -> tuple[list[str], list[str], dict]:
-    manifold = load_spec(args.spec)
+def _cmd_obstruct(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
+    manifold = build_manifold(_load_json(args.spec), table, where=args.spec)
     folded = fold(manifold, args.chi)
     report = taubes_report(folded, manifold)
     header = [f"source = {report.source}", f"sw4 = {folded.poly}"]
@@ -267,8 +261,8 @@ def _cmd_obstruct(args) -> tuple[list[str], list[str], dict]:
     return header, body, payload
 
 
-def _cmd_search(args) -> tuple[list[str], list[str], dict]:
-    manifold = load_spec(args.spec)
+def _cmd_search(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
+    manifold = build_manifold(_load_json(args.spec), table, where=args.spec)
     result = euler_search(manifold, args.box)
     note = stabilization_note(manifold, args.box)
     header = [f"manifold = {manifold.name}, box = {result.box}"]
@@ -359,10 +353,11 @@ def run(argv) -> OutputRecord:
     """Execute one command line and return the record (raises on errors)."""
     argv = list(argv)
     args = build_parser().parse_args(argv)
+    table = session_knots
     extra_table = os.environ.get(ENV_KNOT_TABLE)
     if extra_table:
-        load_knot_file(extra_table)
-    header, body, payload = _HANDLERS[args.command](args)
+        table = table.with_records(load_knot_file(extra_table))
+    header, body, payload = _HANDLERS[args.command](args, table)
     lines = body if args.quiet else header + body
     return OutputRecord(
         command=tuple(argv),
@@ -370,7 +365,6 @@ def run(argv) -> OutputRecord:
         payload=payload,
         status=0,
         json_output=args.json,
-        quiet=args.quiet,
     )
 
 

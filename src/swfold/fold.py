@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Sequence
 
-from .errors import DomainError, HypothesisError, ParseError, StructuralError
+from .errors import DomainError, ParseError, StructuralError
 from .laurent import Basis, LaurentPoly, from_text, to_text
-from .manifolds import CIRCLE_BASIS, ThreeManifold, surface_times_circle, fold_applicable
+from .manifolds import CIRCLE_BASIS, ThreeManifold, require_b_plus, surface_times_circle
 
 
 def euler_vector_from_text(text: str, basis: Basis) -> tuple[int, ...]:
@@ -168,14 +168,6 @@ def _as_vector(basis: Basis, chi) -> tuple[int, ...]:
     return vector
 
 
-def _check_hypotheses(manifold: ThreeManifold, vector) -> None:
-    check = fold_applicable(manifold, vector)
-    if not check.b_plus_ok:
-        raise HypothesisError(
-            f"b_+ = b_1 - 1 = {check.b_plus} < 2 for {manifold.name}: fold hypotheses fail"
-        )
-
-
 def fold_poly(poly: LaurentPoly, quotient: QuotientLattice) -> LaurentPoly:
     """Coset-fold a bare polynomial: sum coefficients at canonical representatives."""
     acc: dict[tuple[int, ...], int] = {}
@@ -249,6 +241,15 @@ def fold_poly_bruteforce(poly: LaurentPoly, quotient: QuotientLattice) -> Lauren
     return LaurentPoly(poly.basis, acc)
 
 
+def _fold_with(fold_fn, manifold: ThreeManifold, chi) -> FoldedSW:
+    vector = _as_vector(manifold.basis, chi)
+    if not any(vector):
+        return FoldedSW(quotient=None, poly=manifold.sw3, source=manifold.name, product_case=True)
+    require_b_plus(manifold)
+    quotient = QuotientLattice(EulerClass(manifold.basis, vector))
+    return FoldedSW(quotient=quotient, poly=fold_fn(manifold.sw3, quotient), source=manifold.name)
+
+
 def fold(manifold: ThreeManifold, chi) -> FoldedSW:
     """Sum the SW coefficients of ``manifold`` over cosets of the span of chi.
 
@@ -257,26 +258,12 @@ def fold(manifold: ThreeManifold, chi) -> FoldedSW:
     case (the invariants of M x S^1 equal those of M) instead of
     raising.  The total coefficient sum is conserved.
     """
-    vector = _as_vector(manifold.basis, chi)
-    if not any(vector):
-        return FoldedSW(quotient=None, poly=manifold.sw3, source=manifold.name, product_case=True)
-    _check_hypotheses(manifold, vector)
-    quotient = QuotientLattice(EulerClass(manifold.basis, vector))
-    return FoldedSW(quotient=quotient, poly=fold_poly(manifold.sw3, quotient), source=manifold.name)
+    return _fold_with(fold_poly, manifold, chi)
 
 
 def fold_bruteforce(manifold: ThreeManifold, chi) -> FoldedSW:
     """Independent oracle for :func:`fold` (see :func:`fold_poly_bruteforce`)."""
-    vector = _as_vector(manifold.basis, chi)
-    if not any(vector):
-        return FoldedSW(quotient=None, poly=manifold.sw3, source=manifold.name, product_case=True)
-    _check_hypotheses(manifold, vector)
-    quotient = QuotientLattice(EulerClass(manifold.basis, vector))
-    return FoldedSW(
-        quotient=quotient,
-        poly=fold_poly_bruteforce(manifold.sw3, quotient),
-        source=manifold.name,
-    )
+    return _fold_with(fold_poly_bruteforce, manifold, chi)
 
 
 def _injective_on_support(support, quotient: QuotientLattice) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alexander import KnotRecord
-from .errors import DomainError, StructuralError
+from .errors import DomainError, HypothesisError, StructuralError
 from .laurent import Basis, LaurentPoly
 
 #: Basis shared by the three-torus family: the three circle directions.
@@ -98,34 +98,10 @@ def fiber_sum_with_knot(manifold: ThreeManifold, knot: KnotRecord, meridian: str
     )
 
 
-@dataclass(frozen=True)
-class FoldChecklist:
-    """Hypothesis report for folding by an Euler class (report-style, never raises)."""
-
-    chi_nonzero: bool
-    b_plus: int
-
-    @property
-    def b_plus_ok(self) -> bool:
-        return self.b_plus >= 2
-
-    @property
-    def applicable(self) -> bool:
-        return self.chi_nonzero and self.b_plus_ok
-
-
-def fold_applicable(manifold: ThreeManifold, chi) -> FoldChecklist:
-    """Check the two hypotheses for folding: nontorsion chi, b_+ = b_1 - 1 >= 2.
-
-    ``chi`` may be an EulerClass or a raw integer vector over the
-    manifold basis.
-    """
-    vector = tuple(getattr(chi, "chi", chi))
-    if len(vector) != manifold.basis.rank:
-        raise StructuralError(
-            f"Euler vector has length {len(vector)}, basis rank is {manifold.basis.rank}"
+def require_b_plus(manifold: ThreeManifold) -> None:
+    """Raise :class:`HypothesisError` unless b_+ = b_1 - 1 >= 2, the fold hypothesis."""
+    b_plus = manifold.b1 - 1
+    if b_plus < 2:
+        raise HypothesisError(
+            f"b_+ = b_1 - 1 = {b_plus} < 2 for {manifold.name}: fold hypotheses fail"
         )
-    return FoldChecklist(
-        chi_nonzero=any(vector),
-        b_plus=manifold.b1 - 1,
-    )

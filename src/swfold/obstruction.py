@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
-from .errors import DomainError, HypothesisError, StructuralError
+from .errors import DomainError, StructuralError
 from .fold import (
     EulerClass,
     FoldedSW,
@@ -23,8 +23,8 @@ from .fold import (
     _injective_on_support,
     fold,
 )
-from .laurent import to_text
-from .manifolds import ThreeManifold, fold_applicable
+from .laurent import LaurentPoly, to_text
+from .manifolds import ThreeManifold, require_b_plus
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,14 @@ class ObstructionReport:
             raise StructuralError("obstructed must mean exactly: no unit classes")
 
 
+def unit_classes(poly: LaurentPoly) -> tuple[tuple[int, ...], ...]:
+    """Exponents whose coefficient is +1 or -1, in canonical term order."""
+    return tuple(exp for exp, coeff in poly.terms() if coeff in (1, -1))
+
+
 def taubes_report(folded: FoldedSW, manifold: ThreeManifold) -> ObstructionReport:
     """Scan a fold result for coefficients equal to +1 or -1."""
-    units = tuple(exp for exp, coeff in folded.poly.terms() if coeff in (1, -1))
+    units = unit_classes(folded.poly)
     label = "chi = 0 (product case)" if folded.product_case else f"chi = {folded.chi_text}"
     return ObstructionReport(
         source=f"{folded.source} [{label}]",
@@ -96,19 +101,15 @@ def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
     """
     if not isinstance(box, int) or box < 1:
         raise DomainError(f"search box must be an integer >= 1, got {box!r}")
-    check = fold_applicable(manifold, manifold.basis.origin)
-    if not check.b_plus_ok:
-        raise HypothesisError(
-            f"b_+ = b_1 - 1 = {check.b_plus} < 2 for {manifold.name}: fold hypotheses fail"
-        )
+    require_b_plus(manifold)
     support = manifold.sw3.support()
-    unfolded_has_unit = any(c in (1, -1) for c in manifold.sw3.coefficients())
+    unfolded_has_unit = bool(unit_classes(manifold.sw3))
     entries = []
     for vector in _half_box(manifold.basis.rank, box):
         chi = EulerClass(manifold.basis, vector)
         injective = _injective_on_support(support, QuotientLattice(chi))
         folded = fold(manifold, chi)
-        units = tuple(exp for exp, coeff in folded.poly.terms() if coeff in (1, -1))
+        units = unit_classes(folded.poly)
         obstructed = (not unfolded_has_unit) if injective else (not units)
         entries.append(
             SearchEntry(
@@ -177,7 +178,7 @@ def stabilization_note(manifold: ThreeManifold, box: int = 5) -> str:
         return "\n".join(lines)
 
     multiset = _coefficient_multiset(manifold)
-    has_unit = any(c in (1, -1) for c in manifold.sw3.coefficients())
+    has_unit = bool(unit_classes(manifold.sw3))
     if has_unit:
         lines.append(f"unfolded coefficients {multiset}: unit coefficients present; "
                      "injective folds are not obstructed")

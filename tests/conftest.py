@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import settings
 
-from swfold import alexander
+from swfold import cli
+from swfold.alexander import BUILTIN_KNOTS
 from swfold.laurent import Basis, LaurentPoly
 from swfold.manifolds import fiber_sum_with_knot, three_torus
 
@@ -12,12 +13,9 @@ settings.load_profile("deterministic")
 
 
 @pytest.fixture(autouse=True)
-def isolated_knot_table():
-    """Snapshot the process-wide knot table around every test."""
-    saved = dict(alexander._TABLE)
-    yield
-    alexander._TABLE.clear()
-    alexander._TABLE.update(saved)
+def fresh_session_knots(monkeypatch):
+    """Start every test from the built-in knots, whatever `knot register` ran before."""
+    monkeypatch.setattr(cli, "session_knots", BUILTIN_KNOTS)
 
 
 @pytest.fixture
@@ -55,13 +53,13 @@ def random_basis(rng: random.Random) -> Basis:
 def fig8_pair():
     """Two figure-eight complements glued onto the first two torus meridians."""
     m = three_torus()
-    m = fiber_sum_with_knot(m, alexander.knot_lookup("4_1"), "m1")
-    return fiber_sum_with_knot(m, alexander.knot_lookup("4_1"), "m2")
+    m = fiber_sum_with_knot(m, BUILTIN_KNOTS.lookup("4_1"), "m1")
+    return fiber_sum_with_knot(m, BUILTIN_KNOTS.lookup("4_1"), "m2")
 
 
 @pytest.fixture
 def five2_pair():
     """Two 5_2 complements glued onto the first two torus meridians."""
     m = three_torus()
-    m = fiber_sum_with_knot(m, alexander.knot_lookup("5_2"), "m1")
-    return fiber_sum_with_knot(m, alexander.knot_lookup("5_2"), "m2")
+    m = fiber_sum_with_knot(m, BUILTIN_KNOTS.lookup("5_2"), "m1")
+    return fiber_sum_with_knot(m, BUILTIN_KNOTS.lookup("5_2"), "m2")

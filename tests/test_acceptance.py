@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from swfold.alexander import available_knots, knot_lookup
+from swfold.alexander import BUILTIN_KNOTS
 from swfold.fold import (
     EulerClass,
     QuotientLattice,
@@ -35,12 +35,12 @@ def announce(number, message):
 
 
 def trefoil_manifold():
-    return fiber_sum_with_knot(three_torus(), knot_lookup("3_1"), "m1")
+    return fiber_sum_with_knot(three_torus(), BUILTIN_KNOTS.lookup("3_1"), "m1")
 
 
 def pair_manifold(knot_name):
-    m = fiber_sum_with_knot(three_torus(), knot_lookup(knot_name), "m1")
-    return fiber_sum_with_knot(m, knot_lookup(knot_name), "m2")
+    m = fiber_sum_with_knot(three_torus(), BUILTIN_KNOTS.lookup(knot_name), "m1")
+    return fiber_sum_with_knot(m, BUILTIN_KNOTS.lookup(knot_name), "m2")
 
 
 FIG8_PAIR_SW3 = (
@@ -174,8 +174,8 @@ def test_criterion_09_conservation_and_symmetry_suite():
 
 def test_criterion_10_knot_table_self_validation():
     for name in ("3_1", "4_1", "5_2"):
-        assert name in available_knots()
-        record = knot_lookup(name)
+        assert name in BUILTIN_KNOTS.names()
+        record = BUILTIN_KNOTS.lookup(name)
         delta = record.alexander
         assert delta.conjugate() == delta, name
         assert delta.eval_ones() == 1, name

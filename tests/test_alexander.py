@@ -5,15 +5,13 @@ import json
 import pytest
 
 from swfold.alexander import (
+    BUILTIN_KNOTS,
     KNOT_BASIS,
     SeifertMatrix,
     alexander_from_seifert,
-    available_knots,
     knot_from_alexander,
     knot_from_seifert,
-    knot_lookup,
     load_knot_file,
-    register_knot,
     validate_alexander,
 )
 from swfold.errors import KnotLookupError, NotSeifertError, SpecFileError, StructuralError
@@ -78,41 +76,56 @@ class TestSeifertMatrix:
 
 class TestKnotTable:
     def test_shipped_names(self):
-        assert set(available_knots()) >= {"3_1", "4_1", "5_2"}
+        assert BUILTIN_KNOTS.names() == ("3_1", "4_1", "5_2")
 
     def test_trefoil_record(self):
-        record = knot_lookup("3_1")
+        record = BUILTIN_KNOTS.lookup("3_1")
         assert record.fibered is True
         assert record.alexander == poly("t - 1 + t^-1")
 
     def test_figure_eight_record(self):
-        record = knot_lookup("4_1")
+        record = BUILTIN_KNOTS.lookup("4_1")
         assert record.fibered is True
         assert record.alexander == poly("-t + 3 - t^-1")
 
     def test_five_two_record(self):
-        record = knot_lookup("5_2")
+        record = BUILTIN_KNOTS.lookup("5_2")
         assert record.fibered is False
         assert record.alexander == poly("2*t - 3 + 2*t^-1")
 
     def test_every_entry_symmetric_and_unit(self):
-        for name in available_knots():
-            delta = knot_lookup(name).alexander
+        for name in BUILTIN_KNOTS.names():
+            delta = BUILTIN_KNOTS.lookup(name).alexander
             assert delta.conjugate() == delta
             assert delta.eval_ones() == 1
 
     def test_unknown_knot_lists_available(self):
         with pytest.raises(KnotLookupError) as err:
-            knot_lookup("9_99")
+            BUILTIN_KNOTS.lookup("9_99")
         assert "3_1" in str(err.value)
+        assert err.value.available == ("3_1", "4_1", "5_2")
 
     def test_reregistering_identical_is_noop(self):
         record = knot_from_seifert("3_1", True, ((-1, 1), (0, -1)))
-        assert register_knot(record) == knot_lookup("3_1")
+        table = BUILTIN_KNOTS.with_records([record])
+        assert table.names() == BUILTIN_KNOTS.names()
+        assert table.lookup("3_1") == BUILTIN_KNOTS.lookup("3_1")
 
     def test_conflicting_registration_rejected(self):
         with pytest.raises(StructuralError):
-            register_knot(knot_from_seifert("3_1", False, ((1, 1), (0, 2))))
+            BUILTIN_KNOTS.with_records([knot_from_seifert("3_1", False, ((1, 1), (0, 2)))])
+        with pytest.raises(StructuralError):
+            BUILTIN_KNOTS.with_records([
+                knot_from_alexander("k", False, "3*t - 5 + 3*t^-1"),
+                knot_from_alexander("k", False, "2*t - 3 + 2*t^-1"),
+            ])
+
+    def test_with_records_leaves_the_table_unchanged(self):
+        unknot = knot_from_seifert("unknot", True, ())
+        table = BUILTIN_KNOTS.with_records([unknot])
+        assert table.lookup("unknot") == unknot
+        assert table.names() == ("3_1", "4_1", "5_2", "unknot")
+        assert BUILTIN_KNOTS.names() == ("3_1", "4_1", "5_2")
 
 
 class TestValidateAlexander:
@@ -156,7 +169,7 @@ class TestRegistration:
         path.write_text(json.dumps({"name": "my_unknot", "fibered": True, "seifert": []}))
         records = load_knot_file(str(path))
         assert len(records) == 1
-        assert knot_lookup("my_unknot").alexander == poly("1")
+        assert BUILTIN_KNOTS.with_records(records).lookup("my_unknot").alexander == poly("1")
 
     def test_load_file_list_with_polynomial_form(self, tmp_path):
         path = tmp_path / "knots.json"
@@ -170,7 +183,7 @@ class TestRegistration:
         )
         records = load_knot_file(str(path))
         assert [r.name for r in records] == ["k_a", "k_b"]
-        assert knot_lookup("k_a").alexander == poly("3*t - 5 + 3*t^-1")
+        assert BUILTIN_KNOTS.with_records(records).lookup("k_a").alexander == poly("3*t - 5 + 3*t^-1")
 
     def test_load_file_field_errors(self, tmp_path):
         cases = [

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 from jsonschema import Draft202012Validator
 
+from swfold.alexander import BUILTIN_KNOTS
 from swfold.cli import ENV_KNOT_TABLE, SCHEMA_DIR, build_manifold, emit, load_spec, main, run
 from swfold.errors import SpecFileError
 from swfold.laurent import Basis, from_text
@@ -68,7 +69,7 @@ class TestLoadSpec:
         ]
         for data, fragment in cases:
             with pytest.raises(SpecFileError) as err:
-                build_manifold(data, where="spec")
+                build_manifold(data, BUILTIN_KNOTS, where="spec")
             assert fragment in str(err.value)
 
     def test_missing_file(self, tmp_path):
@@ -300,3 +301,51 @@ class TestKnotTableEnv:
                                     "sums": [{"knot": "env_knot2", "meridian": "m2"}]}))
         record = run(["sw3", str(spec), "--quiet"])
         assert record.text == "sw3 = m2^-2 - 1 + m2^2"
+
+
+class TestKnotScope:
+    """Results depend on the spec and the command, not on what ran before."""
+
+    BUILTIN_LIST = (
+        "3_1  fibered=true  alexander = t^-1 - 1 + t\n"
+        "4_1  fibered=true  alexander = -t^-1 + 3 - t\n"
+        "5_2  fibered=false  alexander = 2*t^-1 - 3 + 2*t\n"
+    )
+
+    def test_inline_knots_are_scoped_to_their_spec(self, tmp_path, capsys):
+        for i, delta in enumerate(("3*t - 5 + 3*t^-1", "2*t - 3 + 2*t^-1")):
+            spec = tmp_path / f"spec{i}.json"
+            spec.write_text(json.dumps({
+                "base": "t3",
+                "knots": [{"name": "k", "fibered": False, "alexander": delta}],
+                "sums": [{"knot": "k", "meridian": "m1"}],
+            }))
+            assert main(["sw3", str(spec), "--quiet"]) == 0
+        assert capsys.readouterr().out == (
+            "sw3 = 3*m1^-2 - 5 + 3*m1^2\n"
+            "sw3 = 2*m1^-2 - 3 + 2*m1^2\n"
+        )
+        assert main(["knot", "list"]) == 0
+        assert capsys.readouterr().out == self.BUILTIN_LIST
+
+    def test_registered_knot_reaches_later_commands(self, tmp_path):
+        knots = tmp_path / "k.json"
+        knots.write_text(json.dumps({"name": "reg_k", "fibered": True,
+                                     "seifert": [[-1, 1], [0, -1]]}))
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps({"base": "t3", "sums": [{"knot": "reg_k", "meridian": "m3"}]}))
+        run(["knot", "register", str(knots)])
+        assert run(["sw3", str(spec), "--quiet"]).text == "sw3 = m3^-2 - 1 + m3^2"
+        assert str(load_spec(str(spec)).sw3) == "m3^-2 - 1 + m3^2"
+
+    def test_env_table_applies_per_command(self, monkeypatch, tmp_path, capsys):
+        table = tmp_path / "extra.json"
+        table.write_text(json.dumps({"name": "env_k", "fibered": False,
+                                     "alexander": "3*t - 5 + 3*t^-1"}))
+        monkeypatch.setenv(ENV_KNOT_TABLE, str(table))
+        assert main(["knot", "show", "env_k", "--quiet"]) == 0
+        monkeypatch.delenv(ENV_KNOT_TABLE)
+        assert main(["knot", "show", "env_k"]) == 2
+        assert capsys.readouterr().err.startswith("error[lookup]: unknown knot 'env_k'")
+        assert main(["knot", "list"]) == 0
+        assert capsys.readouterr().out == self.BUILTIN_LIST

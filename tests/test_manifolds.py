@@ -4,15 +4,16 @@ import dataclasses
 
 import pytest
 
-from swfold.alexander import knot_from_seifert, knot_lookup, register_knot
-from swfold.errors import DomainError, StructuralError, UnknownVariableError
+from swfold.alexander import BUILTIN_KNOTS, knot_from_seifert
+from swfold.errors import DomainError, HypothesisError, StructuralError, UnknownVariableError
+from swfold.fold import fold
 from swfold.laurent import LaurentPoly, from_text
 from swfold.manifolds import (
     T3_BASIS,
     ThreeManifold,
     fiber_sum_with_knot,
+    require_b_plus,
     surface_times_circle,
-    fold_applicable,
     three_torus,
 )
 
@@ -57,7 +58,7 @@ class TestSurfaceTimesCircle:
 
 class TestFiberSum:
     def test_trefoil_sum(self):
-        m = fiber_sum_with_knot(three_torus(), knot_lookup("3_1"), "m1")
+        m = fiber_sum_with_knot(three_torus(), BUILTIN_KNOTS.lookup("3_1"), "m1")
         expected = from_text("m1^2 - 1 + m1^-2", T3_BASIS)
         assert m.sw3 == expected
         assert m.b1 == 3
@@ -69,15 +70,14 @@ class TestFiberSum:
         assert fig8_pair.fibered is True
 
     def test_unknot_sum_is_identity(self):
-        register_knot(knot_from_seifert("unknot", True, ()))
-        m = fiber_sum_with_knot(three_torus(), knot_lookup("unknot"), "m2")
+        m = fiber_sum_with_knot(three_torus(), knot_from_seifert("unknot", True, ()), "m2")
         assert m.sw3 == three_torus().sw3
 
     def test_nonfibered_knot_breaks_fiberedness(self, five2_pair):
         assert five2_pair.fibered is False
 
     def test_commutes_across_distinct_meridians(self):
-        k1, k2 = knot_lookup("4_1"), knot_lookup("5_2")
+        k1, k2 = BUILTIN_KNOTS.lookup("4_1"), BUILTIN_KNOTS.lookup("5_2")
         one_way = fiber_sum_with_knot(fiber_sum_with_knot(three_torus(), k1, "m1"), k2, "m2")
         other = fiber_sum_with_knot(fiber_sum_with_knot(three_torus(), k2, "m2"), k1, "m1")
         assert one_way.sw3 == other.sw3
@@ -85,7 +85,7 @@ class TestFiberSum:
 
     def test_unknown_meridian(self):
         with pytest.raises(UnknownVariableError):
-            fiber_sum_with_knot(three_torus(), knot_lookup("3_1"), "m9")
+            fiber_sum_with_knot(three_torus(), BUILTIN_KNOTS.lookup("3_1"), "m9")
 
     def test_coefficient_sum_is_one(self, fig8_pair, five2_pair):
         for m in (fig8_pair, five2_pair):
@@ -116,23 +116,23 @@ class TestThreeManifoldInvariants:
 
 class TestFoldApplicability:
     def test_fig8_pair_with_4m1(self, fig8_pair):
-        check = fold_applicable(fig8_pair, (4, 0, 0))
-        assert check.chi_nonzero
-        assert check.b_plus == 2
-        assert check.applicable
+        assert fig8_pair.b1 - 1 == 2
+        require_b_plus(fig8_pair)
+        assert not fold(fig8_pair, (4, 0, 0)).product_case
 
     def test_zero_chi_fails(self, fig8_pair):
-        check = fold_applicable(fig8_pair, (0, 0, 0))
-        assert not check.chi_nonzero
-        assert not check.applicable
+        # a zero Euler class has no quotient to fold over: the product case
+        folded = fold(fig8_pair, "0")
+        assert folded.product_case and folded.quotient is None
+        assert folded.poly == fig8_pair.sw3
 
     def test_low_b1_fails(self):
         pretend = dataclasses.replace(surface_times_circle(1), b1=2)
-        check = fold_applicable(pretend, (1,))
-        assert check.b_plus == 1
-        assert not check.b_plus_ok
-        assert not check.applicable
+        with pytest.raises(HypothesisError, match=r"b_\+ = b_1 - 1 = 1 < 2"):
+            require_b_plus(pretend)
+        with pytest.raises(HypothesisError):
+            fold(pretend, (1,))
 
     def test_length_mismatch(self, fig8_pair):
         with pytest.raises(StructuralError):
-            fold_applicable(fig8_pair, (1, 0))
+            fold(fig8_pair, (1, 0))

@@ -107,10 +107,10 @@ class TestEulerSearch:
 
 class TestCollidingClasses:
     def test_trefoil_manifold_exact_set(self):
-        from swfold.alexander import knot_lookup
+        from swfold.alexander import BUILTIN_KNOTS
         from swfold.manifolds import fiber_sum_with_knot
 
-        m = fiber_sum_with_knot(three_torus(), knot_lookup("3_1"), "m1")
+        m = fiber_sum_with_knot(three_torus(), BUILTIN_KNOTS.lookup("3_1"), "m1")
         assert colliding_classes(m) == ((1, 0, 0), (2, 0, 0), (4, 0, 0))
 
     def test_collision_set_is_exactly_the_noninjective_set(self, five2_pair):
