@@ -22,16 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from .alexander import BUILTIN_KNOTS, KnotTable, load_knot_file, record_from_dict
-from .errors import (
-    DomainError,
-    HypothesisError,
-    KnotLookupError,
-    NotSeifertError,
-    ParseError,
-    SpecFileError,
-    SwfoldError,
-    UnknownVariableError,
-)
+from .errors import DomainError, SpecFileError, SwfoldError
 from .fold import circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
 from .manifolds import ThreeManifold, fiber_sum_with_knot, surface_times_circle, three_torus
 from .obstruction import euler_search, stabilization_note, taubes_report
@@ -368,29 +359,11 @@ def run(argv) -> OutputRecord:
     )
 
 
-def _error_code(exc: SwfoldError) -> str:
-    if isinstance(exc, HypothesisError):
-        return "hypothesis"
-    if isinstance(exc, DomainError):
-        return "domain"
-    if isinstance(exc, UnknownVariableError):
-        return "name"
-    if isinstance(exc, ParseError):
-        return "parse"
-    if isinstance(exc, KnotLookupError):
-        return "lookup"
-    if isinstance(exc, NotSeifertError):
-        return "seifert"
-    if isinstance(exc, SpecFileError):
-        return "spec"
-    return "structure"
-
-
 def main(argv=None) -> int:
     try:
         record = run(sys.argv[1:] if argv is None else argv)
     except SwfoldError as exc:
-        sys.stderr.write(f"error[{_error_code(exc)}]: {exc}\n")
+        sys.stderr.write(f"error[{exc.code}]: {exc}\n")
         return 1 if isinstance(exc, DomainError) else 2
     sys.stdout.write(emit(record).decode("utf-8"))
     return record.status

@@ -3,12 +3,15 @@
 Two families matter to callers: ``StructuralError`` for malformed values
 (wrong basis, bad syntax, bad shapes, bad files) and ``DomainError`` for
 mathematically invalid parameters.  The command line maps them to exit
-codes 2 and 1 respectively.
+codes 2 and 1 respectively, and prints the ``code`` of the most-derived
+class as ``error[code]: message``.
 """
 
 
 class SwfoldError(Exception):
     """Base class for every error raised by this package."""
+
+    code = "structure"
 
 
 class StructuralError(SwfoldError):
@@ -17,6 +20,8 @@ class StructuralError(SwfoldError):
 
 class ParseError(StructuralError):
     """Text that does not conform to the polynomial grammar."""
+
+    code = "parse"
 
     def __init__(self, message: str, position: int | None = None):
         if position is not None:
@@ -28,9 +33,13 @@ class ParseError(StructuralError):
 class UnknownVariableError(ParseError):
     """Identifier that is not a variable of the target basis."""
 
+    code = "name"
+
 
 class KnotLookupError(StructuralError):
     """Knot name missing from the table; carries the available names."""
+
+    code = "lookup"
 
     def __init__(self, name: str, available):
         self.name = name
@@ -42,14 +51,22 @@ class KnotLookupError(StructuralError):
 class NotSeifertError(StructuralError):
     """Matrix with det(V - V^T) != +-1: not a knot Seifert matrix."""
 
+    code = "seifert"
+
 
 class SpecFileError(StructuralError):
     """Manifold or knot file violating its schema; message carries the field path."""
+
+    code = "spec"
 
 
 class DomainError(SwfoldError):
     """Parameter outside the mathematical domain of an operation."""
 
+    code = "domain"
+
 
 class HypothesisError(DomainError):
     """Fold requested on a manifold where the b_+ >= 2 hypothesis fails."""
+
+    code = "hypothesis"

@@ -65,10 +65,6 @@ class EulerClass:
         if not any(chi):
             raise DomainError("Euler class is zero (torsion); no quotient to fold over")
 
-    @classmethod
-    def from_text(cls, text: str, basis: Basis) -> EulerClass:
-        return cls(basis, euler_vector_from_text(text, basis))
-
     @property
     def text(self) -> str:
         """Canonical rendering, e.g. ``"4*m1"`` or ``"-m1 + 2*m2"``."""
@@ -126,19 +122,16 @@ def canonical_rep(quotient: QuotientLattice, exp: Sequence[int]) -> tuple[int, .
 class FoldedSW:
     """Terminal fold result: polynomial over canonical coset representatives.
 
-    ``product_case`` marks a zero Euler class, where the 4-manifold is a
-    product with the circle and the polynomial is the unfolded one.
-    No ring operations are defined on this type.
+    A ``None`` quotient marks the product case of a zero Euler class,
+    where the 4-manifold is a product with the circle and the polynomial
+    is the unfolded one.  No ring operations are defined on this type.
     """
 
     quotient: QuotientLattice | None
     poly: LaurentPoly
     source: str
-    product_case: bool = False
 
     def __post_init__(self):
-        if (self.quotient is None) != self.product_case:
-            raise StructuralError("product_case exactly when there is no quotient")
         if self.quotient is not None:
             pivot, modulus = self.quotient.pivot, self.quotient.modulus
             for exp in self.poly.support():
@@ -147,6 +140,10 @@ class FoldedSW:
                         f"exponent {exp} is not a canonical representative "
                         f"(pivot {pivot}, modulus {modulus})"
                     )
+
+    @property
+    def product_case(self) -> bool:
+        return self.quotient is None
 
     @property
     def chi_text(self) -> str:
@@ -244,7 +241,7 @@ def fold_poly_bruteforce(poly: LaurentPoly, quotient: QuotientLattice) -> Lauren
 def _fold_with(fold_fn, manifold: ThreeManifold, chi) -> FoldedSW:
     vector = _as_vector(manifold.basis, chi)
     if not any(vector):
-        return FoldedSW(quotient=None, poly=manifold.sw3, source=manifold.name, product_case=True)
+        return FoldedSW(quotient=None, poly=manifold.sw3, source=manifold.name)
     require_b_plus(manifold)
     quotient = QuotientLattice(EulerClass(manifold.basis, vector))
     return FoldedSW(quotient=quotient, poly=fold_fn(manifold.sw3, quotient), source=manifold.name)
@@ -266,23 +263,20 @@ def fold_bruteforce(manifold: ThreeManifold, chi) -> FoldedSW:
     return _fold_with(fold_poly_bruteforce, manifold, chi)
 
 
-def _injective_on_support(support, quotient: QuotientLattice) -> bool:
-    reps = {canonical_rep(quotient, exp) for exp in support}
-    return len(reps) == len(support)
-
-
 def is_injective_fold(manifold: ThreeManifold, chi) -> bool:
     """True when no two support exponents of sw3 fall in the same coset.
 
-    An injective fold permutes the coefficient multiset, so the folded
-    polynomial inherits every coefficient-level property of the
-    unfolded one.
+    Read off the folded polynomial: it keeps every term exactly when no
+    coset holds two of them, since a merge leaves fewer cosets than
+    terms and a cancellation needs a merge first.  An injective fold
+    permutes the coefficient multiset, so the folded polynomial inherits
+    every coefficient-level property of the unfolded one.
     """
     vector = _as_vector(manifold.basis, chi)
     if not any(vector):
         raise DomainError("injectivity is about a nonzero Euler class")
     quotient = QuotientLattice(EulerClass(manifold.basis, vector))
-    return _injective_on_support(manifold.sw3.support(), quotient)
+    return len(fold_poly(manifold.sw3, quotient)) == len(manifold.sw3)
 
 
 def circle_bundle_sw_direct(genus: int, euler_number: int) -> FoldedSW:
@@ -299,16 +293,19 @@ def circle_bundle_sw_direct(genus: int, euler_number: int) -> FoldedSW:
 
 
 def circle_bundle_sw_closed_form(genus: int, euler_number: int) -> FoldedSW:
-    """Same bundle polynomial via the alternating-binomial double sum.
+    """Same bundle polynomial via the alternating-binomial sum.
 
-    For even n = 2l != 0 the residue-2i coefficient is
-    sign(n) * sum_k (-1)^j * C(2g-2, j) with j = (g-1) + i + k|l|,
-    k ranging over -(2g-2)..(2g-2) and out-of-range binomials zero.
-    For odd n the block length |l| becomes |n|, and the i-th term is the
-    class of exponent 2i: since 2 is invertible mod odd n this is a
-    bijective relabeling, landed here on the canonical residue
-    (2i mod |n|) so the result is exponent-for-exponent comparable with
-    :func:`circle_bundle_sw_direct` (up to one overall sign).
+    (t - 1/t)^(2g-2) is the sum over j in 0..2g-2 of
+    (-1)^j * C(2g-2, j) * t^(2(j-g+1)), the usual expansion read
+    backwards (the polynomial is symmetric under t -> 1/t).  For even
+    n = 2l != 0 the j-th term lands on residue 2i with
+    i = (j-g+1) mod |l|, and the sum is multiplied by sign(n).  For odd
+    n the block length |l| becomes |n|, and the i-th term is the class
+    of exponent 2i: since 2 is invertible mod odd n this is a bijective
+    relabeling, landed here on the canonical residue (2i mod |n|) so the
+    result is exponent-for-exponent comparable with
+    :func:`circle_bundle_sw_direct` (up to one overall sign).  The work
+    is the 2g-1 terms, whatever the size of n.
     """
     if not isinstance(genus, int) or genus < 1:
         raise DomainError(f"genus must be an integer >= 1, got {genus!r}")
@@ -316,16 +313,12 @@ def circle_bundle_sw_closed_form(genus: int, euler_number: int) -> FoldedSW:
         raise DomainError("Euler number must be a nonzero integer for the closed form")
     degree = 2 * genus - 2
     sign = 1 if euler_number > 0 else -1
-    block = abs(euler_number) // 2 if euler_number % 2 == 0 else abs(euler_number)
-    terms: dict[tuple[int, ...], int] = {}
-    for i in range(block):
-        total = 0
-        for k in range(-degree, degree + 1):
-            j = (genus - 1) + i + k * block
-            if 0 <= j <= degree:
-                total += (-1) ** j * comb(degree, j)
-        if total:
-            terms[(2 * i % abs(euler_number),)] = sign * total
+    modulus = abs(euler_number)
+    block = modulus // 2 if euler_number % 2 == 0 else modulus
+    terms = (
+        ((2 * ((j - genus + 1) % block) % modulus,), sign * (-1) ** j * comb(degree, j))
+        for j in range(degree + 1)
+    )
     quotient = QuotientLattice(EulerClass(CIRCLE_BASIS, (euler_number,)))
     return FoldedSW(
         quotient=quotient,

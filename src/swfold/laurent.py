@@ -32,8 +32,6 @@ from .errors import DomainError, ParseError, StructuralError, UnknownVariableErr
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
-ExponentVector = tuple  # alias for readability in signatures
-
 
 @dataclass(frozen=True)
 class Basis:
@@ -127,10 +125,6 @@ class LaurentPoly:
     @classmethod
     def constant(cls, basis: Basis, value: int) -> LaurentPoly:
         return cls(basis, {basis.origin: value})
-
-    @classmethod
-    def variable(cls, basis: Basis, name: str) -> LaurentPoly:
-        return cls(basis, {basis.unit(name): 1})
 
     # -- views -------------------------------------------------------
 

@@ -12,37 +12,27 @@ because their folds cannot merge distinct terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import gcd
+from itertools import combinations, product
+from math import gcd, isqrt
 
-from .errors import DomainError, StructuralError
-from .fold import (
-    EulerClass,
-    FoldedSW,
-    QuotientLattice,
-    _injective_on_support,
-    fold,
-)
+from .errors import DomainError
+from .fold import EulerClass, FoldedSW, fold
 from .laurent import LaurentPoly, to_text
 from .manifolds import ThreeManifold, require_b_plus
 
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """Unit-coefficient scan of one fold result.
-
-    ``obstructed`` is true exactly when ``unit_classes`` is empty: no
-    spin-c class can play the role of a symplectic canonical class.
-    """
+    """Unit-coefficient scan of one fold result."""
 
     source: str
     unit_classes: tuple[tuple[int, ...], ...]
-    obstructed: bool
     fibered_orbit: bool
 
-    def __post_init__(self):
-        if self.obstructed != (len(self.unit_classes) == 0):
-            raise StructuralError("obstructed must mean exactly: no unit classes")
+    @property
+    def obstructed(self) -> bool:
+        """No unit class: no spin-c class can be a symplectic canonical class."""
+        return not self.unit_classes
 
 
 def unit_classes(poly: LaurentPoly) -> tuple[tuple[int, ...], ...]:
@@ -52,12 +42,10 @@ def unit_classes(poly: LaurentPoly) -> tuple[tuple[int, ...], ...]:
 
 def taubes_report(folded: FoldedSW, manifold: ThreeManifold) -> ObstructionReport:
     """Scan a fold result for coefficients equal to +1 or -1."""
-    units = unit_classes(folded.poly)
     label = "chi = 0 (product case)" if folded.product_case else f"chi = {folded.chi_text}"
     return ObstructionReport(
         source=f"{folded.source} [{label}]",
-        unit_classes=units,
-        obstructed=not units,
+        unit_classes=unit_classes(folded.poly),
         fibered_orbit=manifold.fibered,
     )
 
@@ -65,17 +53,23 @@ def taubes_report(folded: FoldedSW, manifold: ThreeManifold) -> ObstructionRepor
 @dataclass(frozen=True)
 class SearchEntry:
     chi: EulerClass
-    obstructed: bool
     injective: bool
     digest: str
     unit_classes: tuple[tuple[int, ...], ...]
+
+    @property
+    def obstructed(self) -> bool:
+        return not self.unit_classes
 
 
 @dataclass(frozen=True)
 class SearchResult:
     box: int
     entries: tuple[SearchEntry, ...]
-    all_obstructed: bool
+
+    @property
+    def all_obstructed(self) -> bool:
+        return all(e.obstructed for e in self.entries)
 
 
 def _half_box(rank: int, box: int):
@@ -94,37 +88,28 @@ def _half_box(rank: int, box: int):
 def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
     """Fold by every Euler class in the box and collect obstruction verdicts.
 
-    Enumerates ((2B+1)^r - 1)/2 classes.  When a fold is injective the
-    verdict is read off the unfolded coefficient multiset; the folded
-    polynomial is still computed for the entry digest.  Entries are
+    Enumerates ((2B+1)^r - 1)/2 classes and folds each once; the
+    verdict, the unit classes and the digest all come from that one
+    folded polynomial.  A fold is injective exactly when it keeps every
+    term (see :func:`~swfold.fold.is_injective_fold`).  Entries are
     deterministic in chi order regardless of execution order.
     """
     if not isinstance(box, int) or box < 1:
         raise DomainError(f"search box must be an integer >= 1, got {box!r}")
     require_b_plus(manifold)
-    support = manifold.sw3.support()
-    unfolded_has_unit = bool(unit_classes(manifold.sw3))
     entries = []
     for vector in _half_box(manifold.basis.rank, box):
         chi = EulerClass(manifold.basis, vector)
-        injective = _injective_on_support(support, QuotientLattice(chi))
         folded = fold(manifold, chi)
-        units = unit_classes(folded.poly)
-        obstructed = (not unfolded_has_unit) if injective else (not units)
         entries.append(
             SearchEntry(
                 chi=chi,
-                obstructed=obstructed,
-                injective=injective,
+                injective=len(folded.poly) == len(manifold.sw3),
                 digest=to_text(folded.poly),
-                unit_classes=units,
+                unit_classes=unit_classes(folded.poly),
             )
         )
-    return SearchResult(
-        box=box,
-        entries=tuple(entries),
-        all_obstructed=all(e.obstructed for e in entries),
-    )
+    return SearchResult(box=box, entries=tuple(entries))
 
 
 def _coefficient_multiset(manifold: ThreeManifold) -> str:
@@ -142,24 +127,24 @@ def colliding_classes(manifold: ThreeManifold) -> tuple[tuple[int, ...], ...]:
     """Every Euler class (one per antipodal pair) whose fold merges terms.
 
     Exact: chi collides iff some nonzero multiple of chi is a difference
-    of two support exponents, so the collision set consists of the
-    integer divisors of the support difference vectors.
+    of two support exponents, so the collision set consists of diff / k
+    for each distinct support difference diff and each divisor k of the
+    gcd of its entries.
     """
-    support = manifold.sw3.support()
+    # support() is sorted and repeat-free, so each q - p with p before q
+    # already has a positive first nonzero entry: the sign every class
+    # here is normalized to, and division by k > 0 keeps it.
+    diffs = {
+        tuple(b - a for a, b in zip(p, q))
+        for p, q in combinations(manifold.sw3.support(), 2)
+    }
     out = set()
-    for i in range(len(support)):
-        for j in range(i + 1, len(support)):
-            diff = tuple(a - b for a, b in zip(support[i], support[j]))
-            g = 0
-            for c in diff:
-                g = gcd(g, abs(c))
-            for k in range(1, g + 1):
-                if g % k == 0 and all(c % k == 0 for c in diff):
-                    candidate = tuple(c // k for c in diff)
-                    first = next(c for c in candidate if c != 0)
-                    if first < 0:
-                        candidate = tuple(-c for c in candidate)
-                    out.add(candidate)
+    for diff in diffs:
+        g = gcd(*diff)
+        for d in range(1, isqrt(g) + 1):
+            if g % d == 0:
+                out.add(tuple(c // d for c in diff))
+                out.add(tuple(c // (g // d) for c in diff))
     return tuple(sorted(out))
 
 

@@ -338,6 +338,13 @@ class TestCircleBundles:
                 closed = circle_bundle_sw_closed_form(genus, n)
                 assert equal_up_to_sign(direct, closed), (genus, n)
 
+    def test_closed_form_work_does_not_grow_with_euler_number(self):
+        # 2g-1 binomial terms, however many residues n has
+        for n in (10**9, -(10**9) + 1):
+            closed = circle_bundle_sw_closed_form(3, n)
+            assert equal_up_to_sign(closed, circle_bundle_sw_direct(3, n)), n
+            assert len(closed.poly) == 5
+
     def test_direct_matches_bruteforce_oracle(self):
         for genus in range(1, 6):
             for n in [k for k in range(-10, 11) if k != 0]:

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from swfold.errors import DomainError, HypothesisError
-from swfold.fold import EulerClass, QuotientLattice, canonical_rep, fold
+from swfold.fold import EulerClass, QuotientLattice, canonical_rep, fold, fold_bruteforce
+from swfold.laurent import to_text
 from swfold.manifolds import surface_times_circle, three_torus
 from swfold.obstruction import (
     colliding_classes,
@@ -94,6 +95,23 @@ class TestEulerSearch:
             full_verdict = not any(c in (1, -1) for c in folded.poly.coefficients())
             assert entry.obstructed == full_verdict
             assert entry.digest == str(folded.poly)
+
+    def test_random_entries_agree_with_definitions(self):
+        rng = random.Random(89)
+        cancelled = 0
+        for _ in range(40):
+            basis = random_basis(rng)
+            m = random_manifold(rng, basis)
+            support = m.sw3.support()
+            for entry in euler_search(m, 2).entries:
+                q = QuotientLattice(entry.chi)
+                cosets = {canonical_rep(q, e) for e in support}
+                assert entry.injective == (len(cosets) == len(support))
+                oracle = fold_bruteforce(m, entry.chi).poly
+                assert entry.obstructed == (not any(c in (1, -1) for c in oracle.coefficients()))
+                assert entry.digest == to_text(oracle)
+                cancelled += len(oracle) < len(cosets)
+        assert cancelled > 0  # merged coefficients that cancel must be exercised
 
     def test_bad_box_rejected(self, fig8_pair):
         with pytest.raises(DomainError):
