@@ -50,7 +50,7 @@ class SeifertMatrix:
                     f"Seifert matrix must be square, got row of length {len(row)} in size {len(rows)}"
                 )
             for value in row:
-                if not isinstance(value, int):
+                if not isinstance(value, int) or isinstance(value, bool):
                     raise StructuralError(f"Seifert matrix entries must be integers, got {value!r}")
 
     @property

@@ -98,7 +98,7 @@ def build_manifold(data: dict, table: KnotTable, where: str = "spec") -> ThreeMa
         manifold = three_torus()
     elif isinstance(base, dict) and set(base) == {"surface_x_s1"}:
         genus = base["surface_x_s1"]
-        if not isinstance(genus, int):
+        if not isinstance(genus, int) or isinstance(genus, bool):
             raise SpecFileError(f"{where}.base.surface_x_s1: expected an integer genus")
         manifold = surface_times_circle(genus)
     else:

@@ -21,7 +21,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import DomainError, ParseError, StructuralError
-from .laurent import Basis, LaurentPoly, from_text, to_text
+from .laurent import Basis, LaurentPoly, _accumulate, from_text, to_text
 from .manifolds import CIRCLE_BASIS, ThreeManifold, require_b_plus, surface_times_circle
 
 
@@ -68,11 +68,8 @@ class EulerClass:
     @property
     def text(self) -> str:
         """Canonical rendering, e.g. ``"4*m1"`` or ``"-m1 + 2*m2"``."""
-        terms = {}
-        for name, c in zip(self.basis.names, self.chi):
-            if c:
-                terms[self.basis.unit(name)] = c
-        return to_text(LaurentPoly(self.basis, terms))
+        units = (self.basis.unit(name) for name in self.basis.names)
+        return to_text(LaurentPoly(self.basis, zip(units, self.chi)))
 
     def __neg__(self) -> EulerClass:
         return EulerClass(self.basis, tuple(-c for c in self.chi))
@@ -167,15 +164,9 @@ def _as_vector(basis: Basis, chi) -> tuple[int, ...]:
 
 def fold_poly(poly: LaurentPoly, quotient: QuotientLattice) -> LaurentPoly:
     """Coset-fold a bare polynomial: sum coefficients at canonical representatives."""
-    acc: dict[tuple[int, ...], int] = {}
-    for exp, coeff in poly.terms():
-        rep = canonical_rep(quotient, exp)
-        total = acc.get(rep, 0) + coeff
-        if total:
-            acc[rep] = total
-        else:
-            acc.pop(rep, None)
-    return LaurentPoly(poly.basis, acc)
+    # Representatives are shifts of checked exponents, so they skip the checks.
+    reps = ((canonical_rep(quotient, exp), c) for exp, c in poly.terms())
+    return LaurentPoly._of(poly.basis, _accumulate({}, reps))
 
 
 def fold_poly_bruteforce(poly: LaurentPoly, quotient: QuotientLattice) -> LaurentPoly:

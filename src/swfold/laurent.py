@@ -7,6 +7,11 @@ coefficients, so every operation is exact (Python integers never
 overflow) and equality testing is reliable.  Values are immutable after
 construction; all operations return new polynomials.
 
+Term invariant: equal exponents are summed and a zero coefficient is
+never stored.  ``_accumulate`` is the one function that enforces it:
+every producer whose terms can collide or cancel goes through it, and
+``LaurentPoly._of`` wraps the result without checking it again.
+
 The canonical term order is lexicographic on exponent vectors with the
 first variable most significant, which makes iteration, ``to_text`` and
 hashing deterministic.
@@ -26,7 +31,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from operator import add, neg
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, ParseError, StructuralError, UnknownVariableError
 
@@ -74,16 +80,35 @@ class Basis:
         return (0,) * len(self.names)
 
 
-def _check_exponent(basis: Basis, exp) -> tuple[int, ...]:
-    exp = tuple(exp)
-    if len(exp) != basis.rank:
-        raise StructuralError(
-            f"exponent vector {exp} has length {len(exp)}, basis rank is {basis.rank}"
-        )
-    for e in exp:
-        if not isinstance(e, int):
-            raise StructuralError(f"exponent entries must be integers, got {e!r}")
-    return exp
+def _checked(basis: Basis, terms: Iterable) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Validate outside (exponent, coefficient) pairs, yielding tuple exponents."""
+    rank = basis.rank
+    for exp, coeff in terms:
+        exp = tuple(exp)
+        if len(exp) != rank:
+            raise StructuralError(f"exponent vector {exp} has length {len(exp)}, basis rank is {rank}")
+        for e in exp:
+            if not isinstance(e, int):
+                raise StructuralError(f"exponent entries must be integers, got {e!r}")
+        if not isinstance(coeff, int):
+            raise StructuralError(f"coefficients must be integers, got {coeff!r}")
+        yield exp, coeff
+
+
+def _accumulate(acc: dict, pairs: Iterable) -> dict:
+    """Add (exponent, coefficient) pairs into ``acc``, keeping the term invariant.
+
+    Equal exponents are summed and a total of zero removes the entry
+    (``pop`` with a default, since a lone zero pair has none).
+    """
+    get = acc.get
+    for exp, coeff in pairs:
+        total = get(exp, 0) + coeff
+        if total:
+            acc[exp] = total
+        else:
+            acc.pop(exp, None)
+    return acc
 
 
 class LaurentPoly:
@@ -99,28 +124,26 @@ class LaurentPoly:
 
     def __init__(self, basis: Basis, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, ...], int] = {}
-        for exp, coeff in items:
-            exp = _check_exponent(basis, exp)
-            if not isinstance(coeff, int):
-                raise StructuralError(f"coefficients must be integers, got {coeff!r}")
-            coeff += acc.get(exp, 0)
-            if coeff:
-                acc[exp] = coeff
-            else:
-                acc.pop(exp, None)
         self.basis = basis
-        self._terms = acc
+        self._terms = _accumulate({}, _checked(basis, items))
 
     # -- constructors ------------------------------------------------
 
+    @staticmethod
+    def _of(basis: Basis, terms: dict) -> LaurentPoly:
+        """Wrap a term dict that already keeps the invariant; no checks, no copy."""
+        result = LaurentPoly.__new__(LaurentPoly)
+        result.basis = basis
+        result._terms = terms
+        return result
+
     @classmethod
     def zero(cls, basis: Basis) -> LaurentPoly:
-        return cls(basis)
+        return cls._of(basis, {})
 
     @classmethod
     def one(cls, basis: Basis) -> LaurentPoly:
-        return cls(basis, {basis.origin: 1})
+        return cls._of(basis, {basis.origin: 1})
 
     @classmethod
     def constant(cls, basis: Basis, value: int) -> LaurentPoly:
@@ -141,7 +164,8 @@ class LaurentPoly:
         return tuple(sorted(self._terms))
 
     def coeff(self, exp) -> int:
-        return self._terms.get(_check_exponent(self.basis, exp), 0)
+        [(exp, _)] = _checked(self.basis, [(exp, 0)])
+        return self._terms.get(exp, 0)
 
     def coefficients(self) -> tuple[int, ...]:
         """Coefficients in canonical term order."""
@@ -154,7 +178,7 @@ class LaurentPoly:
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
-            if other.basis != self.basis:
+            if other.basis is not self.basis and other.basis != self.basis:
                 raise StructuralError(
                     f"basis mismatch: ({', '.join(self.basis.names)}) vs "
                     f"({', '.join(other.basis.names)})"
@@ -168,25 +192,12 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            total = acc.get(exp, 0) + coeff
-            if total:
-                acc[exp] = total
-            else:
-                acc.pop(exp, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.basis = self.basis
-        result._terms = acc
-        return result
+        return LaurentPoly._of(self.basis, _accumulate(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.basis = self.basis
-        result._terms = {exp: -c for exp, c in self._terms.items()}
-        return result
+        return LaurentPoly._of(self.basis, {exp: -c for exp, c in self._terms.items()})
 
     def __sub__(self, other) -> LaurentPoly:
         other = self._coerce(other)
@@ -201,19 +212,12 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc: dict[tuple[int, ...], int] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                total = acc.get(exp, 0) + ca * cb
-                if total:
-                    acc[exp] = total
-                else:
-                    acc.pop(exp, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.basis = self.basis
-        result._terms = acc
-        return result
+        products = (
+            (tuple(map(add, ea, eb)), ca * cb)
+            for ea, ca in self._terms.items()
+            for eb, cb in other._terms.items()
+        )
+        return LaurentPoly._of(self.basis, _accumulate({}, products))
 
     __rmul__ = __mul__
 
@@ -234,10 +238,7 @@ class LaurentPoly:
 
     def conjugate(self) -> LaurentPoly:
         """Negate every exponent vector (the t -> 1/t involution)."""
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.basis = self.basis
-        result._terms = {tuple(-e for e in exp): c for exp, c in self._terms.items()}
-        return result
+        return LaurentPoly._of(self.basis, {tuple(map(neg, e)): c for e, c in self._terms.items()})
 
     def reindex(self, target: Basis, images: Mapping[str, Sequence[int]]) -> LaurentPoly:
         """Push the polynomial along a lattice map into ``target``.
@@ -255,24 +256,16 @@ class LaurentPoly:
         extra = [n for n in images if n not in self.basis.names]
         if extra:
             raise StructuralError(f"reindex images for unknown variables: {', '.join(extra)}")
-        columns = [_check_exponent(target, images[name]) for name in self.basis.names]
-        acc: dict[tuple[int, ...], int] = {}
-        for exp, coeff in self._terms.items():
+        columns = [col for col, _ in _checked(target, ((images[n], 0) for n in self.basis.names))]
+        keys = []
+        for exp in self._terms:
             new = [0] * target.rank
             for e, col in zip(exp, columns):
                 if e:
                     for j, cj in enumerate(col):
                         new[j] += e * cj
-            key = tuple(new)
-            total = acc.get(key, 0) + coeff
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result.basis = target
-        result._terms = acc
-        return result
+            keys.append(tuple(new))
+        return LaurentPoly._of(target, _accumulate({}, zip(keys, self._terms.values())))
 
     def eval_ones(self) -> int:
         """Value at the all-ones point: the sum of all coefficients."""
@@ -299,10 +292,7 @@ class LaurentPoly:
 
 def monomial(basis: Basis, coeff: int, exp) -> LaurentPoly:
     """Single-term polynomial ``coeff * prod(v_i^exp_i)``; zero if coeff is 0."""
-    exp = _check_exponent(basis, exp)
-    if not isinstance(coeff, int):
-        raise StructuralError(f"coefficients must be integers, got {coeff!r}")
-    return LaurentPoly(basis, {exp: coeff} if coeff else {})
+    return LaurentPoly(basis, [(exp, coeff)])
 
 
 # -- canonical text form ----------------------------------------------
@@ -381,21 +371,19 @@ class _Parser:
         return tok
 
     def parse_poly(self) -> LaurentPoly:
-        acc: dict[tuple[int, ...], int] = {}
-        self.read_term(acc, 1)
+        return LaurentPoly._of(self.basis, _accumulate({}, self.read_terms()))
+
+    def read_terms(self):
+        """Yield each term as an (exponent, signed coefficient) pair."""
+        sign = 1
         while True:
-            kind, _, at = self.peek()
+            yield self.read_term(sign)
+            kind, _, at = self.advance()
             if kind == "end":
-                break
-            if kind == "+":
-                self.advance()
-                self.read_term(acc, 1)
-            elif kind == "-":
-                self.advance()
-                self.read_term(acc, -1)
-            else:
+                return
+            if kind not in ("+", "-"):
                 raise ParseError("expected '+', '-' or end of input", position=at)
-        return LaurentPoly(self.basis, acc)
+            sign = 1 if kind == "+" else -1
 
     def read_sign(self) -> int:
         kind, _, _ = self.peek()
@@ -433,7 +421,7 @@ class _Parser:
             power = self.read_int()
         exp[idx] += power
 
-    def read_term(self, acc: dict, outer_sign: int) -> None:
+    def read_term(self, outer_sign: int) -> tuple[tuple[int, ...], int]:
         sign = outer_sign * self.read_sign()
         kind, value, at = self.peek()
         exp = [0] * self.basis.rank
@@ -448,12 +436,7 @@ class _Parser:
         while self.peek()[0] == "*":
             self.advance()
             self.read_factor(exp)
-        key = tuple(exp)
-        total = acc.get(key, 0) + sign * coeff
-        if total:
-            acc[key] = total
-        else:
-            acc.pop(key, None)
+        return tuple(exp), sign * coeff
 
 
 def from_text(text: str, basis: Basis) -> LaurentPoly:

@@ -11,6 +11,7 @@ because their folds cannot merge distinct terms.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, isqrt
@@ -18,7 +19,7 @@ from math import gcd, isqrt
 from .errors import DomainError
 from .fold import EulerClass, FoldedSW, fold
 from .laurent import LaurentPoly, to_text
-from .manifolds import ThreeManifold, require_b_plus
+from .manifolds import ThreeManifold
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,6 @@ def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
     """
     if not isinstance(box, int) or box < 1:
         raise DomainError(f"search box must be an integer >= 1, got {box!r}")
-    require_b_plus(manifold)
     entries = []
     for vector in _half_box(manifold.basis.rank, box):
         chi = EulerClass(manifold.basis, vector)
@@ -113,9 +113,7 @@ def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
 
 
 def _coefficient_multiset(manifold: ThreeManifold) -> str:
-    counts: dict[int, int] = {}
-    for coeff in manifold.sw3.coefficients():
-        counts[coeff] = counts.get(coeff, 0) + 1
+    counts = Counter(manifold.sw3.coefficients())
     parts = [
         f"{value} x{count}" if count > 1 else f"{value}"
         for value, count in sorted(counts.items())

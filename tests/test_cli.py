@@ -282,6 +282,33 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error[seifert]:")
 
 
+class TestJsonBooleans:
+    """JSON true/false are not integers, though Python's bool subclasses int."""
+
+    def assert_one_error_line(self, capsys, code):
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error[{code}]:") and err.count("\n") == 1
+
+    def test_boolean_genus_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bool-genus.json"
+        path.write_text(json.dumps({"base": {"surface_x_s1": True}}))
+        assert main(["sw3", str(path)]) == 2
+        self.assert_one_error_line(capsys, "spec")
+
+    def test_boolean_seifert_entries_exit_2(self, capsys, tmp_path):
+        knot = {"name": "k", "fibered": False, "seifert": [[True, True], [False, 2]]}
+        path = tmp_path / "bool-knot.json"
+        path.write_text(json.dumps(knot))
+        assert main(["knot", "register", str(path)]) == 2
+        self.assert_one_error_line(capsys, "structure")
+        spec = tmp_path / "bool-spec.json"
+        spec.write_text(json.dumps({"base": "t3", "knots": [knot],
+                                    "sums": [{"knot": "k", "meridian": "m1"}]}))
+        assert main(["sw3", str(spec)]) == 2
+        self.assert_one_error_line(capsys, "structure")
+
+
 class TestKnotTableEnv:
     def test_extra_table_loaded(self, monkeypatch, tmp_path):
         path = tmp_path / "extra.json"

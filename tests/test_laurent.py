@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swfold.errors import DomainError, ParseError, StructuralError, UnknownVariableError
+from swfold.fold import EulerClass, QuotientLattice, fold_poly
 from swfold.laurent import Basis, LaurentPoly, from_text, monomial, to_text
 
 from conftest import random_basis, random_poly
@@ -377,3 +378,64 @@ class TestInvariants:
             LaurentPoly(b1, {(1,): 1.5})
         with pytest.raises(StructuralError):
             LaurentPoly(b1, {(1.0,): 1})
+
+
+# -- term invariant (hypothesis) -------------------------------------------
+#
+# Exponents in {-1, 0, 1}^3 and small coefficients make products, sums,
+# folds and non-injective reindexings collide, so cancellations are common.
+
+_dense_terms = st.lists(
+    st.tuples(st.tuples(*[st.integers(-1, 1)] * 3), st.integers(-3, 3).filter(bool)),
+    max_size=6,
+)
+
+
+def dense_polys():
+    return _dense_terms.map(lambda pairs: LaurentPoly(_AXIOM_BASIS, pairs))
+
+
+def plain_sum(pairs) -> dict:
+    """Oracle: sum coefficients per exponent with a plain dict, then drop zeros."""
+    out = {}
+    for exp, coeff in pairs:
+        out[exp] = out.get(exp, 0) + coeff
+    return {exp: coeff for exp, coeff in out.items() if coeff != 0}
+
+
+class TestTermInvariant:
+    @given(dense_polys(), dense_polys())
+    def test_operations_store_no_zero_coefficient(self, p, q):
+        for result in (p + q, p - q, p * q, -p, p.conjugate(), p - p):
+            assert 0 not in result.coefficients()
+        assert (p - p).is_zero
+
+    @given(_dense_terms, _dense_terms)
+    def test_parsed_cancelling_terms(self, kept, cancelled):
+        pairs = kept + cancelled + [(exp, -coeff) for exp, coeff in cancelled]
+        text = " + ".join(to_text(monomial(_AXIOM_BASIS, c, e)) for e, c in pairs) or "0"
+        parsed = from_text(text, _AXIOM_BASIS)
+        assert 0 not in parsed.coefficients()
+        assert dict(parsed.terms()) == plain_sum(kept)
+
+    @given(dense_polys(), st.tuples(*[st.integers(-2, 2)] * 3).filter(any))
+    def test_fold_poly_stores_no_zero_coefficient(self, p, chi):
+        folded = fold_poly(p, QuotientLattice(EulerClass(_AXIOM_BASIS, chi)))
+        assert 0 not in folded.coefficients()
+        assert folded.eval_ones() == p.eval_ones()
+
+    @given(dense_polys(), st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                                   min_size=3, max_size=3))
+    def test_reindex_matches_plain_dict(self, p, images):
+        target = Basis(("y", "z"))
+        mapping = dict(zip(_AXIOM_BASIS.names, images))
+        moved = [
+            (tuple(sum(e * col[j] for e, col in zip(exp, images)) for j in range(2)), c)
+            for exp, c in p.terms()
+        ]
+        assert dict(p.reindex(target, mapping).terms()) == plain_sum(moved)
+
+    def test_non_injective_reindex_cancels(self, b1):
+        p = from_text("x1 - x2 + 3*x3", _AXIOM_BASIS)
+        collapsed = p.reindex(b1, {"x1": (1,), "x2": (1,), "x3": (2,)})
+        assert dict(collapsed.terms()) == {(2,): 3}
