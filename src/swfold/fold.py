@@ -60,7 +60,7 @@ class EulerClass:
                 f"Euler vector has length {len(chi)}, basis rank is {self.basis.rank}"
             )
         for e in chi:
-            if not isinstance(e, int):
+            if not isinstance(e, int) or isinstance(e, bool):
                 raise StructuralError(f"Euler vector entries must be integers, got {e!r}")
         if not any(chi):
             raise DomainError("Euler class is zero (torsion); no quotient to fold over")
@@ -164,8 +164,9 @@ def _as_vector(basis: Basis, chi) -> tuple[int, ...]:
 
 def fold_poly(poly: LaurentPoly, quotient: QuotientLattice) -> LaurentPoly:
     """Coset-fold a bare polynomial: sum coefficients at canonical representatives."""
-    # Representatives are shifts of checked exponents, so they skip the checks.
-    reps = ((canonical_rep(quotient, exp), c) for exp, c in poly.terms())
+    # Representatives are shifts of checked exponents, so they skip the checks;
+    # the accumulator ignores order, so the term dict is read without sorting.
+    reps = ((canonical_rep(quotient, exp), c) for exp, c in poly._terms.items())
     return LaurentPoly._of(poly.basis, _accumulate({}, reps))
 
 

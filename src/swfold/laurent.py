@@ -88,9 +88,9 @@ def _checked(basis: Basis, terms: Iterable) -> Iterator[tuple[tuple[int, ...], i
         if len(exp) != rank:
             raise StructuralError(f"exponent vector {exp} has length {len(exp)}, basis rank is {rank}")
         for e in exp:
-            if not isinstance(e, int):
+            if not isinstance(e, int) or isinstance(e, bool):
                 raise StructuralError(f"exponent entries must be integers, got {e!r}")
-        if not isinstance(coeff, int):
+        if not isinstance(coeff, int) or isinstance(coeff, bool):
             raise StructuralError(f"coefficients must be integers, got {coeff!r}")
         yield exp, coeff
 

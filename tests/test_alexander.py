@@ -1,13 +1,18 @@
 """Alexander polynomials from Seifert matrices, and the knot table."""
 
 import json
+import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swfold.alexander import (
     BUILTIN_KNOTS,
     KNOT_BASIS,
     SeifertMatrix,
+    _int_det,
     alexander_from_seifert,
     knot_from_alexander,
     knot_from_seifert,
@@ -15,11 +20,90 @@ from swfold.alexander import (
     validate_alexander,
 )
 from swfold.errors import KnotLookupError, NotSeifertError, SpecFileError, StructuralError
-from swfold.laurent import from_text
+from swfold.laurent import LaurentPoly, from_text
 
 
 def poly(text):
     return from_text(text, KNOT_BASIS)
+
+
+# -- oracle: det(tV - V^T) by the Leibniz permutation sum over coefficient lists --
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _leibniz_det_coeffs(V):
+    """Coefficients of det(tV - V^T), lowest power first, summed over permutations."""
+    n = len(V)
+    total = [0] * (n + 1)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = [-1 if inversions % 2 else 1]
+        for i, j in enumerate(perm):
+            term = _poly_mul(term, [-V[j][i], V[i][j]])
+        total = [a + b for a, b in zip(total, term)]
+    return total
+
+
+def _expected_alexander(coeffs):
+    """Center det(tV - V^T) on its own support and fix the sign; the error text if not a knot."""
+    at_one = sum(coeffs)
+    if at_one not in (1, -1):
+        return f"not a knot Seifert matrix: det(V - V^T) = {at_one}, expected +-1"
+    support = [k for k, c in enumerate(coeffs) if c]
+    lo, hi = min(support), max(support)
+    assert (lo + hi) % 2 == 0
+    return LaurentPoly(KNOT_BASIS, {((2 * k - lo - hi) // 2,): at_one * c for k, c in enumerate(coeffs)})
+
+
+def _alexander_or_error(V):
+    try:
+        return alexander_from_seifert(V)
+    except NotSeifertError as exc:
+        return str(exc)
+
+
+def _knot_matrix(symmetric_part):
+    """S + B with S symmetric and B block-diagonal [[0, 1], [0, 0]]: V - V^T is unimodular."""
+    n = len(symmetric_part)
+    return tuple(
+        tuple(symmetric_part[i][j] + int(j == i + 1 and i % 2 == 0) for j in range(n)) for i in range(n)
+    )
+
+
+@st.composite
+def seifert_candidates(draw):
+    n = draw(st.integers(0, 5))
+    entries = st.integers(-3, 3)
+    if draw(st.booleans()):
+        return tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
+    n -= n % 2
+    upper = {(i, j): draw(entries) for i in range(n) for j in range(i, n)}
+    return _knot_matrix([[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+
+
+def _torus_two(g):
+    """Bidiagonal Seifert matrix of T(2, 2g+1): -1 on the diagonal, +1 above it."""
+    n = 2 * g
+    return tuple(tuple(-1 if i == j else int(j == i + 1) for j in range(n)) for i in range(n))
+
+
+def _congruent(V, rng):
+    """P V P^T for a random unimodular P built from elementary row operations."""
+    n = len(V)
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.randint(-2, 2)
+        P[i] = [a + k * b for a, b in zip(P[i], P[j])]
+    PV = [[sum(P[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return tuple(tuple(sum(PV[i][k] * P[j][k] for k in range(n)) for j in range(n)) for i in range(n))
 
 
 class TestAlexanderFromSeifert:
@@ -62,6 +146,59 @@ class TestAlexanderFromSeifert:
         matrix = SeifertMatrix(((-1, 1), (0, -1)))
         assert matrix.size == 2
         assert alexander_from_seifert(matrix) == poly("t - 1 + t^-1")
+
+    @given(seifert_candidates())
+    def test_agrees_with_leibniz_oracle(self, V):
+        result = _alexander_or_error(V)
+        assert result == _expected_alexander(_leibniz_det_coeffs(V))
+        if isinstance(result, LaurentPoly):
+            assert result.conjugate() == result
+
+    @given(st.integers(0, 5).flatmap(
+        lambda n: st.lists(st.lists(st.sampled_from((-2, 0, 0, 1, 3)), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_integer_determinant_agrees_with_leibniz(self, A):
+        # The t^n coefficient of det(tA - A^T) is det(A).  A row swap only
+        # flips the sign of det(tV - V^T), which the normalization hides,
+        # so the swap sign is checked here on the integer determinant.
+        assert _int_det(A) == _leibniz_det_coeffs(A)[-1]
+
+    def test_singular_matrix_with_zero_leading_coefficient(self):
+        # det(tV - V^T) = t: the t^0 and t^2 coefficients both vanish
+        assert alexander_from_seifert(((0, 1), (0, 0))) == poly("1")
+
+    @pytest.mark.parametrize("g", range(1, 21))
+    def test_torus_knots_t2_up_to_size_40(self, g):
+        expected = LaurentPoly(KNOT_BASIS, {(k,): (-1) ** (g - k) for k in range(-g, g + 1)})
+        assert alexander_from_seifert(_torus_two(g)) == expected
+
+    @pytest.mark.parametrize("k", range(-6, 7))
+    def test_twist_family(self, k):
+        expected = LaurentPoly(KNOT_BASIS, {(1,): k, (0,): 1 - 2 * k, (-1,): k})
+        assert alexander_from_seifert(((1, 1), (0, k))) == expected
+
+    def test_unimodular_congruence_invariance(self):
+        rng = random.Random(5)
+        for V in (_torus_two(3), ((1, 1), (0, 2)), _knot_matrix([[1, 2, 0, -1], [2, 0, 1, 1],
+                                                                  [0, 1, -2, 3], [-1, 1, 3, 1]])):
+            delta = alexander_from_seifert(V)
+            for _ in range(5):
+                assert alexander_from_seifert(_congruent(V, rng)) == delta
+
+    def test_agrees_with_sympy_berkowitz(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(11)
+        for n in (2, 4) * 6:  # symbolic size-6 determinants take about a second each
+            S = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    S[i][j] = S[j][i] = rng.randint(-4, 4)
+            V = _knot_matrix(S)
+            M = t * sympy.Matrix(V) - sympy.Matrix(V).T
+            coeffs = sympy.Poly(M.det(method="berkowitz"), t).all_coeffs()[::-1]
+            coeffs = [int(c) for c in coeffs] + [0] * (n + 1 - len(coeffs))
+            assert alexander_from_seifert(V) == _expected_alexander(coeffs)
 
 
 class TestSeifertMatrix:

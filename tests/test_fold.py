@@ -84,6 +84,12 @@ class TestEulerText:
         with pytest.raises(StructuralError):
             EulerClass(b3, (1, 0))
 
+    def test_bool_entries_rejected(self, b3, five2_pair):
+        with pytest.raises(StructuralError):
+            EulerClass(b3, (True, 0, 0))
+        with pytest.raises(StructuralError):
+            fold(five2_pair, (True, 0, 0))
+
 
 class TestQuotientLattice:
     def test_pivot_and_normalization(self, b3):

@@ -68,6 +68,13 @@ class TestMonomial:
         with pytest.raises(StructuralError):
             monomial(b2, 1, (1,))
 
+    def test_rejects_bool_exponents_and_coefficients(self, b1):
+        # bool is an int subclass; True must not pass for t or for 1
+        with pytest.raises(StructuralError):
+            LaurentPoly(b1, {(True,): 1})
+        with pytest.raises(StructuralError):
+            LaurentPoly(b1, {(1,): True})
+
 
 # -- addition -----------------------------------------------------------
 
