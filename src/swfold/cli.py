@@ -16,6 +16,7 @@ error (including usage errors, which argparse reports itself).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -256,11 +257,12 @@ def _cmd_search(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
     manifold = build_manifold(_load_json(args.spec), table, where=args.spec)
     result = euler_search(manifold, args.box)
     note = stabilization_note(manifold, args.box)
+    chis = [e.chi.text for e in result.entries]
     header = [f"manifold = {manifold.name}, box = {result.box}"]
     header += [
-        f"chi = {e.chi.text} | obstructed = {_bool(e.obstructed)} | "
+        f"chi = {chi} | obstructed = {_bool(e.obstructed)} | "
         f"injective = {_bool(e.injective)} | sw4 = {e.digest}"
-        for e in result.entries
+        for chi, e in zip(chis, result.entries)
     ]
     body = [f"all_obstructed = {_bool(result.all_obstructed)} ({len(result.entries)} entries)"]
     body += note.splitlines()
@@ -272,12 +274,12 @@ def _cmd_search(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
         "count": len(result.entries),
         "entries": [
             {
-                "chi": e.chi.text,
+                "chi": chi,
                 "obstructed": e.obstructed,
                 "unit_classes": [list(u) for u in e.unit_classes],
                 "injective": e.injective,
             }
-            for e in result.entries
+            for chi, e in zip(chis, result.entries)
         ],
         "stabilization": note,
     }
@@ -287,7 +289,9 @@ def _cmd_search(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
 # -- parser / dispatch --------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process, built by the first ``run``; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="swfold",
         description="Exact Seiberg-Witten polynomial calculator: 3-manifold "

@@ -45,6 +45,17 @@ def euler_vector_from_text(text: str, basis: Basis) -> tuple[int, ...]:
     return tuple(vector)
 
 
+def _checked_vector(basis: Basis, entries) -> tuple[int, ...]:
+    """Check an Euler vector's length and entry types; the zero vector passes."""
+    vector = tuple(entries)
+    if len(vector) != basis.rank:
+        raise StructuralError(f"Euler vector has length {len(vector)}, basis rank is {basis.rank}")
+    for e in vector:
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise StructuralError(f"Euler vector entries must be integers, got {e!r}")
+    return vector
+
+
 @dataclass(frozen=True)
 class EulerClass:
     """Nonzero integer vector in the exponent lattice: the fold direction."""
@@ -53,15 +64,8 @@ class EulerClass:
     chi: tuple[int, ...]
 
     def __post_init__(self):
-        chi = tuple(self.chi)
+        chi = _checked_vector(self.basis, self.chi)
         object.__setattr__(self, "chi", chi)
-        if len(chi) != self.basis.rank:
-            raise StructuralError(
-                f"Euler vector has length {len(chi)}, basis rank is {self.basis.rank}"
-            )
-        for e in chi:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise StructuralError(f"Euler vector entries must be integers, got {e!r}")
         if not any(chi):
             raise DomainError("Euler class is zero (torsion); no quotient to fold over")
 
@@ -104,7 +108,10 @@ class QuotientLattice:
 
 
 def canonical_rep(quotient: QuotientLattice, exp: Sequence[int]) -> tuple[int, ...]:
-    """Unique member of exp + Z*chi whose pivot coordinate lies in [0, chi_pivot)."""
+    """Unique member of exp + Z*chi whose pivot coordinate lies in [0, chi_pivot).
+
+    The one home of the reduction rule: :func:`fold_poly` calls it once per term.
+    """
     exp = tuple(exp)
     chi = quotient.chi
     if len(exp) != len(chi):
@@ -131,7 +138,7 @@ class FoldedSW:
     def __post_init__(self):
         if self.quotient is not None:
             pivot, modulus = self.quotient.pivot, self.quotient.modulus
-            for exp in self.poly.support():
+            for exp in self.poly._terms:
                 if not 0 <= exp[pivot] < modulus:
                     raise StructuralError(
                         f"exponent {exp} is not a canonical representative "
@@ -154,18 +161,16 @@ def _as_vector(basis: Basis, chi) -> tuple[int, ...]:
         return chi.chi
     if isinstance(chi, str):
         return euler_vector_from_text(chi, basis)
-    vector = tuple(chi)
-    if len(vector) != basis.rank:
-        raise StructuralError(
-            f"Euler vector has length {len(vector)}, basis rank is {basis.rank}"
-        )
-    return vector
+    return _checked_vector(basis, chi)
 
 
 def fold_poly(poly: LaurentPoly, quotient: QuotientLattice) -> LaurentPoly:
-    """Coset-fold a bare polynomial: sum coefficients at canonical representatives."""
-    # Representatives are shifts of checked exponents, so they skip the checks;
-    # the accumulator ignores order, so the term dict is read without sorting.
+    """Coset-fold a bare polynomial: sum coefficients at canonical representatives.
+
+    Each term goes through :func:`canonical_rep` into ``_accumulate``:
+    representatives are shifts of checked exponents, so they skip the
+    checks, and order does not matter, so the term dict is not sorted.
+    """
     reps = ((canonical_rep(quotient, exp), c) for exp, c in poly._terms.items())
     return LaurentPoly._of(poly.basis, _accumulate({}, reps))
 
@@ -299,7 +304,7 @@ def circle_bundle_sw_closed_form(genus: int, euler_number: int) -> FoldedSW:
     :func:`circle_bundle_sw_direct` (up to one overall sign).  The work
     is the 2g-1 terms, whatever the size of n.
     """
-    if not isinstance(genus, int) or genus < 1:
+    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 1:
         raise DomainError(f"genus must be an integer >= 1, got {genus!r}")
     if not isinstance(euler_number, int) or euler_number == 0:
         raise DomainError("Euler number must be a nonzero integer for the closed form")

@@ -311,18 +311,23 @@ def _term_body(basis: Basis, magnitude: int, exp: tuple[int, ...]) -> str:
     return f"{magnitude}*" + "*".join(factors)
 
 
-def to_text(poly: LaurentPoly) -> str:
-    """Deterministic text form: canonical term order, explicit signs."""
-    if poly.is_zero:
+def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]]) -> str:
+    """The one renderer: text form of terms already in canonical order."""
+    if not terms:
         return "0"
     pieces = []
-    for exp, coeff in poly.terms():
-        body = _term_body(poly.basis, abs(coeff), exp)
+    for exp, coeff in terms:
+        body = _term_body(basis, abs(coeff), exp)
         if not pieces:
             pieces.append(("-" if coeff < 0 else "") + body)
         else:
             pieces.append((" - " if coeff < 0 else " + ") + body)
     return "".join(pieces)
+
+
+def to_text(poly: LaurentPoly) -> str:
+    """Deterministic text form: canonical term order, explicit signs (by ``_render``)."""
+    return _render(poly.basis, poly.terms())
 
 
 def _tokenize(text: str):

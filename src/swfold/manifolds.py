@@ -66,7 +66,7 @@ def surface_times_circle(genus: int) -> ThreeManifold:
     The polynomial basis tracks only the circle-fiber direction, where
     all the SW support lives; b_1 records the full rank 2g + 1.
     """
-    if not isinstance(genus, int) or genus < 1:
+    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 1:
         raise DomainError(f"genus must be an integer >= 1, got {genus!r}")
     t = LaurentPoly(CIRCLE_BASIS, {(1,): 1, (-1,): -1})
     return ThreeManifold(

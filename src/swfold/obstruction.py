@@ -18,7 +18,7 @@ from math import gcd, isqrt
 
 from .errors import DomainError
 from .fold import EulerClass, FoldedSW, fold
-from .laurent import LaurentPoly, to_text
+from .laurent import LaurentPoly, _render
 from .manifolds import ThreeManifold
 
 
@@ -36,9 +36,14 @@ class ObstructionReport:
         return not self.unit_classes
 
 
+def _units(terms) -> tuple[tuple[int, ...], ...]:
+    """The one unit scan: exponents of sorted terms whose coefficient is +1 or -1."""
+    return tuple(exp for exp, coeff in terms if coeff in (1, -1))
+
+
 def unit_classes(poly: LaurentPoly) -> tuple[tuple[int, ...], ...]:
     """Exponents whose coefficient is +1 or -1, in canonical term order."""
-    return tuple(exp for exp, coeff in poly.terms() if coeff in (1, -1))
+    return _units(poly.terms())
 
 
 def taubes_report(folded: FoldedSW, manifold: ThreeManifold) -> ObstructionReport:
@@ -86,29 +91,28 @@ def _half_box(rank: int, box: int):
             yield vector
 
 
+def _check_box(box) -> None:
+    if not isinstance(box, int) or isinstance(box, bool) or box < 1:
+        raise DomainError(f"search box must be an integer >= 1, got {box!r}")
+
+
 def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
     """Fold by every Euler class in the box and collect obstruction verdicts.
 
-    Enumerates ((2B+1)^r - 1)/2 classes and folds each once; the
-    verdict, the unit classes and the digest all come from that one
-    folded polynomial.  A fold is injective exactly when it keeps every
-    term (see :func:`~swfold.fold.is_injective_fold`).  Entries are
-    deterministic in chi order regardless of execution order.
+    One pass over ((2B+1)^r - 1)/2 classes: each is folded once by
+    :func:`~swfold.fold.fold` and its terms sorted once, and ``injective``
+    (kept every term, see :func:`~swfold.fold.is_injective_fold`), the
+    digest (``to_text``'s renderer) and the unit classes (``unit_classes``'s
+    scan) are read off that one list.  Entries come out in chi order.
     """
-    if not isinstance(box, int) or box < 1:
-        raise DomainError(f"search box must be an integer >= 1, got {box!r}")
+    _check_box(box)
+    basis, sw3 = manifold.basis, manifold.sw3
     entries = []
-    for vector in _half_box(manifold.basis.rank, box):
-        chi = EulerClass(manifold.basis, vector)
-        folded = fold(manifold, chi)
-        entries.append(
-            SearchEntry(
-                chi=chi,
-                injective=len(folded.poly) == len(manifold.sw3),
-                digest=to_text(folded.poly),
-                unit_classes=unit_classes(folded.poly),
-            )
-        )
+    for vector in _half_box(basis.rank, box):
+        chi = EulerClass(basis, vector)
+        terms = fold(manifold, chi).poly.terms()
+        entries.append(SearchEntry(chi=chi, injective=len(terms) == len(sw3),
+                                   digest=_render(basis, terms), unit_classes=_units(terms)))
     return SearchResult(box=box, entries=tuple(entries))
 
 
@@ -153,6 +157,7 @@ def stabilization_note(manifold: ThreeManifold, box: int = 5) -> str:
     support difference set; every other class folds injectively, so its
     verdict equals the unfolded one.
     """
+    _check_box(box)
     support = manifold.sw3.support()
     lines = [f"manifold {manifold.name}"]
     if len(support) <= 1:

@@ -1,11 +1,15 @@
 """Command line: golden outputs, JSON payloads, schemas, exit codes."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from jsonschema import Draft202012Validator
 
+from swfold import cli
 from swfold.alexander import BUILTIN_KNOTS
 from swfold.cli import ENV_KNOT_TABLE, SCHEMA_DIR, build_manifold, emit, load_spec, main, run
 from swfold.errors import SpecFileError
@@ -376,3 +380,38 @@ class TestKnotScope:
         assert capsys.readouterr().err.startswith("error[lookup]: unknown knot 'env_k'")
         assert main(["knot", "list"]) == 0
         assert capsys.readouterr().out == self.BUILTIN_LIST
+
+
+class TestParserReuse:
+    """One parser serves every command of a process, and changes none of their bytes."""
+
+    COMMANDS = (
+        ("search", "--box", "2"),  # usage error: the spec is missing
+        ("search", FIVE2_PAIR, "--box", "2"),
+        ("knot", "list"),
+        ("fold", FIG8_PAIR, "--chi", "4*m1"),
+    )
+
+    @staticmethod
+    def _fresh_process(argv):
+        env = {k: v for k, v in os.environ.items() if k != ENV_KNOT_TABLE}
+        env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        code = "import sys; from swfold.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              env=env, cwd=REPO, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    def test_command_sequence_matches_fresh_processes(self, monkeypatch, capsysbinary):
+        cli.build_parser.cache_clear()
+        monkeypatch.delenv(ENV_KNOT_TABLE, raising=False)
+        in_process = []
+        for argv in self.COMMANDS:
+            try:
+                status = main(list(argv))
+            except SystemExit as exc:
+                status = exc.code
+            out, err = capsysbinary.readouterr()
+            in_process.append((status, out, err))
+        assert [status for status, _, _ in in_process] == [2, 0, 0, 0]
+        assert in_process == [self._fresh_process(argv) for argv in self.COMMANDS]
+        assert cli.build_parser.cache_info().misses == 1

@@ -4,6 +4,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from swfold.errors import DomainError, HypothesisError, ParseError, StructuralError
 from swfold.fold import (
@@ -89,6 +90,12 @@ class TestEulerText:
             EulerClass(b3, (True, 0, 0))
         with pytest.raises(StructuralError):
             fold(five2_pair, (True, 0, 0))
+        # entries are checked before the zero test, so these are not the product case
+        for vector in ((False, False, False), (0.0, 0, 0), ("", 0, 0)):
+            with pytest.raises(StructuralError):
+                fold(five2_pair, vector)
+            with pytest.raises(StructuralError):
+                is_injective_fold(five2_pair, vector)
 
 
 class TestQuotientLattice:
@@ -251,6 +258,19 @@ class TestFoldProperties:
             q = quotient_of(basis, random_chi(rng, basis.rank))
             assert fold_poly(p, q) == fold_poly_bruteforce(p, q)
 
+    @given(st.integers(1, 3).flatmap(lambda rank: st.tuples(
+        st.lists(st.integers(-7, 7), min_size=rank, max_size=rank).filter(any),
+        st.dictionaries(st.tuples(*[st.integers(-20, 20)] * rank), st.integers(-3, 3), max_size=12),
+    )))
+    def test_oracle_equivalence_on_drawn_exponents_and_classes(self, case):
+        chi, terms = case
+        basis = Basis(tuple(f"x{i}" for i in range(1, len(chi) + 1)))
+        q = quotient_of(basis, chi)
+        poly = LaurentPoly(basis, terms)
+        folded = fold_poly(poly, q)
+        assert folded == fold_poly_bruteforce(poly, q)
+        assert all(0 <= exp[q.pivot] < q.modulus for exp in folded.support())
+
     def test_conservation(self):
         rng = random.Random(59)
         for _ in range(100):
@@ -371,6 +391,10 @@ class TestCircleBundles:
             circle_bundle_sw_direct(0, 2)
         with pytest.raises(DomainError):
             circle_bundle_sw_closed_form(0, 2)
+        with pytest.raises(DomainError):
+            circle_bundle_sw_closed_form(True, 4)
+        with pytest.raises(DomainError):
+            circle_bundle_sw_direct(True, 4)
 
 
 class TestEqualUpToSign:

@@ -50,7 +50,7 @@ class TestSurfaceTimesCircle:
         m = surface_times_circle(3)
         assert m.sw3 == from_text("t^4 - 4*t^2 + 6 - 4*t^-2 + t^-4", m.basis)
 
-    @pytest.mark.parametrize("bad", [0, -1, "2"])
+    @pytest.mark.parametrize("bad", [0, -1, "2", True])
     def test_bad_genus(self, bad):
         with pytest.raises(DomainError):
             surface_times_circle(bad)

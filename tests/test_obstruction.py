@@ -14,6 +14,7 @@ from swfold.obstruction import (
     euler_search,
     stabilization_note,
     taubes_report,
+    unit_classes,
 )
 
 from conftest import random_basis, random_poly
@@ -88,13 +89,14 @@ class TestEulerSearch:
         vectors = [e.chi.chi for e in a.entries]
         assert vectors == sorted(vectors)
 
-    def test_fast_path_agrees_with_full_fold(self, five2_pair):
-        result = euler_search(five2_pair, 2)
-        for entry in result.entries:
-            folded = fold(five2_pair, entry.chi)
-            full_verdict = not any(c in (1, -1) for c in folded.poly.coefficients())
-            assert entry.obstructed == full_verdict
-            assert entry.digest == str(folded.poly)
+    def test_fast_path_agrees_with_full_fold(self, fig8_pair, five2_pair):
+        for m in (fig8_pair, five2_pair):
+            for entry in euler_search(m, 8).entries:
+                folded = fold(m, entry.chi)
+                full_verdict = not any(c in (1, -1) for c in folded.poly.coefficients())
+                assert entry.obstructed == full_verdict
+                assert entry.digest == str(folded.poly)
+                assert entry.unit_classes == unit_classes(folded.poly)
 
     def test_random_entries_agree_with_definitions(self):
         rng = random.Random(89)
@@ -110,12 +112,18 @@ class TestEulerSearch:
                 oracle = fold_bruteforce(m, entry.chi).poly
                 assert entry.obstructed == (not any(c in (1, -1) for c in oracle.coefficients()))
                 assert entry.digest == to_text(oracle)
+                assert entry.unit_classes == unit_classes(oracle)
                 cancelled += len(oracle) < len(cosets)
         assert cancelled > 0  # merged coefficients that cancel must be exercised
 
     def test_bad_box_rejected(self, fig8_pair):
         with pytest.raises(DomainError):
             euler_search(fig8_pair, 0)
+        for box in (True, 2.0, 0):
+            with pytest.raises(DomainError, match="search box must be an integer >= 1"):
+                euler_search(fig8_pair, box)
+            with pytest.raises(DomainError, match="search box must be an integer >= 1"):
+                stabilization_note(fig8_pair, box)
 
     def test_low_b_plus_rejected(self):
         pretend = dataclasses.replace(surface_times_circle(1), b1=2)
