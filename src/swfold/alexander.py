@@ -29,7 +29,7 @@ from .errors import (
     SpecFileError,
     StructuralError,
 )
-from .laurent import Basis, LaurentPoly, from_text, to_text
+from .laurent import Basis, LaurentPoly, _balanced_digits, from_text, to_text
 
 #: Every knot polynomial lives over this one-variable basis.
 KNOT_BASIS = Basis(("t",))
@@ -97,10 +97,7 @@ def alexander_from_seifert(matrix) -> LaurentPoly:
     # the balanced base-`base` digits of the determinant at t = base.
     base = 2 * prod(1 + sum(map(abs, row + col)) for row, col in pairs)
     value = _int_det([[base * v - w for v, w in zip(row, col)] for row, col in pairs])
-    half, coeffs = base // 2, []
-    for _ in range(n + 1):
-        coeffs.append((value + half) % base - half)
-        value = (value - coeffs[-1]) // base
+    coeffs = _balanced_digits(value, base, n + 1)
 
     at_one = sum(coeffs)  # det(tV - V^T) at t=1 is det(V - V^T)
     if at_one not in (1, -1):

@@ -259,11 +259,12 @@ def _cmd_search(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
     note = stabilization_note(manifold, args.box)
     chis = [e.chi.text for e in result.entries]
     header = [f"manifold = {manifold.name}, box = {result.box}"]
-    header += [
-        f"chi = {chi} | obstructed = {_bool(e.obstructed)} | "
-        f"injective = {_bool(e.injective)} | sw4 = {e.digest}"
-        for chi, e in zip(chis, result.entries)
-    ]
+    if not (args.quiet or args.json):  # the only place digests are printed
+        header += [
+            f"chi = {chi} | obstructed = {_bool(e.obstructed)} | "
+            f"injective = {_bool(e.injective)} | sw4 = {e.digest}"
+            for chi, e in zip(chis, result.entries)
+        ]
     body = [f"all_obstructed = {_bool(result.all_obstructed)} ({len(result.entries)} entries)"]
     body += note.splitlines()
     payload = {

@@ -21,7 +21,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import DomainError, ParseError, StructuralError
-from .laurent import Basis, LaurentPoly, _accumulate, from_text, to_text
+from .laurent import Basis, LaurentPoly, _accumulate, _render, from_text
 from .manifolds import CIRCLE_BASIS, ThreeManifold, require_b_plus, surface_times_circle
 
 
@@ -71,9 +71,10 @@ class EulerClass:
 
     @property
     def text(self) -> str:
-        """Canonical rendering, e.g. ``"4*m1"`` or ``"-m1 + 2*m2"``."""
-        units = (self.basis.unit(name) for name in self.basis.names)
-        return to_text(LaurentPoly(self.basis, zip(units, self.chi)))
+        """Canonical rendering, e.g. ``"4*m1"`` or ``"2*m2 - m1"`` (last variable first)."""
+        rank = len(self.chi)
+        return _render(self.basis, [(tuple(int(j == i) for j in range(rank)), self.chi[i])
+                                    for i in reversed(range(rank)) if self.chi[i]])
 
     def __neg__(self) -> EulerClass:
         return EulerClass(self.basis, tuple(-c for c in self.chi))
@@ -88,23 +89,18 @@ class QuotientLattice:
     """
 
     euler: EulerClass
+    chi: tuple[int, ...] = field(init=False)
     pivot: int = field(init=False)
+    #: The positive pivot entry; representatives live in [0, modulus).
+    modulus: int = field(init=False)
 
     def __post_init__(self):
-        chi = self.euler.chi
-        pivot = next(i for i, c in enumerate(chi) if c != 0)
-        if chi[pivot] < 0:
+        pivot = next(i for i, c in enumerate(self.euler.chi) if c != 0)
+        if self.euler.chi[pivot] < 0:
             object.__setattr__(self, "euler", -self.euler)
+        object.__setattr__(self, "chi", self.euler.chi)
         object.__setattr__(self, "pivot", pivot)
-
-    @property
-    def chi(self) -> tuple[int, ...]:
-        return self.euler.chi
-
-    @property
-    def modulus(self) -> int:
-        """The positive pivot entry; representatives live in [0, modulus)."""
-        return self.euler.chi[self.pivot]
+        object.__setattr__(self, "modulus", self.chi[pivot])
 
 
 def canonical_rep(quotient: QuotientLattice, exp: Sequence[int]) -> tuple[int, ...]:
@@ -154,14 +150,14 @@ class FoldedSW:
         return "0" if self.product_case else self.quotient.euler.text
 
 
-def _as_vector(basis: Basis, chi) -> tuple[int, ...]:
+def _as_class(basis: Basis, chi) -> EulerClass | None:
+    """The Euler class that chi names over basis (itself if it is one); None for zero."""
     if isinstance(chi, EulerClass):
         if chi.basis != basis:
             raise StructuralError("Euler class basis differs from the manifold basis")
-        return chi.chi
-    if isinstance(chi, str):
-        return euler_vector_from_text(chi, basis)
-    return _checked_vector(basis, chi)
+        return chi
+    vector = euler_vector_from_text(chi, basis) if isinstance(chi, str) else _checked_vector(basis, chi)
+    return EulerClass(basis, vector) if any(vector) else None
 
 
 def fold_poly(poly: LaurentPoly, quotient: QuotientLattice) -> LaurentPoly:
@@ -236,11 +232,11 @@ def fold_poly_bruteforce(poly: LaurentPoly, quotient: QuotientLattice) -> Lauren
 
 
 def _fold_with(fold_fn, manifold: ThreeManifold, chi) -> FoldedSW:
-    vector = _as_vector(manifold.basis, chi)
-    if not any(vector):
+    euler = _as_class(manifold.basis, chi)
+    if euler is None:
         return FoldedSW(quotient=None, poly=manifold.sw3, source=manifold.name)
     require_b_plus(manifold)
-    quotient = QuotientLattice(EulerClass(manifold.basis, vector))
+    quotient = QuotientLattice(euler)
     return FoldedSW(quotient=quotient, poly=fold_fn(manifold.sw3, quotient), source=manifold.name)
 
 
@@ -269,11 +265,10 @@ def is_injective_fold(manifold: ThreeManifold, chi) -> bool:
     permutes the coefficient multiset, so the folded polynomial inherits
     every coefficient-level property of the unfolded one.
     """
-    vector = _as_vector(manifold.basis, chi)
-    if not any(vector):
+    euler = _as_class(manifold.basis, chi)
+    if euler is None:
         raise DomainError("injectivity is about a nonzero Euler class")
-    quotient = QuotientLattice(EulerClass(manifold.basis, vector))
-    return len(fold_poly(manifold.sw3, quotient)) == len(manifold.sw3)
+    return len(fold_poly(manifold.sw3, QuotientLattice(euler))) == len(manifold.sw3)
 
 
 def circle_bundle_sw_direct(genus: int, euler_number: int) -> FoldedSW:
@@ -284,7 +279,7 @@ def circle_bundle_sw_direct(genus: int, euler_number: int) -> FoldedSW:
     the labeled product case.
     """
     manifold = surface_times_circle(genus)
-    if not isinstance(euler_number, int):
+    if not isinstance(euler_number, int) or isinstance(euler_number, bool):
         raise DomainError(f"Euler number must be an integer, got {euler_number!r}")
     return fold(manifold, (euler_number,))
 
@@ -306,7 +301,7 @@ def circle_bundle_sw_closed_form(genus: int, euler_number: int) -> FoldedSW:
     """
     if not isinstance(genus, int) or isinstance(genus, bool) or genus < 1:
         raise DomainError(f"genus must be an integer >= 1, got {genus!r}")
-    if not isinstance(euler_number, int) or euler_number == 0:
+    if not isinstance(euler_number, int) or isinstance(euler_number, bool) or euler_number == 0:
         raise DomainError("Euler number must be a nonzero integer for the closed form")
     degree = 2 * genus - 2
     sign = 1 if euler_number > 0 else -1

@@ -311,6 +311,15 @@ def _term_body(basis: Basis, magnitude: int, exp: tuple[int, ...]) -> str:
     return f"{magnitude}*" + "*".join(factors)
 
 
+def _balanced_digits(value: int, base: int, count: int) -> list[int]:
+    """The ``count`` lowest base-``base`` digits of value, each in [-(base//2), (base-1)//2]."""
+    half, digits = base // 2, []
+    for _ in range(count):
+        digits.append((value + half) % base - half)
+        value = (value - digits[-1]) // base
+    return digits
+
+
 def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]]) -> str:
     """The one renderer: text form of terms already in canonical order."""
     if not terms:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 from math import gcd, isqrt
 
 from .errors import DomainError
 from .fold import EulerClass, FoldedSW, fold
-from .laurent import LaurentPoly, _render
+from .laurent import LaurentPoly, _balanced_digits, _render
 from .manifolds import ThreeManifold
 
 
@@ -60,12 +61,17 @@ def taubes_report(folded: FoldedSW, manifold: ThreeManifold) -> ObstructionRepor
 class SearchEntry:
     chi: EulerClass
     injective: bool
-    digest: str
+    terms: tuple[tuple[tuple[int, ...], int], ...]  # the folded terms, sorted
     unit_classes: tuple[tuple[int, ...], ...]
 
     @property
     def obstructed(self) -> bool:
         return not self.unit_classes
+
+    @property
+    def digest(self) -> str:
+        """Text form of the folded polynomial, rendered on each access."""
+        return _render(self.chi.basis, self.terms)
 
 
 @dataclass(frozen=True)
@@ -101,9 +107,9 @@ def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
 
     One pass over ((2B+1)^r - 1)/2 classes: each is folded once by
     :func:`~swfold.fold.fold` and its terms sorted once, and ``injective``
-    (kept every term, see :func:`~swfold.fold.is_injective_fold`), the
-    digest (``to_text``'s renderer) and the unit classes (``unit_classes``'s
-    scan) are read off that one list.  Entries come out in chi order.
+    (kept every term, see :func:`~swfold.fold.is_injective_fold`) and the
+    unit classes (``unit_classes``'s scan) are read off that one list,
+    which the entry keeps for its digest.  Entries come out in chi order.
     """
     _check_box(box)
     basis, sw3 = manifold.basis, manifold.sw3
@@ -112,7 +118,7 @@ def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
         chi = EulerClass(basis, vector)
         terms = fold(manifold, chi).poly.terms()
         entries.append(SearchEntry(chi=chi, injective=len(terms) == len(sw3),
-                                   digest=_render(basis, terms), unit_classes=_units(terms)))
+                                   terms=terms, unit_classes=_units(terms)))
     return SearchResult(box=box, entries=tuple(entries))
 
 
@@ -133,15 +139,17 @@ def colliding_classes(manifold: ThreeManifold) -> tuple[tuple[int, ...], ...]:
     for each distinct support difference diff and each divisor k of the
     gcd of its entries.
     """
-    # support() is sorted and repeat-free, so each q - p with p before q
-    # already has a positive first nonzero entry: the sign every class
-    # here is normalized to, and division by k > 0 keeps it.
-    diffs = {
-        tuple(b - a for a, b in zip(p, q))
-        for p, q in combinations(manifold.sw3.support(), 2)
-    }
+    support = manifold.sw3.support()
+    # Support differences have coordinates in [-W, W], so q - p is one subtraction
+    # of base-(2W+1) codes whose balanced digits are q - p.  With p before q in the
+    # sorted support it is positive, so its first nonzero entry is positive: the
+    # sign every class here is normalized to, and division by k > 0 keeps it.
+    width = max((max(col) - min(col) for col in zip(*support)), default=0)
+    base, rank = 2 * width + 1, manifold.basis.rank
+    codes = [reduce(lambda code, e: code * base + e, exp, 0) for exp in support]
     out = set()
-    for diff in diffs:
+    for value in {b - a for a, b in combinations(codes, 2)}:
+        diff = tuple(reversed(_balanced_digits(value, base, rank)))
         g = gcd(*diff)
         for d in range(1, isqrt(g) + 1):
             if g % d == 0:

@@ -133,6 +133,21 @@ class TestTextOutputs:
         assert "all_obstructed = true (62 entries)" in record.text
         assert "no units" in record.text  # stabilization note is appended
 
+    @pytest.mark.parametrize("flags, renders", [((), 2 * 62), (("--json",), 62), (("--quiet",), 62)])
+    def test_search_renders_digests_only_when_printed(self, monkeypatch, flags, renders):
+        """One render per chi text in every mode, plus one per digest in the text header."""
+        calls = []
+        render = sys.modules["swfold.laurent"]._render
+
+        def counting(basis, terms):
+            calls.append(terms)
+            return render(basis, terms)
+
+        for module in ("laurent", "fold", "obstruction"):  # every binding of the renderer
+            monkeypatch.setattr(sys.modules[f"swfold.{module}"], "_render", counting)
+        run(["search", FIVE2_PAIR, "--box", "2", *flags])
+        assert len(calls) == renders
+
     def test_knot_list(self):
         record = run(["knot", "list"])
         assert "3_1  fibered=true  alexander = t^-1 - 1 + t" in record.text

@@ -22,7 +22,7 @@ from swfold.fold import (
     fold_poly_bruteforce,
     is_injective_fold,
 )
-from swfold.laurent import Basis, LaurentPoly, from_text, monomial
+from swfold.laurent import Basis, LaurentPoly, from_text, monomial, to_text
 from swfold.manifolds import T3_BASIS, ThreeManifold, surface_times_circle, three_torus
 
 from conftest import random_basis, random_poly
@@ -76,6 +76,15 @@ class TestEulerText:
         chi = EulerClass(b3, (-1, 2, 0))
         assert euler_vector_from_text(chi.text, b3) == (-1, 2, 0)
         assert EulerClass(b3, (4, 0, 0)).text == "4*m1"
+
+    @given(st.lists(st.one_of(st.integers(-2, 2), st.integers(-10**6, 10**6)), min_size=1, max_size=4)
+           .filter(any))
+    def test_text_is_the_polynomial_rendering(self, vector):
+        basis = Basis(tuple(f"x{i}" for i in range(1, len(vector) + 1)))
+        units = [basis.unit(name) for name in basis.names]
+        chi = EulerClass(basis, tuple(vector))
+        assert chi.text == to_text(LaurentPoly(basis, zip(units, vector)))
+        assert euler_vector_from_text(chi.text, basis) == tuple(vector)
 
     def test_zero_euler_class_rejected(self, b3):
         with pytest.raises(DomainError):
@@ -395,6 +404,12 @@ class TestCircleBundles:
             circle_bundle_sw_closed_form(True, 4)
         with pytest.raises(DomainError):
             circle_bundle_sw_direct(True, 4)
+
+    @pytest.mark.parametrize("method", [circle_bundle_sw_direct, circle_bundle_sw_closed_form])
+    @pytest.mark.parametrize("euler_number", [True, False, 2.0])
+    def test_non_integer_euler_number_rejected(self, method, euler_number):
+        with pytest.raises(DomainError, match="Euler number must be"):
+            method(2, euler_number)
 
 
 class TestEqualUpToSign:

@@ -1,13 +1,14 @@
 """Laurent polynomial ring: construction, arithmetic, grammar, properties."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from swfold.errors import DomainError, ParseError, StructuralError, UnknownVariableError
 from swfold.fold import EulerClass, QuotientLattice, fold_poly
-from swfold.laurent import Basis, LaurentPoly, from_text, monomial, to_text
+from swfold.laurent import Basis, LaurentPoly, _balanced_digits, from_text, monomial, to_text
 
 from conftest import random_basis, random_poly
 
@@ -359,6 +360,32 @@ class TestRingAxioms:
     @given(polys())
     def test_text_round_trip(self, p):
         assert from_text(to_text(p), _AXIOM_BASIS) == p
+
+
+def digit_vectors(base: int, count: int) -> dict:
+    """Oracle: every vector of ``count`` digits in the balanced range, keyed by its value."""
+    low = -(base // 2)
+    return {
+        sum(d * base**i for i, d in enumerate(digits)): list(digits)
+        for digits in product(range(low, low + base), repeat=count)
+    }
+
+
+class TestBalancedDigits:
+    @pytest.mark.parametrize("base, count", [(1, 1), (1, 3), (2, 4), (3, 3), (4, 3), (7, 2), (10, 3)])
+    def test_every_representable_value(self, base, count):
+        table = digit_vectors(base, count)
+        assert len(table) == base**count  # one digit vector per value
+        assert any(value < 0 for value in table) == (base > 1)
+        for value, digits in table.items():
+            assert _balanced_digits(value, base, count) == digits
+
+    @given(st.integers(1, 10**13).flatmap(lambda base: st.tuples(
+        st.just(base), st.lists(st.integers(-(base // 2), (base - 1) // 2), min_size=1, max_size=5))))
+    def test_large_bases(self, drawn):
+        base, digits = drawn
+        value = sum(d * base**i for i, d in enumerate(digits))
+        assert _balanced_digits(value, base, len(digits)) == digits
 
 
 class TestInvariants:

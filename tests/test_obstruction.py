@@ -4,11 +4,13 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from swfold.alexander import BUILTIN_KNOTS
 from swfold.errors import DomainError, HypothesisError
 from swfold.fold import EulerClass, QuotientLattice, canonical_rep, fold, fold_bruteforce
-from swfold.laurent import to_text
-from swfold.manifolds import surface_times_circle, three_torus
+from swfold.laurent import Basis, LaurentPoly, to_text
+from swfold.manifolds import ThreeManifold, fiber_sum_with_knot, surface_times_circle, three_torus
 from swfold.obstruction import (
     colliding_classes,
     euler_search,
@@ -157,6 +159,54 @@ class TestCollidingClasses:
                 reps = {canonical_rep(q, e) for e in m.sw3.support()}
                 injective = len(reps) == len(m.sw3.support())
                 assert (q.chi in colliders) == (not injective)
+
+
+def colliders_by_pairs(support) -> tuple[tuple[int, ...], ...]:
+    """Oracle: every pair difference as a tuple, kept when lexicographically
+    positive, divided by every common divisor of its entries (sympy's)."""
+    sympy = pytest.importorskip("sympy")
+    zero = tuple(0 for _ in support[0])
+    out = set()
+    for diff in {tuple(b - a for a, b in zip(p, q)) for p in support for q in support}:
+        if diff > zero:
+            out.update(tuple(c // k for c in diff) for k in sympy.divisors(sympy.igcd(0, *diff)))
+    return tuple(sorted(out))
+
+
+@st.composite
+def symmetric_manifolds(draw):
+    """Rank 1-4, 1-40 support terms (closed under negation), coordinates up to ~1e8.
+
+    Coordinate j is s * anchor_j + t with small s and t, so that differences
+    both collide and reach 1e8; codes of rank 2-4 then exceed 64 bits.  The
+    bound is 1e8 because the divisor loop is O(sqrt(gcd)) per difference.
+    """
+    rank = draw(st.integers(1, 4))
+    anchors = draw(st.lists(st.integers(-10**8, 10**8), min_size=rank, max_size=rank))
+    shape = st.tuples(*[st.tuples(st.integers(-1, 1), st.integers(-3, 3))] * rank)
+    terms = {}
+    for draws in draw(st.lists(shape, min_size=1, max_size=20)):
+        exp = tuple(s * a + t for a, (s, t) in zip(anchors, draws))
+        terms[exp] = terms[tuple(-e for e in exp)] = 1
+    basis = Basis(tuple(f"x{i}" for i in range(1, rank + 1)))
+    return ThreeManifold(name="drawn", basis=basis, b1=max(rank, 3),
+                         sw3=LaurentPoly(basis, terms), fibered=False, provenance=("drawn",))
+
+
+class TestCollidingClassesOracle:
+    @settings(deadline=None)  # a 9-digit gcd costs the oracle and the divisor loop ms
+    @given(symmetric_manifolds())
+    def test_equals_pairwise_tuple_differences(self, m):
+        assert colliding_classes(m) == colliders_by_pairs(m.sw3.support())
+
+    def test_nine_sum_five2_tower(self):
+        m = three_torus()
+        for j in range(9):
+            m = fiber_sum_with_knot(m, BUILTIN_KNOTS.lookup("5_2"), ("m1", "m2", "m3")[j % 3])
+        assert len(m.sw3) == 343
+        colliders = colliding_classes(m)
+        assert len(colliders) == 2025
+        assert colliders == colliders_by_pairs(m.sw3.support())
 
 
 class TestStabilizationNote:
