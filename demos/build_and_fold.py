@@ -41,13 +41,14 @@ print("so the +-2 powers of m1 merge and the corner coefficients double to 2.")
 
 # No coefficient is +-1, so no spin-c class can be a symplectic canonical
 # class: the 4-manifold admits no symplectic structure, either orientation.
-report = taubes_report(folded, manifold)
-print(f"\nobstructed = {report.obstructed} (unit classes: {list(report.unit_classes) or 'none'})")
+# taubes_report folds by chi itself and scans the folded terms.
+report = taubes_report(manifold, chi)
+print(f"\nobstructed = {report.obstructed} (unit classes: {list(report.unit_classes) or 'none'}, "
+      f"injective = {report.injective})")
 
 # Contrast: the product with the circle (zero Euler class) keeps the
 # unfolded polynomial, whose corners are +1 -- consistent with the
 # product of a fibered 3-manifold being symplectic.
-product = fold(manifold, "0")
-product_report = taubes_report(product, manifold)
+product_report = taubes_report(manifold, "0")
 print(f"product case obstructed = {product_report.obstructed} "
       f"(unit classes: {[list(u) for u in product_report.unit_classes]})")

@@ -45,7 +45,6 @@ from .fold import (
     fold_bruteforce,
     fold_poly,
     fold_poly_bruteforce,
-    is_injective_fold,
 )
 from .laurent import Basis, LaurentPoly, from_text, monomial, to_text
 from .manifolds import (
@@ -59,7 +58,6 @@ from .manifolds import (
 )
 from .obstruction import (
     ObstructionReport,
-    SearchEntry,
     SearchResult,
     colliding_classes,
     euler_search,
@@ -88,7 +86,6 @@ __all__ = [
     "ObstructionReport",
     "ParseError",
     "QuotientLattice",
-    "SearchEntry",
     "SearchResult",
     "SeifertMatrix",
     "SpecFileError",
@@ -111,7 +108,6 @@ __all__ = [
     "fold_poly",
     "fold_poly_bruteforce",
     "from_text",
-    "is_injective_fold",
     "knot_from_alexander",
     "knot_from_seifert",
     "load_knot_file",

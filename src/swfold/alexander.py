@@ -231,6 +231,9 @@ def record_from_dict(data: dict, where: str) -> KnotRecord:
     """Validate one registration object (``where`` prefixes error field paths)."""
     if not isinstance(data, dict):
         raise SpecFileError(f"{where}: expected an object, got {type(data).__name__}")
+    for key in data:
+        if key not in ("name", "fibered", "seifert", "alexander"):
+            raise SpecFileError(f"{where}.{key}: unknown field")
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise SpecFileError(f"{where}.name: expected a nonempty string")
@@ -252,15 +255,25 @@ def record_from_dict(data: dict, where: str) -> KnotRecord:
     return knot_from_alexander(name, fibered, alexander)
 
 
-def load_knot_file(path: str) -> list[KnotRecord]:
-    """Read a registration file (one object or a list of objects) into records."""
+def read_json(path: str, what: str = ""):
+    """Decode a JSON file, raising :class:`SpecFileError` for every failure.
+
+    ``what`` (e.g. ``"knot file "``) names the file in "cannot read"
+    messages; a file that is not UTF-8 cannot be read, and nesting too
+    deep for the decoder is invalid JSON.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise SpecFileError(f"cannot read knot file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+            return json.load(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecFileError(f"cannot read {what}{path!r}: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecFileError(f"{path}: invalid JSON: {exc}") from None
+
+
+def load_knot_file(path: str) -> list[KnotRecord]:
+    """Read a registration file (one object or a list of objects) into records."""
+    data = read_json(path, "knot file ")
     entries = data if isinstance(data, list) else [data]
     return [
         record_from_dict(entry, f"{path}[{i}]" if isinstance(data, list) else path)

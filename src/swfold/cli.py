@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .alexander import BUILTIN_KNOTS, KnotTable, load_knot_file, record_from_dict
+from .alexander import BUILTIN_KNOTS, KnotTable, load_knot_file, read_json, record_from_dict
 from .errors import DomainError, SpecFileError, SwfoldError
 from .fold import circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
 from .manifolds import ThreeManifold, fiber_sum_with_knot, surface_times_circle, three_torus
@@ -60,16 +60,6 @@ def emit(record: OutputRecord) -> bytes:
 
 
 # -- manifold spec files ------------------------------------------------
-
-
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise SpecFileError(f"cannot read {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SpecFileError(f"{path}: invalid JSON: {exc}") from None
 
 
 def build_manifold(data: dict, table: KnotTable, where: str = "spec") -> ThreeManifold:
@@ -119,7 +109,7 @@ def build_manifold(data: dict, table: KnotTable, where: str = "spec") -> ThreeMa
 
 def load_spec(path: str) -> ThreeManifold:
     """Read a manifold spec file and build it over the session's knots."""
-    return build_manifold(_load_json(path), session_knots, where=path)
+    return build_manifold(read_json(path), session_knots, where=path)
 
 
 # -- subcommand handlers ------------------------------------------------
@@ -155,14 +145,15 @@ def _cmd_knot(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
 
 
 def _cmd_sw3(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
-    manifold = build_manifold(_load_json(args.spec), table, where=args.spec)
+    manifold = build_manifold(read_json(args.spec), table, where=args.spec)
     header = [
         f"manifold = {manifold.name}",
         f"basis = {' '.join(manifold.basis.names)}",
         f"b1 = {manifold.b1}",
         f"fibered = {_bool(manifold.fibered)}",
     ]
-    body = [f"sw3 = {manifold.sw3}"]
+    sw3 = str(manifold.sw3)
+    body = [f"sw3 = {sw3}"]
     payload = {
         "command": "sw3",
         "manifold": manifold.name,
@@ -170,13 +161,13 @@ def _cmd_sw3(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
         "b1": manifold.b1,
         "fibered": manifold.fibered,
         "provenance": list(manifold.provenance),
-        "sw3": str(manifold.sw3),
+        "sw3": sw3,
     }
     return header, body, payload
 
 
 def _cmd_fold(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
-    manifold = build_manifold(_load_json(args.spec), table, where=args.spec)
+    manifold = build_manifold(read_json(args.spec), table, where=args.spec)
     folded = fold(manifold, args.chi)
     header = [f"manifold = {manifold.name}", f"chi = {folded.chi_text}"]
     if folded.product_case:
@@ -187,7 +178,8 @@ def _cmd_fold(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
         pivot_name = manifold.basis.names[folded.quotient.pivot]
         modulus = folded.quotient.modulus
         header.append(f"pivot = {pivot_name}, modulus = {modulus}")
-    body = [f"sw4 = {folded.poly}"]
+    sw4 = str(folded.poly)
+    body = [f"sw4 = {sw4}"]
     payload = {
         "command": "fold",
         "manifold": manifold.name,
@@ -195,7 +187,7 @@ def _cmd_fold(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
         "product_case": folded.product_case,
         "pivot": pivot_name,
         "modulus": modulus,
-        "sw4": str(folded.poly),
+        "sw4": sw4,
         "coefficient_sum": folded.poly.eval_ones(),
     }
     return header, body, payload
@@ -203,15 +195,16 @@ def _cmd_fold(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
 
 def _cmd_bundle(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
     header = [f"genus = {args.genus}, euler = {args.euler}"]
-    direct = closed = None
-    match = None
+    direct = closed = direct_text = closed_text = match = None
     body = []
     if args.method in ("direct", "both"):
         direct = circle_bundle_sw_direct(args.genus, args.euler)
-        body.append(f"direct = {direct.poly}")
+        direct_text = str(direct.poly)
+        body.append(f"direct = {direct_text}")
     if args.method in ("closed", "both"):
         closed = circle_bundle_sw_closed_form(args.genus, args.euler)
-        body.append(f"closed = {closed.poly}")
+        closed_text = str(closed.poly)
+        body.append(f"closed = {closed_text}")
     if args.method == "both":
         match = equal_up_to_sign(direct, closed)
         body.append("MATCH (up to sign)" if match else "MISMATCH")
@@ -220,41 +213,43 @@ def _cmd_bundle(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
         "genus": args.genus,
         "euler": args.euler,
         "method": args.method,
-        "direct": str(direct.poly) if direct is not None else None,
-        "closed": str(closed.poly) if closed is not None else None,
+        "direct": direct_text,
+        "closed": closed_text,
         "match": match,
     }
     return header, body, payload
 
 
 def _cmd_obstruct(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
-    manifold = build_manifold(_load_json(args.spec), table, where=args.spec)
-    folded = fold(manifold, args.chi)
-    report = taubes_report(folded, manifold)
-    header = [f"source = {report.source}", f"sw4 = {folded.poly}"]
-    body = [f"obstructed = {_bool(report.obstructed)}"]
-    if report.unit_classes:
-        units = " ".join(str(list(u)) for u in report.unit_classes)
-        body.append(f"unit classes: {units}")
-    else:
-        body.append("unit classes: (none)")
-    body.append(f"fibered orbit = {_bool(report.fibered_orbit)}")
+    manifold = build_manifold(read_json(args.spec), table, where=args.spec)
+    report = taubes_report(manifold, args.chi)
+    product_case = report.chi is None
+    chi = "0" if product_case else report.chi.text
+    source = f"{manifold.name} [chi = {chi}{' (product case)' if product_case else ''}]"
+    sw4 = report.digest
+    header = [f"source = {source}", f"sw4 = {sw4}"]
+    units = " ".join(str(list(u)) for u in report.unit_classes) or "(none)"
+    body = [
+        f"obstructed = {_bool(report.obstructed)}",
+        f"unit classes: {units}",
+        f"fibered orbit = {_bool(manifold.fibered)}",
+    ]
     payload = {
         "command": "obstruct",
         "manifold": manifold.name,
-        "source": report.source,
-        "chi": folded.chi_text,
-        "product_case": folded.product_case,
-        "sw4": str(folded.poly),
+        "source": source,
+        "chi": chi,
+        "product_case": product_case,
+        "sw4": sw4,
         "obstructed": report.obstructed,
         "unit_classes": [list(u) for u in report.unit_classes],
-        "fibered_orbit": report.fibered_orbit,
+        "fibered_orbit": manifold.fibered,
     }
     return header, body, payload
 
 
 def _cmd_search(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
-    manifold = build_manifold(_load_json(args.spec), table, where=args.spec)
+    manifold = build_manifold(read_json(args.spec), table, where=args.spec)
     result = euler_search(manifold, args.box)
     note = stabilization_note(manifold, args.box)
     chis = [e.chi.text for e in result.entries]

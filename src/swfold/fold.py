@@ -5,8 +5,9 @@ by its Euler class chi; when chi is nontorsion and b_+(X) = b_1(M) - 1
 is at least 2, the SW coefficient of X at a pulled-back class equals the
 sum of the SW coefficients of M over the corresponding coset of the
 integer span of chi.  This module implements that coset fold, a
-brute-force oracle for it, the injectivity (no-collision) test, and the
-two circle-bundle-over-a-surface specializations.
+brute-force oracle for it, and the two circle-bundle-over-a-surface
+specializations.  Whether a fold merges terms, and the verdict on it,
+are read off the folded terms by :func:`swfold.obstruction.taubes_report`.
 
 Folded results are terminal values: their exponents are canonical coset
 representatives (pivot coordinate reduced into [0, chi_pivot)), on which
@@ -254,21 +255,6 @@ def fold(manifold: ThreeManifold, chi) -> FoldedSW:
 def fold_bruteforce(manifold: ThreeManifold, chi) -> FoldedSW:
     """Independent oracle for :func:`fold` (see :func:`fold_poly_bruteforce`)."""
     return _fold_with(fold_poly_bruteforce, manifold, chi)
-
-
-def is_injective_fold(manifold: ThreeManifold, chi) -> bool:
-    """True when no two support exponents of sw3 fall in the same coset.
-
-    Read off the folded polynomial: it keeps every term exactly when no
-    coset holds two of them, since a merge leaves fewer cosets than
-    terms and a cancellation needs a merge first.  An injective fold
-    permutes the coefficient multiset, so the folded polynomial inherits
-    every coefficient-level property of the unfolded one.
-    """
-    euler = _as_class(manifold.basis, chi)
-    if euler is None:
-        raise DomainError("injectivity is about a nonzero Euler class")
-    return len(fold_poly(manifold.sw3, QuotientLattice(euler))) == len(manifold.sw3)
 
 
 def circle_bundle_sw_direct(genus: int, euler_number: int) -> FoldedSW:

@@ -3,10 +3,12 @@
 A symplectic 4-manifold with b_+ >= 2 must carry a class with SW
 invariant exactly +-1 (the canonical class), so a folded SW polynomial
 with no unit coefficient obstructs every symplectic structure, with
-either orientation.  This module scans fold results for unit
-coefficients, sweeps all Euler classes in a box (one per antipodal
-pair), and explains which classes outside the box can be dismissed
-because their folds cannot merge distinct terms.
+either orientation.  :func:`taubes_report` is the one per-class
+verdict: it folds once and reads injectivity and the unit classes off
+the sorted folded terms.  :func:`euler_search` collects one report per
+Euler class in a box (one per antipodal pair), and
+:func:`colliding_classes` lists exactly the classes whose folds merge
+terms, so every class outside that set keeps the unfolded verdict.
 """
 
 from __future__ import annotations
@@ -18,23 +20,36 @@ from itertools import combinations, product
 from math import gcd, isqrt
 
 from .errors import DomainError
-from .fold import EulerClass, FoldedSW, fold
-from .laurent import LaurentPoly, _balanced_digits, _render
+from .fold import EulerClass, fold
+from .laurent import Basis, LaurentPoly, _balanced_digits, _render
 from .manifolds import ThreeManifold
 
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """Unit-coefficient scan of one fold result."""
+    """Verdict for one Euler class, read off the fold's sorted terms.
 
-    source: str
+    ``chi`` is the sign-normalized class folded by, or ``None`` for the
+    product case of a zero class; ``injective`` says the fold kept every
+    term of sw3, and ``unit_classes`` lists the exponents of the terms
+    whose coefficient is +1 or -1.
+    """
+
+    chi: EulerClass | None
+    basis: Basis
+    injective: bool
+    terms: tuple[tuple[tuple[int, ...], int], ...]  # the folded terms, sorted
     unit_classes: tuple[tuple[int, ...], ...]
-    fibered_orbit: bool
 
     @property
     def obstructed(self) -> bool:
         """No unit class: no spin-c class can be a symplectic canonical class."""
         return not self.unit_classes
+
+    @property
+    def digest(self) -> str:
+        """Text form of the folded polynomial, rendered on each access."""
+        return _render(self.basis, self.terms)
 
 
 def _units(terms) -> tuple[tuple[int, ...], ...]:
@@ -47,37 +62,29 @@ def unit_classes(poly: LaurentPoly) -> tuple[tuple[int, ...], ...]:
     return _units(poly.terms())
 
 
-def taubes_report(folded: FoldedSW, manifold: ThreeManifold) -> ObstructionReport:
-    """Scan a fold result for coefficients equal to +1 or -1."""
-    label = "chi = 0 (product case)" if folded.product_case else f"chi = {folded.chi_text}"
+def taubes_report(manifold: ThreeManifold, chi) -> ObstructionReport:
+    """Fold ``manifold`` by ``chi`` once (see :func:`~swfold.fold.fold`) and scan it.
+
+    The one per-class verdict path: the folded terms are sorted once, and
+    ``injective`` (no two terms merged, since a merge leaves fewer cosets
+    than terms and a cancellation needs a merge first) and the unit
+    classes are read off that one list.
+    """
+    folded = fold(manifold, chi)
+    terms = folded.poly.terms()
     return ObstructionReport(
-        source=f"{folded.source} [{label}]",
-        unit_classes=unit_classes(folded.poly),
-        fibered_orbit=manifold.fibered,
+        chi=None if folded.product_case else folded.quotient.euler,
+        basis=manifold.basis,
+        injective=len(terms) == len(manifold.sw3),
+        terms=terms,
+        unit_classes=_units(terms),
     )
-
-
-@dataclass(frozen=True)
-class SearchEntry:
-    chi: EulerClass
-    injective: bool
-    terms: tuple[tuple[tuple[int, ...], int], ...]  # the folded terms, sorted
-    unit_classes: tuple[tuple[int, ...], ...]
-
-    @property
-    def obstructed(self) -> bool:
-        return not self.unit_classes
-
-    @property
-    def digest(self) -> str:
-        """Text form of the folded polynomial, rendered on each access."""
-        return _render(self.chi.basis, self.terms)
 
 
 @dataclass(frozen=True)
 class SearchResult:
     box: int
-    entries: tuple[SearchEntry, ...]
+    entries: tuple[ObstructionReport, ...]
 
     @property
     def all_obstructed(self) -> bool:
@@ -103,23 +110,15 @@ def _check_box(box) -> None:
 
 
 def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
-    """Fold by every Euler class in the box and collect obstruction verdicts.
+    """Report on every Euler class in the box, one per antipodal pair.
 
-    One pass over ((2B+1)^r - 1)/2 classes: each is folded once by
-    :func:`~swfold.fold.fold` and its terms sorted once, and ``injective``
-    (kept every term, see :func:`~swfold.fold.is_injective_fold`) and the
-    unit classes (``unit_classes``'s scan) are read off that one list,
-    which the entry keeps for its digest.  Entries come out in chi order.
+    One :func:`taubes_report` per class, ((2B+1)^r - 1)/2 of them; the
+    entries come out in chi order.
     """
     _check_box(box)
-    basis, sw3 = manifold.basis, manifold.sw3
-    entries = []
-    for vector in _half_box(basis.rank, box):
-        chi = EulerClass(basis, vector)
-        terms = fold(manifold, chi).poly.terms()
-        entries.append(SearchEntry(chi=chi, injective=len(terms) == len(sw3),
-                                   terms=terms, unit_classes=_units(terms)))
-    return SearchResult(box=box, entries=tuple(entries))
+    basis = manifold.basis
+    return SearchResult(box=box, entries=tuple(
+        taubes_report(manifold, EulerClass(basis, vector)) for vector in _half_box(basis.rank, box)))
 
 
 def _coefficient_multiset(manifold: ThreeManifold) -> str:

@@ -106,7 +106,7 @@ def test_criterion_05_circle_bundle_cross_check():
 def test_criterion_06_example1_obstruction():
     manifold = pair_manifold("4_1")
     for chi in ("4*m1", "-4*m1", "4*m2", "-4*m2"):
-        report = taubes_report(fold(manifold, chi), manifold)
+        report = taubes_report(manifold, chi)
         assert report.obstructed is True, chi
         assert report.unit_classes == ()
     announce(6, "folds by +-4*m1 and +-4*m2 all report obstructed (no symplectic structure)")

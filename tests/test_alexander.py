@@ -1,12 +1,14 @@
 """Alexander polynomials from Seifert matrices, and the knot table."""
 
 import json
+import pathlib
 import random
 from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 from swfold.alexander import (
     BUILTIN_KNOTS,
@@ -17,8 +19,10 @@ from swfold.alexander import (
     knot_from_alexander,
     knot_from_seifert,
     load_knot_file,
+    record_from_dict,
     validate_alexander,
 )
+from swfold.cli import SCHEMA_DIR
 from swfold.errors import KnotLookupError, NotSeifertError, SpecFileError, StructuralError
 from swfold.laurent import LaurentPoly, from_text
 
@@ -335,6 +339,22 @@ class TestRegistration:
             path.write_text(json.dumps(data))
             with pytest.raises(SpecFileError):
                 load_knot_file(str(path))
+
+    @pytest.mark.parametrize("data", [
+        {"name": "k", "fibered": True, "alexander": "t - 1 + t^-1", "extra": 1},
+        {"name": "k", "fibered": False, "alexander": "3*t - 5 + 3*t^-1", "seifret": [[1, 1], [0, 2]]},
+        {"name": "k", "fibered": True, "seifert": [[-1, 1], [0, -1]], "Alexander": "t - 1 + t^-1"},
+        {"name": "k", "fibered": True, "seifert": [], "": None},
+    ])
+    def test_unknown_fields_rejected_like_the_schema(self, data):
+        schema = json.loads((pathlib.Path(SCHEMA_DIR) / "knot-registration.schema.json").read_text())
+        assert not Draft202012Validator(schema).is_valid(data)
+        unknown = next(key for key in data if key not in ("name", "fibered", "seifert", "alexander"))
+        with pytest.raises(SpecFileError, match=f"^where\\.{unknown}: unknown field$"):
+            record_from_dict(data, "where")
+        valid = {key: value for key, value in data.items() if key != unknown}
+        assert Draft202012Validator(schema).is_valid(valid)
+        assert record_from_dict(valid, "where").name == "k"
 
     def test_load_file_missing_path(self, tmp_path):
         with pytest.raises(SpecFileError):

@@ -328,6 +328,59 @@ class TestJsonBooleans:
         self.assert_one_error_line(capsys, "structure")
 
 
+class TestMalformedInputs:
+    """Each bad input exits 2 with one error line and no traceback."""
+
+    def assert_one_error_line(self, capsys, prefix):
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(prefix) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("chi", ["m1^\u00b2", "\u00b2*m1", "\u0663*m1"])
+    def test_non_ascii_digits_in_chi(self, capsys, chi):
+        assert main(["fold", FIG8_PAIR, "--chi", chi]) == 2
+        self.assert_one_error_line(capsys, "error[parse]: unexpected character")
+
+    def test_non_ascii_digits_in_knot_file(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"name": "k", "fibered": False, "alexander": "t^\u00b2"}))
+        assert main(["knot", "register", str(path)]) == 2
+        self.assert_one_error_line(capsys, "error[parse]: unexpected character")
+
+    @pytest.fixture(params=["not-utf8", "deep"])
+    def unreadable(self, request, tmp_path):
+        """A file that is not UTF-8, or JSON nested too deep to decode."""
+        path = tmp_path / f"{request.param}.json"
+        if request.param == "not-utf8":
+            path.write_bytes(b'{"base": "t3", "name": "\xff"}')
+            return str(path), "cannot read {kind}"
+        path.write_text("[" * 100_000)
+        return str(path), "{path}: invalid JSON: "
+
+    def test_spec_file(self, capsys, unreadable):
+        path, message = unreadable
+        assert main(["sw3", path]) == 2
+        self.assert_one_error_line(capsys, "error[spec]: " + message.format(kind="", path=path))
+
+    def test_knot_register(self, capsys, unreadable):
+        path, message = unreadable
+        assert main(["knot", "register", path]) == 2
+        self.assert_one_error_line(capsys, "error[spec]: " + message.format(kind="knot file ", path=path))
+
+    def test_knot_table_env(self, capsys, monkeypatch, unreadable):
+        path, message = unreadable
+        monkeypatch.setenv(ENV_KNOT_TABLE, path)
+        assert main(["knot", "list"]) == 2
+        self.assert_one_error_line(capsys, "error[spec]: " + message.format(kind="knot file ", path=path))
+
+    def test_unknown_registration_field(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"name": "k", "fibered": True,
+                                    "alexander": "t - 1 + t^-1", "seifret": [[-1, 1], [0, -1]]}))
+        assert main(["knot", "register", str(path)]) == 2
+        self.assert_one_error_line(capsys, f"error[spec]: {path}.seifret: unknown field")
+
+
 class TestKnotTableEnv:
     def test_extra_table_loaded(self, monkeypatch, tmp_path):
         path = tmp_path / "extra.json"

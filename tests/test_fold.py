@@ -20,10 +20,10 @@ from swfold.fold import (
     fold_bruteforce,
     fold_poly,
     fold_poly_bruteforce,
-    is_injective_fold,
 )
 from swfold.laurent import Basis, LaurentPoly, from_text, monomial, to_text
 from swfold.manifolds import T3_BASIS, ThreeManifold, surface_times_circle, three_torus
+from swfold.obstruction import taubes_report
 
 from conftest import random_basis, random_poly
 
@@ -104,7 +104,7 @@ class TestEulerText:
             with pytest.raises(StructuralError):
                 fold(five2_pair, vector)
             with pytest.raises(StructuralError):
-                is_injective_fold(five2_pair, vector)
+                taubes_report(five2_pair, vector)
 
 
 class TestQuotientLattice:
@@ -319,18 +319,22 @@ class TestFoldProperties:
 
 
 class TestInjectivity:
+    """``ObstructionReport.injective``: the fold kept every term of sw3."""
+
     def test_spread_out_chi_is_injective(self, fig8_pair):
-        assert is_injective_fold(fig8_pair, "5*m1") is True
+        assert taubes_report(fig8_pair, "5*m1").injective is True
 
     def test_merging_chi_is_not(self, fig8_pair):
-        assert is_injective_fold(fig8_pair, "4*m1") is False
+        assert taubes_report(fig8_pair, "4*m1").injective is False
 
     def test_unused_direction_is_injective(self, fig8_pair):
-        assert is_injective_fold(fig8_pair, "m3") is True
+        assert taubes_report(fig8_pair, "m3").injective is True
 
-    def test_zero_chi_rejected(self, fig8_pair):
-        with pytest.raises(DomainError):
-            is_injective_fold(fig8_pair, (0, 0, 0))
+    def test_zero_chi_is_the_product_case(self, fig8_pair):
+        report = taubes_report(fig8_pair, (0, 0, 0))
+        assert report.chi is None
+        assert report.injective is True
+        assert report.terms == fig8_pair.sw3.terms()
 
     def test_injective_fold_preserves_coefficient_multiset(self):
         rng = random.Random(73)
@@ -339,10 +343,11 @@ class TestInjectivity:
             basis = random_basis(rng)
             m = random_manifold(rng, basis)
             chi = random_chi(rng, basis.rank)
-            if is_injective_fold(m, chi):
+            report = taubes_report(m, chi)
+            if report.injective:
                 seen += 1
-                folded = fold(m, chi)
-                assert sorted(folded.poly.coefficients()) == sorted(m.sw3.coefficients())
+                assert sorted(c for _, c in report.terms) == sorted(m.sw3.coefficients())
+                assert report.terms == fold(m, chi).poly.terms()
         assert seen > 50  # the property must actually be exercised
 
 

@@ -305,6 +305,18 @@ class TestGrammar:
         with pytest.raises(ParseError):
             from_text("t / 2", b1)
 
+    @pytest.mark.parametrize("text, position", [
+        ("t^\u00b2", 2),        # superscript two: str.isdigit accepts it, int() does not
+        ("\u00b2*t", 0),
+        ("\u0663*t", 0),        # Arabic-Indic three: int() would read it as 3
+        ("1\u0663*t", 1),
+        ("t^\uff12", 2),        # fullwidth two
+    ])
+    def test_only_ascii_digits(self, b1, text, position):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            from_text(text, b1)
+        assert err.value.position == position
+
     def test_round_trip_seeded(self):
         rng = random.Random(23)
         for _ in range(100):

@@ -25,25 +25,27 @@ from test_fold import random_chi, random_manifold
 
 class TestTaubesReport:
     def test_fig8_fold_is_obstructed(self, fig8_pair):
-        report = taubes_report(fold(fig8_pair, "4*m1"), fig8_pair)
+        report = taubes_report(fig8_pair, "4*m1")
         assert report.obstructed is True
         assert report.unit_classes == ()
-        assert report.fibered_orbit is True
-        assert "4*m1" in report.source
+        assert fig8_pair.fibered is True  # printed as the "fibered orbit" line
+        assert report.chi.text == "4*m1"
+        assert taubes_report(fig8_pair, "-4*m1").chi.text == "4*m1"  # sign-normalized
 
     def test_fig8_product_case_is_not_obstructed(self, fig8_pair):
-        report = taubes_report(fold(fig8_pair, "0"), fig8_pair)
+        report = taubes_report(fig8_pair, "0")
         assert report.obstructed is False
         # corner classes of the unfolded polynomial carry coefficient +1
         assert set(report.unit_classes) == {
             (-2, -2, 0), (-2, 2, 0), (2, -2, 0), (2, 2, 0)
         }
-        assert "product case" in report.source
+        assert report.chi is None  # the product case
+        assert report.digest == str(fig8_pair.sw3)
 
     @pytest.mark.parametrize("genus", [2, 3, 4])
     def test_surface_products_keep_units(self, genus):
         m = surface_times_circle(genus)
-        report = taubes_report(fold(m, (0,)), m)
+        report = taubes_report(m, (0,))
         assert report.obstructed is False  # extreme binomial coefficients are +-1
 
     def test_verdict_matches_direct_scan(self):
@@ -51,11 +53,23 @@ class TestTaubesReport:
         for _ in range(100):
             basis = random_basis(rng)
             m = random_manifold(rng, basis)
-            folded = fold(m, random_chi(rng, basis.rank))
-            report = taubes_report(folded, m)
+            chi = random_chi(rng, basis.rank)
+            folded = fold(m, chi)
+            report = taubes_report(m, chi)
             has_unit = any(c in (1, -1) for c in folded.poly.coefficients())
             assert report.obstructed == (not has_unit)
             assert report.obstructed == (len(report.unit_classes) == 0)
+            assert report.digest == str(folded.poly)
+
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_agrees_with_bruteforce_fold_and_colliders(self, rng, data):
+        m = random_manifold(rng, random_basis(rng))
+        rank = m.basis.rank
+        chi = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=rank, max_size=rank).filter(any)))
+        report = taubes_report(m, chi)
+        assert report.unit_classes == unit_classes(fold_bruteforce(m, chi).poly)
+        normalized = chi if next(c for c in chi if c) > 0 else tuple(-c for c in chi)
+        assert report.injective == (normalized not in colliding_classes(m))
 
 
 class TestEulerSearch:
