@@ -260,14 +260,15 @@ def read_json(path: str, what: str = ""):
 
     ``what`` (e.g. ``"knot file "``) names the file in "cannot read"
     messages; a file that is not UTF-8 cannot be read, and nesting too
-    deep for the decoder is invalid JSON.
+    deep for the decoder, or an integer with more digits than ``int()``
+    converts, is invalid JSON.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"cannot read {what}{path!r}: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers json.JSONDecodeError
         raise SpecFileError(f"{path}: invalid JSON: {exc}") from None
 
 

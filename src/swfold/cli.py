@@ -107,9 +107,16 @@ def build_manifold(data: dict, table: KnotTable, where: str = "spec") -> ThreeMa
     return manifold
 
 
+def command_knots() -> KnotTable:
+    """The knots a command sees: the session's, plus those of the ``SWFOLD_KNOT_TABLE`` file if set."""
+    extra_table = os.environ.get(ENV_KNOT_TABLE)
+    return session_knots.with_records(load_knot_file(extra_table)) if extra_table else session_knots
+
+
 def load_spec(path: str) -> ThreeManifold:
-    """Read a manifold spec file and build it over the session's knots."""
-    return build_manifold(read_json(path), session_knots, where=path)
+    """Read a manifold spec file and build it over the knots a command sees."""
+    table = command_knots()  # read first: a bad knot file is reported before a bad spec
+    return build_manifold(read_json(path), table, where=path)
 
 
 # -- subcommand handlers ------------------------------------------------
@@ -119,8 +126,9 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _cmd_knot(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
+def _cmd_knot(args) -> tuple[list[str], list[str], dict]:
     global session_knots
+    table = command_knots()
     if args.action == "list":
         rows = [table.lookup(name).to_row() for name in table.names()]
         body = [f"{r['name']}  fibered={_bool(r['fibered'])}  alexander = {r['alexander']}" for r in rows]
@@ -144,8 +152,8 @@ def _cmd_knot(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
     return [], body, {"command": "knot-register", "registered": rows}
 
 
-def _cmd_sw3(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
-    manifold = build_manifold(read_json(args.spec), table, where=args.spec)
+def _cmd_sw3(args) -> tuple[list[str], list[str], dict]:
+    manifold = load_spec(args.spec)
     header = [
         f"manifold = {manifold.name}",
         f"basis = {' '.join(manifold.basis.names)}",
@@ -166,8 +174,8 @@ def _cmd_sw3(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
     return header, body, payload
 
 
-def _cmd_fold(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
-    manifold = build_manifold(read_json(args.spec), table, where=args.spec)
+def _cmd_fold(args) -> tuple[list[str], list[str], dict]:
+    manifold = load_spec(args.spec)
     folded = fold(manifold, args.chi)
     header = [f"manifold = {manifold.name}", f"chi = {folded.chi_text}"]
     if folded.product_case:
@@ -193,7 +201,7 @@ def _cmd_fold(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
     return header, body, payload
 
 
-def _cmd_bundle(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
+def _cmd_bundle(args) -> tuple[list[str], list[str], dict]:
     header = [f"genus = {args.genus}, euler = {args.euler}"]
     direct = closed = direct_text = closed_text = match = None
     body = []
@@ -220,8 +228,8 @@ def _cmd_bundle(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
     return header, body, payload
 
 
-def _cmd_obstruct(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
-    manifold = build_manifold(read_json(args.spec), table, where=args.spec)
+def _cmd_obstruct(args) -> tuple[list[str], list[str], dict]:
+    manifold = load_spec(args.spec)
     report = taubes_report(manifold, args.chi)
     product_case = report.chi is None
     chi = "0" if product_case else report.chi.text
@@ -248,8 +256,8 @@ def _cmd_obstruct(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
     return header, body, payload
 
 
-def _cmd_search(args, table: KnotTable) -> tuple[list[str], list[str], dict]:
-    manifold = build_manifold(read_json(args.spec), table, where=args.spec)
+def _cmd_search(args) -> tuple[list[str], list[str], dict]:
+    manifold = load_spec(args.spec)
     result = euler_search(manifold, args.box)
     note = stabilization_note(manifold, args.box)
     chis = [e.chi.text for e in result.entries]
@@ -344,11 +352,7 @@ def run(argv) -> OutputRecord:
     """Execute one command line and return the record (raises on errors)."""
     argv = list(argv)
     args = build_parser().parse_args(argv)
-    table = session_knots
-    extra_table = os.environ.get(ENV_KNOT_TABLE)
-    if extra_table:
-        table = table.with_records(load_knot_file(extra_table))
-    header, body, payload = _HANDLERS[args.command](args, table)
+    header, body, payload = _HANDLERS[args.command](args)
     lines = body if args.quiet else header + body
     return OutputRecord(
         command=tuple(argv),

@@ -18,7 +18,6 @@ defines none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 from typing import Sequence
 
 from .errors import DomainError, ParseError, StructuralError
@@ -130,7 +129,6 @@ class FoldedSW:
 
     quotient: QuotientLattice | None
     poly: LaurentPoly
-    source: str
 
     def __post_init__(self):
         if self.quotient is not None:
@@ -235,10 +233,10 @@ def fold_poly_bruteforce(poly: LaurentPoly, quotient: QuotientLattice) -> Lauren
 def _fold_with(fold_fn, manifold: ThreeManifold, chi) -> FoldedSW:
     euler = _as_class(manifold.basis, chi)
     if euler is None:
-        return FoldedSW(quotient=None, poly=manifold.sw3, source=manifold.name)
+        return FoldedSW(quotient=None, poly=manifold.sw3)
     require_b_plus(manifold)
     quotient = QuotientLattice(euler)
-    return FoldedSW(quotient=quotient, poly=fold_fn(manifold.sw3, quotient), source=manifold.name)
+    return FoldedSW(quotient=quotient, poly=fold_fn(manifold.sw3, quotient))
 
 
 def fold(manifold: ThreeManifold, chi) -> FoldedSW:
@@ -275,34 +273,26 @@ def circle_bundle_sw_closed_form(genus: int, euler_number: int) -> FoldedSW:
 
     (t - 1/t)^(2g-2) is the sum over j in 0..2g-2 of
     (-1)^j * C(2g-2, j) * t^(2(j-g+1)), the usual expansion read
-    backwards (the polynomial is symmetric under t -> 1/t).  For even
-    n = 2l != 0 the j-th term lands on residue 2i with
-    i = (j-g+1) mod |l|, and the sum is multiplied by sign(n).  For odd
-    n the block length |l| becomes |n|, and the i-th term is the class
-    of exponent 2i: since 2 is invertible mod odd n this is a bijective
-    relabeling, landed here on the canonical residue (2i mod |n|) so the
-    result is exponent-for-exponent comparable with
-    :func:`circle_bundle_sw_direct` (up to one overall sign).  The work
-    is the 2g-1 terms, whatever the size of n.
+    backwards (the polynomial is symmetric under t -> 1/t).  The j-th
+    term lands on the canonical residue 2(j-g+1) mod |n|, and the sum is
+    multiplied by sign(n), so the result is exponent-for-exponent
+    comparable with :func:`circle_bundle_sw_direct` (up to one overall
+    sign).  Each binomial comes from the one before it, so the work is
+    the 2g-1 terms, whatever the size of n.
     """
     if not isinstance(genus, int) or isinstance(genus, bool) or genus < 1:
         raise DomainError(f"genus must be an integer >= 1, got {genus!r}")
     if not isinstance(euler_number, int) or isinstance(euler_number, bool) or euler_number == 0:
         raise DomainError("Euler number must be a nonzero integer for the closed form")
     degree = 2 * genus - 2
-    sign = 1 if euler_number > 0 else -1
     modulus = abs(euler_number)
-    block = modulus // 2 if euler_number % 2 == 0 else modulus
-    terms = (
-        ((2 * ((j - genus + 1) % block) % modulus,), sign * (-1) ** j * comb(degree, j))
-        for j in range(degree + 1)
-    )
+    binomial = 1 if euler_number > 0 else -1  # sign(n) * (-1)^j * C(degree, j)
+    terms = []
+    for j in range(degree + 1):
+        terms.append(((2 * (j - genus + 1) % modulus,), binomial))
+        binomial = -binomial * (degree - j) // (j + 1)
     quotient = QuotientLattice(EulerClass(CIRCLE_BASIS, (euler_number,)))
-    return FoldedSW(
-        quotient=quotient,
-        poly=LaurentPoly(CIRCLE_BASIS, terms),
-        source=f"S{genus}xS1",
-    )
+    return FoldedSW(quotient=quotient, poly=LaurentPoly(CIRCLE_BASIS, terms))
 
 
 def equal_up_to_sign(a: FoldedSW, b: FoldedSW) -> bool:

@@ -25,6 +25,8 @@ Text grammar (whitespace-insensitive)::
 
 A leading bare integer is the coefficient (default 1); a factor without
 ``^`` has exponent 1.  Examples: ``"-3*m2^-2 + 9"``, ``"t - t^-1"``.
+One regex scanner reads the text into tokens, and ``from_text`` makes one
+pass over them through the state machine ``_GRAMMAR``.
 """
 
 from __future__ import annotations
@@ -62,12 +64,13 @@ class Basis:
     def rank(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
+    def index(self, name: str, position: int | None = None) -> int:
+        """Position of ``name`` in the basis; ``position`` locates it in parsed text."""
         try:
             return self.names.index(name)
         except ValueError:
             raise UnknownVariableError(
-                f"unknown variable {name!r}; basis is ({', '.join(self.names)})"
+                f"unknown variable {name!r}; basis is ({', '.join(self.names)})", position=position
             ) from None
 
     def unit(self, name: str) -> tuple[int, ...]:
@@ -222,7 +225,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> LaurentPoly:
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise DomainError(f"polynomial power must be a nonnegative integer, got {k!r}")
         result = LaurentPoly.one(self.basis)
         square = self
@@ -325,12 +328,16 @@ def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]]) -> str:
     if not terms:
         return "0"
     pieces = []
-    for exp, coeff in terms:
-        body = _term_body(basis, abs(coeff), exp)
-        if not pieces:
-            pieces.append(("-" if coeff < 0 else "") + body)
-        else:
-            pieces.append((" - " if coeff < 0 else " + ") + body)
+    try:
+        for exp, coeff in terms:
+            body = _term_body(basis, abs(coeff), exp)
+            if not pieces:
+                pieces.append(("-" if coeff < 0 else "") + body)
+            else:
+                pieces.append((" - " if coeff < 0 else " + ") + body)
+    except ValueError:  # raised by str() alone
+        raise DomainError("result too large to print: an integer has more digits than "
+                          "Python's int_max_str_digits limit (4300 by default)") from None
     return "".join(pieces)
 
 
@@ -339,125 +346,78 @@ def to_text(poly: LaurentPoly) -> str:
     return _render(poly.basis, poly.terms())
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if "0" <= ch <= "9":  # ASCII only: str.isdigit also takes "²" and "٣"
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", position=i)
-    tokens.append(("end", None, n))
-    return tokens
+#: One token per match, after its whitespace: a digit run, a word, an
+#: operator or any other character.  ``\s`` and ``\w`` follow ``str.isspace``
+#: and ``str.isalnum``; only ASCII digits make numbers (not "²" or "٣").
+_TOKEN = re.compile(r"(\s*)(([0-9]+)|(\w+)|[-+*^]|\S)")
+
+#: The grammar as a state machine: for the state after each token, the token
+#: kinds that may come next, the state each leads to, and what was expected.
+_GRAMMAR = {
+    "term": ({"+": "sign", "-": "sign", "int": "number", "ident": "name"}, "an integer or a variable name"),
+    "sign": ({"int": "number", "ident": "name"}, "an integer or a variable name"),
+    "number": ({"*": "times", "+": "term", "-": "term", "end": None}, "'+', '-' or end of input"),
+    "name": ({"^": "caret", "*": "times", "+": "term", "-": "term", "end": None}, "'+', '-' or end of input"),
+    "times": ({"ident": "name"}, "a variable name"),
+    "caret": ({"+": "caret sign", "-": "caret sign", "int": "number"}, "an integer"),
+    "caret sign": ({"int": "number"}, "an integer"),
+}
 
 
-class _Parser:
-    def __init__(self, text: str, basis: Basis):
-        self.tokens = _tokenize(text)
-        self.basis = basis
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse_poly(self) -> LaurentPoly:
-        return LaurentPoly._of(self.basis, _accumulate({}, self.read_terms()))
-
-    def read_terms(self):
-        """Yield each term as an (exponent, signed coefficient) pair."""
-        sign = 1
-        while True:
-            yield self.read_term(sign)
-            kind, _, at = self.advance()
-            if kind == "end":
-                return
-            if kind not in ("+", "-"):
-                raise ParseError("expected '+', '-' or end of input", position=at)
-            sign = 1 if kind == "+" else -1
-
-    def read_sign(self) -> int:
-        kind, _, _ = self.peek()
-        if kind == "+":
-            self.advance()
-            return 1
-        if kind == "-":
-            self.advance()
-            return -1
-        return 1
-
-    def read_int(self) -> int:
-        sign = self.read_sign()
-        kind, value, at = self.peek()
-        if kind != "int":
-            raise ParseError("expected an integer", position=at)
-        self.advance()
-        return sign * value
-
-    def read_factor(self, exp: list[int]) -> None:
-        kind, value, at = self.peek()
-        if kind != "ident":
-            raise ParseError("expected a variable name", position=at)
-        self.advance()
-        try:
-            idx = self.basis.index(value)
-        except UnknownVariableError:
-            raise UnknownVariableError(
-                f"unknown variable {value!r}; basis is ({', '.join(self.basis.names)})",
-                position=at,
-            ) from None
-        power = 1
-        if self.peek()[0] == "^":
-            self.advance()
-            power = self.read_int()
-        exp[idx] += power
-
-    def read_term(self, outer_sign: int) -> tuple[tuple[int, ...], int]:
-        sign = outer_sign * self.read_sign()
-        kind, value, at = self.peek()
-        exp = [0] * self.basis.rank
-        if kind == "int":
-            self.advance()
-            coeff = value
-        elif kind == "ident":
-            coeff = 1
-            self.read_factor(exp)
+def _scan(text: str) -> list[tuple[str, object, int]]:
+    """Tokens of ``text`` as (kind, value, position), ending with an "end" token."""
+    tokens, at = [], 0
+    for space, token, digits, word in _TOKEN.findall(text):
+        at += len(space)
+        if digits:
+            try:
+                tokens.append(("int", int(digits), at))
+            except ValueError:  # more digits than sys.int_max_str_digits
+                raise ParseError(f"integer literal of {len(digits)} digits is too long", position=at) from None
+        elif token in "+-*^":
+            tokens.append((token, token, at))
+        elif word[:1].isalpha():  # a name starts with a letter; "_x" and "½x" do not
+            tokens.append(("ident", word, at))
         else:
-            raise ParseError("expected an integer or a variable name", position=at)
-        while self.peek()[0] == "*":
-            self.advance()
-            self.read_factor(exp)
-        return tuple(exp), sign * coeff
+            raise ParseError(f"unexpected character {token[0]!r}", position=at)
+        at += len(token)
+    tokens.append(("end", None, len(text)))
+    return tokens
 
 
 def from_text(text: str, basis: Basis) -> LaurentPoly:
     """Parse the canonical polynomial grammar over the given basis.
 
-    Raises :class:`ParseError` (with position) on malformed input and
-    :class:`UnknownVariableError` for identifiers outside the basis.
-    ``from_text(to_text(p), p.basis) == p`` for every polynomial.
+    The whole text is scanned first; then each step takes a token of a kind
+    ``_GRAMMAR`` allows, or raises :class:`ParseError` ``expected ...`` at
+    its position.  A name outside the basis raises
+    :class:`UnknownVariableError`.  ``from_text(to_text(p), p.basis) == p``.
     """
-    return _Parser(text, basis).parse_poly()
+    rank = basis.rank
+    terms, state = [], "term"
+    sign, coeff, exp = 1, 1, [0] * rank
+    for kind, value, at in _scan(text):
+        follow, expected = _GRAMMAR[state]
+        if kind not in follow:
+            raise ParseError(f"expected {expected}", position=at)
+        if kind == "ident":
+            i = basis.index(value, position=at)
+            exp[i] += 1
+        elif kind == "int":
+            if state == "term" or state == "sign":
+                coeff = value
+            else:
+                exp[i] += power_sign * value - 1  # the name already counted 1
+        elif kind == "^":
+            power_sign = 1
+        elif kind != "*":  # "+", "-" or the end
+            s = -1 if kind == "-" else 1
+            if state == "caret":
+                power_sign = s
+            elif state == "term":
+                sign *= s
+            else:  # the term ends here
+                terms.append((tuple(exp), sign * coeff))
+                sign, coeff, exp = s, 1, [0] * rank
+        state = follow[kind]
+    return LaurentPoly._of(basis, _accumulate({}, terms))

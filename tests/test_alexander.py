@@ -356,6 +356,18 @@ class TestRegistration:
         assert Draft202012Validator(schema).is_valid(valid)
         assert record_from_dict(valid, "where").name == "k"
 
+    @pytest.mark.parametrize("data, message", [
+        (["k"], "where: expected an object, got list"),
+        ("k", "where: expected an object, got str"),
+        ({"name": "k", "fibered": True, "seifert": "[[1]]"}, "where.seifert: expected a list of integer rows"),
+        ({"name": "k", "fibered": True, "seifert": [1, 2]}, "where.seifert: expected a list of integer rows"),
+        ({"name": "k", "fibered": True, "alexander": ["t"]}, "where.alexander: expected a polynomial string"),
+    ])
+    def test_shape_errors(self, data, message):
+        with pytest.raises(SpecFileError) as err:
+            record_from_dict(data, "where")
+        assert str(err.value) == message
+
     def test_load_file_missing_path(self, tmp_path):
         with pytest.raises(SpecFileError):
             load_knot_file(str(tmp_path / "absent.json"))

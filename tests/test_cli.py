@@ -12,7 +12,7 @@ from jsonschema import Draft202012Validator
 from swfold import cli
 from swfold.alexander import BUILTIN_KNOTS
 from swfold.cli import ENV_KNOT_TABLE, SCHEMA_DIR, build_manifold, emit, load_spec, main, run
-from swfold.errors import SpecFileError
+from swfold.errors import KnotLookupError, SpecFileError
 from swfold.laurent import Basis, from_text
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -79,6 +79,20 @@ class TestLoadSpec:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SpecFileError):
             load_spec(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize("data, message", [
+        (["t3"], "spec: expected a JSON object"),
+        ({"base": "t3", "knots": {}}, "spec.knots: expected a list"),
+        ({"base": "t3", "sums": {"knot": "3_1", "meridian": "m1"}}, "spec.sums: expected a list"),
+        ({"base": "t3", "sums": [{"knot": 31, "meridian": "m1"}]},
+         "spec.sums[0]: knot and meridian must be strings"),
+        ({"base": "t3", "sums": [{"knot": "3_1", "meridian": ["m1"]}]},
+         "spec.sums[0]: knot and meridian must be strings"),
+    ])
+    def test_shape_errors(self, data, message):
+        with pytest.raises(SpecFileError) as err:
+            build_manifold(data, BUILTIN_KNOTS, where="spec")
+        assert str(err.value) == message
 
 
 class TestTextOutputs:
@@ -373,6 +387,22 @@ class TestMalformedInputs:
         assert main(["knot", "list"]) == 2
         self.assert_one_error_line(capsys, "error[spec]: " + message.format(kind="knot file ", path=path))
 
+    def test_oversized_chi_literal(self, capsys):
+        # past int()'s 4300-digit limit for decimal strings
+        assert main(["fold", FIG8_PAIR, "--chi", "9" * 5000 + "*m1"]) == 2
+        self.assert_one_error_line(capsys, "error[parse]: ")
+
+    def test_oversized_json_integer(self, capsys, tmp_path):
+        path = tmp_path / "huge-genus.json"
+        path.write_text('{"base": {"surface_x_s1": ' + "1" * 5000 + "}}")
+        assert main(["sw3", str(path)]) == 2
+        self.assert_one_error_line(capsys, f"error[spec]: {path}: invalid JSON: ")
+
+    def test_result_too_large_to_print(self, capsys):
+        # coefficients near 2^14397 have 4334 digits
+        assert main(["bundle", "--genus", "7200", "--euler", "4", "--method", "closed"]) == 1
+        self.assert_one_error_line(capsys, "error[domain]: result too large to print")
+
     def test_unknown_registration_field(self, capsys, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps({"name": "k", "fibered": True,
@@ -400,6 +430,18 @@ class TestKnotTableEnv:
                                     "sums": [{"knot": "env_knot2", "meridian": "m2"}]}))
         record = run(["sw3", str(spec), "--quiet"])
         assert record.text == "sw3 = m2^-2 - 1 + m2^2"
+
+    def test_load_spec_sees_env_knots(self, monkeypatch, tmp_path):
+        table = tmp_path / "extra.json"
+        table.write_text(json.dumps({"name": "tw3", "fibered": False,
+                                     "alexander": "3*t - 5 + 3*t^-1"}))
+        spec = tmp_path / "m.json"
+        spec.write_text(json.dumps({"base": "t3", "sums": [{"knot": "tw3", "meridian": "m1"}]}))
+        monkeypatch.setenv(ENV_KNOT_TABLE, str(table))
+        assert str(load_spec(str(spec)).sw3) == "3*m1^-2 - 5 + 3*m1^2"
+        monkeypatch.delenv(ENV_KNOT_TABLE)
+        with pytest.raises(KnotLookupError):
+            load_spec(str(spec))
 
 
 class TestKnotScope:

@@ -1,6 +1,7 @@
 """Coset folding: canonical representatives, oracle agreement, circle bundles."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -235,7 +236,7 @@ class TestFold:
     def test_foldedsw_rejects_noncanonical_exponents(self, b1):
         q = quotient_of(b1, (2,))
         with pytest.raises(StructuralError):
-            FoldedSW(quotient=q, poly=from_text("t^3", b1), source="bad")
+            FoldedSW(quotient=q, poly=from_text("t^3", b1))
 
 
 class TestFoldProperties:
@@ -378,6 +379,19 @@ class TestCircleBundles:
                 closed = circle_bundle_sw_closed_form(genus, n)
                 assert equal_up_to_sign(direct, closed), (genus, n)
 
+    @pytest.mark.parametrize("genus", [1, 2, 3, 7, 16, 29, 40])
+    def test_closed_form_matches_binomial_expansion(self, genus):
+        # (t - 1/t)^(2g-2) expanded with math.comb, each exponent reduced mod |n|
+        degree = 2 * genus - 2
+        for n in (1, 2, 3, 4, 5, 6, 9, 12, 17, 64, -1, -4, -7, 10**9, -(10**9)):
+            expected = {}
+            for j in range(degree + 1):
+                key = ((degree - 2 * j) % abs(n),)
+                expected[key] = expected.get(key, 0) + (-1) ** j * math.comb(degree, j)
+            closed = circle_bundle_sw_closed_form(genus, n)
+            assert closed.poly in (LaurentPoly(closed.poly.basis, expected),
+                                   -LaurentPoly(closed.poly.basis, expected)), (genus, n)
+
     def test_closed_form_work_does_not_grow_with_euler_number(self):
         # 2g-1 binomial terms, however many residues n has
         for n in (10**9, -(10**9) + 1):
@@ -432,7 +446,7 @@ class TestEqualUpToSign:
 
     def test_unequal_polynomials(self):
         a = circle_bundle_sw_direct(2, 4)
-        b = FoldedSW(quotient=a.quotient, poly=from_text("5", a.poly.basis), source="other")
+        b = FoldedSW(quotient=a.quotient, poly=from_text("5", a.poly.basis))
         assert not equal_up_to_sign(a, b)
 
     def test_quotient_mismatch_rejected(self):

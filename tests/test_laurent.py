@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from swfold.errors import DomainError, ParseError, StructuralError, UnknownVariableError
 from swfold.fold import EulerClass, QuotientLattice, fold_poly
@@ -153,6 +153,11 @@ class TestPower:
     def test_negative_power_rejected(self, t_minus_tinv):
         with pytest.raises(DomainError):
             t_minus_tinv ** -1
+
+    @pytest.mark.parametrize("k", [True, False])
+    def test_boolean_power_rejected(self, t_minus_tinv, k):
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            t_minus_tinv ** k
 
     def test_matches_repeated_multiply(self, b2):
         rng = random.Random(7)
@@ -317,6 +322,51 @@ class TestGrammar:
             from_text(text, b1)
         assert err.value.position == position
 
+    @pytest.mark.parametrize("text, expected", [
+        ("+t", "t"),
+        ("t^+2", "t^2"),
+        ("+3 + t^+0", "4"),
+        ("t -- t", "2*t"),
+        ("-t^-1 + +2", "-t^-1 + 2"),
+    ])
+    def test_explicit_signs(self, b1, text, expected):
+        assert to_text(from_text(text, b1)) == expected
+
+    @pytest.mark.parametrize("text, error, message, position", [
+        ("2*3", ParseError, "expected a variable name", 2),
+        ("t*", ParseError, "expected a variable name", 2),
+        ("t ^ 2 * ", ParseError, "expected a variable name", 8),
+        ("", ParseError, "expected an integer or a variable name", 0),
+        ("*t", ParseError, "expected an integer or a variable name", 0),
+        ("+-t", ParseError, "expected an integer or a variable name", 1),
+        ("t + ", ParseError, "expected an integer or a variable name", 4),
+        ("t^", ParseError, "expected an integer", 2),
+        ("t^t", ParseError, "expected an integer", 2),
+        ("t^-", ParseError, "expected an integer", 3),
+        ("2 t", ParseError, "expected '+', '-' or end of input", 2),
+        ("t^2^3", ParseError, "expected '+', '-' or end of input", 3),
+        ("t + u^2", UnknownVariableError, "unknown variable 'u'; basis is (t)", 4),
+        ("2*t²", UnknownVariableError, "unknown variable 't²'; basis is (t)", 2),
+        ("_t", ParseError, "unexpected character '_'", 0),
+        ("t^ /", ParseError, "unexpected character '/'", 3),  # the whole text is scanned first
+        ("Ⅻ + t", ParseError, "unexpected character 'Ⅻ'", 0),
+        ("t - ½", ParseError, "unexpected character '½'", 4),
+    ])
+    def test_error_message_and_position(self, b1, text, error, message, position):
+        with pytest.raises(error) as err:
+            from_text(text, b1)
+        assert type(err.value) is error
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_oversized_literal_is_a_parse_error(self, b1):
+        # int() refuses more than 4300 digits (sys.int_max_str_digits)
+        with pytest.raises(ParseError) as err:
+            from_text("t + " + "9" * 5000 + "*t", b1)
+        assert type(err.value) is ParseError
+        assert err.value.position == 4
+        assert from_text("9" * 4300, b1).coefficients() == (int("9" * 4300),)
+
     def test_round_trip_seeded(self):
         rng = random.Random(23)
         for _ in range(100):
@@ -372,6 +422,29 @@ class TestRingAxioms:
     @given(polys())
     def test_text_round_trip(self, p):
         assert from_text(to_text(p), _AXIOM_BASIS) == p
+
+
+# Grammar tokens, whitespace (including "\x1c", which str.isspace accepts),
+# near-misses, non-ASCII letters, digits and numerals, and a literal past
+# int()'s 4300-digit limit.
+_TEXT_PIECES = [
+    "m1", "m2", "t", "x", "m", "7", "0", "12", "1", "+", "-", "*", "^",
+    " ", "\t", "\x1c", "(", "_", "a_b", "é", "3m1", "m1²",
+    "²", "٣", "Ⅻ", "½", "9" * 4301,
+]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=12).map("".join))
+def test_from_text_is_total(text):
+    """Every text parses and round-trips, or raises ParseError at a position inside it."""
+    basis = Basis(("m1", "m2"))
+    try:
+        p = from_text(text, basis)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
+    else:
+        assert from_text(to_text(p), basis) == p
 
 
 def digit_vectors(base: int, count: int) -> dict:
