@@ -19,6 +19,7 @@ values; registering knots yields a new table.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable
@@ -268,8 +269,11 @@ def read_json(path: str, what: str = ""):
             return json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"cannot read {what}{path!r}: {exc}") from None
-    except (ValueError, RecursionError) as exc:  # ValueError covers json.JSONDecodeError
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecFileError(f"{path}: invalid JSON: {exc}") from None
+    except ValueError:  # what int() raises past sys.int_max_str_digits
+        raise SpecFileError(f"{path}: invalid JSON: an integer has more than {sys.get_int_max_str_digits()} "
+                            "digits, Python's limit for converting text to int") from None
 
 
 def load_knot_file(path: str) -> list[KnotRecord]:

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .alexander import BUILTIN_KNOTS, KnotTable, load_knot_file, read_json, record_from_dict
 from .errors import DomainError, SpecFileError, SwfoldError
@@ -39,11 +40,11 @@ session_knots: KnotTable = BUILTIN_KNOTS
 
 @dataclass(frozen=True)
 class OutputRecord:
-    """What one invocation produced: echo, text, payload, exit status."""
+    """What one invocation produced: echo, the text or the payload it prints, exit status."""
 
     command: tuple[str, ...]
-    text: str
-    payload: dict
+    text: str = ""
+    payload: dict | None = None
     status: int = 0
     json_output: bool = False
 
@@ -121,18 +122,22 @@ def load_spec(path: str) -> ThreeManifold:
 
 # -- subcommand handlers ------------------------------------------------
 
+#: What a handler returns: (header, body, payload).  ``run`` calls the header
+#: and payload builders only when that output is printed.
+_Output = tuple[Callable[[], list[str]], list[str], Callable[[], dict]]
+
 
 def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _cmd_knot(args) -> tuple[list[str], list[str], dict]:
+def _cmd_knot(args) -> _Output:
     global session_knots
     table = command_knots()
     if args.action == "list":
         rows = [table.lookup(name).to_row() for name in table.names()]
         body = [f"{r['name']}  fibered={_bool(r['fibered'])}  alexander = {r['alexander']}" for r in rows]
-        return [], body, {"command": "knot-list", "knots": rows}
+        return list, body, lambda: {"command": "knot-list", "knots": rows}
     if args.action == "show":
         row = table.lookup(args.name).to_row()
         body = [
@@ -141,7 +146,7 @@ def _cmd_knot(args) -> tuple[list[str], list[str], dict]:
             f"alexander = {row['alexander']}",
             f"seifert = {row['seifert'] if row['seifert'] is not None else '(registered by polynomial)'}",
         ]
-        return [], body, {"command": "knot-show", "knot": row}
+        return list, body, lambda: {"command": "knot-show", "knot": row}
     # register: reject a clash with any knot this command sees, the environment's
     # included, then keep the records for later commands
     records = load_knot_file(args.file)
@@ -149,20 +154,19 @@ def _cmd_knot(args) -> tuple[list[str], list[str], dict]:
     session_knots = session_knots.with_records(records)
     rows = [r.to_row() for r in records]
     body = [f"registered {r['name']}  fibered={_bool(r['fibered'])}  alexander = {r['alexander']}" for r in rows]
-    return [], body, {"command": "knot-register", "registered": rows}
+    return list, body, lambda: {"command": "knot-register", "registered": rows}
 
 
-def _cmd_sw3(args) -> tuple[list[str], list[str], dict]:
+def _cmd_sw3(args) -> _Output:
     manifold = load_spec(args.spec)
-    header = [
+    sw3 = str(manifold.sw3)
+    header = lambda: [
         f"manifold = {manifold.name}",
         f"basis = {' '.join(manifold.basis.names)}",
         f"b1 = {manifold.b1}",
         f"fibered = {_bool(manifold.fibered)}",
     ]
-    sw3 = str(manifold.sw3)
-    body = [f"sw3 = {sw3}"]
-    payload = {
+    return header, [f"sw3 = {sw3}"], lambda: {
         "command": "sw3",
         "manifold": manifold.name,
         "basis": list(manifold.basis.names),
@@ -171,24 +175,21 @@ def _cmd_sw3(args) -> tuple[list[str], list[str], dict]:
         "provenance": list(manifold.provenance),
         "sw3": sw3,
     }
-    return header, body, payload
 
 
-def _cmd_fold(args) -> tuple[list[str], list[str], dict]:
+def _cmd_fold(args) -> _Output:
     manifold = load_spec(args.spec)
     folded = fold(manifold, args.chi)
-    header = [f"manifold = {manifold.name}", f"chi = {folded.chi_text}"]
     if folded.product_case:
-        header.append("product case: zero Euler class, 4-manifold invariants equal the unfolded polynomial")
-        pivot_name = None
-        modulus = None
+        pivot_name = modulus = None
+        case = "product case: zero Euler class, 4-manifold invariants equal the unfolded polynomial"
     else:
         pivot_name = manifold.basis.names[folded.quotient.pivot]
         modulus = folded.quotient.modulus
-        header.append(f"pivot = {pivot_name}, modulus = {modulus}")
+        case = f"pivot = {pivot_name}, modulus = {modulus}"
     sw4 = str(folded.poly)
-    body = [f"sw4 = {sw4}"]
-    payload = {
+    header = lambda: [f"manifold = {manifold.name}", f"chi = {folded.chi_text}", case]
+    return header, [f"sw4 = {sw4}"], lambda: {
         "command": "fold",
         "manifold": manifold.name,
         "chi": folded.chi_text,
@@ -198,11 +199,9 @@ def _cmd_fold(args) -> tuple[list[str], list[str], dict]:
         "sw4": sw4,
         "coefficient_sum": folded.poly.eval_ones(),
     }
-    return header, body, payload
 
 
-def _cmd_bundle(args) -> tuple[list[str], list[str], dict]:
-    header = [f"genus = {args.genus}, euler = {args.euler}"]
+def _cmd_bundle(args) -> _Output:
     direct = closed = direct_text = closed_text = match = None
     body = []
     if args.method in ("direct", "both"):
@@ -216,7 +215,7 @@ def _cmd_bundle(args) -> tuple[list[str], list[str], dict]:
     if args.method == "both":
         match = equal_up_to_sign(direct, closed)
         body.append("MATCH (up to sign)" if match else "MISMATCH")
-    payload = {
+    return lambda: [f"genus = {args.genus}, euler = {args.euler}"], body, lambda: {
         "command": "bundle",
         "genus": args.genus,
         "euler": args.euler,
@@ -225,52 +224,45 @@ def _cmd_bundle(args) -> tuple[list[str], list[str], dict]:
         "closed": closed_text,
         "match": match,
     }
-    return header, body, payload
 
 
-def _cmd_obstruct(args) -> tuple[list[str], list[str], dict]:
+def _cmd_obstruct(args) -> _Output:
     manifold = load_spec(args.spec)
     report = taubes_report(manifold, args.chi)
     product_case = report.chi is None
     chi = "0" if product_case else report.chi.text
     source = f"{manifold.name} [chi = {chi}{' (product case)' if product_case else ''}]"
-    sw4 = report.digest
-    header = [f"source = {source}", f"sw4 = {sw4}"]
     units = " ".join(str(list(u)) for u in report.unit_classes) or "(none)"
     body = [
         f"obstructed = {_bool(report.obstructed)}",
         f"unit classes: {units}",
         f"fibered orbit = {_bool(manifold.fibered)}",
     ]
-    payload = {
+    return lambda: [f"source = {source}", f"sw4 = {report.digest}"], body, lambda: {
         "command": "obstruct",
         "manifold": manifold.name,
         "source": source,
         "chi": chi,
         "product_case": product_case,
-        "sw4": sw4,
+        "sw4": report.digest,
         "obstructed": report.obstructed,
         "unit_classes": [list(u) for u in report.unit_classes],
         "fibered_orbit": manifold.fibered,
     }
-    return header, body, payload
 
 
-def _cmd_search(args) -> tuple[list[str], list[str], dict]:
+def _cmd_search(args) -> _Output:
     manifold = load_spec(args.spec)
     result = euler_search(manifold, args.box)
     note = stabilization_note(manifold, args.box)
-    chis = [e.chi.text for e in result.entries]
-    header = [f"manifold = {manifold.name}, box = {result.box}"]
-    if not (args.quiet or args.json):  # the only place digests are printed
-        header += [
-            f"chi = {chi} | obstructed = {_bool(e.obstructed)} | "
-            f"injective = {_bool(e.injective)} | sw4 = {e.digest}"
-            for chi, e in zip(chis, result.entries)
-        ]
     body = [f"all_obstructed = {_bool(result.all_obstructed)} ({len(result.entries)} entries)"]
     body += note.splitlines()
-    payload = {
+    header = lambda: [f"manifold = {manifold.name}, box = {result.box}"] + [
+        f"chi = {e.chi.text} | obstructed = {_bool(e.obstructed)} | "
+        f"injective = {_bool(e.injective)} | sw4 = {digest}"
+        for e, digest in zip(result.entries, result.digests())
+    ]
+    return header, body, lambda: {
         "command": "search",
         "manifold": manifold.name,
         "box": result.box,
@@ -278,16 +270,15 @@ def _cmd_search(args) -> tuple[list[str], list[str], dict]:
         "count": len(result.entries),
         "entries": [
             {
-                "chi": chi,
+                "chi": e.chi.text,
                 "obstructed": e.obstructed,
                 "unit_classes": [list(u) for u in e.unit_classes],
                 "injective": e.injective,
             }
-            for chi, e in zip(chis, result.entries)
+            for e in result.entries
         ],
         "stabilization": note,
     }
-    return header, body, payload
 
 
 # -- parser / dispatch --------------------------------------------------
@@ -353,14 +344,9 @@ def run(argv) -> OutputRecord:
     argv = list(argv)
     args = build_parser().parse_args(argv)
     header, body, payload = _HANDLERS[args.command](args)
-    lines = body if args.quiet else header + body
-    return OutputRecord(
-        command=tuple(argv),
-        text="\n".join(lines),
-        payload=payload,
-        status=0,
-        json_output=args.json,
-    )
+    if args.json:
+        return OutputRecord(command=tuple(argv), payload=payload(), json_output=True)
+    return OutputRecord(command=tuple(argv), text="\n".join(body if args.quiet else header() + body))
 
 
 def main(argv=None) -> int:

@@ -118,6 +118,16 @@ def canonical_rep(quotient: QuotientLattice, exp: Sequence[int]) -> tuple[int, .
     return tuple(e - k * c for e, c in zip(exp, chi))
 
 
+def _require_canonical(exps, pivot: int, modulus: int) -> None:
+    """Raise unless every exponent's pivot coordinate lies in [0, modulus)."""
+    for exp in exps:
+        if not 0 <= exp[pivot] < modulus:
+            raise StructuralError(
+                f"exponent {exp} is not a canonical representative "
+                f"(pivot {pivot}, modulus {modulus})"
+            )
+
+
 @dataclass(frozen=True)
 class FoldedSW:
     """Terminal fold result: polynomial over canonical coset representatives.
@@ -132,13 +142,7 @@ class FoldedSW:
 
     def __post_init__(self):
         if self.quotient is not None:
-            pivot, modulus = self.quotient.pivot, self.quotient.modulus
-            for exp in self.poly._terms:
-                if not 0 <= exp[pivot] < modulus:
-                    raise StructuralError(
-                        f"exponent {exp} is not a canonical representative "
-                        f"(pivot {pivot}, modulus {modulus})"
-                    )
+            _require_canonical(self.poly._terms, self.quotient.pivot, self.quotient.modulus)
 
     @property
     def product_case(self) -> bool:

@@ -323,14 +323,39 @@ def _balanced_digits(value: int, base: int, count: int) -> list[int]:
     return digits
 
 
-def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]]) -> str:
-    """The one renderer: text form of terms already in canonical order."""
+def _pack(vector: Sequence[int], base: int) -> int:
+    """One integer for vector, first entry most significant; ``_unpack`` inverts it.
+
+    With every entry in [-(base//2), base//2] and base odd, the codes of
+    vectors compare like the vectors, and adding codes adds vectors.
+    """
+    code = 0
+    for e in vector:
+        code = code * base + e
+    return code
+
+
+def _unpack(code: int, base: int, rank: int) -> tuple[int, ...]:
+    """The ``rank`` balanced digits of code, most significant first (inverse of ``_pack``)."""
+    return tuple(reversed(_balanced_digits(code, base, rank)))
+
+
+def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]], memo: dict | None = None) -> str:
+    """The one renderer: text form of terms already in canonical order.
+
+    ``memo`` maps (exponent, magnitude) to a term's body; a caller that
+    renders many polynomials over one basis passes one dict to all of them.
+    """
     if not terms:
         return "0"
+    memo = {} if memo is None else memo
     pieces = []
     try:
         for exp, coeff in terms:
-            body = _term_body(basis, abs(coeff), exp)
+            key = exp, abs(coeff)
+            body = memo.get(key)
+            if body is None:
+                body = memo[key] = _term_body(basis, key[1], exp)
             if not pieces:
                 pieces.append(("-" if coeff < 0 else "") + body)
             else:

@@ -3,10 +3,13 @@
 A symplectic 4-manifold with b_+ >= 2 must carry a class with SW
 invariant exactly +-1 (the canonical class), so a folded SW polynomial
 with no unit coefficient obstructs every symplectic structure, with
-either orientation.  :func:`taubes_report` is the one per-class
-verdict: it folds once and reads injectivity and the unit classes off
-the sorted folded terms.  :func:`euler_search` collects one report per
-Euler class in a box (one per antipodal pair), and
+either orientation.  :func:`taubes_report` is the per-class verdict: it
+folds once with :func:`~swfold.fold.fold` and reads injectivity and the
+unit classes off the sorted folded terms.  :func:`euler_search` makes
+one report per Euler class in a box (one per antipodal pair) by a
+packed sweep: every exponent is one integer, so a fold is one integer
+shift per term, and :func:`taubes_report` is the reference it is tested
+against.  Both read the verdict off the sorted terms with one helper.
 :func:`colliding_classes` lists exactly the classes whose folds merge
 terms, so every class outside that set keeps the unfolded verdict.
 """
@@ -15,14 +18,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations, product
 from math import gcd, isqrt
 
 from .errors import DomainError
-from .fold import EulerClass, fold
-from .laurent import Basis, LaurentPoly, _balanced_digits, _render
-from .manifolds import ThreeManifold
+from .fold import EulerClass, _require_canonical, fold
+from .laurent import Basis, LaurentPoly, _accumulate, _pack, _render, _unpack
+from .manifolds import ThreeManifold, require_b_plus
 
 
 @dataclass(frozen=True)
@@ -62,23 +64,24 @@ def unit_classes(poly: LaurentPoly) -> tuple[tuple[int, ...], ...]:
     return _units(poly.terms())
 
 
+def _read_off(manifold: ThreeManifold, chi: EulerClass | None, terms) -> ObstructionReport:
+    """The verdict on the sorted folded terms of ``manifold`` by ``chi``.
+
+    ``injective``: no two terms merged, since a merge leaves fewer cosets
+    than terms and a cancellation needs a merge first.
+    """
+    return ObstructionReport(chi=chi, basis=manifold.basis, injective=len(terms) == len(manifold.sw3),
+                             terms=terms, unit_classes=_units(terms))
+
+
 def taubes_report(manifold: ThreeManifold, chi) -> ObstructionReport:
     """Fold ``manifold`` by ``chi`` once (see :func:`~swfold.fold.fold`) and scan it.
 
-    The one per-class verdict path: the folded terms are sorted once, and
-    ``injective`` (no two terms merged, since a merge leaves fewer cosets
-    than terms and a cancellation needs a merge first) and the unit
-    classes are read off that one list.
+    The folded terms are sorted once and the verdict is read off that one
+    list.  This is the reference :func:`euler_search` is tested against.
     """
     folded = fold(manifold, chi)
-    terms = folded.poly.terms()
-    return ObstructionReport(
-        chi=None if folded.product_case else folded.quotient.euler,
-        basis=manifold.basis,
-        injective=len(terms) == len(manifold.sw3),
-        terms=terms,
-        unit_classes=_units(terms),
-    )
+    return _read_off(manifold, None if folded.product_case else folded.quotient.euler, folded.poly.terms())
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,11 @@ class SearchResult:
     @property
     def all_obstructed(self) -> bool:
         return all(e.obstructed for e in self.entries)
+
+    def digests(self) -> tuple[str, ...]:
+        """Every entry's digest, in one pass that renders each distinct term once."""
+        memo = {}
+        return tuple(_render(e.basis, e.terms, memo) for e in self.entries)
 
 
 def _half_box(rank: int, box: int):
@@ -112,13 +120,40 @@ def _check_box(box) -> None:
 def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
     """Report on every Euler class in the box, one per antipodal pair.
 
-    One :func:`taubes_report` per class, ((2B+1)^r - 1)/2 of them; the
-    entries come out in chi order.
+    ((2B+1)^r - 1)/2 entries in chi order, each equal to
+    :func:`taubes_report` on its class.  The sweep packs each sw3
+    exponent once into a balanced base-R integer, with R wide enough for
+    every canonical representative of every class in the box.  A class
+    chi with pivot p and modulus m then folds each term by one shift,
+    ``code - (e_p // m) * pack(chi)``, into an int-keyed dict that keeps
+    the term invariant; the multipliers are shared by every class with
+    that pivot and modulus.  Sorting codes sorts terms, and each distinct
+    code is decoded once per search.
     """
     _check_box(box)
-    basis = manifold.basis
-    return SearchResult(box=box, entries=tuple(
-        taubes_report(manifold, EulerClass(basis, vector)) for vector in _half_box(basis.rank, box)))
+    require_b_plus(manifold)
+    basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
+    # |e - k*chi| <= s + s*box for coordinates |e| <= s, since |k| = |e_p // m| <= s
+    s = max((abs(e) for exp in sw3 for e in exp), default=0)
+    base = 2 * s * (box + 1) + 1
+    codes, coeffs = [_pack(exp, base) for exp in sw3], list(sw3.values())
+    shifts, decoded, entries = {}, {}, []
+    for vector in _half_box(rank, box):
+        pivot = next(i for i, c in enumerate(vector) if c)
+        modulus = vector[pivot]
+        ks = shifts.get((pivot, modulus))
+        if ks is None:
+            ks = shifts[pivot, modulus] = [exp[pivot] // modulus for exp in sw3]
+        step = _pack(vector, base)
+        folded = _accumulate({}, zip([code - k * step for code, k in zip(codes, ks)], coeffs))
+        for code in set(folded).difference(decoded):  # O(len(folded)), unlike keys() - keys()
+            decoded[code] = _unpack(code, base, rank)
+        order = sorted(folded)
+        exps = tuple(map(decoded.__getitem__, order))
+        _require_canonical(exps, pivot, modulus)
+        terms = tuple(zip(exps, map(folded.__getitem__, order)))
+        entries.append(_read_off(manifold, EulerClass(basis, vector), terms))
+    return SearchResult(box=box, entries=tuple(entries))
 
 
 def _coefficient_multiset(manifold: ThreeManifold) -> str:
@@ -145,10 +180,10 @@ def colliding_classes(manifold: ThreeManifold) -> tuple[tuple[int, ...], ...]:
     # sign every class here is normalized to, and division by k > 0 keeps it.
     width = max((max(col) - min(col) for col in zip(*support)), default=0)
     base, rank = 2 * width + 1, manifold.basis.rank
-    codes = [reduce(lambda code, e: code * base + e, exp, 0) for exp in support]
+    codes = [_pack(exp, base) for exp in support]
     out = set()
     for value in {b - a for a, b in combinations(codes, 2)}:
-        diff = tuple(reversed(_balanced_digits(value, base, rank)))
+        diff = _unpack(value, base, rank)
         g = gcd(*diff)
         for d in range(1, isqrt(g) + 1):
             if g % d == 0:

@@ -147,15 +147,16 @@ class TestTextOutputs:
         assert "all_obstructed = true (62 entries)" in record.text
         assert "no units" in record.text  # stabilization note is appended
 
-    @pytest.mark.parametrize("flags, renders", [((), 2 * 62), (("--json",), 62), (("--quiet",), 62)])
+    @pytest.mark.parametrize("flags, renders", [((), 2 * 62), (("--json",), 62), (("--quiet",), 0)])
     def test_search_renders_digests_only_when_printed(self, monkeypatch, flags, renders):
-        """One render per chi text in every mode, plus one per digest in the text header."""
+        """One render per chi text and one per digest in the text header, chi texts alone
+        in the JSON payload, and none for --quiet, which prints neither."""
         calls = []
         render = sys.modules["swfold.laurent"]._render
 
-        def counting(basis, terms):
+        def counting(basis, terms, memo=None):
             calls.append(terms)
-            return render(basis, terms)
+            return render(basis, terms, memo)
 
         for module in ("laurent", "fold", "obstruction"):  # every binding of the renderer
             monkeypatch.setattr(sys.modules[f"swfold.{module}"], "_render", counting)
@@ -396,7 +397,11 @@ class TestMalformedInputs:
         path = tmp_path / "huge-genus.json"
         path.write_text('{"base": {"surface_x_s1": ' + "1" * 5000 + "}}")
         assert main(["sw3", str(path)]) == 2
-        self.assert_one_error_line(capsys, f"error[spec]: {path}: invalid JSON: ")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error[spec]: {path}: invalid JSON: an integer has more than 4300 digits, "
+                       "Python's limit for converting text to int\n")
+        assert "set_int_max_str_digits" not in err
 
     def test_result_too_large_to_print(self, capsys):
         # coefficients near 2^14397 have 4334 digits

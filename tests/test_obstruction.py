@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from swfold.alexander import BUILTIN_KNOTS
 from swfold.errors import DomainError, HypothesisError
 from swfold.fold import EulerClass, QuotientLattice, canonical_rep, fold, fold_bruteforce
-from swfold.laurent import Basis, LaurentPoly, to_text
+from swfold.laurent import Basis, LaurentPoly, _render, to_text
 from swfold.manifolds import ThreeManifold, fiber_sum_with_knot, surface_times_circle, three_torus
 from swfold.obstruction import (
     colliding_classes,
@@ -131,6 +131,33 @@ class TestEulerSearch:
                 assert entry.unit_classes == unit_classes(oracle)
                 cancelled += len(oracle) < len(cosets)
         assert cancelled > 0  # merged coefficients that cancel must be exercised
+
+    @settings(max_examples=30)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3))
+    def test_packed_sweep_equals_taubes_report(self, rng, box):
+        """The packed sweep against the single-class fold path, entry for entry."""
+        m = random_manifold(rng, random_basis(rng))
+        result = euler_search(m, box)
+        for entry in result.entries:
+            reference = taubes_report(m, entry.chi)
+            assert (entry.chi, entry.injective, entry.terms, entry.unit_classes, entry.digest) == (
+                reference.chi, reference.injective, reference.terms, reference.unit_classes, reference.digest)
+        for entry in rng.sample(result.entries, min(5, len(result.entries))):
+            assert entry.terms == fold_bruteforce(m, entry.chi).poly.terms()
+        assert result.digests() == tuple(_render(e.basis, e.terms) for e in result.entries)
+
+    def test_representatives_at_the_packing_bound(self):
+        """Coordinates of +-s folded by chi = (1, B) reach +-s*(B+1), the widest code digit."""
+        s, box = 3, 2
+        basis = Basis(("x1", "x2"))
+        sw3 = LaurentPoly(basis, {(s, -s): 2, (-s, s): 2, (s, s): -1, (-s, -s): -1, (0, 0): 3, (1, -2): 1, (-1, 2): 1})
+        m = ThreeManifold(name="edge", basis=basis, b1=3, sw3=sw3, fibered=False, provenance=("edge",))
+        result = euler_search(m, box)
+        widest = max(abs(e) for entry in result.entries for exp, _ in entry.terms for e in exp)
+        assert widest == s * (box + 1)
+        for entry in result.entries:
+            assert entry == taubes_report(m, entry.chi)
+            assert entry.terms == fold_bruteforce(m, entry.chi).poly.terms()
 
     def test_bad_box_rejected(self, fig8_pair):
         with pytest.raises(DomainError):
