@@ -258,9 +258,9 @@ def _cmd_search(args) -> _Output:
     body = [f"all_obstructed = {_bool(result.all_obstructed)} ({len(result.entries)} entries)"]
     body += note.splitlines()
     header = lambda: [f"manifold = {manifold.name}, box = {result.box}"] + [
-        f"chi = {e.chi.text} | obstructed = {_bool(e.obstructed)} | "
+        f"chi = {chi} | obstructed = {_bool(e.obstructed)} | "
         f"injective = {_bool(e.injective)} | sw4 = {digest}"
-        for e, digest in zip(result.entries, result.digests())
+        for e, chi, digest in zip(result.entries, result.chi_texts(), result.digests())
     ]
     return header, body, lambda: {
         "command": "search",
@@ -270,12 +270,12 @@ def _cmd_search(args) -> _Output:
         "count": len(result.entries),
         "entries": [
             {
-                "chi": e.chi.text,
+                "chi": chi,
                 "obstructed": e.obstructed,
                 "unit_classes": [list(u) for u in e.unit_classes],
                 "injective": e.injective,
             }
-            for e in result.entries
+            for e, chi in zip(result.entries, result.chi_texts())
         ],
         "stabilization": note,
     }

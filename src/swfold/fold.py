@@ -6,8 +6,11 @@ is at least 2, the SW coefficient of X at a pulled-back class equals the
 sum of the SW coefficients of M over the corresponding coset of the
 integer span of chi.  This module implements that coset fold, a
 brute-force oracle for it, and the two circle-bundle-over-a-surface
-specializations.  Whether a fold merges terms, and the verdict on it,
-are read off the folded terms by :func:`swfold.obstruction.taubes_report`.
+specializations, which both read the O(g)-term row of (t - 1/t)^(2g-2)
+built by :func:`~swfold.manifolds.surface_times_circle`; ``bundle
+--method both`` compares the :func:`canonical_rep` fold of that row with
+its ``%`` residue map.  Whether a fold merges terms, and the verdict on
+it, are read off the folded terms by :func:`swfold.obstruction.taubes_report`.
 
 Folded results are terminal values: their exponents are canonical coset
 representatives (pivot coordinate reduced into [0, chi_pivot)), on which
@@ -72,9 +75,11 @@ class EulerClass:
     @property
     def text(self) -> str:
         """Canonical rendering, e.g. ``"4*m1"`` or ``"2*m2 - m1"`` (last variable first)."""
-        rank = len(self.chi)
-        return _render(self.basis, [(tuple(int(j == i) for j in range(rank)), self.chi[i])
-                                    for i in reversed(range(rank)) if self.chi[i]])
+        return self._text(tuple(map(self.basis.unit, self.basis.names)), {})
+
+    def _text(self, units, memo: dict) -> str:
+        """``text`` from the basis unit vectors; classes over one basis may share both arguments."""
+        return _render(self.basis, [(units[i], c) for i, c in reversed(tuple(enumerate(self.chi))) if c], memo)
 
     def __neg__(self) -> EulerClass:
         return EulerClass(self.basis, tuple(-c for c in self.chi))
@@ -212,7 +217,6 @@ def fold_poly_bruteforce(poly: LaurentPoly, quotient: QuotientLattice) -> Lauren
                     break
 
     pivot, modulus = quotient.pivot, quotient.modulus
-    acc: dict[tuple[int, ...], int] = {}
     labels: dict[int, tuple[int, ...]] = {}
     for idx, exp in enumerate(support):
         root = find(idx)
@@ -225,13 +229,7 @@ def fold_poly_bruteforce(poly: LaurentPoly, quotient: QuotientLattice) -> Lauren
             in_range = [c for c in candidates if 0 <= c[pivot] < modulus]
             assert len(in_range) == 1, "exactly one shift lands the pivot in range"
             labels[root] = in_range[0]
-        rep = labels[root]
-        total = acc.get(rep, 0) + poly.coeff(exp)
-        if total:
-            acc[rep] = total
-        else:
-            acc.pop(rep, None)
-    return LaurentPoly(poly.basis, acc)
+    return LaurentPoly(poly.basis, ((labels[find(i)], poly.coeff(e)) for i, e in enumerate(support)))
 
 
 def _fold_with(fold_fn, manifold: ThreeManifold, chi) -> FoldedSW:
@@ -262,9 +260,9 @@ def fold_bruteforce(manifold: ThreeManifold, chi) -> FoldedSW:
 def circle_bundle_sw_direct(genus: int, euler_number: int) -> FoldedSW:
     """SW polynomial of a circle bundle over a genus-g surface, by folding.
 
-    Folds (t - 1/t)^(2g-2) over the span of the Euler number; exponents
-    in the result are residues in [0, |n|).  A zero Euler number returns
-    the labeled product case.
+    Folds the row (t - 1/t)^(2g-2) over the span of the Euler number
+    (O(g) terms); exponents in the result are residues in [0, |n|).  A
+    zero Euler number returns the labeled product case.
     """
     manifold = surface_times_circle(genus)
     if not isinstance(euler_number, int) or isinstance(euler_number, bool):
@@ -275,28 +273,18 @@ def circle_bundle_sw_direct(genus: int, euler_number: int) -> FoldedSW:
 def circle_bundle_sw_closed_form(genus: int, euler_number: int) -> FoldedSW:
     """Same bundle polynomial via the alternating-binomial sum.
 
-    (t - 1/t)^(2g-2) is the sum over j in 0..2g-2 of
-    (-1)^j * C(2g-2, j) * t^(2(j-g+1)), the usual expansion read
-    backwards (the polynomial is symmetric under t -> 1/t).  The j-th
-    term lands on the canonical residue 2(j-g+1) mod |n|, and the sum is
-    multiplied by sign(n), so the result is exponent-for-exponent
-    comparable with :func:`circle_bundle_sw_direct` (up to one overall
-    sign).  Each binomial comes from the one before it, so the work is
-    the 2g-1 terms, whatever the size of n.
+    Maps each term of the row that :func:`~swfold.manifolds.surface_times_circle`
+    builds to its residue mod |n| by ``%`` (not :func:`canonical_rep`) and
+    multiplies by sign(n): comparable with :func:`circle_bundle_sw_direct`
+    exponent for exponent, up to one overall sign, in O(g) terms.
     """
-    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 1:
-        raise DomainError(f"genus must be an integer >= 1, got {genus!r}")
+    row = surface_times_circle(genus).sw3
     if not isinstance(euler_number, int) or isinstance(euler_number, bool) or euler_number == 0:
         raise DomainError("Euler number must be a nonzero integer for the closed form")
-    degree = 2 * genus - 2
-    modulus = abs(euler_number)
-    binomial = 1 if euler_number > 0 else -1  # sign(n) * (-1)^j * C(degree, j)
-    terms = []
-    for j in range(degree + 1):
-        terms.append(((2 * (j - genus + 1) % modulus,), binomial))
-        binomial = -binomial * (degree - j) // (j + 1)
+    modulus, sign = abs(euler_number), (1 if euler_number > 0 else -1)
+    residues = (((e % modulus,), sign * c) for (e,), c in row._terms.items())
     quotient = QuotientLattice(EulerClass(CIRCLE_BASIS, (euler_number,)))
-    return FoldedSW(quotient=quotient, poly=LaurentPoly(CIRCLE_BASIS, terms))
+    return FoldedSW(quotient=quotient, poly=LaurentPoly._of(CIRCLE_BASIS, _accumulate({}, residues)))
 
 
 def equal_up_to_sign(a: FoldedSW, b: FoldedSW) -> bool:

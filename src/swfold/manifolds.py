@@ -64,16 +64,21 @@ def surface_times_circle(genus: int) -> ThreeManifold:
     """Product of a genus-g surface with the circle: SW = (t - 1/t)^(2g-2).
 
     The polynomial basis tracks only the circle-fiber direction, where
-    all the SW support lives; b_1 records the full rank 2g + 1.
+    all the SW support lives; b_1 records the full rank 2g + 1.  This is
+    the one binomial row, read by both bundle routes of :mod:`swfold.fold`:
+    (-1)^j * C(2g-2, j) at t^(2j-2g+2), each stepped from the last in O(g).
     """
     if not isinstance(genus, int) or isinstance(genus, bool) or genus < 1:
         raise DomainError(f"genus must be an integer >= 1, got {genus!r}")
-    t = LaurentPoly(CIRCLE_BASIS, {(1,): 1, (-1,): -1})
+    degree, terms, binomial = 2 * genus - 2, {}, 1  # binomial = (-1)^j * C(degree, j)
+    for j in range(degree + 1):
+        terms[(2 * j - degree,)] = binomial
+        binomial = -binomial * (degree - j) // (j + 1)
     return ThreeManifold(
         name=f"S{genus}xS1",
         basis=CIRCLE_BASIS,
         b1=2 * genus + 1,
-        sw3=t ** (2 * genus - 2),
+        sw3=LaurentPoly._of(CIRCLE_BASIS, terms),
         fibered=True,
         provenance=(f"surface_x_s1(genus={genus})",),
     )

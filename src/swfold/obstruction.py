@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, isqrt
+from typing import Iterator
 
 from .errors import DomainError
 from .fold import EulerClass, _require_canonical, fold
@@ -97,6 +98,12 @@ class SearchResult:
         """Every entry's digest, in one pass that renders each distinct term once."""
         memo = {}
         return tuple(_render(e.basis, e.terms, memo) for e in self.entries)
+
+    def chi_texts(self) -> Iterator[str]:
+        """Every entry's ``chi.text`` in order (entries share one basis), through one memo and unit vectors."""
+        basis, memo = self.entries[0].basis, {}
+        units = tuple(map(basis.unit, basis.names))
+        return (e.chi._text(units, memo) for e in self.entries)
 
 
 def _half_box(rank: int, box: int):

@@ -307,6 +307,20 @@ class TestFoldProperties:
             quotient = quotient_of(basis, random_chi(rng, basis.rank))
             assert fold_poly(p + q, quotient) == fold_poly(p, quotient) + fold_poly(q, quotient)
 
+    def test_coarsening(self):
+        """Folding by k*chi and then by chi is folding by chi: span(k*chi) lies in span(chi)."""
+        rng = random.Random(73)
+        for _ in range(200):
+            basis = random_basis(rng)
+            m = random_manifold(rng, basis)
+            chi = random_chi(rng, basis.rank)
+            coarse = quotient_of(basis, chi)
+            once = fold_poly(m.sw3, coarse)
+            assert once == fold_poly_bruteforce(m.sw3, coarse)
+            for k in (2, 3, 4):
+                fine = quotient_of(basis, tuple(k * c for c in chi))
+                assert fold_poly(fold_poly(m.sw3, fine), coarse) == once, (chi, k)
+
     def test_symmetric_input_gives_cosetwise_symmetric_output(self):
         rng = random.Random(71)
         for _ in range(100):
@@ -398,6 +412,20 @@ class TestCircleBundles:
             closed = circle_bundle_sw_closed_form(3, n)
             assert equal_up_to_sign(closed, circle_bundle_sw_direct(3, n)), n
             assert len(closed.poly) == 5
+
+    def test_large_genus_routes_equal_binomial_residues(self):
+        """Both routes at g = 2000 against the math.comb expansion reduced mod |n|."""
+        genus, n = 2000, 4
+        degree = 2 * genus - 2
+        expected = {}
+        for j in range(degree + 1):
+            key = ((degree - 2 * j) % n,)
+            expected[key] = expected.get(key, 0) + (-1) ** j * math.comb(degree, j)
+        expected = LaurentPoly(Basis(("t",)), expected)
+        direct, closed = circle_bundle_sw_direct(genus, n), circle_bundle_sw_closed_form(genus, n)
+        assert equal_up_to_sign(direct, closed)
+        assert direct.poly == expected and closed.poly == expected
+        assert circle_bundle_sw_closed_form(genus, -n).poly == -expected
 
     def test_direct_matches_bruteforce_oracle(self):
         for genus in range(1, 6):

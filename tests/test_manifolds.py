@@ -1,6 +1,8 @@
 """Manifold constructions and fold-hypothesis checks."""
 
 import dataclasses
+import math
+from collections import Counter
 
 import pytest
 
@@ -54,6 +56,27 @@ class TestSurfaceTimesCircle:
     def test_bad_genus(self, bad):
         with pytest.raises(DomainError):
             surface_times_circle(bad)
+
+    @pytest.mark.parametrize("genus", [*range(1, 41), 200])
+    def test_row_equals_power_and_binomial_expansion(self, genus):
+        """The stepped row against the ring power and against math.comb, term for term."""
+        m = surface_times_circle(genus)
+        degree = 2 * genus - 2
+        assert m.sw3 == from_text("t - t^-1", m.basis) ** degree
+        assert m.sw3._terms == {(degree - 2 * j,): (-1) ** j * math.comb(degree, j) for j in range(degree + 1)}
+
+    def test_row_makes_no_ring_products(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(LaurentPoly, name)
+            return lambda *args: calls.update([name]) or original(*args)
+
+        for name in ("__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(LaurentPoly, name, counting(name))
+        m = surface_times_circle(200)
+        assert len(m.sw3) == 399 and calls == Counter()
+        assert m.sw3 ** 1 == m.sw3 and calls["__pow__"] == 1  # the wrappers are in place
 
 
 class TestFiberSum:

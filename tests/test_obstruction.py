@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +146,7 @@ class TestEulerSearch:
         for entry in rng.sample(result.entries, min(5, len(result.entries))):
             assert entry.terms == fold_bruteforce(m, entry.chi).poly.terms()
         assert result.digests() == tuple(_render(e.basis, e.terms) for e in result.entries)
+        assert tuple(result.chi_texts()) == tuple(e.chi.text for e in result.entries)
 
     def test_representatives_at_the_packing_bound(self):
         """Coordinates of +-s folded by chi = (1, B) reach +-s*(B+1), the widest code digit."""
@@ -158,6 +160,20 @@ class TestEulerSearch:
         for entry in result.entries:
             assert entry == taubes_report(m, entry.chi)
             assert entry.terms == fold_bruteforce(m, entry.chi).poly.terms()
+
+    def test_chi_texts_share_one_memo(self, five2_pair, monkeypatch):
+        """One render per entry through one memo, bytes equal to each ``EulerClass.text``."""
+        result = euler_search(five2_pair, 3)
+        expected = tuple(e.chi.text for e in result.entries)
+        memos = []
+
+        def recording(basis, terms, memo=None):
+            memos.append(memo)
+            return _render(basis, terms, memo)
+
+        monkeypatch.setattr(sys.modules["swfold.fold"], "_render", recording)
+        assert tuple(result.chi_texts()) == expected
+        assert len(memos) == len(result.entries) and len({id(m) for m in memos}) == 1
 
     def test_bad_box_rejected(self, fig8_pair):
         with pytest.raises(DomainError):
