@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import DomainError, ParseError, StructuralError
 from .laurent import Basis, LaurentPoly, _accumulate, _render, from_text
-from .manifolds import CIRCLE_BASIS, ThreeManifold, require_b_plus, surface_times_circle
+from .manifolds import CIRCLE_BASIS, ThreeManifold, _check_genus, require_b_plus, surface_times_circle
 
 
 def euler_vector_from_text(text: str, basis: Basis) -> tuple[int, ...]:
@@ -264,10 +264,10 @@ def circle_bundle_sw_direct(genus: int, euler_number: int) -> FoldedSW:
     (O(g) terms); exponents in the result are residues in [0, |n|).  A
     zero Euler number returns the labeled product case.
     """
-    manifold = surface_times_circle(genus)
+    _check_genus(genus)
     if not isinstance(euler_number, int) or isinstance(euler_number, bool):
         raise DomainError(f"Euler number must be an integer, got {euler_number!r}")
-    return fold(manifold, (euler_number,))
+    return fold(surface_times_circle(genus), (euler_number,))
 
 
 def circle_bundle_sw_closed_form(genus: int, euler_number: int) -> FoldedSW:
@@ -278,9 +278,10 @@ def circle_bundle_sw_closed_form(genus: int, euler_number: int) -> FoldedSW:
     multiplies by sign(n): comparable with :func:`circle_bundle_sw_direct`
     exponent for exponent, up to one overall sign, in O(g) terms.
     """
-    row = surface_times_circle(genus).sw3
+    _check_genus(genus)
     if not isinstance(euler_number, int) or isinstance(euler_number, bool) or euler_number == 0:
         raise DomainError("Euler number must be a nonzero integer for the closed form")
+    row = surface_times_circle(genus).sw3
     modulus, sign = abs(euler_number), (1 if euler_number > 0 else -1)
     residues = (((e % modulus,), sign * c) for (e,), c in row._terms.items())
     quotient = QuotientLattice(EulerClass(CIRCLE_BASIS, (euler_number,)))

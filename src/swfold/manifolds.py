@@ -60,6 +60,12 @@ def three_torus() -> ThreeManifold:
     )
 
 
+def _check_genus(genus) -> None:
+    """The one genus rule, shared with the bundle routes of :mod:`swfold.fold`."""
+    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 1:
+        raise DomainError(f"genus must be an integer >= 1, got {genus!r}")
+
+
 def surface_times_circle(genus: int) -> ThreeManifold:
     """Product of a genus-g surface with the circle: SW = (t - 1/t)^(2g-2).
 
@@ -68,8 +74,7 @@ def surface_times_circle(genus: int) -> ThreeManifold:
     the one binomial row, read by both bundle routes of :mod:`swfold.fold`:
     (-1)^j * C(2g-2, j) at t^(2j-2g+2), each stepped from the last in O(g).
     """
-    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 1:
-        raise DomainError(f"genus must be an integer >= 1, got {genus!r}")
+    _check_genus(genus)
     degree, terms, binomial = 2 * genus - 2, {}, 1  # binomial = (-1)^j * C(degree, j)
     for j in range(degree + 1):
         terms[(2 * j - degree,)] = binomial

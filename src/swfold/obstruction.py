@@ -106,19 +106,6 @@ class SearchResult:
         return (e.chi._text(units, memo) for e in self.entries)
 
 
-def _half_box(rank: int, box: int):
-    """Nonzero integer vectors with |coords| <= box, one per antipodal pair.
-
-    The first nonzero coordinate of every representative is positive,
-    matching the quotient normalization; vectors come out in
-    lexicographic order.
-    """
-    for vector in product(range(-box, box + 1), repeat=rank):
-        first = next((c for c in vector if c != 0), 0)
-        if first > 0:
-            yield vector
-
-
 def _check_box(box) -> None:
     if not isinstance(box, int) or isinstance(box, bool) or box < 1:
         raise DomainError(f"search box must be an integer >= 1, got {box!r}")
@@ -128,14 +115,16 @@ def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
     """Report on every Euler class in the box, one per antipodal pair.
 
     ((2B+1)^r - 1)/2 entries in chi order, each equal to
-    :func:`taubes_report` on its class.  The sweep packs each sw3
-    exponent once into a balanced base-R integer, with R wide enough for
-    every canonical representative of every class in the box.  A class
-    chi with pivot p and modulus m then folds each term by one shift,
-    ``code - (e_p // m) * pack(chi)``, into an int-keyed dict that keeps
-    the term invariant; the multipliers are shared by every class with
-    that pivot and modulus.  Sorting codes sorts terms, and each distinct
-    code is decoded once per search.
+    :func:`taubes_report` on its class.  Classes are generated already
+    normalized, with no filter, in lexicographic order (a later pivot
+    sorts first): pivot p from the last coordinate down, modulus m in
+    1..B, then ``(0,)*p + (m, *rest)`` for every trailing ``rest`` in
+    [-B, B].  Each sw3 exponent is packed once into a balanced base-R
+    integer, R wide enough for every canonical representative in the
+    box, so a class folds each term by one shift, ``code - (e_p // m) *
+    pack(chi)``, into an int-keyed dict that keeps the term invariant;
+    the multipliers are computed once per (pivot, modulus) group.
+    Sorting codes sorts terms; each distinct code is decoded once per search.
     """
     _check_box(box)
     require_b_plus(manifold)
@@ -144,32 +133,22 @@ def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
     s = max((abs(e) for exp in sw3 for e in exp), default=0)
     base = 2 * s * (box + 1) + 1
     codes, coeffs = [_pack(exp, base) for exp in sw3], list(sw3.values())
-    shifts, decoded, entries = {}, {}, []
-    for vector in _half_box(rank, box):
-        pivot = next(i for i, c in enumerate(vector) if c)
-        modulus = vector[pivot]
-        ks = shifts.get((pivot, modulus))
-        if ks is None:
-            ks = shifts[pivot, modulus] = [exp[pivot] // modulus for exp in sw3]
-        step = _pack(vector, base)
-        folded = _accumulate({}, zip([code - k * step for code, k in zip(codes, ks)], coeffs))
-        for code in set(folded).difference(decoded):  # O(len(folded)), unlike keys() - keys()
-            decoded[code] = _unpack(code, base, rank)
-        order = sorted(folded)
-        exps = tuple(map(decoded.__getitem__, order))
-        _require_canonical(exps, pivot, modulus)
-        terms = tuple(zip(exps, map(folded.__getitem__, order)))
-        entries.append(_read_off(manifold, EulerClass(basis, vector), terms))
+    decoded, entries = {}, []
+    for pivot in reversed(range(rank)):
+        for modulus in range(1, box + 1):
+            ks = [exp[pivot] // modulus for exp in sw3]
+            for rest in product(range(-box, box + 1), repeat=rank - 1 - pivot):
+                vector = (0,) * pivot + (modulus, *rest)
+                step = _pack(vector, base)
+                folded = _accumulate({}, zip([code - k * step for code, k in zip(codes, ks)], coeffs))
+                for code in set(folded).difference(decoded):  # O(len(folded)), unlike keys() - keys()
+                    decoded[code] = _unpack(code, base, rank)
+                order = sorted(folded)
+                exps = tuple(map(decoded.__getitem__, order))
+                _require_canonical(exps, pivot, modulus)
+                terms = tuple(zip(exps, map(folded.__getitem__, order)))
+                entries.append(_read_off(manifold, EulerClass(basis, vector), terms))
     return SearchResult(box=box, entries=tuple(entries))
-
-
-def _coefficient_multiset(manifold: ThreeManifold) -> str:
-    counts = Counter(manifold.sw3.coefficients())
-    parts = [
-        f"{value} x{count}" if count > 1 else f"{value}"
-        for value, count in sorted(counts.items())
-    ]
-    return "{" + ", ".join(parts) + "}"
 
 
 def colliding_classes(manifold: ThreeManifold) -> tuple[tuple[int, ...], ...]:
@@ -207,21 +186,19 @@ def stabilization_note(manifold: ThreeManifold, box: int = 5) -> str:
     verdict equals the unfolded one.
     """
     _check_box(box)
-    support = manifold.sw3.support()
+    terms = manifold.sw3.terms()
     lines = [f"manifold {manifold.name}"]
-    if len(support) <= 1:
+    if len(terms) <= 1:
         lines.append("single-term support: every fold is injective")
         lines.append("every verdict equals the unfolded verdict")
         return "\n".join(lines)
 
-    multiset = _coefficient_multiset(manifold)
-    has_unit = bool(unit_classes(manifold.sw3))
-    if has_unit:
-        lines.append(f"unfolded coefficients {multiset}: unit coefficients present; "
-                     "injective folds are not obstructed")
-    else:
-        lines.append(f"unfolded coefficients {multiset}: no units; "
-                     "all injective folds are obstructed")
+    counts = Counter(coeff for _, coeff in terms)
+    multiset = "{" + ", ".join(f"{value} x{count}" if count > 1 else f"{value}"
+                               for value, count in sorted(counts.items())) + "}"
+    verdict = ("unit coefficients present; injective folds are not obstructed" if _units(terms)
+               else "no units; all injective folds are obstructed")
+    lines.append(f"unfolded coefficients {multiset}: {verdict}")
 
     colliders = colliding_classes(manifold)
     largest = max(abs(c) for chi in colliders for c in chi)

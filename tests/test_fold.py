@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -51,6 +52,20 @@ def random_chi(rng: random.Random, rank: int) -> tuple:
         vector = tuple(rng.randint(-6, 6) for _ in range(rank))
         if any(vector):
             return vector
+
+
+def random_unimodular_columns(rng: random.Random, rank: int) -> list:
+    """Columns of a random matrix in GL(rank, Z), built from the identity by column operations."""
+    columns = [[int(i == j) for i in range(rank)] for j in range(rank)]
+    for _ in range(rng.randint(0, 4)):
+        i, j = rng.randrange(rank), rng.randrange(rank)
+        if i == j:
+            columns[i] = [-c for c in columns[i]]
+        else:
+            k = rng.choice((-2, -1, 1, 2))
+            columns[i] = [a + k * b for a, b in zip(columns[i], columns[j])]
+    rng.shuffle(columns)
+    return [tuple(col) for col in columns]
 
 
 # -- Euler class text form ------------------------------------------------
@@ -321,6 +336,28 @@ class TestFoldProperties:
                 fine = quotient_of(basis, tuple(k * c for c in chi))
                 assert fold_poly(fold_poly(m.sw3, fine), coarse) == once, (chi, k)
 
+    def test_gl_covariance(self):
+        """A unimodular A carries cosets of span(chi) onto cosets of span(A*chi).
+
+        So folding A*p by A*chi equals pushing the fold of p through A and
+        re-canonicalizing, and the Taubes verdict does not change.
+        """
+        rng = random.Random(113)
+        for _ in range(240):
+            basis = random_basis(rng)
+            m = random_manifold(rng, basis)
+            chi = random_chi(rng, basis.rank)
+            columns = random_unimodular_columns(rng, basis.rank)
+            images = dict(zip(basis.names, columns))
+            image_chi = tuple(sum(c * col[j] for c, col in zip(chi, columns)) for j in range(basis.rank))
+            moved = m.sw3.reindex(basis, images)
+            quotient = quotient_of(basis, image_chi)
+            folded = fold_poly(moved, quotient)
+            assert folded == fold_poly(fold_poly(m.sw3, quotient_of(basis, chi)).reindex(basis, images), quotient)
+            assert folded == fold_poly_bruteforce(moved, quotient)
+            image = dataclasses.replace(m, sw3=moved)
+            assert taubes_report(image, image_chi).obstructed == taubes_report(m, chi).obstructed
+
     def test_symmetric_input_gives_cosetwise_symmetric_output(self):
         rng = random.Random(71)
         for _ in range(100):
@@ -457,6 +494,22 @@ class TestCircleBundles:
     def test_non_integer_euler_number_rejected(self, method, euler_number):
         with pytest.raises(DomainError, match="Euler number must be"):
             method(2, euler_number)
+
+    @pytest.mark.parametrize("method, genus, euler_number, message", [
+        (circle_bundle_sw_direct, 10**5, 2.0, "Euler number must be an integer, got 2.0"),
+        (circle_bundle_sw_closed_form, 10**5, 0, "Euler number must be a nonzero integer for the closed form"),
+        (circle_bundle_sw_direct, 0, 2.0, "genus must be an integer >= 1, got 0"),
+        (circle_bundle_sw_closed_form, True, 0, "genus must be an integer >= 1, got True"),
+    ])
+    def test_arguments_checked_before_the_row_is_built(self, monkeypatch, method, genus, euler_number, message):
+        """Genus first, then the Euler number, then the row: bad arguments build nothing."""
+        def no_row(genus):
+            raise AssertionError("surface_times_circle called before the arguments were checked")
+
+        monkeypatch.setattr(sys.modules["swfold.fold"], "surface_times_circle", no_row)
+        with pytest.raises(DomainError) as caught:
+            method(genus, euler_number)
+        assert str(caught.value) == message
 
 
 class TestEqualUpToSign:

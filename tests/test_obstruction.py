@@ -2,7 +2,10 @@
 
 import dataclasses
 import random
+import re
 import sys
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,11 +76,19 @@ class TestTaubesReport:
         assert report.injective == (normalized not in colliding_classes(m))
 
 
+def half_box(rank: int, box: int) -> list[tuple[int, ...]]:
+    """Oracle: the box's vectors whose first nonzero entry is positive, in product order."""
+    return [v for v in product(range(-box, box + 1), repeat=rank) if next((c for c in v if c), 0) > 0]
+
+
 class TestEulerSearch:
     def test_entry_count_formula(self, fig8_pair):
         for box in (1, 2):
             result = euler_search(fig8_pair, box)
             assert len(result.entries) == ((2 * box + 1) ** 3 - 1) // 2
+        for box in range(1, 5):
+            for rank in (1, 2, 3):
+                assert len(half_box(rank, box)) == ((2 * box + 1) ** rank - 1) // 2
 
     def test_fig8_pair_not_all_obstructed(self, fig8_pair):
         result = euler_search(fig8_pair, 2)
@@ -103,8 +114,11 @@ class TestEulerSearch:
         a = euler_search(five2_pair, 2)
         b = euler_search(five2_pair, 2)
         assert a == b
-        vectors = [e.chi.chi for e in a.entries]
-        assert vectors == sorted(vectors)
+        rank2 = random_manifold(random.Random(97), Basis(("x1", "x2")))
+        for m in (surface_times_circle(2), rank2, five2_pair):
+            for box in range(1, 5):
+                vectors = [e.chi.chi for e in euler_search(m, box).entries]
+                assert vectors == half_box(m.basis.rank, box) == sorted(vectors), (m.basis.rank, box)
 
     def test_fast_path_agrees_with_full_fold(self, fig8_pair, five2_pair):
         for m in (fig8_pair, five2_pair):
@@ -266,7 +280,48 @@ class TestCollidingClassesOracle:
         assert colliders == colliders_by_pairs(m.sw3.support())
 
 
+def read_note(note: str):
+    """Parse a multi-term note back into (multiset, has_unit, (colliders, bound), missed)."""
+    _, units, merge, cover = note.split("\n")
+    multiset, verdict = re.fullmatch(r"unfolded coefficients \{(.*)\}: (.*)", units).groups()
+    counts = Counter()
+    for part in multiset.split(", "):
+        value, _, count = part.partition(" x")
+        counts[int(value)] = int(count or 1)
+    assert list(counts) == sorted(counts)
+    has_unit = {"unit coefficients present; injective folds are not obstructed": True,
+                "no units; all injective folds are obstructed": False}[verdict]
+    count, low, high = map(int, re.fullmatch(
+        r"(\d+) Euler classes \(up to sign\) can merge distinct terms; "
+        r"all their coefficients lie within \[-(\d+), (\d+)\]", merge).groups())
+    assert low == high
+    missed = re.fullmatch(r"box \d+ (?:covers every collision-capable class: outside the box every fold is injective"
+                          r"|misses (\d+) collision-capable classes \(increase the box to (\d+) to cover all\))",
+                          cover)
+    assert missed.group(2) in (None, str(high))
+    return counts, has_unit, (count, high), int(missed.group(1) or 0)
+
+
 class TestStabilizationNote:
+    def test_note_reads_back_against_oracles(self):
+        rng = random.Random(101)
+        multi = 0
+        for _ in range(260):
+            m = random_manifold(rng, random_basis(rng))
+            box = rng.randint(1, 6)
+            note = stabilization_note(m, box)
+            if len(m.sw3) <= 1:
+                assert note.split("\n")[1] == "single-term support: every fold is injective"
+                continue
+            multi += 1
+            counts, has_unit, (count, bound), missed = read_note(note)
+            assert counts == Counter(m.sw3.coefficients())
+            assert has_unit == any(c in (1, -1) for c in m.sw3.coefficients())
+            colliders = colliders_by_pairs(m.sw3.support())
+            assert (count, bound) == (len(colliders), max(abs(c) for chi in colliders for c in chi))
+            assert missed == sum(1 for chi in colliders if max(map(abs, chi)) > box)
+        assert multi >= 200
+
     def test_five2_pair_note(self, five2_pair):
         note = stabilization_note(five2_pair, 5)
         assert "no units" in note
