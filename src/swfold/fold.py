@@ -75,9 +75,9 @@ class EulerClass:
     @property
     def text(self) -> str:
         """Canonical rendering, e.g. ``"4*m1"`` or ``"2*m2 - m1"`` (last variable first)."""
-        return self._text(tuple(map(self.basis.unit, self.basis.names)), {})
+        return self._text(tuple(map(self.basis.unit, self.basis.names)))
 
-    def _text(self, units, memo: dict) -> str:
+    def _text(self, units, memo=None) -> str:
         """``text`` from the basis unit vectors; classes over one basis may share both arguments."""
         return _render(self.basis, [(units[i], c) for i, c in reversed(tuple(enumerate(self.chi))) if c], memo)
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from operator import add, neg
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -301,19 +302,6 @@ def monomial(basis: Basis, coeff: int, exp) -> LaurentPoly:
 # -- canonical text form ----------------------------------------------
 
 
-def _term_body(basis: Basis, magnitude: int, exp: tuple[int, ...]) -> str:
-    factors = [
-        name if e == 1 else f"{name}^{e}"
-        for name, e in zip(basis.names, exp)
-        if e != 0
-    ]
-    if not factors:
-        return str(magnitude)
-    if magnitude == 1:
-        return "*".join(factors)
-    return f"{magnitude}*" + "*".join(factors)
-
-
 def _balanced_digits(value: int, base: int, count: int) -> list[int]:
     """The ``count`` lowest base-``base`` digits of value, each in [-(base//2), (base-1)//2]."""
     half, digits = base // 2, []
@@ -340,30 +328,42 @@ def _unpack(code: int, base: int, rank: int) -> tuple[int, ...]:
     return tuple(reversed(_balanced_digits(code, base, rank)))
 
 
-def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]], memo: dict | None = None) -> str:
-    """The one renderer: text form of terms already in canonical order.
-
-    ``memo`` maps (exponent, magnitude) to a term's body; a caller that
-    renders many polynomials over one basis passes one dict to all of them.
-    """
-    if not terms:
-        return "0"
-    memo = {} if memo is None else memo
-    pieces = []
-    try:
-        for exp, coeff in terms:
-            key = exp, abs(coeff)
-            body = memo.get(key)
-            if body is None:
-                body = memo[key] = _term_body(basis, key[1], exp)
-            if not pieces:
-                pieces.append(("-" if coeff < 0 else "") + body)
-            else:
-                pieces.append((" - " if coeff < 0 else " + ") + body)
-    except ValueError:  # raised by str() alone
+def _piece(basis: Basis, term: tuple[tuple[int, ...], int]) -> str:
+    """The one rule for a term's text: ``" + "`` or ``" - "``, the magnitude (left
+    out when it is 1 and a factor follows), then ``name`` or ``name^e`` per nonzero exponent."""
+    exp, coeff = term
+    try:  # str() raises ValueError past int_max_str_digits
+        factors = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(basis.names, exp) if e])
+        magnitude = str(abs(coeff))
+    except ValueError:
         raise DomainError("result too large to print: an integer has more digits than "
                           "Python's int_max_str_digits limit (4300 by default)") from None
-    return "".join(pieces)
+    body = (factors if magnitude == "1" else f"{magnitude}*{factors}") if factors else magnitude
+    return (" - " if coeff < 0 else " + ") + body
+
+
+class _Pieces(dict):
+    """Memo of ``_render`` over one basis: each term's ``_piece``, made on its first lookup."""
+
+    def __init__(self, basis: Basis):  # starts empty, so dict.__init__ has nothing to do
+        self.basis = basis
+
+    def __missing__(self, term) -> str:
+        piece = self[term] = _piece(self.basis, term)
+        return piece
+
+
+def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]], memo: _Pieces | None = None) -> str:
+    """The one renderer: text form of terms already in canonical order.
+
+    The text is one join of each term's ``_piece``, the first unsigned unless
+    negative, or ``"0"`` for no terms.  A caller that renders many
+    polynomials over one basis passes one ``_Pieces(basis)`` to all of them.
+    """
+    text = "".join(map(_piece, repeat(basis), terms) if memo is None else map(memo.__getitem__, terms))
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def to_text(poly: LaurentPoly) -> str:

@@ -8,8 +8,11 @@ folds once with :func:`~swfold.fold.fold` and reads injectivity and the
 unit classes off the sorted folded terms.  :func:`euler_search` makes
 one report per Euler class in a box (one per antipodal pair) by a
 packed sweep: every exponent is one integer, so a fold is one integer
-shift per term, and :func:`taubes_report` is the reference it is tested
-against.  Both read the verdict off the sorted terms with one helper.
+shift per term, made only for the terms that move in the class's
+(pivot, modulus) group; a box over ``MAX_TERM_FOLDS`` is refused before
+any work, and each listing row is one join of memoized term pieces.
+:func:`taubes_report` is the reference it is tested against.  Both read
+the verdict off the sorted terms with one helper.
 :func:`colliding_classes` lists exactly the classes whose folds merge
 terms, so every class outside that set keeps the unfolded verdict.
 """
@@ -19,12 +22,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import gcd, isqrt
+from math import gcd, isqrt, log10
 from typing import Iterator
 
 from .errors import DomainError
 from .fold import EulerClass, _require_canonical, fold
-from .laurent import Basis, LaurentPoly, _accumulate, _pack, _render, _unpack
+from .laurent import Basis, LaurentPoly, _Pieces, _accumulate, _pack, _render, _unpack
 from .manifolds import ThreeManifold, require_b_plus
 
 
@@ -95,14 +98,14 @@ class SearchResult:
         return all(e.obstructed for e in self.entries)
 
     def digests(self) -> tuple[str, ...]:
-        """Every entry's digest, in one pass that renders each distinct term once."""
-        memo = {}
+        """Every entry's digest, each one join of signed pieces from one memo per search."""
+        memo = _Pieces(self.entries[0].basis)
         return tuple(_render(e.basis, e.terms, memo) for e in self.entries)
 
     def chi_texts(self) -> Iterator[str]:
         """Every entry's ``chi.text`` in order (entries share one basis), through one memo and unit vectors."""
-        basis, memo = self.entries[0].basis, {}
-        units = tuple(map(basis.unit, basis.names))
+        basis = self.entries[0].basis
+        units, memo = tuple(map(basis.unit, basis.names)), _Pieces(basis)
         return (e.chi._text(units, memo) for e in self.entries)
 
 
@@ -111,38 +114,63 @@ def _check_box(box) -> None:
         raise DomainError(f"search box must be an integer >= 1, got {box!r}")
 
 
+#: The most term folds one search may do: ((2B+1)^r - 1)/2 classes times len(sw3).
+MAX_TERM_FOLDS = 10**7
+
+
+def _count(n: int) -> str:
+    """``n`` in digits, or its order of magnitude past 30 digits (str() refuses 4300)."""
+    return str(n) if n < 10**30 else f"about 10^{log10(n):.0f}"
+
+
+class _Decoded(dict):
+    """Exponent of each packed code, unpacked on its first lookup."""
+
+    def __init__(self, base: int, rank: int, known):
+        super().__init__(known)
+        self.base, self.rank = base, rank
+
+    def __missing__(self, code: int) -> tuple[int, ...]:
+        exp = self[code] = _unpack(code, self.base, self.rank)
+        return exp
+
+
 def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
     """Report on every Euler class in the box, one per antipodal pair.
 
-    ((2B+1)^r - 1)/2 entries in chi order, each equal to
-    :func:`taubes_report` on its class.  Classes are generated already
-    normalized, with no filter, in lexicographic order (a later pivot
-    sorts first): pivot p from the last coordinate down, modulus m in
-    1..B, then ``(0,)*p + (m, *rest)`` for every trailing ``rest`` in
-    [-B, B].  Each sw3 exponent is packed once into a balanced base-R
-    integer, R wide enough for every canonical representative in the
-    box, so a class folds each term by one shift, ``code - (e_p // m) *
-    pack(chi)``, into an int-keyed dict that keeps the term invariant;
-    the multipliers are computed once per (pivot, modulus) group.
-    Sorting codes sorts terms; each distinct code is decoded once per search.
+    ((2B+1)^r - 1)/2 entries in chi order, each equal to :func:`taubes_report`
+    on its class; over ``MAX_TERM_FOLDS`` classes times sw3 terms raise
+    :class:`DomainError` before any work.  Classes are generated normalized, in
+    lexicographic order: pivot p from the last coordinate down, modulus m in
+    1..B, then ``(0,)*p + (m, *rest)`` for every ``rest`` in [-B, B].  Each sw3
+    exponent is packed once into a balanced base-R integer, R wide enough for
+    every canonical representative in the box, so a term folds by one shift,
+    ``code - (e_p // m) * pack(chi)``.  In a (p, m) group each multiplier is
+    fixed: the terms where it is 0 form one canonical code dict, which each
+    class copies before it accumulates the shifted codes of the moving terms
+    alone.  Sorting codes sorts terms; each distinct code is decoded once.
     """
     _check_box(box)
-    require_b_plus(manifold)
     basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
+    classes = ((2 * box + 1) ** rank - 1) // 2
+    if classes * len(sw3) > MAX_TERM_FOLDS:
+        raise DomainError(f"search box {_count(box)} holds {_count(classes)} Euler classes of {len(sw3)} terms "
+                          f"each: {_count(classes * len(sw3))} term folds, over the limit of {MAX_TERM_FOLDS}")
+    require_b_plus(manifold)
     # |e - k*chi| <= s + s*box for coordinates |e| <= s, since |k| = |e_p // m| <= s
     s = max((abs(e) for exp in sw3 for e in exp), default=0)
     base = 2 * s * (box + 1) + 1
-    codes, coeffs = [_pack(exp, base) for exp in sw3], list(sw3.values())
-    decoded, entries = {}, []
+    codes = [_pack(exp, base) for exp in sw3]
+    decoded, entries = _Decoded(base, rank, zip(codes, sw3)), []
     for pivot in reversed(range(rank)):
         for modulus in range(1, box + 1):
             ks = [exp[pivot] // modulus for exp in sw3]
+            fixed = {code: coeff for code, k, coeff in zip(codes, ks, sw3.values()) if not k}
+            moving = [(code, k, coeff) for code, k, coeff in zip(codes, ks, sw3.values()) if k]
             for rest in product(range(-box, box + 1), repeat=rank - 1 - pivot):
                 vector = (0,) * pivot + (modulus, *rest)
                 step = _pack(vector, base)
-                folded = _accumulate({}, zip([code - k * step for code, k in zip(codes, ks)], coeffs))
-                for code in set(folded).difference(decoded):  # O(len(folded)), unlike keys() - keys()
-                    decoded[code] = _unpack(code, base, rank)
+                folded = _accumulate(fixed.copy(), [(code - k * step, coeff) for code, k, coeff in moving])
                 order = sorted(folded)
                 exps = tuple(map(decoded.__getitem__, order))
                 _require_canonical(exps, pivot, modulus)

@@ -1,10 +1,12 @@
 """Command line: golden outputs, JSON payloads, schemas, exit codes."""
 
+import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -260,6 +262,18 @@ class TestDeterminism:
     def test_byte_identical_across_runs(self, argv):
         assert emit(run(argv)) == emit(run(argv))
 
+    @pytest.mark.parametrize("spec, flags, sha256", [
+        (FIVE2_PAIR, (), "6b66723acafd51e2152be1d5748beca6d4bfd0877d73601f5d159c68a2d4264f"),
+        (FIVE2_PAIR, ("--json",), "24878583f359e42db031176d6908fdc712e5ea4750b136b1b3c24fd890d60898"),
+        (FIVE2_PAIR, ("--quiet",), "dc5aab1cb509b9d73401a9fd6a9d415d4fa95fbf878678fb5e0a148cfc8ca35c"),
+        (FIG8_PAIR, (), "e6b7a96819cdd40873731347cc3249ae5f5bd8a6a2948c269a930ab9a54c05ba"),
+        (FIG8_PAIR, ("--json",), "e016e48ec83ff146576ba8913aea61c906ce0a1d2422d0823f927775892a17ee"),
+        (FIG8_PAIR, ("--quiet",), "b94e4e8ed6ddbc426381047a1a118349b14e1312a9b8565e03d6b3eefdc33985"),
+    ])
+    def test_box8_search_listing_bytes_frozen(self, spec, flags, sha256):
+        """The box-8 listings, the size the benchmark runs, keep their bytes."""
+        assert hashlib.sha256(emit(run(["search", spec, "--box", "8", *flags]))).hexdigest() == sha256
+
     def test_json_keys_sorted(self):
         blob = emit(run(["fold", FIG8_PAIR, "--chi", "4*m1", "--json"])).decode()
         payload = json.loads(blob)
@@ -292,6 +306,16 @@ class TestExitCodes:
     def test_bad_box_exits_1(self, capsys):
         assert main(["search", FIVE2_PAIR, "--box", "0"]) == 1
         assert capsys.readouterr().err.startswith("error[domain]:")
+
+    @pytest.mark.parametrize("box", ["100000", "9" * 4000])
+    def test_oversized_box_exits_1_at_once(self, capsys, box):
+        """4.0e15 classes, or a box past str()'s digit limit for its class count: one line, no sweep."""
+        start = time.perf_counter()
+        assert main(["search", FIG8_PAIR, "--box", box]) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[domain]: search box ") and err.count("\n") == 1
+        assert "over the limit of 10000000" in err
 
     def test_bad_genus_exits_1(self, capsys):
         assert main(["bundle", "--genus", "0", "--euler", "2"]) == 1

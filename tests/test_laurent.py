@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from swfold.errors import DomainError, ParseError, StructuralError, UnknownVariableError
 from swfold.fold import EulerClass, QuotientLattice, fold_poly
-from swfold.laurent import Basis, LaurentPoly, _balanced_digits, from_text, monomial, to_text
+from swfold.laurent import Basis, LaurentPoly, _balanced_digits, _Pieces, _render, from_text, monomial, to_text
 
 from conftest import random_basis, random_poly
 
@@ -270,6 +270,17 @@ class TestGrammar:
     def test_zero_renders_and_parses(self, b1):
         assert to_text(LaurentPoly.zero(b1)) == "0"
         assert from_text("0", b1).is_zero
+
+    def test_one_piece_memo_serves_many_texts(self, b2):
+        """Pieces keep their sign, so a memo shared across polynomials renders each as alone."""
+        rng, memo = random.Random(31), _Pieces(b2)
+        for _ in range(200):
+            p = random_poly(rng, b2, max_terms=5, max_exp=2, max_coeff=2)
+            assert _render(b2, p.terms(), memo) == to_text(p)
+            assert from_text(_render(b2, p.terms(), memo), b2) == p
+        assert all(piece.startswith((" + ", " - ")) for piece in memo.values())
+        with pytest.raises(DomainError, match="result too large to print"):
+            to_text(monomial(b2, 1, (10**5000, 0)))
 
     def test_two_term_fragment(self, b2):
         p = from_text("-3*m2^-2 + 9", b2)

@@ -4,6 +4,7 @@ import dataclasses
 import random
 import re
 import sys
+import time
 from collections import Counter
 from itertools import product
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swfold.alexander import BUILTIN_KNOTS
+from swfold.cli import run
 from swfold.errors import DomainError, HypothesisError
 from swfold.fold import EulerClass, QuotientLattice, canonical_rep, fold, fold_bruteforce
 from swfold.laurent import Basis, LaurentPoly, _render, to_text
@@ -188,6 +190,59 @@ class TestEulerSearch:
         monkeypatch.setattr(sys.modules["swfold.fold"], "_render", recording)
         assert tuple(result.chi_texts()) == expected
         assert len(memos) == len(result.entries) and len({id(m) for m in memos}) == 1
+
+    @staticmethod
+    def assert_oracles_agree(m, entry):
+        """An entry against the single-class fold and the brute-force fold."""
+        assert entry == taubes_report(m, entry.chi)
+        assert entry.terms == fold_bruteforce(m, entry.chi).poly.terms()
+
+    def test_group_where_no_term_moves(self, five2_pair):
+        """Sums on m1 and m2 only: with pivot m3 every multiplier is 0, so each entry is sw3 itself."""
+        entries = [e for e in euler_search(five2_pair, 3).entries if e.chi.chi[:2] == (0, 0)]
+        assert [e.chi.chi for e in entries] == [(0, 0, 1), (0, 0, 2), (0, 0, 3)]
+        for entry in entries:
+            assert entry.terms == five2_pair.sw3.terms() and entry.injective
+            self.assert_oracles_agree(five2_pair, entry)
+
+    def test_moving_terms_merge_into_fixed_codes(self, five2_pair):
+        """chi = 2*m1: the m1^-2 and m1^2 columns move onto the fixed m1^0 column and merge."""
+        sw3 = dict(five2_pair.sw3.terms())
+        [entry] = [e for e in euler_search(five2_pair, 2).entries if e.chi.chi == (2, 0, 0)]
+        assert not entry.injective and {exp[0] for exp, _ in entry.terms} == {0}
+        fixed = [(exp, c) for exp, c in entry.terms if exp in sw3]
+        assert fixed and all(c != sw3[exp] for exp, c in fixed)  # each fixed term gained moving ones
+        self.assert_oracles_agree(five2_pair, entry)
+
+    def test_fold_that_cancels_every_term(self, tmp_path):
+        """On S2xS1, t^2 - 2 + t^-2 folds to 0 by t and by 2*t: the rows print exactly sw4 = 0."""
+        spec = tmp_path / "S2xS1.json"
+        spec.write_text('{"base": {"surface_x_s1": 2}}')
+        m = surface_times_circle(2)
+        by_chi = {e.chi.text: e for e in euler_search(m, 3).entries}
+        for chi in ("t", "2*t"):
+            assert by_chi[chi].terms == () and not by_chi[chi].injective
+            self.assert_oracles_agree(m, by_chi[chi])
+        rows = run(["search", str(spec), "--box", "3"]).text.splitlines()[1:4]
+        assert rows == ["chi = t | obstructed = true | injective = false | sw4 = 0",
+                        "chi = 2*t | obstructed = true | injective = false | sw4 = 0",
+                        "chi = 3*t | obstructed = false | injective = true | sw4 = -2 + t + t^2"]
+
+    def test_work_bound_refuses_before_any_work(self, fig8_pair, monkeypatch):
+        """((2B+1)^r - 1)/2 classes times the sw3 terms over the limit raise at once, naming both."""
+        s2 = surface_times_circle(2)
+        for m, box, classes in ((s2, 99999999999999999999, "99999999999999999999"),
+                                (fig8_pair, 100000, "4000060000300000"), (fig8_pair, 10**5000, "about 10^15001")):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=f" holds {re.escape(classes)} Euler classes of {len(m.sw3)} terms "
+                                                  r"each: .* term folds, over the limit of 10000000"):
+                euler_search(m, box)
+            assert time.perf_counter() - start < 1
+        monkeypatch.setattr(sys.modules["swfold.obstruction"], "MAX_TERM_FOLDS", 62 * 9)
+        assert len(euler_search(fig8_pair, 2).entries) == 62  # the limit itself is allowed
+        monkeypatch.setattr(sys.modules["swfold.obstruction"], "MAX_TERM_FOLDS", 62 * 9 - 1)
+        with pytest.raises(DomainError, match="558 term folds, over the limit of 557"):
+            euler_search(fig8_pair, 2)
 
     def test_bad_box_rejected(self, fig8_pair):
         with pytest.raises(DomainError):
