@@ -40,18 +40,17 @@ session_knots: KnotTable = BUILTIN_KNOTS
 
 @dataclass(frozen=True)
 class OutputRecord:
-    """What one invocation produced: echo, the text or the payload it prints, exit status."""
+    """What one invocation produced: echo, and the text or (for ``--json``) the payload it prints."""
 
     command: tuple[str, ...]
     text: str = ""
     payload: dict | None = None
-    status: int = 0
-    json_output: bool = False
+    status = 0  # not a field: a command that returns a record succeeded, a failing one raises
 
 
 def emit(record: OutputRecord) -> bytes:
     """Deterministic bytes for standard output (sorted JSON keys, canonical text)."""
-    if record.json_output:
+    if record.payload is not None:
         out = json.dumps(record.payload, sort_keys=True, indent=2) + "\n"
     else:
         out = record.text
@@ -131,13 +130,17 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _knot_row(row: dict) -> str:
+    """The one text line for a knot row, in ``knot list`` and ``knot register``."""
+    return f"{row['name']}  fibered={_bool(row['fibered'])}  alexander = {row['alexander']}"
+
+
 def _cmd_knot(args) -> _Output:
     global session_knots
     table = command_knots()
     if args.action == "list":
         rows = [table.lookup(name).to_row() for name in table.names()]
-        body = [f"{r['name']}  fibered={_bool(r['fibered'])}  alexander = {r['alexander']}" for r in rows]
-        return list, body, lambda: {"command": "knot-list", "knots": rows}
+        return list, list(map(_knot_row, rows)), lambda: {"command": "knot-list", "knots": rows}
     if args.action == "show":
         row = table.lookup(args.name).to_row()
         body = [
@@ -153,8 +156,7 @@ def _cmd_knot(args) -> _Output:
     table.with_records(records)
     session_knots = session_knots.with_records(records)
     rows = [r.to_row() for r in records]
-    body = [f"registered {r['name']}  fibered={_bool(r['fibered'])}  alexander = {r['alexander']}" for r in rows]
-    return list, body, lambda: {"command": "knot-register", "registered": rows}
+    return list, [f"registered {_knot_row(r)}" for r in rows], lambda: {"command": "knot-register", "registered": rows}
 
 
 def _cmd_sw3(args) -> _Output:
@@ -345,7 +347,7 @@ def run(argv) -> OutputRecord:
     args = build_parser().parse_args(argv)
     header, body, payload = _HANDLERS[args.command](args)
     if args.json:
-        return OutputRecord(command=tuple(argv), payload=payload(), json_output=True)
+        return OutputRecord(command=tuple(argv), payload=payload())
     return OutputRecord(command=tuple(argv), text="\n".join(body if args.quiet else header() + body))
 
 

@@ -342,23 +342,25 @@ def _piece(basis: Basis, term: tuple[tuple[int, ...], int]) -> str:
     return (" - " if coeff < 0 else " + ") + body
 
 
-class _Pieces(dict):
-    """Memo of ``_render`` over one basis: each term's ``_piece``, made on its first lookup."""
+class _Memo(dict):
+    """``fn(key)`` for each key, computed on its first lookup and kept; ``known`` seeds it."""
 
-    def __init__(self, basis: Basis):  # starts empty, so dict.__init__ has nothing to do
-        self.basis = basis
+    def __init__(self, fn, known=()):
+        super().__init__(known)
+        self.fn = fn
 
-    def __missing__(self, term) -> str:
-        piece = self[term] = _piece(self.basis, term)
-        return piece
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
-def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]], memo: _Pieces | None = None) -> str:
+def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]], memo: _Memo | None = None) -> str:
     """The one renderer: text form of terms already in canonical order.
 
     The text is one join of each term's ``_piece``, the first unsigned unless
     negative, or ``"0"`` for no terms.  A caller that renders many
-    polynomials over one basis passes one ``_Pieces(basis)`` to all of them.
+    polynomials over one basis passes one ``_Memo(partial(_piece, basis))``
+    to all of them; a one-off text maps ``_piece`` directly.
     """
     text = "".join(map(_piece, repeat(basis), terms) if memo is None else map(memo.__getitem__, terms))
     if not text:

@@ -10,7 +10,9 @@ one report per Euler class in a box (one per antipodal pair) by a
 packed sweep: every exponent is one integer, so a fold is one integer
 shift per term, made only for the terms that move in the class's
 (pivot, modulus) group; a box over ``MAX_TERM_FOLDS`` is refused before
-any work, and each listing row is one join of memoized term pieces.
+any work.  One memo type, :class:`~swfold.laurent._Memo`, serves the
+sweep's decoding and the listing's pieces: each distinct code is unpacked
+once per search, and each listing row is one join of memoized pieces.
 :func:`taubes_report` is the reference it is tested against.  Both read
 the verdict off the sorted terms with one helper.
 :func:`colliding_classes` lists exactly the classes whose folds merge
@@ -21,13 +23,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
 from math import gcd, isqrt, log10
 from typing import Iterator
 
 from .errors import DomainError
 from .fold import EulerClass, _require_canonical, fold
-from .laurent import Basis, LaurentPoly, _Pieces, _accumulate, _pack, _render, _unpack
+from .laurent import Basis, LaurentPoly, _Memo, _accumulate, _pack, _piece, _render, _unpack
 from .manifolds import ThreeManifold, require_b_plus
 
 
@@ -99,40 +102,29 @@ class SearchResult:
 
     def digests(self) -> tuple[str, ...]:
         """Every entry's digest, each one join of signed pieces from one memo per search."""
-        memo = _Pieces(self.entries[0].basis)
+        memo = _Memo(partial(_piece, self.entries[0].basis))
         return tuple(_render(e.basis, e.terms, memo) for e in self.entries)
 
     def chi_texts(self) -> Iterator[str]:
         """Every entry's ``chi.text`` in order (entries share one basis), through one memo and unit vectors."""
         basis = self.entries[0].basis
-        units, memo = tuple(map(basis.unit, basis.names)), _Pieces(basis)
+        units, memo = tuple(map(basis.unit, basis.names)), _Memo(partial(_piece, basis))
         return (e.chi._text(units, memo) for e in self.entries)
 
 
-def _check_box(box) -> None:
-    if not isinstance(box, int) or isinstance(box, bool) or box < 1:
-        raise DomainError(f"search box must be an integer >= 1, got {box!r}")
-
-
-#: The most term folds one search may do: ((2B+1)^r - 1)/2 classes times len(sw3).
+#: The most term folds one search may do: ((2B+1)^r - 1)/2 classes times len(sw3), at least 1 each.
 MAX_TERM_FOLDS = 10**7
 
 
 def _count(n: int) -> str:
-    """``n`` in digits, or its order of magnitude past 30 digits (str() refuses 4300)."""
-    return str(n) if n < 10**30 else f"about 10^{log10(n):.0f}"
+    """``n`` in digits, or its sign and order of magnitude past 30 digits (str() refuses 4300)."""
+    return str(n) if abs(n) < 10**30 else f"about {'-' * (n < 0)}10^{log10(abs(n)):.0f}"
 
 
-class _Decoded(dict):
-    """Exponent of each packed code, unpacked on its first lookup."""
-
-    def __init__(self, base: int, rank: int, known):
-        super().__init__(known)
-        self.base, self.rank = base, rank
-
-    def __missing__(self, code: int) -> tuple[int, ...]:
-        exp = self[code] = _unpack(code, self.base, self.rank)
-        return exp
+def _check_box(box) -> None:
+    if not isinstance(box, int) or isinstance(box, bool) or box < 1:
+        shown = _count(box) if isinstance(box, int) else repr(box)
+        raise DomainError(f"search box must be an integer >= 1, got {shown}")
 
 
 def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
@@ -153,15 +145,16 @@ def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
     _check_box(box)
     basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
     classes = ((2 * box + 1) ** rank - 1) // 2
-    if classes * len(sw3) > MAX_TERM_FOLDS:
+    folds = classes * max(len(sw3), 1)  # a zero sw3 still costs one step per class
+    if folds > MAX_TERM_FOLDS:
         raise DomainError(f"search box {_count(box)} holds {_count(classes)} Euler classes of {len(sw3)} terms "
-                          f"each: {_count(classes * len(sw3))} term folds, over the limit of {MAX_TERM_FOLDS}")
+                          f"each: {_count(folds)} term folds, over the limit of {MAX_TERM_FOLDS}")
     require_b_plus(manifold)
     # |e - k*chi| <= s + s*box for coordinates |e| <= s, since |k| = |e_p // m| <= s
     s = max((abs(e) for exp in sw3 for e in exp), default=0)
     base = 2 * s * (box + 1) + 1
     codes = [_pack(exp, base) for exp in sw3]
-    decoded, entries = _Decoded(base, rank, zip(codes, sw3)), []
+    decoded, entries = _Memo(partial(_unpack, base=base, rank=rank), zip(codes, sw3)), []
     for pivot in reversed(range(rank)):
         for modulus in range(1, box + 1):
             ks = [exp[pivot] // modulus for exp in sw3]
@@ -235,7 +228,7 @@ def stabilization_note(manifold: ThreeManifold, box: int = 5) -> str:
         f"all their coefficients lie within [-{largest}, {largest}]"
     )
     if box >= largest:
-        lines.append(f"box {box} covers every collision-capable class: "
+        lines.append(f"box {_count(box)} covers every collision-capable class: "
                      "outside the box every fold is injective")
     else:
         missed = sum(1 for chi in colliders if any(abs(c) > box for c in chi))

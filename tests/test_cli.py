@@ -1,5 +1,6 @@
 """Command line: golden outputs, JSON payloads, schemas, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ from jsonschema import Draft202012Validator
 
 from swfold import cli
 from swfold.alexander import BUILTIN_KNOTS
-from swfold.cli import ENV_KNOT_TABLE, SCHEMA_DIR, build_manifold, emit, load_spec, main, run
+from swfold.cli import ENV_KNOT_TABLE, SCHEMA_DIR, OutputRecord, build_manifold, emit, load_spec, main, run
 from swfold.errors import KnotLookupError, SpecFileError
 from swfold.laurent import Basis, from_text
 
@@ -278,6 +279,20 @@ class TestDeterminism:
         blob = emit(run(["fold", FIG8_PAIR, "--chi", "4*m1", "--json"])).decode()
         payload = json.loads(blob)
         assert list(payload) == sorted(payload)
+
+
+class TestOutputRecord:
+    def test_three_fields_and_constant_status(self):
+        assert [f.name for f in dataclasses.fields(OutputRecord)] == ["command", "text", "payload"]
+        assert OutputRecord(("sw3",)).status == 0 and OutputRecord.status == 0
+
+    @pytest.mark.parametrize("payload, out", [
+        (None, b"plain\n"),
+        ({}, b"{}\n"),
+        ({"b": [], "a": 1}, b'{\n  "a": 1,\n  "b": []\n}\n'),
+    ])
+    def test_emit_prints_json_exactly_when_a_payload_is_set(self, payload, out):
+        assert emit(OutputRecord(("x",), text="plain", payload=payload)) == out
 
 
 class TestExitCodes:

@@ -1,6 +1,8 @@
 """Laurent polynomial ring: construction, arithmetic, grammar, properties."""
 
 import random
+from collections import Counter
+from functools import partial
 from itertools import product
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from swfold.errors import DomainError, ParseError, StructuralError, UnknownVariableError
 from swfold.fold import EulerClass, QuotientLattice, fold_poly
-from swfold.laurent import Basis, LaurentPoly, _balanced_digits, _Pieces, _render, from_text, monomial, to_text
+from swfold.laurent import Basis, LaurentPoly, _balanced_digits, _Memo, _piece, _render, from_text, monomial, to_text
 
 from conftest import random_basis, random_poly
 
@@ -273,7 +275,7 @@ class TestGrammar:
 
     def test_one_piece_memo_serves_many_texts(self, b2):
         """Pieces keep their sign, so a memo shared across polynomials renders each as alone."""
-        rng, memo = random.Random(31), _Pieces(b2)
+        rng, memo = random.Random(31), _Memo(partial(_piece, b2))
         for _ in range(200):
             p = random_poly(rng, b2, max_terms=5, max_exp=2, max_coeff=2)
             assert _render(b2, p.terms(), memo) == to_text(p)
@@ -281,6 +283,20 @@ class TestGrammar:
         assert all(piece.startswith((" + ", " - ")) for piece in memo.values())
         with pytest.raises(DomainError, match="result too large to print"):
             to_text(monomial(b2, 1, (10**5000, 0)))
+
+    def test_memo_calls_fn_once_per_missing_key(self):
+        """A miss stores fn(key); repeated lookups and seeded keys never call fn again."""
+        calls = Counter()
+
+        def fn(key):
+            calls[key] += 1
+            return -key
+
+        memo = _Memo(fn, [(1, "seeded")])
+        for _ in range(3):
+            assert [memo[k] for k in (1, 2, 3, 2)] == ["seeded", -2, -3, -2]
+        assert calls == {2: 1, 3: 1}
+        assert memo == {1: "seeded", 2: -2, 3: -3}
 
     def test_two_term_fragment(self, b2):
         p = from_text("-3*m2^-2 + 9", b2)

@@ -16,7 +16,7 @@ from swfold.cli import run
 from swfold.errors import DomainError, HypothesisError
 from swfold.fold import EulerClass, QuotientLattice, canonical_rep, fold, fold_bruteforce
 from swfold.laurent import Basis, LaurentPoly, _render, to_text
-from swfold.manifolds import ThreeManifold, fiber_sum_with_knot, surface_times_circle, three_torus
+from swfold.manifolds import T3_BASIS, ThreeManifold, fiber_sum_with_knot, surface_times_circle, three_torus
 from swfold.obstruction import (
     colliding_classes,
     euler_search,
@@ -252,6 +252,27 @@ class TestEulerSearch:
                 euler_search(fig8_pair, box)
             with pytest.raises(DomainError, match="search box must be an integer >= 1"):
                 stabilization_note(fig8_pair, box)
+
+    def test_huge_box_is_printed_by_magnitude(self, fig8_pair):
+        """A box past str()'s digit limit is printed by its sign and magnitude, not raised as ValueError."""
+        assert "box about 10^5000 covers every collision-capable class" in stabilization_note(fig8_pair, 10**5000)
+        for call in (euler_search, stabilization_note):
+            start = time.perf_counter()
+            with pytest.raises(DomainError) as err:
+                call(fig8_pair, -10**5000)
+            assert time.perf_counter() - start < 1
+            assert str(err.value) == "search box must be an integer >= 1, got about -10^5000"
+
+    def test_zero_sw3_counts_one_fold_per_class(self):
+        """A zero sw3 has no terms, but each class is still a step: its box is bounded like any other."""
+        zero = ThreeManifold("Z", T3_BASIS, 3, LaurentPoly.zero(T3_BASIS), True, ())
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="holds 4000600030000 Euler classes of 0 terms each: "
+                                              "4000600030000 term folds, over the limit of 10000000"):
+            euler_search(zero, 10**4)
+        assert time.perf_counter() - start < 1
+        result = euler_search(zero, 2)
+        assert len(result.entries) == (5**3 - 1) // 2 and result.digests() == ("0",) * 62
 
     def test_low_b_plus_rejected(self):
         pretend = dataclasses.replace(surface_times_circle(1), b1=2)
