@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from math import prod
-from typing import Iterable
 
 from .errors import (
     KnotLookupError,
@@ -30,25 +29,23 @@ from .errors import (
     SpecFileError,
     StructuralError,
 )
-from .laurent import Basis, LaurentPoly, _balanced_digits, from_text, to_text
+from .laurent import Basis, LaurentPoly, _balanced_digits, _Record, _set, from_text, to_text
 
 #: Every knot polynomial lives over this one-variable basis.
 KNOT_BASIS = Basis(("t",))
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(_Record):
     """Square integer matrix presenting a Seifert surface pairing.
 
     Size 0 encodes the unknot.  Whether the matrix actually presents a
     knot (det(V - V^T) = +-1) is checked when the polynomial is derived.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(row) for row in entries)
         for row in rows:
             if len(row) != len(rows):
                 raise StructuralError(
@@ -57,6 +54,7 @@ class SeifertMatrix:
             for value in row:
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise StructuralError(f"Seifert matrix entries must be integers, got {value!r}")
+        _set(self, "entries", rows)
 
     @property
     def size(self) -> int:
@@ -111,12 +109,14 @@ def alexander_from_seifert(matrix) -> LaurentPoly:
     return LaurentPoly(KNOT_BASIS, (((k - n // 2,), at_one * c) for k, c in enumerate(coeffs)))
 
 
-@dataclass(frozen=True)
-class AlexanderChecklist:
+class AlexanderChecklist(_Record):
     """Report from :func:`validate_alexander`; both checks must hold to register."""
 
-    symmetric: bool
-    value_at_one: int
+    __slots__ = ("symmetric", "value_at_one")
+
+    def __init__(self, symmetric: bool, value_at_one: int):
+        _set(self, "symmetric", symmetric)
+        _set(self, "value_at_one", value_at_one)
 
     @property
     def unit_at_one(self) -> bool:
@@ -143,14 +143,16 @@ def validate_alexander(poly: LaurentPoly) -> AlexanderChecklist:
     )
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class KnotRecord(_Record):
     """Named knot: optional Seifert matrix, its polynomial, fiberedness flag."""
 
-    name: str
-    seifert: SeifertMatrix | None
-    alexander: LaurentPoly
-    fibered: bool
+    __slots__ = ("name", "seifert", "alexander", "fibered")
+
+    def __init__(self, name: str, seifert: SeifertMatrix | None, alexander: LaurentPoly, fibered: bool):
+        _set(self, "name", name)
+        _set(self, "seifert", seifert)
+        _set(self, "alexander", alexander)
+        _set(self, "fibered", fibered)
 
     def to_row(self) -> dict:
         """JSON-ready row, as the command line lists and shows knots."""
@@ -201,11 +203,12 @@ class KnotTable:
         self._records: dict[str, KnotRecord] = {}
         for record in records:
             existing = self._records.setdefault(record.name, record)
-            if existing != record:
+            if existing is not record and existing != record:
                 raise StructuralError(f"knot {record.name!r} is already registered with different data")
 
-    def with_records(self, records: Iterable[KnotRecord]) -> KnotTable:
-        return KnotTable((*self._records.values(), *records))
+    def with_records(self, records: Sequence[KnotRecord]) -> KnotTable:
+        """This table plus ``records``; this table itself when ``records`` is empty."""
+        return KnotTable((*self._records.values(), *records)) if records else self
 
     def lookup(self, name: str) -> KnotRecord:
         try:

@@ -20,12 +20,12 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .alexander import BUILTIN_KNOTS, KnotTable, load_knot_file, read_json, record_from_dict
 from .errors import DomainError, SpecFileError, SwfoldError
 from .fold import circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
+from .laurent import _Record, _set
 from .manifolds import ThreeManifold, fiber_sum_with_knot, surface_times_circle, three_torus
 from .obstruction import euler_search, stabilization_note, taubes_report
 
@@ -38,14 +38,16 @@ ENV_KNOT_TABLE = "SWFOLD_KNOT_TABLE"
 session_knots: KnotTable = BUILTIN_KNOTS
 
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(_Record):
     """What one invocation produced: echo, and the text or (for ``--json``) the payload it prints."""
 
-    command: tuple[str, ...]
-    text: str = ""
-    payload: dict | None = None
+    __slots__ = ("command", "text", "payload")
     status = 0  # not a field: a command that returns a record succeeded, a failing one raises
+
+    def __init__(self, command: tuple[str, ...], text: str = "", payload: dict | None = None):
+        _set(self, "command", command)
+        _set(self, "text", text)
+        _set(self, "payload", payload)
 
 
 def emit(record: OutputRecord) -> bytes:
@@ -81,7 +83,7 @@ def build_manifold(data: dict, table: KnotTable, where: str = "spec") -> ThreeMa
     if not isinstance(knots, list):
         raise SpecFileError(f"{where}.knots: expected a list")
     table = table.with_records(
-        record_from_dict(entry, f"{where}.knots[{i}]") for i, entry in enumerate(knots)
+        [record_from_dict(entry, f"{where}.knots[{i}]") for i, entry in enumerate(knots)]
     )
 
     base = data["base"]

@@ -20,11 +20,10 @@ defines none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DomainError, ParseError, StructuralError
-from .laurent import Basis, LaurentPoly, _accumulate, _render, from_text
+from .laurent import Basis, LaurentPoly, _accumulate, _Record, _render, _set, from_text
 from .manifolds import CIRCLE_BASIS, ThreeManifold, _check_genus, require_b_plus, surface_times_circle
 
 
@@ -59,18 +58,17 @@ def _checked_vector(basis: Basis, entries) -> tuple[int, ...]:
     return vector
 
 
-@dataclass(frozen=True)
-class EulerClass:
+class EulerClass(_Record):
     """Nonzero integer vector in the exponent lattice: the fold direction."""
 
-    basis: Basis
-    chi: tuple[int, ...]
+    __slots__ = ("basis", "chi")
 
-    def __post_init__(self):
-        chi = _checked_vector(self.basis, self.chi)
-        object.__setattr__(self, "chi", chi)
+    def __init__(self, basis: Basis, chi: tuple[int, ...]):
+        chi = _checked_vector(basis, chi)
         if not any(chi):
             raise DomainError("Euler class is zero (torsion); no quotient to fold over")
+        _set(self, "basis", basis)
+        _set(self, "chi", chi)
 
     @property
     def text(self) -> str:
@@ -85,27 +83,24 @@ class EulerClass:
         return EulerClass(self.basis, tuple(-c for c in self.chi))
 
 
-@dataclass(frozen=True)
-class QuotientLattice:
+class QuotientLattice(_Record):
     """Lattice quotient by the span of chi, with a pivot for canonical reduction.
 
     chi is normalized so its first nonzero entry (the pivot) is positive;
-    chi and -chi therefore induce the same quotient.
+    chi and -chi therefore induce the same quotient.  Representatives
+    live in [0, modulus), where ``modulus`` is the positive pivot entry.
     """
 
-    euler: EulerClass
-    chi: tuple[int, ...] = field(init=False)
-    pivot: int = field(init=False)
-    #: The positive pivot entry; representatives live in [0, modulus).
-    modulus: int = field(init=False)
+    __slots__ = ("euler", "chi", "pivot", "modulus")
 
-    def __post_init__(self):
-        pivot = next(i for i, c in enumerate(self.euler.chi) if c != 0)
-        if self.euler.chi[pivot] < 0:
-            object.__setattr__(self, "euler", -self.euler)
-        object.__setattr__(self, "chi", self.euler.chi)
-        object.__setattr__(self, "pivot", pivot)
-        object.__setattr__(self, "modulus", self.chi[pivot])
+    def __init__(self, euler: EulerClass):
+        pivot = next(i for i, c in enumerate(euler.chi) if c != 0)
+        if euler.chi[pivot] < 0:
+            euler = -euler
+        _set(self, "euler", euler)
+        _set(self, "chi", euler.chi)
+        _set(self, "pivot", pivot)
+        _set(self, "modulus", euler.chi[pivot])
 
 
 def canonical_rep(quotient: QuotientLattice, exp: Sequence[int]) -> tuple[int, ...]:
@@ -133,8 +128,7 @@ def _require_canonical(exps, pivot: int, modulus: int) -> None:
             )
 
 
-@dataclass(frozen=True)
-class FoldedSW:
+class FoldedSW(_Record):
     """Terminal fold result: polynomial over canonical coset representatives.
 
     A ``None`` quotient marks the product case of a zero Euler class,
@@ -142,12 +136,13 @@ class FoldedSW:
     is the unfolded one.  No ring operations are defined on this type.
     """
 
-    quotient: QuotientLattice | None
-    poly: LaurentPoly
+    __slots__ = ("quotient", "poly")
 
-    def __post_init__(self):
-        if self.quotient is not None:
-            _require_canonical(self.poly._terms, self.quotient.pivot, self.quotient.modulus)
+    def __init__(self, quotient: QuotientLattice | None, poly: LaurentPoly):
+        if quotient is not None:
+            _require_canonical(poly._terms, quotient.pivot, quotient.modulus)
+        _set(self, "quotient", quotient)
+        _set(self, "poly", poly)
 
     @property
     def product_case(self) -> bool:

@@ -32,25 +32,54 @@ pass over them through the state machine ``_GRAMMAR``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import repeat
-from operator import add, neg
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import add, attrgetter, neg
 
 from .errors import DomainError, ParseError, StructuralError, UnknownVariableError
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_set = object.__setattr__  # how a record's ``__init__`` sets its slots, past the ``__setattr__`` that refuses
 
 
-@dataclass(frozen=True)
-class Basis:
+class _Record:
+    """Immutable record: slots that ``__init__`` sets once by ``_set`` and that refuse assignment and
+    deletion, equal and hashed by value within one class, printed as ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value=None):  # no value when it serves as __delattr__
+        raise AttributeError(f"cannot assign to or delete field {name!r} of an immutable record")
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):  # copy and pickle pass (None, {slot: value})
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        if other is self:  # as the field tuples would: their items are identical
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+
+class Basis(_Record):
     """Ordered collection of distinct variable names labelling lattice directions."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
+    def __init__(self, names: tuple[str, ...]):
+        names = tuple(names)
         if not names:
             raise StructuralError("a basis needs at least one variable")
         seen = set()
@@ -60,6 +89,7 @@ class Basis:
             if name in seen:
                 raise StructuralError(f"duplicate variable name {name!r}")
             seen.add(name)
+        _set(self, "names", names)
 
     @property
     def rank(self) -> int:

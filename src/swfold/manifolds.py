@@ -14,11 +14,9 @@ complement's first homology is generated by the glued meridian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .alexander import KnotRecord
 from .errors import DomainError, HypothesisError, StructuralError
-from .laurent import Basis, LaurentPoly
+from .laurent import Basis, LaurentPoly, _Record, _set
 
 #: Basis shared by the three-torus family: the three circle directions.
 T3_BASIS = Basis(("m1", "m2", "m3"))
@@ -27,25 +25,23 @@ T3_BASIS = Basis(("m1", "m2", "m3"))
 CIRCLE_BASIS = Basis(("t",))
 
 
-@dataclass(frozen=True)
-class ThreeManifold:
-    name: str
-    basis: Basis
-    b1: int
-    sw3: LaurentPoly
-    fibered: bool
-    provenance: tuple[str, ...]
+class ThreeManifold(_Record):
+    __slots__ = ("name", "basis", "b1", "sw3", "fibered", "provenance")
 
-    def __post_init__(self):
-        if self.sw3.basis != self.basis:
+    def __init__(self, name: str, basis: Basis, b1: int, sw3: LaurentPoly, fibered: bool, provenance: tuple[str, ...]):
+        if sw3.basis != basis:
             raise StructuralError("sw3 polynomial basis differs from the manifold basis")
-        if self.b1 < self.basis.rank:
-            raise StructuralError(
-                f"b1 = {self.b1} smaller than the tracked basis rank {self.basis.rank}"
-            )
-        conj = self.sw3.conjugate()
-        if conj != self.sw3 and conj != -self.sw3:
+        if b1 < basis.rank:
+            raise StructuralError(f"b1 = {b1} smaller than the tracked basis rank {basis.rank}")
+        conj = sw3.conjugate()
+        if conj != sw3 and conj != -sw3:
             raise StructuralError("sw3 must be symmetric up to sign under inverting all variables")
+        _set(self, "name", name)
+        _set(self, "basis", basis)
+        _set(self, "b1", b1)
+        _set(self, "sw3", sw3)
+        _set(self, "fibered", fibered)
+        _set(self, "provenance", provenance)
 
 
 def three_torus() -> ThreeManifold:

@@ -22,33 +22,35 @@ terms, so every class outside that set keeps the unfolded verdict.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import partial
 from itertools import combinations, product
 from math import gcd, isqrt, log10
-from typing import Iterator
 
 from .errors import DomainError
 from .fold import EulerClass, _require_canonical, fold
-from .laurent import Basis, LaurentPoly, _Memo, _accumulate, _pack, _piece, _render, _unpack
+from .laurent import Basis, LaurentPoly, _Memo, _Record, _accumulate, _pack, _piece, _render, _set, _unpack
 from .manifolds import ThreeManifold, require_b_plus
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(_Record):
     """Verdict for one Euler class, read off the fold's sorted terms.
 
     ``chi`` is the sign-normalized class folded by, or ``None`` for the
-    product case of a zero class; ``injective`` says the fold kept every
-    term of sw3, and ``unit_classes`` lists the exponents of the terms
-    whose coefficient is +1 or -1.
+    product case of a zero class; ``terms`` are the folded terms, sorted;
+    ``injective`` says the fold kept every term of sw3, and ``unit_classes``
+    lists the exponents of the terms whose coefficient is +1 or -1.
     """
 
-    chi: EulerClass | None
-    basis: Basis
-    injective: bool
-    terms: tuple[tuple[tuple[int, ...], int], ...]  # the folded terms, sorted
-    unit_classes: tuple[tuple[int, ...], ...]
+    __slots__ = ("chi", "basis", "injective", "terms", "unit_classes")
+
+    def __init__(self, chi: EulerClass | None, basis: Basis, injective: bool,
+                 terms: tuple[tuple[tuple[int, ...], int], ...], unit_classes: tuple[tuple[int, ...], ...]):
+        _set(self, "chi", chi)
+        _set(self, "basis", basis)
+        _set(self, "injective", injective)
+        _set(self, "terms", terms)
+        _set(self, "unit_classes", unit_classes)
 
     @property
     def obstructed(self) -> bool:
@@ -91,10 +93,12 @@ def taubes_report(manifold: ThreeManifold, chi) -> ObstructionReport:
     return _read_off(manifold, None if folded.product_case else folded.quotient.euler, folded.poly.terms())
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    box: int
-    entries: tuple[ObstructionReport, ...]
+class SearchResult(_Record):
+    __slots__ = ("box", "entries")
+
+    def __init__(self, box: int, entries: tuple[ObstructionReport, ...]):
+        _set(self, "box", box)
+        _set(self, "entries", entries)
 
     @property
     def all_obstructed(self) -> bool:

@@ -13,6 +13,7 @@ from jsonschema import Draft202012Validator
 from swfold.alexander import (
     BUILTIN_KNOTS,
     KNOT_BASIS,
+    KnotRecord,
     SeifertMatrix,
     _int_det,
     alexander_from_seifert,
@@ -267,6 +268,16 @@ class TestKnotTable:
         assert table.lookup("unknot") == unknot
         assert table.names() == ("3_1", "4_1", "5_2", "unknot")
         assert BUILTIN_KNOTS.names() == ("3_1", "4_1", "5_2")
+
+    def test_records_are_compared_only_against_a_different_record(self, monkeypatch):
+        compared = []
+        monkeypatch.setattr(KnotRecord, "__eq__", lambda a, b: compared.append(a.name) or True)
+        assert BUILTIN_KNOTS.with_records([]) is BUILTIN_KNOTS
+        stored = BUILTIN_KNOTS.lookup("3_1")
+        table = BUILTIN_KNOTS.with_records([stored, knot_from_seifert("unknot", True, ())])
+        assert table.names() == ("3_1", "4_1", "5_2", "unknot") and compared == []
+        table.with_records([knot_from_seifert("3_1", True, ((-1, 1), (0, -1)))])
+        assert compared == ["3_1"]
 
 
 class TestValidateAlexander:

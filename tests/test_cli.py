@@ -1,6 +1,5 @@
 """Command line: golden outputs, JSON payloads, schemas, exit codes."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -283,7 +282,7 @@ class TestDeterminism:
 
 class TestOutputRecord:
     def test_three_fields_and_constant_status(self):
-        assert [f.name for f in dataclasses.fields(OutputRecord)] == ["command", "text", "payload"]
+        assert OutputRecord.__slots__ == ("command", "text", "payload")
         assert OutputRecord(("sw3",)).status == 0 and OutputRecord.status == 0
 
     @pytest.mark.parametrize("payload, out", [
@@ -444,8 +443,17 @@ class TestMalformedInputs:
 
     def test_result_too_large_to_print(self, capsys):
         # coefficients near 2^14397 have 4334 digits
-        assert main(["bundle", "--genus", "7200", "--euler", "4", "--method", "closed"]) == 1
-        self.assert_one_error_line(capsys, "error[domain]: result too large to print")
+        for method in ("closed", "both"):
+            assert main(["bundle", "--genus", "7200", "--euler", "4", "--method", method]) == 1
+            self.assert_one_error_line(capsys, "error[domain]: result too large to print")
+
+    @pytest.mark.parametrize("euler", [1, -1, 2, -2])
+    def test_large_genus_fold_that_cancels_every_term_prints(self, capsys, euler):
+        # the middle binomial C(14398, 7199) has 4334 digits, but folding by 1 or 2 sums
+        # the whole alternating row into one class: the digits of the row do not bound the fold
+        assert main(["bundle", "--genus", "7200", "--euler", str(euler), "--method", "both"]) == 0
+        out = f"genus = 7200, euler = {euler}\ndirect = 0\nclosed = 0\nMATCH (up to sign)\n"
+        assert capsys.readouterr() == (out, "")
 
     def test_unknown_registration_field(self, capsys, tmp_path):
         path = tmp_path / "k.json"

@@ -1,6 +1,5 @@
 """Coset folding: canonical representatives, oracle agreement, circle bundles."""
 
-import dataclasses
 import math
 import random
 import sys
@@ -234,7 +233,9 @@ class TestFold:
         assert folded.chi_text == "0"
 
     def test_low_b_plus_raises(self):
-        pretend = dataclasses.replace(surface_times_circle(1), b1=2)
+        s = surface_times_circle(1)
+        pretend = ThreeManifold(name=s.name, basis=s.basis, b1=2, sw3=s.sw3, fibered=s.fibered,
+                                provenance=s.provenance)
         with pytest.raises(HypothesisError):
             fold(pretend, (1,))
         with pytest.raises(HypothesisError):
@@ -355,7 +356,8 @@ class TestFoldProperties:
             folded = fold_poly(moved, quotient)
             assert folded == fold_poly(fold_poly(m.sw3, quotient_of(basis, chi)).reindex(basis, images), quotient)
             assert folded == fold_poly_bruteforce(moved, quotient)
-            image = dataclasses.replace(m, sw3=moved)
+            image = ThreeManifold(name=m.name, basis=m.basis, b1=m.b1, sw3=moved, fibered=m.fibered,
+                                  provenance=m.provenance)
             assert taubes_report(image, image_chi).obstructed == taubes_report(m, chi).obstructed
 
     def test_symmetric_input_gives_cosetwise_symmetric_output(self):

@@ -1,6 +1,5 @@
 """Manifold constructions and fold-hypothesis checks."""
 
-import dataclasses
 import math
 from collections import Counter
 
@@ -150,7 +149,9 @@ class TestFoldApplicability:
         assert folded.poly == fig8_pair.sw3
 
     def test_low_b1_fails(self):
-        pretend = dataclasses.replace(surface_times_circle(1), b1=2)
+        s = surface_times_circle(1)
+        pretend = ThreeManifold(name=s.name, basis=s.basis, b1=2, sw3=s.sw3, fibered=s.fibered,
+                                provenance=s.provenance)
         with pytest.raises(HypothesisError, match=r"b_\+ = b_1 - 1 = 1 < 2"):
             require_b_plus(pretend)
         with pytest.raises(HypothesisError):

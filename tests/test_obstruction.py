@@ -1,6 +1,5 @@
 """Unit-coefficient obstruction verdicts and box searches."""
 
-import dataclasses
 import random
 import re
 import sys
@@ -275,7 +274,9 @@ class TestEulerSearch:
         assert len(result.entries) == (5**3 - 1) // 2 and result.digests() == ("0",) * 62
 
     def test_low_b_plus_rejected(self):
-        pretend = dataclasses.replace(surface_times_circle(1), b1=2)
+        s = surface_times_circle(1)
+        pretend = ThreeManifold(name=s.name, basis=s.basis, b1=2, sw3=s.sw3, fibered=s.fibered,
+                                provenance=s.provenance)
         with pytest.raises(HypothesisError):
             euler_search(pretend, 2)
 

@@ -1,0 +1,173 @@
+"""The immutable records: read-only slots, value equality, dataclass-form repr, checks in ``__init__``.
+
+Every record is a slotted class on one base (``swfold.laurent._Record``), so
+importing the command line loads neither ``dataclasses`` nor ``inspect``.
+"""
+
+import copy
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+from swfold.alexander import AlexanderChecklist, KnotRecord, SeifertMatrix
+from swfold.cli import OutputRecord
+from swfold.errors import DomainError, StructuralError
+from swfold.fold import EulerClass, FoldedSW, QuotientLattice
+from swfold.laurent import Basis, from_text
+from swfold.manifolds import T3_BASIS, ThreeManifold
+from swfold.obstruction import ObstructionReport, SearchResult
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+T = Basis(names=("t",))
+T3 = "basis=Basis(names=('m1', 'm2', 'm3'))"
+
+#: Each record built by keyword with its field names, its fields in order, and its repr.
+RECORDS = {
+    "Basis": (lambda: Basis(names=("m1", "m2")), ("names",), "Basis(names=('m1', 'm2'))"),
+    "SeifertMatrix": (
+        lambda: SeifertMatrix(entries=[[1, 1], [0, 2]]), ("entries",), "SeifertMatrix(entries=((1, 1), (0, 2)))",
+    ),
+    "AlexanderChecklist": (
+        lambda: AlexanderChecklist(symmetric=True, value_at_one=-1), ("symmetric", "value_at_one"),
+        "AlexanderChecklist(symmetric=True, value_at_one=-1)",
+    ),
+    "KnotRecord": (
+        lambda: KnotRecord(name="k", seifert=None, alexander=from_text("t - 1 + t^-1", T), fibered=False),
+        ("name", "seifert", "alexander", "fibered"),
+        "KnotRecord(name='k', seifert=None, alexander=LaurentPoly('t^-1 - 1 + t', basis=(t)), fibered=False)",
+    ),
+    "EulerClass": (
+        lambda: EulerClass(basis=T3_BASIS, chi=[4, 0, 0]), ("basis", "chi"), f"EulerClass({T3}, chi=(4, 0, 0))",
+    ),
+    "QuotientLattice": (
+        lambda: QuotientLattice(euler=EulerClass(T3_BASIS, (0, -2, 1))), ("euler", "chi", "pivot", "modulus"),
+        f"QuotientLattice(euler=EulerClass({T3}, chi=(0, 2, -1)), chi=(0, 2, -1), pivot=1, modulus=2)",
+    ),
+    "FoldedSW": (
+        lambda: FoldedSW(quotient=QuotientLattice(EulerClass(T, (4,))), poly=from_text("2*t^3 - 1", T)),
+        ("quotient", "poly"),
+        "FoldedSW(quotient=QuotientLattice(euler=EulerClass(basis=Basis(names=('t',)), chi=(4,)), chi=(4,), "
+        "pivot=0, modulus=4), poly=LaurentPoly('-1 + 2*t^3', basis=(t)))",
+    ),
+    "ThreeManifold": (
+        lambda: ThreeManifold(name="M", basis=T, b1=3, sw3=from_text("t - t^-1", T), fibered=True,
+                              provenance=("m",)),
+        ("name", "basis", "b1", "sw3", "fibered", "provenance"),
+        "ThreeManifold(name='M', basis=Basis(names=('t',)), b1=3, sw3=LaurentPoly('-t^-1 + t', basis=(t)), "
+        "fibered=True, provenance=('m',))",
+    ),
+    "ObstructionReport": (
+        lambda: ObstructionReport(chi=None, basis=T, injective=True, terms=(((0,), 1),), unit_classes=((0,),)),
+        ("chi", "basis", "injective", "terms", "unit_classes"),
+        "ObstructionReport(chi=None, basis=Basis(names=('t',)), injective=True, terms=(((0,), 1),), "
+        "unit_classes=((0,),))",
+    ),
+    "SearchResult": (
+        lambda: SearchResult(box=1, entries=()), ("box", "entries"), "SearchResult(box=1, entries=())",
+    ),
+    "OutputRecord": (
+        lambda: OutputRecord(command=("knot", "list"), text="x"), ("command", "text", "payload"),
+        "OutputRecord(command=('knot', 'list'), text='x', payload=None)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_fields_are_the_slots_in_order(name):
+    make, fields, _ = RECORDS[name]
+    assert type(make()).__slots__ == fields
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_setting_or_deleting_an_attribute_raises(name):
+    make, fields, text = RECORDS[name]
+    record = make()
+    for field in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_equal_values_compare_and_hash_equal(name):
+    make, _, _ = RECORDS[name]
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b and a == a
+    assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_copy_and_pickle_keep_the_value(name):
+    make, fields, text = RECORDS[name]
+    record = make()
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record and repr(twin) == text
+        with pytest.raises(AttributeError):
+            setattr(twin, fields[0], None)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_another_class_compares_unequal(name):
+    make, _, _ = RECORDS[name]
+    record, other = make(), RECORDS["SearchResult" if name == "Basis" else "Basis"][0]()
+    assert record.__eq__(other) is NotImplemented
+    assert record != other and other != record
+    assert record != object() and record != None  # noqa: E711
+
+
+def test_one_differing_field_compares_unequal():
+    assert EulerClass(T3_BASIS, (4, 0, 0)) != EulerClass(T3_BASIS, (0, 4, 0))
+    assert OutputRecord(("x",), text="a") != OutputRecord(("x",), text="b")
+    assert Basis(("t",)) != Basis(("s",))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_repr_has_the_dataclass_form(name):
+    make, _, text = RECORDS[name]
+    assert repr(make()) == text
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Basis(("a", "b", "a")), StructuralError, "duplicate variable name 'a'"),
+    (lambda: SeifertMatrix([[1, 1], [0]]), StructuralError,
+     "Seifert matrix must be square, got row of length 1 in size 2"),
+    (lambda: EulerClass(T3_BASIS, (0, 0, 0)), DomainError,
+     "Euler class is zero (torsion); no quotient to fold over"),
+    (lambda: FoldedSW(QuotientLattice(EulerClass(T, (4,))), from_text("t^5", T)), StructuralError,
+     "exponent (5,) is not a canonical representative (pivot 0, modulus 4)"),
+    (lambda: ThreeManifold("M", T, 3, from_text("t + 2", T), True, ()), StructuralError,
+     "sw3 must be symmetric up to sign under inverting all variables"),
+])
+def test_validation_errors_keep_type_and_text(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def fresh_import_modules(*flags: str) -> set[str]:
+    """Modules a new interpreter holds after ``import swfold.cli``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, swfold.cli; print(*sys.modules)"
+    done = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env,
+                          check=True, timeout=60)
+    return set(done.stdout.split())
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    modules = fresh_import_modules()
+    assert "swfold.cli" in modules
+    assert not {"dataclasses", "inspect"} & modules
+
+
+def test_cli_import_without_site_loads_no_typing():
+    # without site, no .pth file preloads typing, so this sees what swfold itself imports
+    modules = fresh_import_modules("-S")
+    assert "swfold.cli" in modules
+    assert not {"dataclasses", "inspect", "typing"} & modules
