@@ -26,7 +26,7 @@ from .alexander import BUILTIN_KNOTS, KnotTable, load_knot_file, read_json, reco
 from .errors import DomainError, SpecFileError, SwfoldError
 from .fold import circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
 from .laurent import _Record, _set
-from .manifolds import ThreeManifold, fiber_sum_with_knot, surface_times_circle, three_torus
+from .manifolds import ThreeManifold, fiber_sum, surface_times_circle, three_torus
 from .obstruction import euler_search, stabilization_note, taubes_report
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "schemas")
@@ -100,13 +100,15 @@ def build_manifold(data: dict, table: KnotTable, where: str = "spec") -> ThreeMa
     sums = data.get("sums", [])
     if not isinstance(sums, list):
         raise SpecFileError(f"{where}.sums: expected a list")
-    for i, entry in enumerate(sums):
-        if not isinstance(entry, dict) or set(entry) != {"knot", "meridian"}:
-            raise SpecFileError(f"{where}.sums[{i}]: expected {{\"knot\": name, \"meridian\": variable}}")
-        if not isinstance(entry["knot"], str) or not isinstance(entry["meridian"], str):
-            raise SpecFileError(f"{where}.sums[{i}]: knot and meridian must be strings")
-        manifold = fiber_sum_with_knot(manifold, table.lookup(entry["knot"]), entry["meridian"])
-    return manifold
+
+    def pairs():  # read lazily, so the first bad entry in spec order is the one reported
+        for i, entry in enumerate(sums):
+            if not isinstance(entry, dict) or set(entry) != {"knot", "meridian"}:
+                raise SpecFileError(f"{where}.sums[{i}]: expected {{\"knot\": name, \"meridian\": variable}}")
+            if not isinstance(entry["knot"], str) or not isinstance(entry["meridian"], str):
+                raise SpecFileError(f"{where}.sums[{i}]: knot and meridian must be strings")
+            yield table.lookup(entry["knot"]), entry["meridian"]
+    return fiber_sum(manifold, pairs())
 
 
 def command_knots() -> KnotTable:

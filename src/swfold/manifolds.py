@@ -10,9 +10,13 @@ Fiber-summing a knot complement along a meridian multiplies the SW
 polynomial by the knot's Alexander polynomial evaluated at the square of
 the meridian variable; the basis and b_1 are unchanged because the knot
 complement's first homology is generated by the glued meridian.
+:func:`fiber_sum` makes all of a spec's sums one product of this kind.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
+from math import prod
 
 from .alexander import KnotRecord
 from .errors import DomainError, HypothesisError, StructuralError
@@ -85,23 +89,29 @@ def surface_times_circle(genus: int) -> ThreeManifold:
     )
 
 
-def fiber_sum_with_knot(manifold: ThreeManifold, knot: KnotRecord, meridian: str) -> ThreeManifold:
-    """Fiber-sum a knot complement along a meridian direction.
+def fiber_sum(manifold: ThreeManifold, sums: Iterable[tuple[KnotRecord, str]]) -> ThreeManifold:
+    """Fiber-sum knot complements along meridians, one ``(knot, meridian)`` pair per sum, read lazily.
 
-    Multiplies the SW polynomial by the knot polynomial reindexed through
-    t -> meridian^2; basis and b_1 are unchanged; the result is fibered
-    only if both pieces are.
+    sw3 times each knot polynomial at meridian^2 is one exact product: each meridian's factors
+    first, in spec order, then each meridian's product into sw3.  Name, provenance and
+    ``fibered`` follow spec order; one record is built and checked, or none for no sums.
     """
-    direction = [2 * e for e in manifold.basis.unit(meridian)]
-    factor = knot.alexander.reindex(manifold.basis, {"t": direction})
-    return ThreeManifold(
-        name=f"{manifold.name}+{knot.name}@{meridian}",
-        basis=manifold.basis,
-        b1=manifold.b1,
-        sw3=manifold.sw3 * factor,
-        fibered=manifold.fibered and knot.fibered,
-        provenance=manifold.provenance + (f"fiber_sum(knot={knot.name}, meridian={meridian})",),
-    )
+    basis, name, fibered, provenance, products = manifold.basis, manifold.name, manifold.fibered, [], {}
+    for knot, meridian in sums:
+        factor = knot.alexander.reindex(basis, {"t": [2 * e for e in basis.unit(meridian)]})
+        products[meridian] = products[meridian] * factor if meridian in products else factor
+        name += f"+{knot.name}@{meridian}"
+        fibered = fibered and knot.fibered
+        provenance.append(f"fiber_sum(knot={knot.name}, meridian={meridian})")
+    if not products:
+        return manifold
+    return ThreeManifold(name=name, basis=basis, b1=manifold.b1, sw3=prod(products.values(), start=manifold.sw3),
+                         fibered=fibered, provenance=manifold.provenance + tuple(provenance))
+
+
+def fiber_sum_with_knot(manifold: ThreeManifold, knot: KnotRecord, meridian: str) -> ThreeManifold:
+    """One fiber sum: :func:`fiber_sum` with the single pair ``(knot, meridian)``."""
+    return fiber_sum(manifold, [(knot, meridian)])
 
 
 def require_b_plus(manifold: ThreeManifold) -> None:

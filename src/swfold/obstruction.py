@@ -226,7 +226,8 @@ def stabilization_note(manifold: ThreeManifold, box: int = 5) -> str:
     lines.append(f"unfolded coefficients {multiset}: {verdict}")
 
     colliders = colliding_classes(manifold)
-    largest = max(abs(c) for chi in colliders for c in chi)
+    # the support's widest coordinate range: its extreme points differ by a k = 1 collider, k > 1 only shrinks
+    largest = max(max(col) - min(col) for col in zip(*manifold.sw3._terms))
     lines.append(
         f"{len(colliders)} Euler classes (up to sign) can merge distinct terms; "
         f"all their coefficients lie within [-{largest}, {largest}]"
@@ -235,7 +236,7 @@ def stabilization_note(manifold: ThreeManifold, box: int = 5) -> str:
         lines.append(f"box {_count(box)} covers every collision-capable class: "
                      "outside the box every fold is injective")
     else:
-        missed = sum(1 for chi in colliders if any(abs(c) > box for c in chi))
+        missed = sum(max(chi) > box or min(chi) < -box for chi in colliders)
         lines.append(f"box {box} misses {missed} collision-capable classes "
                      f"(increase the box to {largest} to cover all)")
     return "\n".join(lines)

@@ -14,7 +14,7 @@ from jsonschema import Draft202012Validator
 from swfold import cli
 from swfold.alexander import BUILTIN_KNOTS
 from swfold.cli import ENV_KNOT_TABLE, SCHEMA_DIR, OutputRecord, build_manifold, emit, load_spec, main, run
-from swfold.errors import KnotLookupError, SpecFileError
+from swfold.errors import KnotLookupError, SpecFileError, UnknownVariableError
 from swfold.laurent import Basis, from_text
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -95,6 +95,18 @@ class TestLoadSpec:
         with pytest.raises(SpecFileError) as err:
             build_manifold(data, BUILTIN_KNOTS, where="spec")
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("sums, error, name", [
+        ([{"knot": "3_1", "meridian": "m9"}, {"knot": "9_99", "meridian": "m1"}], UnknownVariableError, "m9"),
+        ([{"knot": "9_99", "meridian": "m1"}, {"knot": "3_1", "meridian": "m9"}], KnotLookupError, "9_99"),
+        ([{"knot": "3_1", "meridian": "m9"}, {"knot": "3_1"}], UnknownVariableError, "m9"),
+        ([{"knot": "3_1"}, {"knot": "9_99", "meridian": "m1"}], SpecFileError, "spec.sums[0]"),
+    ])
+    def test_first_bad_entry_in_spec_order_is_reported(self, sums, error, name):
+        """A bad meridian, knot or entry shape is reported for the first entry that has one."""
+        with pytest.raises(error) as err:
+            build_manifold({"base": "t3", "sums": sums}, BUILTIN_KNOTS, where="spec")
+        assert name in str(err.value)
 
 
 class TestTextOutputs:

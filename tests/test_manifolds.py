@@ -1,6 +1,7 @@
 """Manifold constructions and fold-hypothesis checks."""
 
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from swfold.laurent import LaurentPoly, from_text
 from swfold.manifolds import (
     T3_BASIS,
     ThreeManifold,
+    fiber_sum,
     fiber_sum_with_knot,
     require_b_plus,
     surface_times_circle,
@@ -120,6 +122,64 @@ class TestFiberSum:
     def test_provenance_grows(self, fig8_pair):
         assert fig8_pair.provenance[0] == "t3"
         assert len(fig8_pair.provenance) == 3
+
+
+def _convolve(a: dict, b: dict) -> dict:
+    """Product of two term dicts as a plain double loop, zeros dropped: no LaurentPoly arithmetic."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            out[exp] = out.get(exp, 0) + ca * cb
+    return {exp: c for exp, c in out.items() if c}
+
+
+TWISTS = tuple(knot_from_seifert(f"twist{k}", abs(k) <= 1, ((1, 1), (0, k))) for k in range(-4, 5))
+TOWER_SEEDS = range(40)
+
+
+def _random_tower(seed: int):
+    """A base (T3 for odd seeds, a surface times the circle for even ones) and 1-9 random (knot, meridian) sums."""
+    rng = random.Random(seed)
+    base = three_torus() if seed % 2 else surface_times_circle(rng.randint(1, 3))
+    knots = [BUILTIN_KNOTS.lookup(name) for name in BUILTIN_KNOTS.names()] + list(TWISTS)
+    return base, [(rng.choice(knots), rng.choice(base.basis.names)) for _ in range(rng.randint(1, 9))]
+
+
+class TestFiberSumOracle:
+    """``fiber_sum`` against a left-to-right chain: sw3 by dict convolution, the rest by ``fiber_sum_with_knot``."""
+
+    @pytest.mark.parametrize("seed", TOWER_SEEDS)
+    def test_random_tower(self, seed):
+        base, sums = _random_tower(seed)
+        expected, chain = dict(base.sw3._terms), base
+        for knot, meridian in sums:
+            unit = base.basis.unit(meridian)
+            factor = {tuple(2 * e * u for u in unit): c for (e,), c in knot.alexander._terms.items()}
+            expected = _convolve(expected, factor)
+            chain = fiber_sum_with_knot(chain, knot, meridian)
+        m = fiber_sum(base, sums)
+        assert m.sw3._terms == expected
+        assert (m.name, m.provenance, m.fibered) == (chain.name, chain.provenance, chain.fibered)
+        assert (m.basis, m.b1) == (base.basis, base.b1)
+
+    def test_towers_cover_lengths_knots_and_repeated_meridians(self):
+        towers = [_random_tower(seed) for seed in TOWER_SEEDS]
+        assert {len(sums) for _, sums in towers} == set(range(1, 10))
+        assert any(max(Counter(m for _, m in sums).values()) >= 3 for base, sums in towers if base.basis.rank == 3)
+        used = {knot.name for _, sums in towers for knot, _ in sums}
+        assert set(BUILTIN_KNOTS.names()) <= used and used - set(BUILTIN_KNOTS.names())
+
+    @pytest.mark.parametrize("base", [three_torus(), surface_times_circle(2)])
+    def test_no_sums_return_the_manifold(self, base):
+        assert fiber_sum(base, []) is base
+
+    def test_one_record_is_built_and_checked(self, monkeypatch):
+        base, knot, built = three_torus(), BUILTIN_KNOTS.lookup("5_2"), []
+        init = ThreeManifold.__init__
+        monkeypatch.setattr(ThreeManifold, "__init__", lambda self, *a, **kw: built.append(kw) or init(self, *a, **kw))
+        m = fiber_sum(base, [(knot, "m1"), (knot, "m2"), (knot, "m1")])
+        assert len(built) == 1 and len(m.sw3) == 15
 
 
 class TestThreeManifoldInvariants:
