@@ -9,7 +9,7 @@ Euler class 4*m1, and check the unit-coefficient criterion.  Run with
 
 from swfold import (
     BUILTIN_KNOTS,
-    fiber_sum_with_knot,
+    fiber_sum,
     fold,
     require_b_plus,
     taubes_report,
@@ -22,8 +22,8 @@ fig8 = BUILTIN_KNOTS.lookup("4_1")
 print(f"knot {fig8.name}: alexander = {fig8.alexander}, fibered = {fig8.fibered}")
 
 manifold = three_torus()
-manifold = fiber_sum_with_knot(manifold, fig8, "m1")
-manifold = fiber_sum_with_knot(manifold, fig8, "m2")
+manifold = fiber_sum(manifold, [(fig8, "m1")])
+manifold = fiber_sum(manifold, [(fig8, "m2")])
 print(f"\nmanifold {manifold.name}  (b1 = {manifold.b1}, fibered = {manifold.fibered})")
 print(f"sw3 = {manifold.sw3}")
 

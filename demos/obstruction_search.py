@@ -13,7 +13,7 @@ box; the stabilization note explains why the box suffices.  Run with
 from swfold import (
     BUILTIN_KNOTS,
     euler_search,
-    fiber_sum_with_knot,
+    fiber_sum,
     stabilization_note,
     three_torus,
 )
@@ -22,8 +22,8 @@ five2 = BUILTIN_KNOTS.lookup("5_2")
 print(f"knot {five2.name}: alexander = {five2.alexander}, fibered = {five2.fibered}")
 
 manifold = three_torus()
-manifold = fiber_sum_with_knot(manifold, five2, "m1")
-manifold = fiber_sum_with_knot(manifold, five2, "m2")
+manifold = fiber_sum(manifold, [(five2, "m1")])
+manifold = fiber_sum(manifold, [(five2, "m2")])
 print(f"\nmanifold {manifold.name}  (fibered = {manifold.fibered})")
 print(f"sw3 = {manifold.sw3}")
 

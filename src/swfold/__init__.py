@@ -52,7 +52,6 @@ from .manifolds import (
     T3_BASIS,
     ThreeManifold,
     fiber_sum,
-    fiber_sum_with_knot,
     require_b_plus,
     surface_times_circle,
     three_torus,
@@ -104,7 +103,6 @@ __all__ = [
     "euler_search",
     "euler_vector_from_text",
     "fiber_sum",
-    "fiber_sum_with_knot",
     "fold",
     "fold_bruteforce",
     "fold_poly",

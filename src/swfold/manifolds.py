@@ -2,9 +2,10 @@
 
 Constructions covered: the three-torus, products of a genus-g surface
 with the circle, and fiber sums of those with knot complements along a
-meridian direction.  Each record carries the variable basis (generators
-of H_1 modulo torsion), the first Betti number, an exact SW polynomial
-over that basis, and a fiberedness flag.
+meridian direction.  A record is its construction: the base's genus and
+the (knot, meridian) sums, with the variable basis (generators of H_1
+modulo torsion), the first Betti number and an exact SW polynomial over
+that basis.  Name, provenance and fiberedness are read off it.
 
 Fiber-summing a knot complement along a meridian multiplies the SW
 polynomial by the knot's Alexander polynomial evaluated at the square of
@@ -30,9 +31,13 @@ CIRCLE_BASIS = Basis(("t",))
 
 
 class ThreeManifold(_Record):
-    __slots__ = ("name", "basis", "b1", "sw3", "fibered", "provenance")
+    """A base, T3 (``genus`` None) or a genus-g surface times the circle, and its ``(knot, meridian)``
+    fiber sums in spec order, with the basis, b_1 and sw3 they give."""
 
-    def __init__(self, name: str, basis: Basis, b1: int, sw3: LaurentPoly, fibered: bool, provenance: tuple[str, ...]):
+    __slots__ = ("genus", "basis", "b1", "sw3", "sums")
+
+    def __init__(self, genus: int | None, basis: Basis, b1: int, sw3: LaurentPoly,
+                 sums: tuple[tuple[KnotRecord, str], ...] = ()):
         if sw3.basis != basis:
             raise StructuralError("sw3 polynomial basis differs from the manifold basis")
         if b1 < basis.rank:
@@ -40,24 +45,31 @@ class ThreeManifold(_Record):
         conj = sw3.conjugate()
         if conj != sw3 and conj != -sw3:
             raise StructuralError("sw3 must be symmetric up to sign under inverting all variables")
-        _set(self, "name", name)
+        _set(self, "genus", genus)
         _set(self, "basis", basis)
         _set(self, "b1", b1)
         _set(self, "sw3", sw3)
-        _set(self, "fibered", fibered)
-        _set(self, "provenance", provenance)
+        _set(self, "sums", sums)
+
+    @property
+    def name(self) -> str:
+        base = "T3" if self.genus is None else f"S{self.genus}xS1"
+        return base + "".join(f"+{knot.name}@{meridian}" for knot, meridian in self.sums)
+
+    @property
+    def provenance(self) -> tuple[str, ...]:
+        base = "t3" if self.genus is None else f"surface_x_s1(genus={self.genus})"
+        return (base, *(f"fiber_sum(knot={knot.name}, meridian={meridian})" for knot, meridian in self.sums))
+
+    @property
+    def fibered(self) -> bool:
+        """Both bases are fibered, so the sum is fibered iff every summed knot is."""
+        return all(knot.fibered for knot, _ in self.sums)
 
 
 def three_torus() -> ThreeManifold:
     """The three-torus: trivial SW polynomial, b_1 = 3, fibered."""
-    return ThreeManifold(
-        name="T3",
-        basis=T3_BASIS,
-        b1=3,
-        sw3=LaurentPoly.one(T3_BASIS),
-        fibered=True,
-        provenance=("t3",),
-    )
+    return ThreeManifold(genus=None, basis=T3_BASIS, b1=3, sw3=LaurentPoly.one(T3_BASIS))
 
 
 def _check_genus(genus) -> None:
@@ -79,39 +91,25 @@ def surface_times_circle(genus: int) -> ThreeManifold:
     for j in range(degree + 1):
         terms[(2 * j - degree,)] = binomial
         binomial = -binomial * (degree - j) // (j + 1)
-    return ThreeManifold(
-        name=f"S{genus}xS1",
-        basis=CIRCLE_BASIS,
-        b1=2 * genus + 1,
-        sw3=LaurentPoly._of(CIRCLE_BASIS, terms),
-        fibered=True,
-        provenance=(f"surface_x_s1(genus={genus})",),
-    )
+    return ThreeManifold(genus=genus, basis=CIRCLE_BASIS, b1=2 * genus + 1, sw3=LaurentPoly._of(CIRCLE_BASIS, terms))
 
 
 def fiber_sum(manifold: ThreeManifold, sums: Iterable[tuple[KnotRecord, str]]) -> ThreeManifold:
     """Fiber-sum knot complements along meridians, one ``(knot, meridian)`` pair per sum, read lazily.
 
     sw3 times each knot polynomial at meridian^2 is one exact product: each meridian's factors
-    first, in spec order, then each meridian's product into sw3.  Name, provenance and
-    ``fibered`` follow spec order; one record is built and checked, or none for no sums.
+    first, in spec order, then each meridian's product into sw3.  The pairs are appended to the
+    manifold's sums; one record is built and checked, or none for no sums.
     """
-    basis, name, fibered, provenance, products = manifold.basis, manifold.name, manifold.fibered, [], {}
+    basis, added, products = manifold.basis, [], {}
     for knot, meridian in sums:
         factor = knot.alexander.reindex(basis, {"t": [2 * e for e in basis.unit(meridian)]})
         products[meridian] = products[meridian] * factor if meridian in products else factor
-        name += f"+{knot.name}@{meridian}"
-        fibered = fibered and knot.fibered
-        provenance.append(f"fiber_sum(knot={knot.name}, meridian={meridian})")
-    if not products:
+        added.append((knot, meridian))
+    if not added:
         return manifold
-    return ThreeManifold(name=name, basis=basis, b1=manifold.b1, sw3=prod(products.values(), start=manifold.sw3),
-                         fibered=fibered, provenance=manifold.provenance + tuple(provenance))
-
-
-def fiber_sum_with_knot(manifold: ThreeManifold, knot: KnotRecord, meridian: str) -> ThreeManifold:
-    """One fiber sum: :func:`fiber_sum` with the single pair ``(knot, meridian)``."""
-    return fiber_sum(manifold, [(knot, meridian)])
+    return ThreeManifold(manifold.genus, basis, manifold.b1, prod(products.values(), start=manifold.sw3),
+                         manifold.sums + tuple(added))
 
 
 def require_b_plus(manifold: ThreeManifold) -> None:

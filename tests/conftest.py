@@ -6,7 +6,7 @@ from hypothesis import settings
 from swfold import cli
 from swfold.alexander import BUILTIN_KNOTS
 from swfold.laurent import Basis, LaurentPoly
-from swfold.manifolds import fiber_sum_with_knot, three_torus
+from swfold.manifolds import fiber_sum, three_torus
 
 settings.register_profile("deterministic", derandomize=True, max_examples=60)
 settings.load_profile("deterministic")
@@ -53,13 +53,13 @@ def random_basis(rng: random.Random) -> Basis:
 def fig8_pair():
     """Two figure-eight complements glued onto the first two torus meridians."""
     m = three_torus()
-    m = fiber_sum_with_knot(m, BUILTIN_KNOTS.lookup("4_1"), "m1")
-    return fiber_sum_with_knot(m, BUILTIN_KNOTS.lookup("4_1"), "m2")
+    m = fiber_sum(m, [(BUILTIN_KNOTS.lookup("4_1"), "m1")])
+    return fiber_sum(m, [(BUILTIN_KNOTS.lookup("4_1"), "m2")])
 
 
 @pytest.fixture
 def five2_pair():
     """Two 5_2 complements glued onto the first two torus meridians."""
     m = three_torus()
-    m = fiber_sum_with_knot(m, BUILTIN_KNOTS.lookup("5_2"), "m1")
-    return fiber_sum_with_knot(m, BUILTIN_KNOTS.lookup("5_2"), "m2")
+    m = fiber_sum(m, [(BUILTIN_KNOTS.lookup("5_2"), "m1")])
+    return fiber_sum(m, [(BUILTIN_KNOTS.lookup("5_2"), "m2")])

@@ -23,7 +23,7 @@ from swfold.fold import (
     fold_poly_bruteforce,
 )
 from swfold.laurent import LaurentPoly, from_text, to_text
-from swfold.manifolds import T3_BASIS, fiber_sum_with_knot, surface_times_circle, three_torus
+from swfold.manifolds import T3_BASIS, fiber_sum, surface_times_circle, three_torus
 from swfold.obstruction import euler_search, taubes_report
 
 from conftest import random_basis, random_poly
@@ -35,12 +35,12 @@ def announce(number, message):
 
 
 def trefoil_manifold():
-    return fiber_sum_with_knot(three_torus(), BUILTIN_KNOTS.lookup("3_1"), "m1")
+    return fiber_sum(three_torus(), [(BUILTIN_KNOTS.lookup("3_1"), "m1")])
 
 
 def pair_manifold(knot_name):
-    m = fiber_sum_with_knot(three_torus(), BUILTIN_KNOTS.lookup(knot_name), "m1")
-    return fiber_sum_with_knot(m, BUILTIN_KNOTS.lookup(knot_name), "m2")
+    m = fiber_sum(three_torus(), [(BUILTIN_KNOTS.lookup(knot_name), "m1")])
+    return fiber_sum(m, [(BUILTIN_KNOTS.lookup(knot_name), "m2")])
 
 
 FIG8_PAIR_SW3 = (

@@ -36,14 +36,7 @@ def quotient_of(basis, vector) -> QuotientLattice:
 def random_manifold(rng: random.Random, basis: Basis) -> ThreeManifold:
     """Random manifold with a symmetrized polynomial (fold needs b_+ >= 2)."""
     p = random_poly(rng, basis, max_terms=6, max_exp=6, max_coeff=4)
-    return ThreeManifold(
-        name="random",
-        basis=basis,
-        b1=max(basis.rank, 3),
-        sw3=p + p.conjugate(),
-        fibered=False,
-        provenance=("random",),
-    )
+    return ThreeManifold(genus=None, basis=basis, b1=max(basis.rank, 3), sw3=p + p.conjugate())
 
 
 def random_chi(rng: random.Random, rank: int) -> tuple:
@@ -234,8 +227,7 @@ class TestFold:
 
     def test_low_b_plus_raises(self):
         s = surface_times_circle(1)
-        pretend = ThreeManifold(name=s.name, basis=s.basis, b1=2, sw3=s.sw3, fibered=s.fibered,
-                                provenance=s.provenance)
+        pretend = ThreeManifold(s.genus, s.basis, 2, s.sw3)
         with pytest.raises(HypothesisError):
             fold(pretend, (1,))
         with pytest.raises(HypothesisError):
@@ -356,8 +348,7 @@ class TestFoldProperties:
             folded = fold_poly(moved, quotient)
             assert folded == fold_poly(fold_poly(m.sw3, quotient_of(basis, chi)).reindex(basis, images), quotient)
             assert folded == fold_poly_bruteforce(moved, quotient)
-            image = ThreeManifold(name=m.name, basis=m.basis, b1=m.b1, sw3=moved, fibered=m.fibered,
-                                  provenance=m.provenance)
+            image = ThreeManifold(m.genus, m.basis, m.b1, moved, m.sums)
             assert taubes_report(image, image_chi).obstructed == taubes_report(m, chi).obstructed
 
     def test_symmetric_input_gives_cosetwise_symmetric_output(self):

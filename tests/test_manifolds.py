@@ -14,7 +14,6 @@ from swfold.manifolds import (
     T3_BASIS,
     ThreeManifold,
     fiber_sum,
-    fiber_sum_with_knot,
     require_b_plus,
     surface_times_circle,
     three_torus,
@@ -82,7 +81,7 @@ class TestSurfaceTimesCircle:
 
 class TestFiberSum:
     def test_trefoil_sum(self):
-        m = fiber_sum_with_knot(three_torus(), BUILTIN_KNOTS.lookup("3_1"), "m1")
+        m = fiber_sum(three_torus(), [(BUILTIN_KNOTS.lookup("3_1"), "m1")])
         expected = from_text("m1^2 - 1 + m1^-2", T3_BASIS)
         assert m.sw3 == expected
         assert m.b1 == 3
@@ -94,7 +93,7 @@ class TestFiberSum:
         assert fig8_pair.fibered is True
 
     def test_unknot_sum_is_identity(self):
-        m = fiber_sum_with_knot(three_torus(), knot_from_seifert("unknot", True, ()), "m2")
+        m = fiber_sum(three_torus(), [(knot_from_seifert("unknot", True, ()), "m2")])
         assert m.sw3 == three_torus().sw3
 
     def test_nonfibered_knot_breaks_fiberedness(self, five2_pair):
@@ -102,14 +101,14 @@ class TestFiberSum:
 
     def test_commutes_across_distinct_meridians(self):
         k1, k2 = BUILTIN_KNOTS.lookup("4_1"), BUILTIN_KNOTS.lookup("5_2")
-        one_way = fiber_sum_with_knot(fiber_sum_with_knot(three_torus(), k1, "m1"), k2, "m2")
-        other = fiber_sum_with_knot(fiber_sum_with_knot(three_torus(), k2, "m2"), k1, "m1")
+        one_way = fiber_sum(fiber_sum(three_torus(), [(k1, "m1")]), [(k2, "m2")])
+        other = fiber_sum(fiber_sum(three_torus(), [(k2, "m2")]), [(k1, "m1")])
         assert one_way.sw3 == other.sw3
         assert one_way.fibered == other.fibered
 
     def test_unknown_meridian(self):
         with pytest.raises(UnknownVariableError):
-            fiber_sum_with_knot(three_torus(), BUILTIN_KNOTS.lookup("3_1"), "m9")
+            fiber_sum(three_torus(), [(BUILTIN_KNOTS.lookup("3_1"), "m9")])
 
     def test_coefficient_sum_is_one(self, fig8_pair, five2_pair):
         for m in (fig8_pair, five2_pair):
@@ -147,21 +146,29 @@ def _random_tower(seed: int):
 
 
 class TestFiberSumOracle:
-    """``fiber_sum`` against a left-to-right chain: sw3 by dict convolution, the rest by ``fiber_sum_with_knot``."""
+    """``fiber_sum`` against a left-to-right chain of one-pair sums: sw3 by dict convolution, and name,
+    provenance and ``fibered`` by texts built here from the base and the pairs."""
 
     @pytest.mark.parametrize("seed", TOWER_SEEDS)
     def test_random_tower(self, seed):
         base, sums = _random_tower(seed)
+        genus = None if base.basis == T3_BASIS else (base.b1 - 1) // 2
+        name = "T3" if genus is None else f"S{genus}xS1"
+        provenance = ["t3" if genus is None else f"surface_x_s1(genus={genus})"]
         expected, chain = dict(base.sw3._terms), base
         for knot, meridian in sums:
             unit = base.basis.unit(meridian)
             factor = {tuple(2 * e * u for u in unit): c for (e,), c in knot.alexander._terms.items()}
             expected = _convolve(expected, factor)
-            chain = fiber_sum_with_knot(chain, knot, meridian)
+            name += f"+{knot.name}@{meridian}"
+            provenance.append(f"fiber_sum(knot={knot.name}, meridian={meridian})")
+            chain = fiber_sum(chain, [(knot, meridian)])
         m = fiber_sum(base, sums)
         assert m.sw3._terms == expected
-        assert (m.name, m.provenance, m.fibered) == (chain.name, chain.provenance, chain.fibered)
+        assert m.name == name and m.provenance == tuple(provenance)
+        assert m.fibered is all(knot.fibered for knot, _ in sums)
         assert (m.basis, m.b1) == (base.basis, base.b1)
+        assert m == chain
 
     def test_towers_cover_lengths_knots_and_repeated_meridians(self):
         towers = [_random_tower(seed) for seed in TOWER_SEEDS]
@@ -185,15 +192,15 @@ class TestFiberSumOracle:
 class TestThreeManifoldInvariants:
     def test_rejects_mismatched_basis(self, b2):
         with pytest.raises(StructuralError):
-            ThreeManifold("bad", T3_BASIS, 3, LaurentPoly.one(b2), True, ("x",))
+            ThreeManifold(None, T3_BASIS, 3, LaurentPoly.one(b2))
 
     def test_rejects_b1_below_rank(self):
         with pytest.raises(StructuralError):
-            ThreeManifold("bad", T3_BASIS, 2, LaurentPoly.one(T3_BASIS), True, ("x",))
+            ThreeManifold(None, T3_BASIS, 2, LaurentPoly.one(T3_BASIS))
 
     def test_rejects_asymmetric_sw3(self):
         with pytest.raises(StructuralError):
-            ThreeManifold("bad", T3_BASIS, 3, from_text("m1 + 2", T3_BASIS), True, ("x",))
+            ThreeManifold(None, T3_BASIS, 3, from_text("m1 + 2", T3_BASIS))
 
 
 class TestFoldApplicability:
@@ -210,8 +217,7 @@ class TestFoldApplicability:
 
     def test_low_b1_fails(self):
         s = surface_times_circle(1)
-        pretend = ThreeManifold(name=s.name, basis=s.basis, b1=2, sw3=s.sw3, fibered=s.fibered,
-                                provenance=s.provenance)
+        pretend = ThreeManifold(s.genus, s.basis, 2, s.sw3)
         with pytest.raises(HypothesisError, match=r"b_\+ = b_1 - 1 = 1 < 2"):
             require_b_plus(pretend)
         with pytest.raises(HypothesisError):

@@ -15,7 +15,7 @@ from swfold.cli import run
 from swfold.errors import DomainError, HypothesisError
 from swfold.fold import EulerClass, QuotientLattice, canonical_rep, fold, fold_bruteforce
 from swfold.laurent import Basis, LaurentPoly, _render, to_text
-from swfold.manifolds import T3_BASIS, ThreeManifold, fiber_sum_with_knot, surface_times_circle, three_torus
+from swfold.manifolds import T3_BASIS, ThreeManifold, fiber_sum, surface_times_circle, three_torus
 from swfold.obstruction import (
     colliding_classes,
     euler_search,
@@ -168,7 +168,7 @@ class TestEulerSearch:
         s, box = 3, 2
         basis = Basis(("x1", "x2"))
         sw3 = LaurentPoly(basis, {(s, -s): 2, (-s, s): 2, (s, s): -1, (-s, -s): -1, (0, 0): 3, (1, -2): 1, (-1, 2): 1})
-        m = ThreeManifold(name="edge", basis=basis, b1=3, sw3=sw3, fibered=False, provenance=("edge",))
+        m = ThreeManifold(genus=None, basis=basis, b1=3, sw3=sw3)
         result = euler_search(m, box)
         widest = max(abs(e) for entry in result.entries for exp, _ in entry.terms for e in exp)
         assert widest == s * (box + 1)
@@ -264,7 +264,7 @@ class TestEulerSearch:
 
     def test_zero_sw3_counts_one_fold_per_class(self):
         """A zero sw3 has no terms, but each class is still a step: its box is bounded like any other."""
-        zero = ThreeManifold("Z", T3_BASIS, 3, LaurentPoly.zero(T3_BASIS), True, ())
+        zero = ThreeManifold(None, T3_BASIS, 3, LaurentPoly.zero(T3_BASIS))
         start = time.perf_counter()
         with pytest.raises(DomainError, match="holds 4000600030000 Euler classes of 0 terms each: "
                                               "4000600030000 term folds, over the limit of 10000000"):
@@ -275,18 +275,14 @@ class TestEulerSearch:
 
     def test_low_b_plus_rejected(self):
         s = surface_times_circle(1)
-        pretend = ThreeManifold(name=s.name, basis=s.basis, b1=2, sw3=s.sw3, fibered=s.fibered,
-                                provenance=s.provenance)
+        pretend = ThreeManifold(s.genus, s.basis, 2, s.sw3)
         with pytest.raises(HypothesisError):
             euler_search(pretend, 2)
 
 
 class TestCollidingClasses:
     def test_trefoil_manifold_exact_set(self):
-        from swfold.alexander import BUILTIN_KNOTS
-        from swfold.manifolds import fiber_sum_with_knot
-
-        m = fiber_sum_with_knot(three_torus(), BUILTIN_KNOTS.lookup("3_1"), "m1")
+        m = fiber_sum(three_torus(), [(BUILTIN_KNOTS.lookup("3_1"), "m1")])
         assert colliding_classes(m) == ((1, 0, 0), (2, 0, 0), (4, 0, 0))
 
     def test_collision_set_is_exactly_the_noninjective_set(self, five2_pair):
@@ -337,8 +333,7 @@ def symmetric_manifolds(draw):
         exp = tuple(s * a + t for a, (s, t) in zip(anchors, draws))
         terms[exp] = terms[tuple(-e for e in exp)] = 1
     basis = Basis(tuple(f"x{i}" for i in range(1, rank + 1)))
-    return ThreeManifold(name="drawn", basis=basis, b1=max(rank, 3),
-                         sw3=LaurentPoly(basis, terms), fibered=False, provenance=("drawn",))
+    return ThreeManifold(genus=None, basis=basis, b1=max(rank, 3), sw3=LaurentPoly(basis, terms))
 
 
 class TestCollidingClassesOracle:
@@ -350,7 +345,7 @@ class TestCollidingClassesOracle:
     def test_nine_sum_five2_tower(self):
         m = three_torus()
         for j in range(9):
-            m = fiber_sum_with_knot(m, BUILTIN_KNOTS.lookup("5_2"), ("m1", "m2", "m3")[j % 3])
+            m = fiber_sum(m, [(BUILTIN_KNOTS.lookup("5_2"), ("m1", "m2", "m3")[j % 3])])
         assert len(m.sw3) == 343
         colliders = colliding_classes(m)
         assert len(colliders) == 2025

@@ -24,6 +24,10 @@ from swfold.obstruction import ObstructionReport, SearchResult
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 T = Basis(names=("t",))
 T3 = "basis=Basis(names=('m1', 'm2', 'm3'))"
+KNOT_K = KnotRecord(name="k", seifert=None, alexander=from_text("t - 1 + t^-1", T), fibered=False)
+KNOT_J = KnotRecord(name="j", seifert=None, alexander=from_text("-t + 3 - t^-1", T), fibered=True)
+#: sw3 of S2xS1 fiber-summed with k, then j, along t: (t - 1/t)^2 times both knot polynomials at t^2.
+TWO_SUMS_SW3 = "-t^-6 + 6*t^-4 - 14*t^-2 + 18 - 14*t^2 + 6*t^4 - t^6"
 
 #: Each record built by keyword with its field names, its fields in order, and its repr.
 RECORDS = {
@@ -54,11 +58,16 @@ RECORDS = {
         "pivot=0, modulus=4), poly=LaurentPoly('-1 + 2*t^3', basis=(t)))",
     ),
     "ThreeManifold": (
-        lambda: ThreeManifold(name="M", basis=T, b1=3, sw3=from_text("t - t^-1", T), fibered=True,
-                              provenance=("m",)),
-        ("name", "basis", "b1", "sw3", "fibered", "provenance"),
-        "ThreeManifold(name='M', basis=Basis(names=('t',)), b1=3, sw3=LaurentPoly('-t^-1 + t', basis=(t)), "
-        "fibered=True, provenance=('m',))",
+        lambda: ThreeManifold(genus=1, basis=T, b1=3, sw3=from_text("t - t^-1", T)),
+        ("genus", "basis", "b1", "sw3", "sums"),
+        "ThreeManifold(genus=1, basis=Basis(names=('t',)), b1=3, sw3=LaurentPoly('-t^-1 + t', basis=(t)), sums=())",
+    ),
+    "ThreeManifold with two sums": (
+        lambda: ThreeManifold(genus=2, basis=T, b1=5, sw3=from_text(TWO_SUMS_SW3, T),
+                              sums=((KNOT_K, "t"), (KNOT_J, "t"))),
+        ("genus", "basis", "b1", "sw3", "sums"),
+        f"ThreeManifold(genus=2, basis=Basis(names=('t',)), b1=5, sw3=LaurentPoly('{TWO_SUMS_SW3}', basis=(t)), "
+        f"sums=(({KNOT_K!r}, 't'), ({KNOT_J!r}, 't')))",
     ),
     "ObstructionReport": (
         lambda: ObstructionReport(chi=None, basis=T, injective=True, terms=(((0,), 1),), unit_classes=((0,),)),
@@ -122,6 +131,21 @@ def test_another_class_compares_unequal(name):
     assert record != object() and record != None  # noqa: E711
 
 
+def test_manifold_name_provenance_and_fibered_are_read_off_its_sums():
+    record = RECORDS["ThreeManifold with two sums"][0]()
+    for twin in (record, copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin.name == "S2xS1+k@t+j@t"
+        assert twin.provenance == ("surface_x_s1(genus=2)", "fiber_sum(knot=k, meridian=t)",
+                                   "fiber_sum(knot=j, meridian=t)")
+        assert twin.fibered is False
+        for derived in ("name", "provenance", "fibered"):
+            with pytest.raises(AttributeError):
+                setattr(twin, derived, None)
+            with pytest.raises(AttributeError):
+                delattr(twin, derived)
+    assert record != ThreeManifold(2, T, 5, record.sw3, record.sums[::-1])  # equal only as the same construction
+
+
 def test_one_differing_field_compares_unequal():
     assert EulerClass(T3_BASIS, (4, 0, 0)) != EulerClass(T3_BASIS, (0, 4, 0))
     assert OutputRecord(("x",), text="a") != OutputRecord(("x",), text="b")
@@ -142,7 +166,7 @@ def test_repr_has_the_dataclass_form(name):
      "Euler class is zero (torsion); no quotient to fold over"),
     (lambda: FoldedSW(QuotientLattice(EulerClass(T, (4,))), from_text("t^5", T)), StructuralError,
      "exponent (5,) is not a canonical representative (pivot 0, modulus 4)"),
-    (lambda: ThreeManifold("M", T, 3, from_text("t + 2", T), True, ()), StructuralError,
+    (lambda: ThreeManifold(1, T, 3, from_text("t + 2", T)), StructuralError,
      "sw3 must be symmetric up to sign under inverting all variables"),
 ])
 def test_validation_errors_keep_type_and_text(build, error, message):
