@@ -57,12 +57,10 @@ from .manifolds import (
     three_torus,
 )
 from .obstruction import (
-    ObstructionReport,
     SearchResult,
     colliding_classes,
     euler_search,
     stabilization_note,
-    taubes_report,
     unit_classes,
 )
 
@@ -83,7 +81,6 @@ __all__ = [
     "KnotTable",
     "LaurentPoly",
     "NotSeifertError",
-    "ObstructionReport",
     "ParseError",
     "QuotientLattice",
     "SearchResult",
@@ -116,7 +113,6 @@ __all__ = [
     "require_b_plus",
     "stabilization_note",
     "surface_times_circle",
-    "taubes_report",
     "three_torus",
     "to_text",
     "unit_classes",

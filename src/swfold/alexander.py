@@ -19,6 +19,7 @@ values; registering knots yields a new table.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from collections.abc import Iterable, Sequence
 from math import prod
@@ -33,6 +34,10 @@ from .laurent import Basis, LaurentPoly, _balanced_digits, _Record, _set, from_t
 
 #: Every knot polynomial lives over this one-variable basis.
 KNOT_BASIS = Basis(("t",))
+
+#: What a knot name may not hold, so that it prints as one line of text: a C0 or
+#: C1 control character or DEL, a line or paragraph separator, or a lone surrogate.
+_NOT_PRINTABLE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff]")
 
 
 class SeifertMatrix(_Record):
@@ -241,6 +246,9 @@ def record_from_dict(data: dict, where: str) -> KnotRecord:
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise SpecFileError(f"{where}.name: expected a nonempty string")
+    if _NOT_PRINTABLE.search(name):
+        raise SpecFileError(f"{where}.name: expected one line of printable text, without control characters, "
+                            "line or paragraph separators, or lone surrogates")
     fibered = data.get("fibered")
     if not isinstance(fibered, bool):
         raise SpecFileError(f"{where}.fibered: expected true or false")

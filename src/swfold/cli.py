@@ -27,7 +27,7 @@ from .errors import DomainError, SpecFileError, SwfoldError
 from .fold import circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
 from .laurent import _Record, _set
 from .manifolds import ThreeManifold, fiber_sum, surface_times_circle, three_torus
-from .obstruction import euler_search, stabilization_note, taubes_report
+from .obstruction import euler_search, stabilization_note
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "schemas")
 
@@ -186,14 +186,14 @@ def _cmd_sw3(args) -> _Output:
 def _cmd_fold(args) -> _Output:
     manifold = load_spec(args.spec)
     folded = fold(manifold, args.chi)
-    if folded.product_case:
+    quotient = folded.quotient
+    if quotient is None:
         pivot_name = modulus = None
         case = "product case: zero Euler class, 4-manifold invariants equal the unfolded polynomial"
     else:
-        pivot_name = manifold.basis.names[folded.quotient.pivot]
-        modulus = folded.quotient.modulus
+        pivot_name, modulus = manifold.basis.names[quotient.pivot], quotient.modulus
         case = f"pivot = {pivot_name}, modulus = {modulus}"
-    sw4 = str(folded.poly)
+    sw4 = folded.digest
     header = lambda: [f"manifold = {manifold.name}", f"chi = {folded.chi_text}", case]
     return header, [f"sw4 = {sw4}"], lambda: {
         "command": "fold",
@@ -212,11 +212,11 @@ def _cmd_bundle(args) -> _Output:
     body = []
     if args.method in ("direct", "both"):
         direct = circle_bundle_sw_direct(args.genus, args.euler)
-        direct_text = str(direct.poly)
+        direct_text = direct.digest
         body.append(f"direct = {direct_text}")
     if args.method in ("closed", "both"):
         closed = circle_bundle_sw_closed_form(args.genus, args.euler)
-        closed_text = str(closed.poly)
+        closed_text = closed.digest
         body.append(f"closed = {closed_text}")
     if args.method == "both":
         match = equal_up_to_sign(direct, closed)
@@ -234,25 +234,24 @@ def _cmd_bundle(args) -> _Output:
 
 def _cmd_obstruct(args) -> _Output:
     manifold = load_spec(args.spec)
-    report = taubes_report(manifold, args.chi)
-    product_case = report.chi is None
-    chi = "0" if product_case else report.chi.text
+    folded = fold(manifold, args.chi)
+    product_case, chi = folded.product_case, folded.chi_text
     source = f"{manifold.name} [chi = {chi}{' (product case)' if product_case else ''}]"
-    units = " ".join(str(list(u)) for u in report.unit_classes) or "(none)"
+    units = " ".join(str(list(u)) for u in folded.unit_classes) or "(none)"
     body = [
-        f"obstructed = {_bool(report.obstructed)}",
+        f"obstructed = {_bool(folded.obstructed)}",
         f"unit classes: {units}",
         f"fibered orbit = {_bool(manifold.fibered)}",
     ]
-    return lambda: [f"source = {source}", f"sw4 = {report.digest}"], body, lambda: {
+    return lambda: [f"source = {source}", f"sw4 = {folded.digest}"], body, lambda: {
         "command": "obstruct",
         "manifold": manifold.name,
         "source": source,
         "chi": chi,
         "product_case": product_case,
-        "sw4": report.digest,
-        "obstructed": report.obstructed,
-        "unit_classes": [list(u) for u in report.unit_classes],
+        "sw4": folded.digest,
+        "obstructed": folded.obstructed,
+        "unit_classes": [list(u) for u in folded.unit_classes],
         "fibered_orbit": manifold.fibered,
     }
 

@@ -9,13 +9,15 @@ brute-force oracle for it, and the two circle-bundle-over-a-surface
 specializations, which both read the O(g)-term row of (t - 1/t)^(2g-2)
 built by :func:`~swfold.manifolds.surface_times_circle`; ``bundle
 --method both`` compares the :func:`canonical_rep` fold of that row with
-its ``%`` residue map.  Whether a fold merges terms, and the verdict on
-it, are read off the folded terms by :func:`swfold.obstruction.taubes_report`.
+its ``%`` residue map.
 
-Folded results are terminal values: their exponents are canonical coset
-representatives (pivot coordinate reduced into [0, chi_pivot)), on which
-ring operations would be meaningless, so :class:`FoldedSW` deliberately
-defines none.
+:class:`FoldedSW` is the one record of a fold: every producer here and
+:func:`swfold.obstruction.euler_search` builds it from the sorted folded
+terms, and whether the fold merged terms, its unit classes and the
+Taubes verdict are read off it.  Folded results are terminal values:
+their exponents are canonical coset representatives (pivot coordinate
+reduced into [0, chi_pivot)), on which ring operations would be
+meaningless, so :class:`FoldedSW` deliberately defines none.
 """
 
 from __future__ import annotations
@@ -118,9 +120,9 @@ def canonical_rep(quotient: QuotientLattice, exp: Sequence[int]) -> tuple[int, .
     return tuple(e - k * c for e, c in zip(exp, chi))
 
 
-def _require_canonical(exps, pivot: int, modulus: int) -> None:
-    """Raise unless every exponent's pivot coordinate lies in [0, modulus)."""
-    for exp in exps:
+def _require_canonical(terms, pivot: int, modulus: int) -> None:
+    """Raise unless every term's exponent has its pivot coordinate in [0, modulus)."""
+    for exp, _ in terms:
         if not 0 <= exp[pivot] < modulus:
             raise StructuralError(
                 f"exponent {exp} is not a canonical representative "
@@ -128,29 +130,69 @@ def _require_canonical(exps, pivot: int, modulus: int) -> None:
             )
 
 
-class FoldedSW(_Record):
-    """Terminal fold result: polynomial over canonical coset representatives.
+def _units(terms) -> tuple[tuple[int, ...], ...]:
+    """The one unit scan: exponents of sorted terms whose coefficient is +1 or -1."""
+    return tuple(exp for exp, coeff in terms if coeff in (1, -1))
 
-    A ``None`` quotient marks the product case of a zero Euler class,
-    where the 4-manifold is a product with the circle and the polynomial
-    is the unfolded one.  No ring operations are defined on this type.
+
+class FoldedSW(_Record):
+    """One fold and its verdict: sorted terms over canonical coset representatives.
+
+    ``chi`` is the sign-normalized class folded by, or ``None`` for the
+    product case of a zero class, where the 4-manifold is a product with
+    the circle and the terms are the unfolded ones.  ``injective`` says
+    the fold kept every term of sw3 (a merge leaves fewer cosets than
+    terms, and a cancellation needs a merge first); ``unit_classes``
+    lists the exponents whose coefficient is +1 or -1.  ``__init__``
+    refuses a chi whose pivot entry is negative and an exponent outside
+    the canonical range.  No ring operations are defined on this type.
     """
 
-    __slots__ = ("quotient", "poly")
+    __slots__ = ("chi", "basis", "terms", "injective", "unit_classes")
 
-    def __init__(self, quotient: QuotientLattice | None, poly: LaurentPoly):
-        if quotient is not None:
-            _require_canonical(poly._terms, quotient.pivot, quotient.modulus)
-        _set(self, "quotient", quotient)
-        _set(self, "poly", poly)
+    def __init__(self, chi: EulerClass | None, basis: Basis,
+                 terms: tuple[tuple[tuple[int, ...], int], ...], injective: bool):
+        if chi is not None:
+            vector = chi.chi
+            pivot = vector.index(next(filter(None, vector)))
+            if vector[pivot] < 0:
+                raise StructuralError(f"Euler class {vector} is not sign-normalized: its first nonzero entry "
+                                      "must be positive")
+            _require_canonical(terms, pivot, vector[pivot])
+        _set(self, "chi", chi)
+        _set(self, "basis", basis)
+        _set(self, "terms", terms)
+        _set(self, "injective", injective)
+        _set(self, "unit_classes", _units(terms))
 
     @property
     def product_case(self) -> bool:
-        return self.quotient is None
+        return self.chi is None
 
     @property
     def chi_text(self) -> str:
-        return "0" if self.product_case else self.quotient.euler.text
+        """``chi.text``, or ``"0"`` for the product case."""
+        return "0" if self.chi is None else self.chi.text
+
+    @property
+    def quotient(self) -> QuotientLattice | None:
+        """The quotient folded over, built on each access; ``None`` for the product case."""
+        return None if self.chi is None else QuotientLattice(self.chi)
+
+    @property
+    def poly(self) -> LaurentPoly:
+        """The folded terms as a polynomial, built on each access."""
+        return LaurentPoly._of(self.basis, dict(self.terms))
+
+    @property
+    def obstructed(self) -> bool:
+        """No unit class: no spin-c class can be a symplectic canonical class."""
+        return not self.unit_classes
+
+    @property
+    def digest(self) -> str:
+        """Text form of the folded polynomial, rendered on each access."""
+        return _render(self.basis, self.terms)
 
 
 def _as_class(basis: Basis, chi) -> EulerClass | None:
@@ -228,12 +270,13 @@ def fold_poly_bruteforce(poly: LaurentPoly, quotient: QuotientLattice) -> Lauren
 
 
 def _fold_with(fold_fn, manifold: ThreeManifold, chi) -> FoldedSW:
-    euler = _as_class(manifold.basis, chi)
+    euler, sw3 = _as_class(manifold.basis, chi), manifold.sw3
     if euler is None:
-        return FoldedSW(quotient=None, poly=manifold.sw3)
+        return FoldedSW(None, manifold.basis, sw3.terms(), True)
     require_b_plus(manifold)
     quotient = QuotientLattice(euler)
-    return FoldedSW(quotient=quotient, poly=fold_fn(manifold.sw3, quotient))
+    terms = fold_fn(sw3, quotient).terms()
+    return FoldedSW(quotient.euler, manifold.basis, terms, len(terms) == len(sw3))
 
 
 def fold(manifold: ThreeManifold, chi) -> FoldedSW:
@@ -278,13 +321,12 @@ def circle_bundle_sw_closed_form(genus: int, euler_number: int) -> FoldedSW:
         raise DomainError("Euler number must be a nonzero integer for the closed form")
     row = surface_times_circle(genus).sw3
     modulus, sign = abs(euler_number), (1 if euler_number > 0 else -1)
-    residues = (((e % modulus,), sign * c) for (e,), c in row._terms.items())
-    quotient = QuotientLattice(EulerClass(CIRCLE_BASIS, (euler_number,)))
-    return FoldedSW(quotient=quotient, poly=LaurentPoly._of(CIRCLE_BASIS, _accumulate({}, residues)))
+    residues = tuple(sorted(_accumulate({}, (((e % modulus,), sign * c) for (e,), c in row._terms.items())).items()))
+    return FoldedSW(EulerClass(CIRCLE_BASIS, (modulus,)), CIRCLE_BASIS, residues, len(residues) == len(row))
 
 
 def equal_up_to_sign(a: FoldedSW, b: FoldedSW) -> bool:
     """Compare two fold results as coset-class polynomials, up to one global sign."""
-    if a.quotient != b.quotient:
+    if a.chi != b.chi:
         raise StructuralError("fold results over different quotients are not comparable")
-    return a.poly == b.poly or a.poly == -b.poly
+    return a.basis == b.basis and a.terms in (b.terms, tuple((exp, -coeff) for exp, coeff in b.terms))

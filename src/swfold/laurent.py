@@ -308,7 +308,7 @@ class LaurentPoly:
     # -- equality / display -------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return self == LaurentPoly.constant(self.basis, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented

@@ -3,18 +3,17 @@
 A symplectic 4-manifold with b_+ >= 2 must carry a class with SW
 invariant exactly +-1 (the canonical class), so a folded SW polynomial
 with no unit coefficient obstructs every symplectic structure, with
-either orientation.  :func:`taubes_report` is the per-class verdict: it
-folds once with :func:`~swfold.fold.fold` and reads injectivity and the
-unit classes off the sorted folded terms.  :func:`euler_search` makes
-one report per Euler class in a box (one per antipodal pair) by a
-packed sweep: every exponent is one integer, so a fold is one integer
-shift per term, made only for the terms that move in the class's
-(pivot, modulus) group; a box over ``MAX_TERM_FOLDS`` is refused before
-any work.  One memo type, :class:`~swfold.laurent._Memo`, serves the
-sweep's decoding and the listing's pieces: each distinct code is unpacked
-once per search, and each listing row is one join of memoized pieces.
-:func:`taubes_report` is the reference it is tested against.  Both read
-the verdict off the sorted terms with one helper.
+either orientation.  The per-class verdict is read off the one fold
+record, :class:`~swfold.fold.FoldedSW`, that :func:`~swfold.fold.fold`
+returns.  :func:`euler_search` builds one such record per Euler class
+in a box (one per antipodal pair) by a packed sweep: every exponent is
+one integer, so a fold is one integer shift per term, made only for the
+terms that move in the class's (pivot, modulus) group; a box over
+``MAX_TERM_FOLDS`` is refused before any work.  One memo type,
+:class:`~swfold.laurent._Memo`, serves the sweep's decoding and the
+listing's pieces: each distinct code is unpacked once per search, and
+each listing row is one join of memoized pieces.  :func:`~swfold.fold.fold`
+is the reference the sweep is tested against, entry for entry.
 :func:`colliding_classes` lists exactly the classes whose folds merge
 terms, so every class outside that set keeps the unfolded verdict.
 """
@@ -28,44 +27,9 @@ from itertools import combinations, product
 from math import gcd, isqrt, log10
 
 from .errors import DomainError
-from .fold import EulerClass, _require_canonical, fold
-from .laurent import Basis, LaurentPoly, _Memo, _Record, _accumulate, _pack, _piece, _render, _set, _unpack
+from .fold import EulerClass, FoldedSW, _units, fold
+from .laurent import LaurentPoly, _Memo, _Record, _accumulate, _pack, _piece, _render, _set, _unpack
 from .manifolds import ThreeManifold, require_b_plus
-
-
-class ObstructionReport(_Record):
-    """Verdict for one Euler class, read off the fold's sorted terms.
-
-    ``chi`` is the sign-normalized class folded by, or ``None`` for the
-    product case of a zero class; ``terms`` are the folded terms, sorted;
-    ``injective`` says the fold kept every term of sw3, and ``unit_classes``
-    lists the exponents of the terms whose coefficient is +1 or -1.
-    """
-
-    __slots__ = ("chi", "basis", "injective", "terms", "unit_classes")
-
-    def __init__(self, chi: EulerClass | None, basis: Basis, injective: bool,
-                 terms: tuple[tuple[tuple[int, ...], int], ...], unit_classes: tuple[tuple[int, ...], ...]):
-        _set(self, "chi", chi)
-        _set(self, "basis", basis)
-        _set(self, "injective", injective)
-        _set(self, "terms", terms)
-        _set(self, "unit_classes", unit_classes)
-
-    @property
-    def obstructed(self) -> bool:
-        """No unit class: no spin-c class can be a symplectic canonical class."""
-        return not self.unit_classes
-
-    @property
-    def digest(self) -> str:
-        """Text form of the folded polynomial, rendered on each access."""
-        return _render(self.basis, self.terms)
-
-
-def _units(terms) -> tuple[tuple[int, ...], ...]:
-    """The one unit scan: exponents of sorted terms whose coefficient is +1 or -1."""
-    return tuple(exp for exp, coeff in terms if coeff in (1, -1))
 
 
 def unit_classes(poly: LaurentPoly) -> tuple[tuple[int, ...], ...]:
@@ -73,30 +37,10 @@ def unit_classes(poly: LaurentPoly) -> tuple[tuple[int, ...], ...]:
     return _units(poly.terms())
 
 
-def _read_off(manifold: ThreeManifold, chi: EulerClass | None, terms) -> ObstructionReport:
-    """The verdict on the sorted folded terms of ``manifold`` by ``chi``.
-
-    ``injective``: no two terms merged, since a merge leaves fewer cosets
-    than terms and a cancellation needs a merge first.
-    """
-    return ObstructionReport(chi=chi, basis=manifold.basis, injective=len(terms) == len(manifold.sw3),
-                             terms=terms, unit_classes=_units(terms))
-
-
-def taubes_report(manifold: ThreeManifold, chi) -> ObstructionReport:
-    """Fold ``manifold`` by ``chi`` once (see :func:`~swfold.fold.fold`) and scan it.
-
-    The folded terms are sorted once and the verdict is read off that one
-    list.  This is the reference :func:`euler_search` is tested against.
-    """
-    folded = fold(manifold, chi)
-    return _read_off(manifold, None if folded.product_case else folded.quotient.euler, folded.poly.terms())
-
-
 class SearchResult(_Record):
     __slots__ = ("box", "entries")
 
-    def __init__(self, box: int, entries: tuple[ObstructionReport, ...]):
+    def __init__(self, box: int, entries: tuple[FoldedSW, ...]):
         _set(self, "box", box)
         _set(self, "entries", entries)
 
@@ -132,13 +76,14 @@ def _check_box(box) -> None:
 
 
 def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
-    """Report on every Euler class in the box, one per antipodal pair.
+    """Fold by every Euler class in the box, one per antipodal pair.
 
-    ((2B+1)^r - 1)/2 entries in chi order, each equal to :func:`taubes_report`
-    on its class; over ``MAX_TERM_FOLDS`` classes times sw3 terms raise
-    :class:`DomainError` before any work.  Classes are generated normalized, in
-    lexicographic order: pivot p from the last coordinate down, modulus m in
-    1..B, then ``(0,)*p + (m, *rest)`` for every ``rest`` in [-B, B].  Each sw3
+    ((2B+1)^r - 1)/2 :class:`~swfold.fold.FoldedSW` entries in chi order, each
+    equal to :func:`~swfold.fold.fold` by its class; over ``MAX_TERM_FOLDS``
+    classes times sw3 terms raise :class:`DomainError` before any work.
+    Classes are generated normalized, in lexicographic order: pivot p from
+    the last coordinate down, modulus m in 1..B, then ``(0,)*p + (m, *rest)``
+    for every ``rest`` in [-B, B].  Each sw3
     exponent is packed once into a balanced base-R integer, R wide enough for
     every canonical representative in the box, so a term folds by one shift,
     ``code - (e_p // m) * pack(chi)``.  In a (p, m) group each multiplier is
@@ -169,10 +114,8 @@ def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
                 step = _pack(vector, base)
                 folded = _accumulate(fixed.copy(), [(code - k * step, coeff) for code, k, coeff in moving])
                 order = sorted(folded)
-                exps = tuple(map(decoded.__getitem__, order))
-                _require_canonical(exps, pivot, modulus)
-                terms = tuple(zip(exps, map(folded.__getitem__, order)))
-                entries.append(_read_off(manifold, EulerClass(basis, vector), terms))
+                terms = tuple(zip(map(decoded.__getitem__, order), map(folded.__getitem__, order)))
+                entries.append(FoldedSW(EulerClass(basis, vector), basis, terms, len(terms) == len(sw3)))
     return SearchResult(box=box, entries=tuple(entries))
 
 
@@ -208,10 +151,11 @@ def stabilization_note(manifold: ThreeManifold, box: int = 5) -> str:
 
     Lists the exact (finite) set of collision-capable classes from the
     support difference set; every other class folds injectively, so its
-    verdict equals the unfolded one.
+    verdict equals the unfolded one, read off the fold by the zero class.
     """
     _check_box(box)
-    terms = manifold.sw3.terms()
+    unfolded = fold(manifold, manifold.basis.origin)
+    terms = unfolded.terms
     lines = [f"manifold {manifold.name}"]
     if len(terms) <= 1:
         lines.append("single-term support: every fold is injective")
@@ -221,8 +165,8 @@ def stabilization_note(manifold: ThreeManifold, box: int = 5) -> str:
     counts = Counter(coeff for _, coeff in terms)
     multiset = "{" + ", ".join(f"{value} x{count}" if count > 1 else f"{value}"
                                for value, count in sorted(counts.items())) + "}"
-    verdict = ("unit coefficients present; injective folds are not obstructed" if _units(terms)
-               else "no units; all injective folds are obstructed")
+    verdict = ("no units; all injective folds are obstructed" if unfolded.obstructed
+               else "unit coefficients present; injective folds are not obstructed")
     lines.append(f"unfolded coefficients {multiset}: {verdict}")
 
     colliders = colliding_classes(manifold)

@@ -24,7 +24,7 @@ from swfold.fold import (
 )
 from swfold.laurent import LaurentPoly, from_text, to_text
 from swfold.manifolds import T3_BASIS, fiber_sum, surface_times_circle, three_torus
-from swfold.obstruction import euler_search, taubes_report
+from swfold.obstruction import euler_search
 
 from conftest import random_basis, random_poly
 from test_fold import random_chi, random_manifold
@@ -106,7 +106,7 @@ def test_criterion_05_circle_bundle_cross_check():
 def test_criterion_06_example1_obstruction():
     manifold = pair_manifold("4_1")
     for chi in ("4*m1", "-4*m1", "4*m2", "-4*m2"):
-        report = taubes_report(manifold, chi)
+        report = fold(manifold, chi)
         assert report.obstructed is True, chi
         assert report.unit_classes == ()
     announce(6, "folds by +-4*m1 and +-4*m2 all report obstructed (no symplectic structure)")

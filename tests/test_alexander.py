@@ -367,6 +367,24 @@ class TestRegistration:
         assert Draft202012Validator(schema).is_valid(valid)
         assert record_from_dict(valid, "where").name == "k"
 
+    @pytest.mark.parametrize("name", [
+        "x\ud800", "\udfff", "x\nobstructed = true", "k\r", "tab\there", "\x00", "del\x7f", "nel\x85",
+        "c1\x9f", "line\u2028sep", "para\u2029sep",
+    ])
+    def test_name_must_be_one_line_of_printable_text(self, name):
+        schema = json.loads((pathlib.Path(SCHEMA_DIR) / "knot-registration.schema.json").read_text())
+        data = {"name": name, "fibered": True, "alexander": "t - 1 + t^-1"}
+        assert not Draft202012Validator(schema).is_valid(data)
+        with pytest.raises(SpecFileError, match=r"^where\.name: expected one line of printable text, "):
+            record_from_dict(data, "where")
+
+    @pytest.mark.parametrize("name", ["3_1", "k a", "\u00e9", "\xa0nbsp", "\U0001f600", "\ufeff", "#~"])
+    def test_printable_names_pass_code_and_schema(self, name):
+        schema = json.loads((pathlib.Path(SCHEMA_DIR) / "knot-registration.schema.json").read_text())
+        data = {"name": name, "fibered": True, "alexander": "t - 1 + t^-1"}
+        assert Draft202012Validator(schema).is_valid(data)
+        assert record_from_dict(data, "where").name == name
+
     @pytest.mark.parametrize("data, message", [
         (["k"], "where: expected an object, got list"),
         ("k", "where: expected an object, got str"),

@@ -467,6 +467,18 @@ class TestMalformedInputs:
         out = f"genus = 7200, euler = {euler}\ndirect = 0\nclosed = 0\nMATCH (up to sign)\n"
         assert capsys.readouterr() == (out, "")
 
+    @pytest.mark.parametrize("name", ["x\ud800", "x\nobstructed = true", "x\u2028y"])
+    def test_knot_name_that_is_not_one_printable_line(self, capsys, tmp_path, name):
+        knot = {"name": name, "fibered": True, "alexander": "t - 1 + t^-1"}
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(knot))  # ASCII with \u escapes: valid JSON
+        assert main(["knot", "register", str(path)]) == 2
+        self.assert_one_error_line(capsys, f"error[spec]: {path}.name: expected one line of printable text, ")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"base": "t3", "knots": [knot], "sums": [{"knot": name, "meridian": "m1"}]}))
+        assert main(["sw3", str(spec)]) == 2
+        self.assert_one_error_line(capsys, f"error[spec]: {spec}.knots[0].name: expected one line of printable text, ")
+
     def test_unknown_registration_field(self, capsys, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps({"name": "k", "fibered": True,

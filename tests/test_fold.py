@@ -24,7 +24,6 @@ from swfold.fold import (
 )
 from swfold.laurent import Basis, LaurentPoly, from_text, monomial, to_text
 from swfold.manifolds import T3_BASIS, ThreeManifold, surface_times_circle, three_torus
-from swfold.obstruction import taubes_report
 
 from conftest import random_basis, random_poly
 
@@ -112,7 +111,7 @@ class TestEulerText:
             with pytest.raises(StructuralError):
                 fold(five2_pair, vector)
             with pytest.raises(StructuralError):
-                taubes_report(five2_pair, vector)
+                fold_bruteforce(five2_pair, vector)
 
 
 class TestQuotientLattice:
@@ -244,7 +243,7 @@ class TestFold:
     def test_foldedsw_rejects_noncanonical_exponents(self, b1):
         q = quotient_of(b1, (2,))
         with pytest.raises(StructuralError):
-            FoldedSW(quotient=q, poly=from_text("t^3", b1))
+            FoldedSW(q.euler, b1, from_text("t^3", b1).terms(), True)
 
 
 class TestFoldProperties:
@@ -349,7 +348,7 @@ class TestFoldProperties:
             assert folded == fold_poly(fold_poly(m.sw3, quotient_of(basis, chi)).reindex(basis, images), quotient)
             assert folded == fold_poly_bruteforce(moved, quotient)
             image = ThreeManifold(m.genus, m.basis, m.b1, moved, m.sums)
-            assert taubes_report(image, image_chi).obstructed == taubes_report(m, chi).obstructed
+            assert fold(image, image_chi).obstructed == fold(m, chi).obstructed
 
     def test_symmetric_input_gives_cosetwise_symmetric_output(self):
         rng = random.Random(71)
@@ -364,22 +363,24 @@ class TestFoldProperties:
 
 
 class TestInjectivity:
-    """``ObstructionReport.injective``: the fold kept every term of sw3."""
+    """``FoldedSW.injective``: the fold kept every term of sw3."""
 
     def test_spread_out_chi_is_injective(self, fig8_pair):
-        assert taubes_report(fig8_pair, "5*m1").injective is True
+        assert fold(fig8_pair, "5*m1").injective is True
 
     def test_merging_chi_is_not(self, fig8_pair):
-        assert taubes_report(fig8_pair, "4*m1").injective is False
+        assert fold(fig8_pair, "4*m1").injective is False
 
     def test_unused_direction_is_injective(self, fig8_pair):
-        assert taubes_report(fig8_pair, "m3").injective is True
+        assert fold(fig8_pair, "m3").injective is True
 
     def test_zero_chi_is_the_product_case(self, fig8_pair):
-        report = taubes_report(fig8_pair, (0, 0, 0))
+        report = fold(fig8_pair, (0, 0, 0))
         assert report.chi is None
         assert report.injective is True
         assert report.terms == fig8_pair.sw3.terms()
+        assert report.unit_classes == tuple(exp for exp, c in fig8_pair.sw3.terms() if c in (1, -1))
+        assert report.basis == fig8_pair.basis and report == fold_bruteforce(fig8_pair, "0")
 
     def test_injective_fold_preserves_coefficient_multiset(self):
         rng = random.Random(73)
@@ -388,7 +389,7 @@ class TestInjectivity:
             basis = random_basis(rng)
             m = random_manifold(rng, basis)
             chi = random_chi(rng, basis.rank)
-            report = taubes_report(m, chi)
+            report = fold(m, chi)
             if report.injective:
                 seen += 1
                 assert sorted(c for _, c in report.terms) == sorted(m.sw3.coefficients())
@@ -520,7 +521,7 @@ class TestEqualUpToSign:
 
     def test_unequal_polynomials(self):
         a = circle_bundle_sw_direct(2, 4)
-        b = FoldedSW(quotient=a.quotient, poly=from_text("5", a.poly.basis))
+        b = FoldedSW(a.chi, a.basis, from_text("5", a.basis).terms(), False)
         assert not equal_up_to_sign(a, b)
 
     def test_quotient_mismatch_rejected(self):

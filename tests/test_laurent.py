@@ -525,6 +525,14 @@ class TestInvariants:
         with pytest.raises(StructuralError):
             LaurentPoly(b1, {(1.0,): 1})
 
+    def test_only_a_non_bool_int_compares_as_a_constant(self, b1):
+        p, one = from_text("t - t^-1", b1), LaurentPoly.one(b1)
+        assert one == 1 and 1 == one and p != 0 and LaurentPoly.zero(b1) == 0
+        for other in (True, False, 1.0, "1", None):
+            assert p.__eq__(other) is NotImplemented and one.__eq__(other) is NotImplemented
+            assert p != other and one != other and not (one == other)
+        assert p in [True, p] and [True, p].index(p) == 1
+
 
 # -- term invariant (hypothesis) -------------------------------------------
 #

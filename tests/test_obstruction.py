@@ -20,7 +20,6 @@ from swfold.obstruction import (
     colliding_classes,
     euler_search,
     stabilization_note,
-    taubes_report,
     unit_classes,
 )
 
@@ -30,15 +29,15 @@ from test_fold import random_chi, random_manifold
 
 class TestTaubesReport:
     def test_fig8_fold_is_obstructed(self, fig8_pair):
-        report = taubes_report(fig8_pair, "4*m1")
+        report = fold(fig8_pair, "4*m1")
         assert report.obstructed is True
         assert report.unit_classes == ()
         assert fig8_pair.fibered is True  # printed as the "fibered orbit" line
         assert report.chi.text == "4*m1"
-        assert taubes_report(fig8_pair, "-4*m1").chi.text == "4*m1"  # sign-normalized
+        assert fold(fig8_pair, "-4*m1").chi.text == "4*m1"  # sign-normalized
 
     def test_fig8_product_case_is_not_obstructed(self, fig8_pair):
-        report = taubes_report(fig8_pair, "0")
+        report = fold(fig8_pair, "0")
         assert report.obstructed is False
         # corner classes of the unfolded polynomial carry coefficient +1
         assert set(report.unit_classes) == {
@@ -50,7 +49,7 @@ class TestTaubesReport:
     @pytest.mark.parametrize("genus", [2, 3, 4])
     def test_surface_products_keep_units(self, genus):
         m = surface_times_circle(genus)
-        report = taubes_report(m, (0,))
+        report = fold(m, (0,))
         assert report.obstructed is False  # extreme binomial coefficients are +-1
 
     def test_verdict_matches_direct_scan(self):
@@ -60,7 +59,7 @@ class TestTaubesReport:
             m = random_manifold(rng, basis)
             chi = random_chi(rng, basis.rank)
             folded = fold(m, chi)
-            report = taubes_report(m, chi)
+            report = fold(m, chi)
             has_unit = any(c in (1, -1) for c in folded.poly.coefficients())
             assert report.obstructed == (not has_unit)
             assert report.obstructed == (len(report.unit_classes) == 0)
@@ -71,7 +70,7 @@ class TestTaubesReport:
         m = random_manifold(rng, random_basis(rng))
         rank = m.basis.rank
         chi = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=rank, max_size=rank).filter(any)))
-        report = taubes_report(m, chi)
+        report = fold(m, chi)
         assert report.unit_classes == unit_classes(fold_bruteforce(m, chi).poly)
         normalized = chi if next(c for c in chi if c) > 0 else tuple(-c for c in chi)
         assert report.injective == (normalized not in colliding_classes(m))
@@ -155,9 +154,8 @@ class TestEulerSearch:
         m = random_manifold(rng, random_basis(rng))
         result = euler_search(m, box)
         for entry in result.entries:
-            reference = taubes_report(m, entry.chi)
-            assert (entry.chi, entry.injective, entry.terms, entry.unit_classes, entry.digest) == (
-                reference.chi, reference.injective, reference.terms, reference.unit_classes, reference.digest)
+            reference = fold(m, entry.chi)
+            assert entry == reference and entry.digest == reference.digest
         for entry in rng.sample(result.entries, min(5, len(result.entries))):
             assert entry.terms == fold_bruteforce(m, entry.chi).poly.terms()
         assert result.digests() == tuple(_render(e.basis, e.terms) for e in result.entries)
@@ -173,7 +171,7 @@ class TestEulerSearch:
         widest = max(abs(e) for entry in result.entries for exp, _ in entry.terms for e in exp)
         assert widest == s * (box + 1)
         for entry in result.entries:
-            assert entry == taubes_report(m, entry.chi)
+            assert entry == fold(m, entry.chi)
             assert entry.terms == fold_bruteforce(m, entry.chi).poly.terms()
 
     def test_chi_texts_share_one_memo(self, five2_pair, monkeypatch):
@@ -193,7 +191,7 @@ class TestEulerSearch:
     @staticmethod
     def assert_oracles_agree(m, entry):
         """An entry against the single-class fold and the brute-force fold."""
-        assert entry == taubes_report(m, entry.chi)
+        assert entry == fold(m, entry.chi)
         assert entry.terms == fold_bruteforce(m, entry.chi).poly.terms()
 
     def test_group_where_no_term_moves(self, five2_pair):

@@ -19,7 +19,7 @@ from swfold.errors import DomainError, StructuralError
 from swfold.fold import EulerClass, FoldedSW, QuotientLattice
 from swfold.laurent import Basis, from_text
 from swfold.manifolds import T3_BASIS, ThreeManifold
-from swfold.obstruction import ObstructionReport, SearchResult
+from swfold.obstruction import SearchResult
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 T = Basis(names=("t",))
@@ -52,10 +52,15 @@ RECORDS = {
         f"QuotientLattice(euler=EulerClass({T3}, chi=(0, 2, -1)), chi=(0, 2, -1), pivot=1, modulus=2)",
     ),
     "FoldedSW": (
-        lambda: FoldedSW(quotient=QuotientLattice(EulerClass(T, (4,))), poly=from_text("2*t^3 - 1", T)),
-        ("quotient", "poly"),
-        "FoldedSW(quotient=QuotientLattice(euler=EulerClass(basis=Basis(names=('t',)), chi=(4,)), chi=(4,), "
-        "pivot=0, modulus=4), poly=LaurentPoly('-1 + 2*t^3', basis=(t)))",
+        lambda: FoldedSW(chi=EulerClass(T, (4,)), basis=T, terms=from_text("2*t^3 - 1", T).terms(), injective=True),
+        ("chi", "basis", "terms", "injective", "unit_classes"),
+        "FoldedSW(chi=EulerClass(basis=Basis(names=('t',)), chi=(4,)), basis=Basis(names=('t',)), "
+        "terms=(((0,), -1), ((3,), 2)), injective=True, unit_classes=((0,),))",
+    ),
+    "FoldedSW-product-case": (
+        lambda: FoldedSW(chi=None, basis=T, terms=(((0,), 1),), injective=True),
+        ("chi", "basis", "terms", "injective", "unit_classes"),
+        "FoldedSW(chi=None, basis=Basis(names=('t',)), terms=(((0,), 1),), injective=True, unit_classes=((0,),))",
     ),
     "ThreeManifold": (
         lambda: ThreeManifold(genus=1, basis=T, b1=3, sw3=from_text("t - t^-1", T)),
@@ -68,12 +73,6 @@ RECORDS = {
         ("genus", "basis", "b1", "sw3", "sums"),
         f"ThreeManifold(genus=2, basis=Basis(names=('t',)), b1=5, sw3=LaurentPoly('{TWO_SUMS_SW3}', basis=(t)), "
         f"sums=(({KNOT_K!r}, 't'), ({KNOT_J!r}, 't')))",
-    ),
-    "ObstructionReport": (
-        lambda: ObstructionReport(chi=None, basis=T, injective=True, terms=(((0,), 1),), unit_classes=((0,),)),
-        ("chi", "basis", "injective", "terms", "unit_classes"),
-        "ObstructionReport(chi=None, basis=Basis(names=('t',)), injective=True, terms=(((0,), 1),), "
-        "unit_classes=((0,),))",
     ),
     "SearchResult": (
         lambda: SearchResult(box=1, entries=()), ("box", "entries"), "SearchResult(box=1, entries=())",
@@ -164,8 +163,10 @@ def test_repr_has_the_dataclass_form(name):
      "Seifert matrix must be square, got row of length 1 in size 2"),
     (lambda: EulerClass(T3_BASIS, (0, 0, 0)), DomainError,
      "Euler class is zero (torsion); no quotient to fold over"),
-    (lambda: FoldedSW(QuotientLattice(EulerClass(T, (4,))), from_text("t^5", T)), StructuralError,
+    (lambda: FoldedSW(EulerClass(T, (4,)), T, from_text("t^5", T).terms(), True), StructuralError,
      "exponent (5,) is not a canonical representative (pivot 0, modulus 4)"),
+    (lambda: FoldedSW(EulerClass(T3_BASIS, (0, -2, 1)), T3_BASIS, (), True), StructuralError,
+     "Euler class (0, -2, 1) is not sign-normalized: its first nonzero entry must be positive"),
     (lambda: ThreeManifold(1, T, 3, from_text("t + 2", T)), StructuralError,
      "sw3 must be symmetric up to sign under inverting all variables"),
 ])
