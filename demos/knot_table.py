@@ -35,12 +35,12 @@ table = BUILTIN_KNOTS.with_records([unknot])
 print(f"\nregistered {unknot.name}: alexander = {unknot.alexander}")
 
 # Registering by polynomial runs the validation gate instead: the
-# polynomial must be symmetric and evaluate to +-1 at t = 1.
+# polynomial must be symmetric and evaluate to +-1 at t = 1, and the gate
+# lists each condition it fails.  A value of -1 is flipped to +1.
 candidate = from_text("t^2 - 3 + t^-2", KNOT_BASIS)
-check = validate_alexander(candidate)
-print(f"\ncandidate {candidate}: symmetric={check.symmetric}, "
-      f"value at 1 = {check.value_at_one}, passes={check.passes}")
-if check.passes:
+problems = validate_alexander(candidate)
+print(f"\ncandidate {candidate}, value at 1 = {candidate.eval_ones()}: {'; '.join(problems) or 'passes'}")
+if not problems:
     record = knot_from_alexander("custom", False, candidate)
     table = table.with_records([record])
     print(f"registered {record.name}: alexander = {record.alexander}")

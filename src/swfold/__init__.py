@@ -10,7 +10,6 @@ and decides the unit-coefficient symplectic obstruction.
 from .alexander import (
     BUILTIN_KNOTS,
     KNOT_BASIS,
-    AlexanderChecklist,
     KnotRecord,
     KnotTable,
     SeifertMatrix,
@@ -61,13 +60,11 @@ from .obstruction import (
     colliding_classes,
     euler_search,
     stabilization_note,
-    unit_classes,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlexanderChecklist",
     "BUILTIN_KNOTS",
     "Basis",
     "CIRCLE_BASIS",
@@ -115,6 +112,5 @@ __all__ = [
     "surface_times_circle",
     "three_torus",
     "to_text",
-    "unit_classes",
     "validate_alexander",
 ]

@@ -3,8 +3,9 @@
 A knot enters the calculator either through a Seifert matrix V, from
 which the polynomial det(tV - V^T) is computed exactly and then centered
 and sign-normalized so that the result Delta satisfies
-Delta(1/t) = Delta(t) and Delta(1) = +1, or directly as a polynomial that
-passes :func:`validate_alexander`.
+Delta(1/t) = Delta(t) and Delta(1) = +1, or directly as a polynomial in
+which :func:`validate_alexander` finds no problem (its sign is then
+flipped if Delta(1) = -1).
 
 The determinant is one integer Bareiss determinant of base*V - V^T, at a
 point t = base above twice every coefficient, whose balanced base-`base`
@@ -50,7 +51,10 @@ class SeifertMatrix(_Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
-        rows = tuple(tuple(row) for row in entries)
+        try:
+            rows = tuple(tuple(row) for row in entries)
+        except TypeError:
+            raise StructuralError(f"Seifert matrix must be a sequence of integer rows, got {entries!r}") from None
         for row in rows:
             if len(row) != len(rows):
                 raise StructuralError(
@@ -114,38 +118,19 @@ def alexander_from_seifert(matrix) -> LaurentPoly:
     return LaurentPoly(KNOT_BASIS, (((k - n // 2,), at_one * c) for k, c in enumerate(coeffs)))
 
 
-class AlexanderChecklist(_Record):
-    """Report from :func:`validate_alexander`; both checks must hold to register."""
+def validate_alexander(poly: LaurentPoly) -> tuple[str, ...]:
+    """The gate conditions a would-be Alexander polynomial fails, or ``()`` when it passes.
 
-    __slots__ = ("symmetric", "value_at_one")
-
-    def __init__(self, symmetric: bool, value_at_one: int):
-        _set(self, "symmetric", symmetric)
-        _set(self, "value_at_one", value_at_one)
-
-    @property
-    def unit_at_one(self) -> bool:
-        return self.value_at_one in (1, -1)
-
-    @property
-    def passes(self) -> bool:
-        return self.symmetric and self.unit_at_one
-
-
-def validate_alexander(poly: LaurentPoly) -> AlexanderChecklist:
-    """Check the two gate conditions for a would-be Alexander polynomial.
-
-    The polynomial must be fixed by t -> 1/t and evaluate to +-1 at t = 1.
-    Report-style: never raises on a failing polynomial.
+    The polynomial must be fixed by t -> 1/t and evaluate to +-1 at t = 1;
+    each failed condition gives one problem, in that order.  Raises only
+    for a polynomial in more than one variable.
     """
     if poly.basis.rank != 1:
-        raise StructuralError(
-            f"Alexander polynomials are one-variable; got rank {poly.basis.rank}"
-        )
-    return AlexanderChecklist(
-        symmetric=poly.conjugate() == poly,
-        value_at_one=poly.eval_ones(),
-    )
+        raise StructuralError(f"Alexander polynomials are one-variable; got rank {poly.basis.rank}")
+    value = poly.eval_ones()
+    checks = ((poly.conjugate() == poly, "not symmetric under t -> 1/t"),
+              (value in (1, -1), f"value at t=1 is {value}, expected +-1"))
+    return tuple(problem for holds, problem in checks if not holds)
 
 
 class KnotRecord(_Record):
@@ -183,15 +168,10 @@ def knot_from_alexander(name: str, fibered: bool, poly) -> KnotRecord:
     """Register-by-polynomial path; normalizes the sign so the value at 1 is +1."""
     if isinstance(poly, str):
         poly = from_text(poly, KNOT_BASIS)
-    check = validate_alexander(poly)
-    if not check.passes:
-        problems = []
-        if not check.symmetric:
-            problems.append("not symmetric under t -> 1/t")
-        if not check.unit_at_one:
-            problems.append(f"value at t=1 is {check.value_at_one}, expected +-1")
+    problems = validate_alexander(poly)
+    if problems:
         raise StructuralError(f"invalid Alexander polynomial for {name!r}: " + "; ".join(problems))
-    if check.value_at_one == -1:
+    if poly.eval_ones() == -1:
         poly = -poly
     return KnotRecord(name=name, seifert=None, alexander=poly, fibered=bool(fibered))
 

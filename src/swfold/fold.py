@@ -51,7 +51,10 @@ def euler_vector_from_text(text: str, basis: Basis) -> tuple[int, ...]:
 
 def _checked_vector(basis: Basis, entries) -> tuple[int, ...]:
     """Check an Euler vector's length and entry types; the zero vector passes."""
-    vector = tuple(entries)
+    try:
+        vector = tuple(entries)
+    except TypeError:
+        raise StructuralError(f"Euler vector must be a sequence of integers, got {entries!r}") from None
     if len(vector) != basis.rank:
         raise StructuralError(f"Euler vector has length {len(vector)}, basis rank is {basis.rank}")
     for e in vector:
@@ -110,7 +113,10 @@ def canonical_rep(quotient: QuotientLattice, exp: Sequence[int]) -> tuple[int, .
 
     The one home of the reduction rule: :func:`fold_poly` calls it once per term.
     """
-    exp = tuple(exp)
+    try:
+        exp = tuple(exp)
+    except TypeError:
+        raise StructuralError(f"exponent vector must be a sequence of integers, got {exp!r}") from None
     chi = quotient.chi
     if len(exp) != len(chi):
         raise StructuralError(f"exponent length {len(exp)} != Euler vector length {len(chi)}")

@@ -118,7 +118,10 @@ def _checked(basis: Basis, terms: Iterable) -> Iterator[tuple[tuple[int, ...], i
     """Validate outside (exponent, coefficient) pairs, yielding tuple exponents."""
     rank = basis.rank
     for exp, coeff in terms:
-        exp = tuple(exp)
+        try:
+            exp = tuple(exp)
+        except TypeError:
+            raise StructuralError(f"exponent vector must be a sequence of integers, got {exp!r}") from None
         if len(exp) != rank:
             raise StructuralError(f"exponent vector {exp} has length {len(exp)}, basis rank is {rank}")
         for e in exp:
@@ -218,7 +221,7 @@ class LaurentPoly:
                     f"({', '.join(other.basis.names)})"
                 )
             return other
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return LaurentPoly.constant(self.basis, other)
         return None
 
@@ -240,7 +243,10 @@ class LaurentPoly:
         return self + (-other)
 
     def __rsub__(self, other) -> LaurentPoly:
-        return (-self) + other
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other) -> LaurentPoly:
         other = self._coerce(other)

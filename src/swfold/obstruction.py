@@ -27,14 +27,9 @@ from itertools import combinations, product
 from math import gcd, isqrt, log10
 
 from .errors import DomainError
-from .fold import EulerClass, FoldedSW, _units, fold
-from .laurent import LaurentPoly, _Memo, _Record, _accumulate, _pack, _piece, _render, _set, _unpack
+from .fold import EulerClass, FoldedSW, fold
+from .laurent import _Memo, _Record, _accumulate, _pack, _piece, _render, _set, _unpack
 from .manifolds import ThreeManifold, require_b_plus
-
-
-def unit_classes(poly: LaurentPoly) -> tuple[tuple[int, ...], ...]:
-    """Exponents whose coefficient is +1 or -1, in canonical term order."""
-    return _units(poly.terms())
 
 
 class SearchResult(_Record):
@@ -50,11 +45,15 @@ class SearchResult(_Record):
 
     def digests(self) -> tuple[str, ...]:
         """Every entry's digest, each one join of signed pieces from one memo per search."""
+        if not self.entries:
+            return ()
         memo = _Memo(partial(_piece, self.entries[0].basis))
         return tuple(_render(e.basis, e.terms, memo) for e in self.entries)
 
     def chi_texts(self) -> Iterator[str]:
         """Every entry's ``chi.text`` in order (entries share one basis), through one memo and unit vectors."""
+        if not self.entries:
+            return iter(())
         basis = self.entries[0].basis
         units, memo = tuple(map(basis.unit, basis.names)), _Memo(partial(_piece, basis))
         return (e.chi._text(units, memo) for e in self.entries)

@@ -479,6 +479,27 @@ class TestMalformedInputs:
         assert main(["sw3", str(spec)]) == 2
         self.assert_one_error_line(capsys, f"error[spec]: {spec}.knots[0].name: expected one line of printable text, ")
 
+    @pytest.mark.parametrize("alexander, problems", [
+        ("t^2 + 3", "not symmetric under t -> 1/t; value at t=1 is 4, expected +-1"),
+        ("t + 1 + t^-1", "value at t=1 is 3, expected +-1"),
+        ("t^2 - t + 1", "not symmetric under t -> 1/t"),
+    ])
+    def test_alexander_gate_line(self, capsys, tmp_path, alexander, problems):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"name": "k", "fibered": False, "alexander": alexander}))
+        assert main(["knot", "register", str(path)]) == 2
+        line = f"error[structure]: invalid Alexander polynomial for 'k': {problems}\n"
+        assert capsys.readouterr() == ("", line)
+
+    def test_alexander_gate_line_for_an_inline_knot(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"base": "t3", "knots": [{"name": "k", "fibered": False, "alexander": "t^2 + 3"}],
+                                    "sums": [{"knot": "k", "meridian": "m1"}]}))
+        assert main(["sw3", str(spec)]) == 2
+        line = ("error[structure]: invalid Alexander polynomial for 'k': "
+                "not symmetric under t -> 1/t; value at t=1 is 4, expected +-1\n")
+        assert capsys.readouterr() == ("", line)
+
     def test_unknown_registration_field(self, capsys, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps({"name": "k", "fibered": True,

@@ -40,3 +40,16 @@ def test_demo_claims():
     assert "obstructed = True" in output_of("build_and_fold.py")
     assert "mismatches: 0 of 100" in output_of("circle_bundles.py")
     assert "all_obstructed = True" in output_of("obstruction_search.py")
+
+
+def test_readme_library_example_runs():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    code = blocks[0].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                            cwd=REPO, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert result.stdout.splitlines()[-1] == "True"

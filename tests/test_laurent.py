@@ -532,6 +532,14 @@ class TestInvariants:
             assert p.__eq__(other) is NotImplemented and one.__eq__(other) is NotImplemented
             assert p != other and one != other and not (one == other)
         assert p in [True, p] and [True, p].index(p) == 1
+        for other in (True, False, 1.0, "1", None):
+            for form in (lambda: p + other, lambda: other + p, lambda: p - other, lambda: other - p,
+                         lambda: p * other, lambda: other * p):
+                with pytest.raises(TypeError):
+                    form()
+        with pytest.raises(TypeError, match=r"for -: 'bool' and 'LaurentPoly'$"):
+            True - p
+        assert sum([p, one]) == p + 1 and 2 - p == -(p - 2) and 3 * p == p * 3 == p + p + p
 
 
 # -- term invariant (hypothesis) -------------------------------------------

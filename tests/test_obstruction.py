@@ -16,15 +16,15 @@ from swfold.errors import DomainError, HypothesisError
 from swfold.fold import EulerClass, QuotientLattice, canonical_rep, fold, fold_bruteforce
 from swfold.laurent import Basis, LaurentPoly, _render, to_text
 from swfold.manifolds import T3_BASIS, ThreeManifold, fiber_sum, surface_times_circle, three_torus
-from swfold.obstruction import (
-    colliding_classes,
-    euler_search,
-    stabilization_note,
-    unit_classes,
-)
+from swfold.obstruction import SearchResult, colliding_classes, euler_search, stabilization_note
 
 from conftest import random_basis, random_poly
 from test_fold import random_chi, random_manifold
+
+
+def unit_exponents(poly):
+    """Oracle: the exponents whose coefficient is +1 or -1, in term order."""
+    return tuple(e for e, c in poly.terms() if abs(c) == 1)
 
 
 class TestTaubesReport:
@@ -71,7 +71,7 @@ class TestTaubesReport:
         rank = m.basis.rank
         chi = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=rank, max_size=rank).filter(any)))
         report = fold(m, chi)
-        assert report.unit_classes == unit_classes(fold_bruteforce(m, chi).poly)
+        assert report.unit_classes == unit_exponents(fold_bruteforce(m, chi).poly)
         normalized = chi if next(c for c in chi if c) > 0 else tuple(-c for c in chi)
         assert report.injective == (normalized not in colliding_classes(m))
 
@@ -127,7 +127,7 @@ class TestEulerSearch:
                 full_verdict = not any(c in (1, -1) for c in folded.poly.coefficients())
                 assert entry.obstructed == full_verdict
                 assert entry.digest == str(folded.poly)
-                assert entry.unit_classes == unit_classes(folded.poly)
+                assert entry.unit_classes == unit_exponents(folded.poly)
 
     def test_random_entries_agree_with_definitions(self):
         rng = random.Random(89)
@@ -143,7 +143,7 @@ class TestEulerSearch:
                 oracle = fold_bruteforce(m, entry.chi).poly
                 assert entry.obstructed == (not any(c in (1, -1) for c in oracle.coefficients()))
                 assert entry.digest == to_text(oracle)
-                assert entry.unit_classes == unit_classes(oracle)
+                assert entry.unit_classes == unit_exponents(oracle)
                 cancelled += len(oracle) < len(cosets)
         assert cancelled > 0  # merged coefficients that cancel must be exercised
 
@@ -173,6 +173,11 @@ class TestEulerSearch:
         for entry in result.entries:
             assert entry == fold(m, entry.chi)
             assert entry.terms == fold_bruteforce(m, entry.chi).poly.terms()
+
+    def test_an_empty_result_has_no_digests_or_chi_texts(self):
+        result = SearchResult(box=1, entries=())
+        assert result.digests() == () and tuple(result.chi_texts()) == ()
+        assert result.all_obstructed is True
 
     def test_chi_texts_share_one_memo(self, five2_pair, monkeypatch):
         """One render per entry through one memo, bytes equal to each ``EulerClass.text``."""

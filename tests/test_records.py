@@ -13,12 +13,12 @@ import sys
 
 import pytest
 
-from swfold.alexander import AlexanderChecklist, KnotRecord, SeifertMatrix
+from swfold.alexander import KnotRecord, SeifertMatrix, alexander_from_seifert
 from swfold.cli import OutputRecord
 from swfold.errors import DomainError, StructuralError
-from swfold.fold import EulerClass, FoldedSW, QuotientLattice
-from swfold.laurent import Basis, from_text
-from swfold.manifolds import T3_BASIS, ThreeManifold
+from swfold.fold import EulerClass, FoldedSW, QuotientLattice, canonical_rep, fold, fold_bruteforce
+from swfold.laurent import Basis, LaurentPoly, from_text, monomial
+from swfold.manifolds import T3_BASIS, ThreeManifold, three_torus
 from swfold.obstruction import SearchResult
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -34,10 +34,6 @@ RECORDS = {
     "Basis": (lambda: Basis(names=("m1", "m2")), ("names",), "Basis(names=('m1', 'm2'))"),
     "SeifertMatrix": (
         lambda: SeifertMatrix(entries=[[1, 1], [0, 2]]), ("entries",), "SeifertMatrix(entries=((1, 1), (0, 2)))",
-    ),
-    "AlexanderChecklist": (
-        lambda: AlexanderChecklist(symmetric=True, value_at_one=-1), ("symmetric", "value_at_one"),
-        "AlexanderChecklist(symmetric=True, value_at_one=-1)",
     ),
     "KnotRecord": (
         lambda: KnotRecord(name="k", seifert=None, alexander=from_text("t - 1 + t^-1", T), fibered=False),
@@ -169,6 +165,22 @@ def test_repr_has_the_dataclass_form(name):
      "Euler class (0, -2, 1) is not sign-normalized: its first nonzero entry must be positive"),
     (lambda: ThreeManifold(1, T, 3, from_text("t + 2", T)), StructuralError,
      "sw3 must be symmetric up to sign under inverting all variables"),
+    (lambda: EulerClass(T3_BASIS, 4), StructuralError, "Euler vector must be a sequence of integers, got 4"),
+    (lambda: EulerClass(T3_BASIS, None), StructuralError, "Euler vector must be a sequence of integers, got None"),
+    (lambda: fold(three_torus(), 4), StructuralError, "Euler vector must be a sequence of integers, got 4"),
+    (lambda: fold_bruteforce(three_torus(), None), StructuralError,
+     "Euler vector must be a sequence of integers, got None"),
+    (lambda: LaurentPoly(T3_BASIS, [(5, 1)]), StructuralError, "exponent vector must be a sequence of integers, got 5"),
+    (lambda: monomial(T3_BASIS, 1, 5), StructuralError, "exponent vector must be a sequence of integers, got 5"),
+    (lambda: from_text("t", T).coeff(5), StructuralError, "exponent vector must be a sequence of integers, got 5"),
+    (lambda: from_text("t", T).reindex(T3_BASIS, {"t": 5}), StructuralError,
+     "exponent vector must be a sequence of integers, got 5"),
+    (lambda: canonical_rep(QuotientLattice(EulerClass(T3_BASIS, (4, 0, 0))), 5), StructuralError,
+     "exponent vector must be a sequence of integers, got 5"),
+    (lambda: SeifertMatrix(5), StructuralError, "Seifert matrix must be a sequence of integer rows, got 5"),
+    (lambda: SeifertMatrix([1, 2]), StructuralError, "Seifert matrix must be a sequence of integer rows, got [1, 2]"),
+    (lambda: alexander_from_seifert(None), StructuralError,
+     "Seifert matrix must be a sequence of integer rows, got None"),
 ])
 def test_validation_errors_keep_type_and_text(build, error, message):
     with pytest.raises(error) as caught:
