@@ -5,7 +5,12 @@ complements) together with their SW polynomials as exact integer Laurent
 polynomials, folds them over cosets of a nontorsion Euler class to
 obtain the SW polynomials of 4-manifolds carrying free circle actions,
 and decides the unit-coefficient symplectic obstruction.
+
+The public names, ``__all__``, are exactly the names imported below from
+the submodules; the submodules themselves are not among them.
 """
+
+from types import ModuleType as _ModuleType
 
 from .alexander import (
     BUILTIN_KNOTS,
@@ -64,53 +69,5 @@ from .obstruction import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_KNOTS",
-    "Basis",
-    "CIRCLE_BASIS",
-    "DomainError",
-    "EulerClass",
-    "FoldedSW",
-    "HypothesisError",
-    "KNOT_BASIS",
-    "KnotLookupError",
-    "KnotRecord",
-    "KnotTable",
-    "LaurentPoly",
-    "NotSeifertError",
-    "ParseError",
-    "QuotientLattice",
-    "SearchResult",
-    "SeifertMatrix",
-    "SpecFileError",
-    "StructuralError",
-    "SwfoldError",
-    "T3_BASIS",
-    "ThreeManifold",
-    "UnknownVariableError",
-    "alexander_from_seifert",
-    "canonical_rep",
-    "circle_bundle_sw_closed_form",
-    "circle_bundle_sw_direct",
-    "colliding_classes",
-    "equal_up_to_sign",
-    "euler_search",
-    "euler_vector_from_text",
-    "fiber_sum",
-    "fold",
-    "fold_bruteforce",
-    "fold_poly",
-    "fold_poly_bruteforce",
-    "from_text",
-    "knot_from_alexander",
-    "knot_from_seifert",
-    "load_knot_file",
-    "monomial",
-    "record_from_dict",
-    "require_b_plus",
-    "stabilization_note",
-    "surface_times_circle",
-    "three_torus",
-    "to_text",
-    "validate_alexander",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -23,7 +23,7 @@ import sys
 from collections.abc import Callable
 
 from .alexander import BUILTIN_KNOTS, KnotTable, load_knot_file, read_json, record_from_dict
-from .errors import DomainError, SpecFileError, SwfoldError
+from .errors import DomainError, SpecFileError, StructuralError, SwfoldError, UnknownVariableError
 from .fold import circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
 from .laurent import _Record, _set
 from .manifolds import ThreeManifold, fiber_sum, surface_times_circle, three_torus
@@ -82,9 +82,13 @@ def build_manifold(data: dict, table: KnotTable, where: str = "spec") -> ThreeMa
     knots = data.get("knots", [])
     if not isinstance(knots, list):
         raise SpecFileError(f"{where}.knots: expected a list")
-    table = table.with_records(
-        [record_from_dict(entry, f"{where}.knots[{i}]") for i, entry in enumerate(knots)]
-    )
+    for i, entry in enumerate(knots):  # one at a time, so the first bad entry in spec order is the one reported
+        path = f"{where}.knots[{i}]"
+        record = record_from_dict(entry, path)
+        try:
+            table = table.with_records((record,))
+        except StructuralError as exc:  # a clash with a knot already in the table
+            raise StructuralError(f"{path}: {exc}") from None
 
     base = data["base"]
     if base == "t3":
@@ -107,6 +111,10 @@ def build_manifold(data: dict, table: KnotTable, where: str = "spec") -> ThreeMa
                 raise SpecFileError(f"{where}.sums[{i}]: expected {{\"knot\": name, \"meridian\": variable}}")
             if not isinstance(entry["knot"], str) or not isinstance(entry["meridian"], str):
                 raise SpecFileError(f"{where}.sums[{i}]: knot and meridian must be strings")
+            try:
+                manifold.basis.index(entry["meridian"])
+            except UnknownVariableError as exc:
+                raise UnknownVariableError(f"{where}.sums[{i}].meridian: {exc}") from None
             yield table.lookup(entry["knot"]), entry["meridian"]
     return fiber_sum(manifold, pairs())
 

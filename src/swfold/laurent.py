@@ -117,7 +117,17 @@ class Basis(_Record):
 def _checked(basis: Basis, terms: Iterable) -> Iterator[tuple[tuple[int, ...], int]]:
     """Validate outside (exponent, coefficient) pairs, yielding tuple exponents."""
     rank = basis.rank
-    for exp, coeff in terms:
+    try:
+        terms = iter(terms)
+    except TypeError:
+        raise StructuralError(
+            f"terms must be a mapping or an iterable of (exponent, coefficient) pairs, got {terms!r}"
+        ) from None
+    for term in terms:
+        try:
+            exp, coeff = term
+        except (TypeError, ValueError):
+            raise StructuralError(f"a term must be an (exponent, coefficient) pair, got {term!r}") from None
         try:
             exp = tuple(exp)
         except TypeError:

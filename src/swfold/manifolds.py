@@ -102,8 +102,17 @@ def fiber_sum(manifold: ThreeManifold, sums: Iterable[tuple[KnotRecord, str]]) -
     manifold's sums; one record is built and checked, or none for no sums.
     """
     basis, added, products = manifold.basis, [], {}
-    for knot, meridian in sums:
-        factor = knot.alexander.reindex(basis, {"t": [2 * e for e in basis.unit(meridian)]})
+    try:
+        sums = iter(sums)
+    except TypeError:
+        raise StructuralError(f"sums must be an iterable of (knot, meridian) pairs, got {sums!r}") from None
+    for pair in sums:
+        try:
+            knot, meridian = pair
+            alexander = knot.alexander
+        except (TypeError, ValueError, AttributeError):
+            raise StructuralError(f"a sum must be a (KnotRecord, meridian) pair, got {pair!r}") from None
+        factor = alexander.reindex(basis, {"t": [2 * e for e in basis.unit(meridian)]})
         products[meridian] = products[meridian] * factor if meridian in products else factor
         added.append((knot, meridian))
     if not added:

@@ -169,17 +169,16 @@ def stabilization_note(manifold: ThreeManifold, box: int = 5) -> str:
     lines.append(f"unfolded coefficients {multiset}: {verdict}")
 
     colliders = colliding_classes(manifold)
-    # the support's widest coordinate range: its extreme points differ by a k = 1 collider, k > 1 only shrinks
-    largest = max(max(col) - min(col) for col in zip(*manifold.sw3._terms))
+    extents = [max(map(abs, chi)) for chi in colliders]
+    largest, missed = max(extents), sum(extent > box for extent in extents)
     lines.append(
         f"{len(colliders)} Euler classes (up to sign) can merge distinct terms; "
         f"all their coefficients lie within [-{largest}, {largest}]"
     )
-    if box >= largest:
+    if not missed:
         lines.append(f"box {_count(box)} covers every collision-capable class: "
                      "outside the box every fold is injective")
     else:
-        missed = sum(max(chi) > box or min(chi) < -box for chi in colliders)
         lines.append(f"box {box} misses {missed} collision-capable classes "
                      f"(increase the box to {largest} to cover all)")
     return "\n".join(lines)

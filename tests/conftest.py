@@ -1,7 +1,11 @@
+import json
+import pathlib
 import random
 
 import pytest
 from hypothesis import settings
+from jsonschema import Draft202012Validator
+from referencing import Registry, Resource
 
 from swfold import cli
 from swfold.alexander import BUILTIN_KNOTS
@@ -10,6 +14,18 @@ from swfold.manifolds import fiber_sum, three_torus
 
 settings.register_profile("deterministic", derandomize=True, max_examples=60)
 settings.load_profile("deterministic")
+
+#: Every shipped schema under its ``$id``, so a ``$ref`` from one file to another resolves
+#: without a fetch: the spec schema's inline knots are the registration schema's.
+SCHEMAS = {path.name: json.loads(path.read_text()) for path in pathlib.Path(cli.SCHEMA_DIR).glob("*.json")}
+SCHEMA_REGISTRY = Registry().with_resources(
+    (schema["$id"], Resource.from_contents(schema)) for schema in SCHEMAS.values()
+)
+
+
+def schema_validator(schema_name: str) -> Draft202012Validator:
+    """Validator for one shipped schema, with the others in its registry."""
+    return Draft202012Validator(SCHEMAS[schema_name], registry=SCHEMA_REGISTRY)
 
 
 @pytest.fixture(autouse=True)

@@ -1,14 +1,12 @@
 """Alexander polynomials from Seifert matrices, and the knot table."""
 
 import json
-import pathlib
 import random
 from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from jsonschema import Draft202012Validator
 
 from swfold.alexander import (
     BUILTIN_KNOTS,
@@ -23,9 +21,13 @@ from swfold.alexander import (
     record_from_dict,
     validate_alexander,
 )
-from swfold.cli import SCHEMA_DIR
 from swfold.errors import KnotLookupError, NotSeifertError, SpecFileError, StructuralError
 from swfold.laurent import LaurentPoly, from_text
+
+from conftest import schema_validator
+
+REGISTRATION_SCHEMA = schema_validator("knot-registration.schema.json")
+SPEC_SCHEMA = schema_validator("manifold-spec.schema.json")
 
 
 def poly(text):
@@ -357,13 +359,12 @@ class TestRegistration:
         {"name": "k", "fibered": True, "seifert": [], "": None},
     ])
     def test_unknown_fields_rejected_like_the_schema(self, data):
-        schema = json.loads((pathlib.Path(SCHEMA_DIR) / "knot-registration.schema.json").read_text())
-        assert not Draft202012Validator(schema).is_valid(data)
+        assert not REGISTRATION_SCHEMA.is_valid(data)
         unknown = next(key for key in data if key not in ("name", "fibered", "seifert", "alexander"))
         with pytest.raises(SpecFileError, match=f"^where\\.{unknown}: unknown field$"):
             record_from_dict(data, "where")
         valid = {key: value for key, value in data.items() if key != unknown}
-        assert Draft202012Validator(schema).is_valid(valid)
+        assert REGISTRATION_SCHEMA.is_valid(valid)
         assert record_from_dict(valid, "where").name == "k"
 
     @pytest.mark.parametrize("name", [
@@ -371,17 +372,17 @@ class TestRegistration:
         "c1\x9f", "line\u2028sep", "para\u2029sep",
     ])
     def test_name_must_be_one_line_of_printable_text(self, name):
-        schema = json.loads((pathlib.Path(SCHEMA_DIR) / "knot-registration.schema.json").read_text())
         data = {"name": name, "fibered": True, "alexander": "t - 1 + t^-1"}
-        assert not Draft202012Validator(schema).is_valid(data)
+        assert not REGISTRATION_SCHEMA.is_valid(data)
+        assert not SPEC_SCHEMA.is_valid({"base": "t3", "knots": [data]})  # an inline knot is the same registration
         with pytest.raises(SpecFileError, match=r"^where\.name: expected one line of printable text, "):
             record_from_dict(data, "where")
 
     @pytest.mark.parametrize("name", ["3_1", "k a", "\u00e9", "\xa0nbsp", "\U0001f600", "\ufeff", "#~"])
     def test_printable_names_pass_code_and_schema(self, name):
-        schema = json.loads((pathlib.Path(SCHEMA_DIR) / "knot-registration.schema.json").read_text())
         data = {"name": name, "fibered": True, "alexander": "t - 1 + t^-1"}
-        assert Draft202012Validator(schema).is_valid(data)
+        assert REGISTRATION_SCHEMA.is_valid(data)
+        assert SPEC_SCHEMA.is_valid({"base": "t3", "knots": [data]})
         assert record_from_dict(data, "where").name == name
 
     @pytest.mark.parametrize("data, message", [

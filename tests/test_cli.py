@@ -9,13 +9,14 @@ import sys
 import time
 
 import pytest
-from jsonschema import Draft202012Validator
 
 from swfold import cli
 from swfold.alexander import BUILTIN_KNOTS
-from swfold.cli import ENV_KNOT_TABLE, SCHEMA_DIR, OutputRecord, build_manifold, emit, load_spec, main, run
-from swfold.errors import KnotLookupError, SpecFileError, UnknownVariableError
+from swfold.cli import ENV_KNOT_TABLE, OutputRecord, build_manifold, emit, load_spec, main, run
+from swfold.errors import KnotLookupError, SpecFileError, StructuralError, UnknownVariableError
 from swfold.laurent import Basis, from_text
+
+from conftest import schema_validator
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = REPO / "demos"
@@ -28,11 +29,12 @@ NINE_TERM_FIG8 = (
     " - 3*m2^2 + m1^2*m2^-2 - 3*m1^2 + m1^2*m2^2"
 )
 SIX_TERM_FOLD = "-3*m2^-2 + 9 - 3*m2^2 + 2*m1^2*m2^-2 - 6*m1^2 + 2*m1^2*m2^2"
+#: An inline knot under a built-in knot's name with other data.
+CLASHING_TREFOIL = {"name": "3_1", "fibered": False, "alexander": "3*t - 5 + 3*t^-1"}
 
 
 def validate_against(payload, schema_name):
-    schema = json.loads((pathlib.Path(SCHEMA_DIR) / schema_name).read_text())
-    Draft202012Validator(schema).validate(payload)
+    schema_validator(schema_name).validate(payload)
 
 
 class TestLoadSpec:
@@ -107,6 +109,21 @@ class TestLoadSpec:
         with pytest.raises(error) as err:
             build_manifold({"base": "t3", "sums": sums}, BUILTIN_KNOTS, where="spec")
         assert name in str(err.value)
+
+    @pytest.mark.parametrize("knots, error, message", [
+        ([CLASHING_TREFOIL, {"name": "k"}], StructuralError,
+         "spec.knots[0]: knot '3_1' is already registered with different data"),
+        ([{"name": "k"}, CLASHING_TREFOIL], SpecFileError, "spec.knots[0].fibered: expected true or false"),
+        ([{**CLASHING_TREFOIL, "name": "k"}, CLASHING_TREFOIL], StructuralError,
+         "spec.knots[1]: knot '3_1' is already registered with different data"),
+        ([{**CLASHING_TREFOIL, "name": "k"}, {**CLASHING_TREFOIL, "name": "k", "fibered": True}], StructuralError,
+         "spec.knots[1]: knot 'k' is already registered with different data"),
+    ])
+    def test_first_bad_knot_in_spec_order_is_reported(self, knots, error, message):
+        """A clash with a knot already in the table, or an earlier inline one, counts as that entry's fault."""
+        with pytest.raises(error) as err:
+            build_manifold({"base": "t3", "knots": knots}, BUILTIN_KNOTS, where="spec")
+        assert type(err.value) is error and str(err.value) == message
 
 
 class TestTextOutputs:
@@ -499,6 +516,18 @@ class TestMalformedInputs:
         line = ("error[structure]: invalid Alexander polynomial for 'k': "
                 "not symmetric under t -> 1/t; value at t=1 is 4, expected +-1\n")
         assert capsys.readouterr() == ("", line)
+
+    @pytest.mark.parametrize("data, line", [
+        ({"base": "t3", "sums": [{"knot": "3_1", "meridian": "m1"}, {"knot": "4_1", "meridian": "m4"}]},
+         "error[name]: {spec}.sums[1].meridian: unknown variable 'm4'; basis is (m1, m2, m3)\n"),
+        ({"base": "t3", "knots": [CLASHING_TREFOIL], "sums": [{"knot": "3_1", "meridian": "m1"}]},
+         "error[structure]: {spec}.knots[0]: knot '3_1' is already registered with different data\n"),
+    ])
+    def test_spec_entry_error_names_its_field(self, capsys, tmp_path, data, line):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))
+        assert main(["sw3", str(spec)]) == 2
+        assert capsys.readouterr() == ("", line.format(spec=spec))
 
     def test_unknown_registration_field(self, capsys, tmp_path):
         path = tmp_path / "k.json"

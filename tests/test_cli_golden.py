@@ -232,7 +232,7 @@ GOLDEN = {
     "sw3 bad-base.json": "754fe478c5bb8ecbcce403e49151406875a105533766a5a69273e9b66a0e7bbe",
     "knot register no-such-file.json": "74940a39dca6367461a148dfea26895004f2ae46a6d1a5fd72faedd4af2bbc06",
     "knot register bad-seifert.json": "eaab60fc7d03bec1334d5d538e61004236e0e26cbe16e0826ec17dd601170d25",
-    "sw3 clash.json": "90cd3036dae230726319050519f9c72abd2cdcc32a99e7fe3149352e11b06af9",
+    "sw3 clash.json": "38e3a01f8f20f4b3590be2334ba7ea325bc06182a2627bcde6c36858c83ef0d0",
     "fold genus0.json --chi t": "ac0906aa9a693298711d8770ef559c92b5b54d31e976c4a7b8a5417a8dd61a31",
     "search demos/52-pair.json --box 0": "c6df8a84a2500d4a81f671ba1029a030791e2dcc549a016a86c24d835cbc73c6",
     "bundle --genus 0 --euler 2": "ac0906aa9a693298711d8770ef559c92b5b54d31e976c4a7b8a5417a8dd61a31",

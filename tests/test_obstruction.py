@@ -397,6 +397,23 @@ class TestStabilizationNote:
             assert missed == sum(1 for chi in colliders if max(map(abs, chi)) > box)
         assert multi >= 200
 
+    def test_range_is_the_widest_support_range(self):
+        """Oracle: the support's extreme points in its widest coordinate differ by a k = 1 collider, and
+        k > 1 only shrinks, so the colliders' extent is that range and a box covers them iff it reaches it."""
+        rng = random.Random(103)
+        multi = 0
+        for _ in range(80):
+            m = random_manifold(rng, random_basis(rng))
+            if len(m.sw3) <= 1:
+                continue
+            multi += 1
+            widest = max(max(col) - min(col) for col in zip(*m.sw3.support()))
+            for box in range(1, widest + 3):
+                _, _, (_, bound), missed = read_note(stabilization_note(m, box))
+                assert bound == widest
+                assert (missed == 0) == (box >= widest)
+        assert multi >= 60
+
     def test_five2_pair_note(self, five2_pair):
         note = stabilization_note(five2_pair, 5)
         assert "no units" in note

@@ -18,7 +18,7 @@ from swfold.cli import OutputRecord
 from swfold.errors import DomainError, StructuralError
 from swfold.fold import EulerClass, FoldedSW, QuotientLattice, canonical_rep, fold, fold_bruteforce
 from swfold.laurent import Basis, LaurentPoly, from_text, monomial
-from swfold.manifolds import T3_BASIS, ThreeManifold, three_torus
+from swfold.manifolds import T3_BASIS, ThreeManifold, fiber_sum, three_torus
 from swfold.obstruction import SearchResult
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -181,6 +181,15 @@ def test_repr_has_the_dataclass_form(name):
     (lambda: SeifertMatrix([1, 2]), StructuralError, "Seifert matrix must be a sequence of integer rows, got [1, 2]"),
     (lambda: alexander_from_seifert(None), StructuralError,
      "Seifert matrix must be a sequence of integer rows, got None"),
+    (lambda: LaurentPoly(T3_BASIS, 5), StructuralError,
+     "terms must be a mapping or an iterable of (exponent, coefficient) pairs, got 5"),
+    (lambda: LaurentPoly(T3_BASIS, [5]), StructuralError, "a term must be an (exponent, coefficient) pair, got 5"),
+    (lambda: LaurentPoly(T3_BASIS, [(1, 2, 3)]), StructuralError,
+     "a term must be an (exponent, coefficient) pair, got (1, 2, 3)"),
+    (lambda: fiber_sum(three_torus(), 5), StructuralError, "sums must be an iterable of (knot, meridian) pairs, got 5"),
+    (lambda: fiber_sum(three_torus(), [5]), StructuralError, "a sum must be a (KnotRecord, meridian) pair, got 5"),
+    (lambda: fiber_sum(three_torus(), [("x", "m1")]), StructuralError,
+     "a sum must be a (KnotRecord, meridian) pair, got ('x', 'm1')"),
 ])
 def test_validation_errors_keep_type_and_text(build, error, message):
     with pytest.raises(error) as caught:
