@@ -46,11 +46,10 @@ from .fold import (
     equal_up_to_sign,
     euler_vector_from_text,
     fold,
-    fold_bruteforce,
     fold_poly,
     fold_poly_bruteforce,
 )
-from .laurent import Basis, LaurentPoly, from_text, monomial, to_text
+from .laurent import Basis, LaurentPoly, from_text, to_text
 from .manifolds import (
     CIRCLE_BASIS,
     T3_BASIS,

@@ -24,7 +24,7 @@ from collections.abc import Callable
 
 from .alexander import BUILTIN_KNOTS, KnotTable, load_knot_file, read_json, record_from_dict
 from .errors import DomainError, SpecFileError, StructuralError, SwfoldError, UnknownVariableError
-from .fold import circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
+from .fold import QuotientLattice, circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
 from .laurent import _Record, _set
 from .manifolds import ThreeManifold, fiber_sum, surface_times_circle, three_torus
 from .obstruction import euler_search, stabilization_note
@@ -42,7 +42,7 @@ class OutputRecord(_Record):
     """What one invocation produced: echo, and the text or (for ``--json``) the payload it prints."""
 
     __slots__ = ("command", "text", "payload")
-    status = 0  # not a field: a command that returns a record succeeded, a failing one raises
+    status = 0  # not a field (a returned record succeeded, a failing command raises); bench/run.py reads it
 
     def __init__(self, command: tuple[str, ...], text: str = "", payload: dict | None = None):
         _set(self, "command", command)
@@ -194,11 +194,11 @@ def _cmd_sw3(args) -> _Output:
 def _cmd_fold(args) -> _Output:
     manifold = load_spec(args.spec)
     folded = fold(manifold, args.chi)
-    quotient = folded.quotient
-    if quotient is None:
+    if folded.product_case:
         pivot_name = modulus = None
         case = "product case: zero Euler class, 4-manifold invariants equal the unfolded polynomial"
     else:
+        quotient = QuotientLattice(folded.chi)
         pivot_name, modulus = manifold.basis.names[quotient.pivot], quotient.modulus
         case = f"pivot = {pivot_name}, modulus = {modulus}"
     sw4 = folded.digest

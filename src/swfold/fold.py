@@ -80,6 +80,11 @@ class EulerClass(_Record):
         """Canonical rendering, e.g. ``"4*m1"`` or ``"2*m2 - m1"`` (last variable first)."""
         return self._text(tuple(map(self.basis.unit, self.basis.names)))
 
+    @property
+    def pivot(self) -> int:
+        """Index of the first nonzero entry; a sign-normalized class is positive there."""
+        return self.chi.index(next(filter(None, self.chi)))
+
     def _text(self, units, memo=None) -> str:
         """``text`` from the basis unit vectors; classes over one basis may share both arguments."""
         return _render(self.basis, [(units[i], c) for i, c in reversed(tuple(enumerate(self.chi))) if c], memo)
@@ -88,10 +93,11 @@ class EulerClass(_Record):
         return EulerClass(self.basis, tuple(-c for c in self.chi))
 
 
+# bench/oracles.py builds its reference folds over this type: kept public for it.
 class QuotientLattice(_Record):
     """Lattice quotient by the span of chi, with a pivot for canonical reduction.
 
-    chi is normalized so its first nonzero entry (the pivot) is positive;
+    chi is normalized so its entry at :attr:`EulerClass.pivot` is positive;
     chi and -chi therefore induce the same quotient.  Representatives
     live in [0, modulus), where ``modulus`` is the positive pivot entry.
     """
@@ -99,7 +105,7 @@ class QuotientLattice(_Record):
     __slots__ = ("euler", "chi", "pivot", "modulus")
 
     def __init__(self, euler: EulerClass):
-        pivot = next(i for i, c in enumerate(euler.chi) if c != 0)
+        pivot = euler.pivot
         if euler.chi[pivot] < 0:
             euler = -euler
         _set(self, "euler", euler)
@@ -159,12 +165,12 @@ class FoldedSW(_Record):
     def __init__(self, chi: EulerClass | None, basis: Basis,
                  terms: tuple[tuple[tuple[int, ...], int], ...], injective: bool):
         if chi is not None:
-            vector = chi.chi
-            pivot = vector.index(next(filter(None, vector)))
-            if vector[pivot] < 0:
-                raise StructuralError(f"Euler class {vector} is not sign-normalized: its first nonzero entry "
+            pivot = chi.pivot
+            modulus = chi.chi[pivot]
+            if modulus < 0:
+                raise StructuralError(f"Euler class {chi.chi} is not sign-normalized: its first nonzero entry "
                                       "must be positive")
-            _require_canonical(terms, pivot, vector[pivot])
+            _require_canonical(terms, pivot, modulus)
         _set(self, "chi", chi)
         _set(self, "basis", basis)
         _set(self, "terms", terms)
@@ -179,11 +185,6 @@ class FoldedSW(_Record):
     def chi_text(self) -> str:
         """``chi.text``, or ``"0"`` for the product case."""
         return "0" if self.chi is None else self.chi.text
-
-    @property
-    def quotient(self) -> QuotientLattice | None:
-        """The quotient folded over, built on each access; ``None`` for the product case."""
-        return None if self.chi is None else QuotientLattice(self.chi)
 
     @property
     def poly(self) -> LaurentPoly:
@@ -222,6 +223,7 @@ def fold_poly(poly: LaurentPoly, quotient: QuotientLattice) -> LaurentPoly:
     return LaurentPoly._of(poly.basis, _accumulate({}, reps))
 
 
+# bench/oracles.py checks every benchmark fold against this reference: kept in src/ for it.
 def fold_poly_bruteforce(poly: LaurentPoly, quotient: QuotientLattice) -> LaurentPoly:
     """Oracle twin of :func:`fold_poly`: merge by exhaustive shift search.
 
@@ -275,16 +277,6 @@ def fold_poly_bruteforce(poly: LaurentPoly, quotient: QuotientLattice) -> Lauren
     return LaurentPoly(poly.basis, ((labels[find(i)], poly.coeff(e)) for i, e in enumerate(support)))
 
 
-def _fold_with(fold_fn, manifold: ThreeManifold, chi) -> FoldedSW:
-    euler, sw3 = _as_class(manifold.basis, chi), manifold.sw3
-    if euler is None:
-        return FoldedSW(None, manifold.basis, sw3.terms(), True)
-    require_b_plus(manifold)
-    quotient = QuotientLattice(euler)
-    terms = fold_fn(sw3, quotient).terms()
-    return FoldedSW(quotient.euler, manifold.basis, terms, len(terms) == len(sw3))
-
-
 def fold(manifold: ThreeManifold, chi) -> FoldedSW:
     """Sum the SW coefficients of ``manifold`` over cosets of the span of chi.
 
@@ -293,12 +285,13 @@ def fold(manifold: ThreeManifold, chi) -> FoldedSW:
     case (the invariants of M x S^1 equal those of M) instead of
     raising.  The total coefficient sum is conserved.
     """
-    return _fold_with(fold_poly, manifold, chi)
-
-
-def fold_bruteforce(manifold: ThreeManifold, chi) -> FoldedSW:
-    """Independent oracle for :func:`fold` (see :func:`fold_poly_bruteforce`)."""
-    return _fold_with(fold_poly_bruteforce, manifold, chi)
+    euler, sw3 = _as_class(manifold.basis, chi), manifold.sw3
+    if euler is None:
+        return FoldedSW(None, manifold.basis, sw3.terms(), True)
+    require_b_plus(manifold)
+    quotient = QuotientLattice(euler)
+    terms = fold_poly(sw3, quotient).terms()
+    return FoldedSW(quotient.euler, manifold.basis, terms, len(terms) == len(sw3))
 
 
 def circle_bundle_sw_direct(genus: int, euler_number: int) -> FoldedSW:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import repeat
+from math import log10
 from operator import add, attrgetter, neg
 
 from .errors import DomainError, ParseError, StructuralError, UnknownVariableError
@@ -198,10 +199,6 @@ class LaurentPoly:
 
     # -- views -------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def terms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Terms as (exponent, coefficient) pairs in canonical order."""
         return tuple(sorted(self._terms.items()))
@@ -213,10 +210,6 @@ class LaurentPoly:
     def coeff(self, exp) -> int:
         [(exp, _)] = _checked(self.basis, [(exp, 0)])
         return self._terms.get(exp, 0)
-
-    def coefficients(self) -> tuple[int, ...]:
-        """Coefficients in canonical term order."""
-        return tuple(c for _, c in self.terms())
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -271,6 +264,7 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    # bench/spans.py traces this method as laurent.pow: kept, though nothing in src/ calls it.
     def __pow__(self, k: int) -> LaurentPoly:
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise DomainError(f"polynomial power must be a nonnegative integer, got {k!r}")
@@ -340,12 +334,12 @@ class LaurentPoly:
         return f"LaurentPoly({to_text(self)!r}, basis=({', '.join(self.basis.names)}))"
 
 
-def monomial(basis: Basis, coeff: int, exp) -> LaurentPoly:
-    """Single-term polynomial ``coeff * prod(v_i^exp_i)``; zero if coeff is 0."""
-    return LaurentPoly(basis, [(exp, coeff)])
-
-
 # -- canonical text form ----------------------------------------------
+
+
+def _count(n: int) -> str:
+    """``n`` in digits, or its sign and order of magnitude past 30 digits (str() refuses 4300)."""
+    return str(n) if abs(n) < 10**30 else f"about {'-' * (n < 0)}10^{log10(abs(n)):.0f}"
 
 
 def _balanced_digits(value: int, base: int, count: int) -> list[int]:

@@ -21,13 +21,17 @@ from math import prod
 
 from .alexander import KnotRecord
 from .errors import DomainError, HypothesisError, StructuralError
-from .laurent import Basis, LaurentPoly, _Record, _set
+from .laurent import Basis, LaurentPoly, _count, _Record, _set
 
 #: Basis shared by the three-torus family: the three circle directions.
 T3_BASIS = Basis(("m1", "m2", "m3"))
 
 #: Basis used by surface-times-circle records (the SW-support direction).
 CIRCLE_BASIS = Basis(("t",))
+
+#: Bits the binomial row of a genus-g surface times the circle may take: its 2g - 1
+#: coefficients are below 2^(2g-2), so (2g-1)(2g-2) bounds the row.  Every genus up to 8192 passes.
+MAX_ROW_BITS = 2**28
 
 
 class ThreeManifold(_Record):
@@ -75,7 +79,8 @@ def three_torus() -> ThreeManifold:
 def _check_genus(genus) -> None:
     """The one genus rule, shared with the bundle routes of :mod:`swfold.fold`."""
     if not isinstance(genus, int) or isinstance(genus, bool) or genus < 1:
-        raise DomainError(f"genus must be an integer >= 1, got {genus!r}")
+        shown = _count(genus) if isinstance(genus, int) else repr(genus)
+        raise DomainError(f"genus must be an integer >= 1, got {shown}")
 
 
 def surface_times_circle(genus: int) -> ThreeManifold:
@@ -88,6 +93,9 @@ def surface_times_circle(genus: int) -> ThreeManifold:
     """
     _check_genus(genus)
     degree, terms, binomial = 2 * genus - 2, {}, 1  # binomial = (-1)^j * C(degree, j)
+    if (degree + 1) * degree > MAX_ROW_BITS:
+        raise DomainError(f"genus {_count(genus)}: its binomial row may take (2g-1)(2g-2) = "
+                          f"{_count((degree + 1) * degree)} bits, over the limit of {MAX_ROW_BITS}")
     for j in range(degree + 1):
         terms[(2 * j - degree,)] = binomial
         binomial = -binomial * (degree - j) // (j + 1)

@@ -24,11 +24,11 @@ from collections import Counter
 from collections.abc import Iterator
 from functools import partial
 from itertools import combinations, product
-from math import gcd, isqrt, log10
+from math import gcd, isqrt
 
 from .errors import DomainError
 from .fold import EulerClass, FoldedSW, fold
-from .laurent import _Memo, _Record, _accumulate, _pack, _piece, _render, _set, _unpack
+from .laurent import _Memo, _Record, _accumulate, _count, _pack, _piece, _render, _set, _unpack
 from .manifolds import ThreeManifold, require_b_plus
 
 
@@ -61,11 +61,6 @@ class SearchResult(_Record):
 
 #: The most term folds one search may do: ((2B+1)^r - 1)/2 classes times len(sw3), at least 1 each.
 MAX_TERM_FOLDS = 10**7
-
-
-def _count(n: int) -> str:
-    """``n`` in digits, or its sign and order of magnitude past 30 digits (str() refuses 4300)."""
-    return str(n) if abs(n) < 10**30 else f"about {'-' * (n < 0)}10^{log10(abs(n)):.0f}"
 
 
 def _check_box(box) -> None:

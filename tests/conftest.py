@@ -9,8 +9,9 @@ from referencing import Registry, Resource
 
 from swfold import cli
 from swfold.alexander import BUILTIN_KNOTS
+from swfold.fold import FoldedSW, QuotientLattice, fold, fold_poly_bruteforce
 from swfold.laurent import Basis, LaurentPoly
-from swfold.manifolds import fiber_sum, three_torus
+from swfold.manifolds import ThreeManifold, fiber_sum, three_torus
 
 settings.register_profile("deterministic", derandomize=True, max_examples=60)
 settings.load_profile("deterministic")
@@ -47,6 +48,25 @@ def b2():
 @pytest.fixture
 def b3():
     return Basis(("m1", "m2", "m3"))
+
+
+def fold_bruteforce(manifold: ThreeManifold, chi) -> FoldedSW:
+    """The record ``fold(manifold, chi)`` should give, its terms folded by ``fold_poly_bruteforce``."""
+    folded = fold(manifold, chi)
+    if folded.product_case:
+        return folded
+    terms = fold_poly_bruteforce(manifold.sw3, QuotientLattice(folded.chi)).terms()
+    return FoldedSW(folded.chi, manifold.basis, terms, len(terms) == len(manifold.sw3))
+
+
+def monomial(basis: Basis, coeff: int, exp) -> LaurentPoly:
+    """Single-term polynomial ``coeff * prod(v_i^exp_i)``; zero if coeff is 0."""
+    return LaurentPoly(basis, [(exp, coeff)])
+
+
+def coefficients(poly: LaurentPoly) -> tuple[int, ...]:
+    """Coefficients in canonical term order."""
+    return tuple(c for _, c in poly.terms())
 
 
 def random_poly(rng: random.Random, basis: Basis, max_terms: int = 8,

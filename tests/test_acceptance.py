@@ -18,7 +18,6 @@ from swfold.fold import (
     circle_bundle_sw_direct,
     equal_up_to_sign,
     fold,
-    fold_bruteforce,
     fold_poly,
     fold_poly_bruteforce,
 )
@@ -26,7 +25,7 @@ from swfold.laurent import LaurentPoly, from_text, to_text
 from swfold.manifolds import T3_BASIS, fiber_sum, surface_times_circle, three_torus
 from swfold.obstruction import euler_search
 
-from conftest import random_basis, random_poly
+from conftest import coefficients, fold_bruteforce, random_basis, random_poly
 from test_fold import random_chi, random_manifold
 
 
@@ -75,7 +74,7 @@ def test_criterion_03_example1_fold_exact_coset_comparison():
     displayed = from_text(
         "2*m1^-2*m2^-2 - 3*m2^-2 + 9 - 6*m1^2 + 2*m1^2*m2^2 - 3*m2^2", T3_BASIS
     )
-    assert fold_poly(displayed, folded.quotient) == folded.poly
+    assert fold_poly(displayed, QuotientLattice(folded.chi)) == folded.poly
     assert folded.poly.coeff((2, -2, 0)) == 2  # merged +-2 corner pair
     assert folded.poly.coeff((2, 0, 0)) == -6  # merged +-2 edge pair
     assert len(folded.poly) == 6
@@ -120,7 +119,7 @@ def test_criterion_07_example2_search():
     # injective-fold fast path agrees entry-by-entry with full folding
     for index, entry in enumerate(result.entries):
         folded = fold(manifold, entry.chi)
-        full_verdict = not any(c in (1, -1) for c in folded.poly.coefficients())
+        full_verdict = not any(c in (1, -1) for c in coefficients(folded.poly))
         assert entry.obstructed == full_verdict
         if not entry.injective or index % 20 == 0:
             assert folded == fold_bruteforce(manifold, entry.chi)

@@ -484,6 +484,14 @@ class TestMalformedInputs:
         out = f"genus = 7200, euler = {euler}\ndirect = 0\nclosed = 0\nMATCH (up to sign)\n"
         assert capsys.readouterr() == (out, "")
 
+    def test_genus_whose_row_is_too_large_to_build(self, capsys, tmp_path):
+        # (2g-1)(2g-2) bounds the bits of the binomial row: refused before any binomial is built
+        path = tmp_path / "genus-100000.json"
+        path.write_text(json.dumps({"base": {"surface_x_s1": 100000}}))
+        assert main(["sw3", str(path)]) == 1
+        self.assert_one_error_line(capsys, "error[domain]: genus 100000: its binomial row may take "
+                                   f"(2g-1)(2g-2) = 39999400002 bits, over the limit of {2**28}\n")
+
     @pytest.mark.parametrize("name", ["x\ud800", "x\nobstructed = true", "x\u2028y"])
     def test_knot_name_that_is_not_one_printable_line(self, capsys, tmp_path, name):
         knot = {"name": name, "fibered": True, "alexander": "t - 1 + t^-1"}

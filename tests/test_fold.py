@@ -18,14 +18,13 @@ from swfold.fold import (
     equal_up_to_sign,
     euler_vector_from_text,
     fold,
-    fold_bruteforce,
     fold_poly,
     fold_poly_bruteforce,
 )
-from swfold.laurent import Basis, LaurentPoly, from_text, monomial, to_text
+from swfold.laurent import Basis, LaurentPoly, from_text, to_text
 from swfold.manifolds import T3_BASIS, ThreeManifold, surface_times_circle, three_torus
 
-from conftest import random_basis, random_poly
+from conftest import coefficients, fold_bruteforce, monomial, random_basis, random_poly
 
 
 def quotient_of(basis, vector) -> QuotientLattice:
@@ -124,6 +123,21 @@ class TestQuotientLattice:
     def test_negation_gives_same_quotient(self, b3):
         assert quotient_of(b3, (4, 0, 0)) == quotient_of(b3, (-4, 0, 0))
 
+    @given(st.integers(1, 4).flatmap(lambda rank: st.tuples(*[st.integers(-3, 3)] * rank)).filter(any))
+    def test_one_pivot_rule(self, vector):
+        # EulerClass.pivot is read by both the quotient and the fold record
+        basis = Basis(tuple(f"x{i}" for i in range(1, len(vector) + 1)))
+        euler = EulerClass(basis, vector)
+        assert not any(vector[:euler.pivot]) and vector[euler.pivot] != 0
+        quotient = QuotientLattice(euler)
+        assert quotient.pivot == euler.pivot
+        assert quotient.euler.chi[quotient.pivot] > 0
+        if vector[euler.pivot] < 0:
+            with pytest.raises(StructuralError, match="not sign-normalized"):
+                FoldedSW(euler, basis, (), True)
+        else:
+            assert FoldedSW(euler, basis, (), True).chi is euler
+
 
 # -- canonical representatives --------------------------------------------
 
@@ -179,7 +193,7 @@ class TestFold:
         # The same six classes written with mixed representatives
         # normalize onto the fold output term by term.
         folded = fold(fig8_pair, "4*m1")
-        q = folded.quotient
+        q = QuotientLattice(folded.chi)
         mixed = from_text(
             "2*m1^-2*m2^-2 - 3*m2^-2 + 9 - 6*m1^2 + 2*m1^2*m2^2 - 3*m2^2", T3_BASIS
         )
@@ -209,7 +223,7 @@ class TestFold:
             q = quotient_of(b3, random_chi(rng, 3))
             folded = fold_poly(p, q)
             assert len(folded) == 1
-            assert folded.coefficients() == p.coefficients()
+            assert coefficients(folded) == coefficients(p)
 
     def test_accepts_euler_class_and_vector_and_text(self, fig8_pair):
         by_text = fold(fig8_pair, "4*m1")
@@ -220,7 +234,7 @@ class TestFold:
     def test_zero_chi_routes_to_product_case(self, fig8_pair):
         folded = fold(fig8_pair, "0")
         assert folded.product_case
-        assert folded.quotient is None
+        assert folded.chi is None
         assert folded.poly == fig8_pair.sw3
         assert folded.chi_text == "0"
 
@@ -236,7 +250,7 @@ class TestFold:
         rng = random.Random(43)
         for _ in range(30):
             folded = fold(five2_pair, random_chi(rng, 3))
-            q = folded.quotient
+            q = QuotientLattice(folded.chi)
             for exp in folded.poly.support():
                 assert 0 <= exp[q.pivot] < q.modulus
 
@@ -256,8 +270,8 @@ class TestFoldProperties:
         rng = random.Random(101)
         for _ in range(10):
             q = quotient_of(b3, random_chi(rng, 3))
-            assert fold_poly(LaurentPoly.zero(b3), q).is_zero
-            assert fold_poly_bruteforce(LaurentPoly.zero(b3), q).is_zero
+            assert fold_poly(LaurentPoly.zero(b3), q) == LaurentPoly.zero(b3)
+            assert fold_poly_bruteforce(LaurentPoly.zero(b3), q) == LaurentPoly.zero(b3)
 
     def test_oracle_equivalence_on_manifolds(self):
         rng = random.Random(47)
@@ -392,21 +406,21 @@ class TestInjectivity:
             report = fold(m, chi)
             if report.injective:
                 seen += 1
-                assert sorted(c for _, c in report.terms) == sorted(m.sw3.coefficients())
+                assert sorted(c for _, c in report.terms) == sorted(coefficients(m.sw3))
                 assert report.terms == fold(m, chi).poly.terms()
         assert seen > 50  # the property must actually be exercised
 
 
 class TestCircleBundles:
     def test_direct_spot_values(self):
-        assert circle_bundle_sw_direct(2, 2).poly.is_zero
+        assert circle_bundle_sw_direct(2, 2).terms == ()
         t = Basis(("t",))
         assert circle_bundle_sw_direct(2, 4).poly == from_text("-2 + 2*t^2", t)
         assert circle_bundle_sw_direct(2, 3).poly == from_text("-2 + t + t^2", t)
 
     def test_closed_form_spot_values(self):
         t = Basis(("t",))
-        assert circle_bundle_sw_closed_form(2, 2).poly.is_zero
+        assert circle_bundle_sw_closed_form(2, 2).terms == ()
         assert circle_bundle_sw_closed_form(2, 4).poly == from_text("-2 + 2*t^2", t)
         assert circle_bundle_sw_closed_form(2, 3).poly == from_text("-2 + t + t^2", t)
 

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from swfold.errors import DomainError, ParseError, StructuralError, UnknownVariableError
 from swfold.fold import EulerClass, QuotientLattice, fold_poly
-from swfold.laurent import Basis, LaurentPoly, _balanced_digits, _Memo, _piece, _render, from_text, monomial, to_text
+from swfold.laurent import Basis, LaurentPoly, _balanced_digits, _Memo, _piece, _render, from_text, to_text
 
-from conftest import random_basis, random_poly
+from conftest import coefficients, monomial, random_basis, random_poly
 
 
 def naive_convolution(p: LaurentPoly, q: LaurentPoly) -> dict:
@@ -62,7 +62,7 @@ class TestMonomial:
         assert to_text(monomial(b1, 1, (0,))) == "1"
 
     def test_zero_coefficient_annihilates(self, b1):
-        assert monomial(b1, 0, (5,)).is_zero
+        assert monomial(b1, 0, (5,)) == LaurentPoly.zero(b1)
 
     def test_negative_exponent_rendering(self, b2):
         assert to_text(monomial(b2, -3, (0, -2))) == "-3*m2^-2"
@@ -89,7 +89,7 @@ class TestCombine:
 
     def test_cancellation_drops_term(self, b1):
         p = monomial(b1, 1, (2,))
-        assert (p + (-p)).is_zero
+        assert p + (-p) == LaurentPoly.zero(b1)
         assert len(p + (-p)) == 0
 
     def test_merged_coefficients(self, b1):
@@ -271,7 +271,7 @@ class TestEvalOnes:
 class TestGrammar:
     def test_zero_renders_and_parses(self, b1):
         assert to_text(LaurentPoly.zero(b1)) == "0"
-        assert from_text("0", b1).is_zero
+        assert from_text("0", b1) == LaurentPoly.zero(b1)
 
     def test_one_piece_memo_serves_many_texts(self, b2):
         """Pieces keep their sign, so a memo shared across polynomials renders each as alone."""
@@ -315,7 +315,7 @@ class TestGrammar:
 
     def test_like_terms_merge(self, b1):
         assert from_text("t + t", b1) == from_text("2*t", b1)
-        assert from_text("t - t", b1).is_zero
+        assert from_text("t - t", b1) == LaurentPoly.zero(b1)
 
     def test_syntax_error_carries_position(self, b1):
         with pytest.raises(ParseError) as err:
@@ -392,7 +392,7 @@ class TestGrammar:
             from_text("t + " + "9" * 5000 + "*t", b1)
         assert type(err.value) is ParseError
         assert err.value.position == 4
-        assert from_text("9" * 4300, b1).coefficients() == (int("9" * 4300),)
+        assert coefficients(from_text("9" * 4300, b1)) == (int("9" * 4300),)
 
     def test_round_trip_seeded(self):
         rng = random.Random(23)
@@ -439,8 +439,8 @@ class TestRingAxioms:
     def test_identities(self, p):
         assert p + LaurentPoly.zero(_AXIOM_BASIS) == p
         assert p * LaurentPoly.one(_AXIOM_BASIS) == p
-        assert (p * LaurentPoly.zero(_AXIOM_BASIS)).is_zero
-        assert (p + (-p)).is_zero
+        assert p * LaurentPoly.zero(_AXIOM_BASIS) == LaurentPoly.zero(_AXIOM_BASIS)
+        assert p + (-p) == LaurentPoly.zero(_AXIOM_BASIS)
 
     @given(polys(max_terms=6), polys(max_terms=6))
     def test_multiply_matches_oracle(self, p, q):
@@ -569,21 +569,21 @@ class TestTermInvariant:
     @given(dense_polys(), dense_polys())
     def test_operations_store_no_zero_coefficient(self, p, q):
         for result in (p + q, p - q, p * q, -p, p.conjugate(), p - p):
-            assert 0 not in result.coefficients()
-        assert (p - p).is_zero
+            assert 0 not in coefficients(result)
+        assert p - p == LaurentPoly.zero(_AXIOM_BASIS)
 
     @given(_dense_terms, _dense_terms)
     def test_parsed_cancelling_terms(self, kept, cancelled):
         pairs = kept + cancelled + [(exp, -coeff) for exp, coeff in cancelled]
         text = " + ".join(to_text(monomial(_AXIOM_BASIS, c, e)) for e, c in pairs) or "0"
         parsed = from_text(text, _AXIOM_BASIS)
-        assert 0 not in parsed.coefficients()
+        assert 0 not in coefficients(parsed)
         assert dict(parsed.terms()) == plain_sum(kept)
 
     @given(dense_polys(), st.tuples(*[st.integers(-2, 2)] * 3).filter(any))
     def test_fold_poly_stores_no_zero_coefficient(self, p, chi):
         folded = fold_poly(p, QuotientLattice(EulerClass(_AXIOM_BASIS, chi)))
-        assert 0 not in folded.coefficients()
+        assert 0 not in coefficients(folded)
         assert folded.eval_ones() == p.eval_ones()
 
     @given(dense_polys(), st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from swfold.errors import DomainError, HypothesisError, StructuralError, Unknown
 from swfold.fold import fold
 from swfold.laurent import LaurentPoly, from_text
 from swfold.manifolds import (
+    MAX_ROW_BITS,
     T3_BASIS,
     ThreeManifold,
     fiber_sum,
@@ -52,10 +54,20 @@ class TestSurfaceTimesCircle:
         m = surface_times_circle(3)
         assert m.sw3 == from_text("t^4 - 4*t^2 + 6 - 4*t^-2 + t^-4", m.basis)
 
-    @pytest.mark.parametrize("bad", [0, -1, "2", True])
+    @pytest.mark.parametrize("bad", [0, -1, "2", True, -10**5000], ids=["0", "-1", "2", "True", "-10^5000"])
     def test_bad_genus(self, bad):
         with pytest.raises(DomainError):
             surface_times_circle(bad)
+
+    @pytest.mark.parametrize("genus, bits", [(8193, "268451840"), (10**5000, "about 10^10001")],
+                             ids=["8193", "10^5000"])
+    def test_row_over_the_bit_limit(self, genus, bits):
+        with pytest.raises(DomainError, match=re.escape(f"= {bits} bits, over the limit of {MAX_ROW_BITS}") + "$"):
+            surface_times_circle(genus)
+
+    def test_largest_genus_under_the_bit_limit(self):
+        assert (2 * 8192 - 1) * (2 * 8192 - 2) <= MAX_ROW_BITS
+        assert len(surface_times_circle(8192).sw3) == 2 * 8192 - 1
 
     @pytest.mark.parametrize("genus", [*range(1, 41), 200])
     def test_row_equals_power_and_binomial_expansion(self, genus):
@@ -212,7 +224,7 @@ class TestFoldApplicability:
     def test_zero_chi_fails(self, fig8_pair):
         # a zero Euler class has no quotient to fold over: the product case
         folded = fold(fig8_pair, "0")
-        assert folded.product_case and folded.quotient is None
+        assert folded.product_case and folded.chi is None
         assert folded.poly == fig8_pair.sw3
 
     def test_low_b1_fails(self):

@@ -13,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 from swfold.alexander import BUILTIN_KNOTS
 from swfold.cli import run
 from swfold.errors import DomainError, HypothesisError
-from swfold.fold import EulerClass, QuotientLattice, canonical_rep, fold, fold_bruteforce
+from swfold.fold import EulerClass, QuotientLattice, canonical_rep, fold
 from swfold.laurent import Basis, LaurentPoly, _render, to_text
 from swfold.manifolds import T3_BASIS, ThreeManifold, fiber_sum, surface_times_circle, three_torus
 from swfold.obstruction import SearchResult, colliding_classes, euler_search, stabilization_note
 
-from conftest import random_basis, random_poly
+from conftest import coefficients, fold_bruteforce, random_basis, random_poly
 from test_fold import random_chi, random_manifold
 
 
@@ -60,7 +60,7 @@ class TestTaubesReport:
             chi = random_chi(rng, basis.rank)
             folded = fold(m, chi)
             report = fold(m, chi)
-            has_unit = any(c in (1, -1) for c in folded.poly.coefficients())
+            has_unit = any(c in (1, -1) for c in coefficients(folded.poly))
             assert report.obstructed == (not has_unit)
             assert report.obstructed == (len(report.unit_classes) == 0)
             assert report.digest == str(folded.poly)
@@ -124,7 +124,7 @@ class TestEulerSearch:
         for m in (fig8_pair, five2_pair):
             for entry in euler_search(m, 8).entries:
                 folded = fold(m, entry.chi)
-                full_verdict = not any(c in (1, -1) for c in folded.poly.coefficients())
+                full_verdict = not any(c in (1, -1) for c in coefficients(folded.poly))
                 assert entry.obstructed == full_verdict
                 assert entry.digest == str(folded.poly)
                 assert entry.unit_classes == unit_exponents(folded.poly)
@@ -141,7 +141,7 @@ class TestEulerSearch:
                 cosets = {canonical_rep(q, e) for e in support}
                 assert entry.injective == (len(cosets) == len(support))
                 oracle = fold_bruteforce(m, entry.chi).poly
-                assert entry.obstructed == (not any(c in (1, -1) for c in oracle.coefficients()))
+                assert entry.obstructed == (not any(c in (1, -1) for c in coefficients(oracle)))
                 assert entry.digest == to_text(oracle)
                 assert entry.unit_classes == unit_exponents(oracle)
                 cancelled += len(oracle) < len(cosets)
@@ -390,8 +390,8 @@ class TestStabilizationNote:
                 continue
             multi += 1
             counts, has_unit, (count, bound), missed = read_note(note)
-            assert counts == Counter(m.sw3.coefficients())
-            assert has_unit == any(c in (1, -1) for c in m.sw3.coefficients())
+            assert counts == Counter(coefficients(m.sw3))
+            assert has_unit == any(c in (1, -1) for c in coefficients(m.sw3))
             colliders = colliders_by_pairs(m.sw3.support())
             assert (count, bound) == (len(colliders), max(abs(c) for chi in colliders for c in chi))
             assert missed == sum(1 for chi in colliders if max(map(abs, chi)) > box)

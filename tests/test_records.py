@@ -16,10 +16,12 @@ import pytest
 from swfold.alexander import KnotRecord, SeifertMatrix, alexander_from_seifert
 from swfold.cli import OutputRecord
 from swfold.errors import DomainError, StructuralError
-from swfold.fold import EulerClass, FoldedSW, QuotientLattice, canonical_rep, fold, fold_bruteforce
-from swfold.laurent import Basis, LaurentPoly, from_text, monomial
+from swfold.fold import EulerClass, FoldedSW, QuotientLattice, canonical_rep, fold
+from swfold.laurent import Basis, LaurentPoly, from_text
 from swfold.manifolds import T3_BASIS, ThreeManifold, fiber_sum, three_torus
 from swfold.obstruction import SearchResult
+
+from conftest import fold_bruteforce, monomial
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 T = Basis(names=("t",))
