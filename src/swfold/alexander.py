@@ -25,12 +25,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from math import prod
 
-from .errors import (
-    KnotLookupError,
-    NotSeifertError,
-    SpecFileError,
-    StructuralError,
-)
+from .errors import KnotLookupError, NotSeifertError, SpecFileError, StructuralError, _count, _shown
 from .laurent import Basis, LaurentPoly, _balanced_digits, _Record, _set, from_text, to_text
 
 #: Every knot polynomial lives over this one-variable basis.
@@ -54,7 +49,7 @@ class SeifertMatrix(_Record):
         try:
             rows = tuple(tuple(row) for row in entries)
         except TypeError:
-            raise StructuralError(f"Seifert matrix must be a sequence of integer rows, got {entries!r}") from None
+            raise StructuralError(f"Seifert matrix must be a sequence of integer rows, got {_shown(entries)}") from None
         for row in rows:
             if len(row) != len(rows):
                 raise StructuralError(
@@ -62,7 +57,7 @@ class SeifertMatrix(_Record):
                 )
             for value in row:
                 if not isinstance(value, int) or isinstance(value, bool):
-                    raise StructuralError(f"Seifert matrix entries must be integers, got {value!r}")
+                    raise StructuralError(f"Seifert matrix entries must be integers, got {_shown(value)}")
         _set(self, "entries", rows)
 
     @property
@@ -110,7 +105,7 @@ def alexander_from_seifert(matrix) -> LaurentPoly:
     at_one = sum(coeffs)  # det(tV - V^T) at t=1 is det(V - V^T)
     if at_one not in (1, -1):
         raise NotSeifertError(
-            f"not a knot Seifert matrix: det(V - V^T) = {at_one}, expected +-1"
+            f"not a knot Seifert matrix: det(V - V^T) = {_count(at_one)}, expected +-1"
         )
     # A unit det(V - V^T) makes n even (a skew-symmetric matrix of odd size
     # has determinant 0), and transposing gives det(tV - V^T) =
@@ -129,7 +124,7 @@ def validate_alexander(poly: LaurentPoly) -> tuple[str, ...]:
         raise StructuralError(f"Alexander polynomials are one-variable; got rank {poly.basis.rank}")
     value = poly.eval_ones()
     checks = ((poly.conjugate() == poly, "not symmetric under t -> 1/t"),
-              (value in (1, -1), f"value at t=1 is {value}, expected +-1"))
+              (value in (1, -1), f"value at t=1 is {_count(value)}, expected +-1"))
     return tuple(problem for holds, problem in checks if not holds)
 
 
@@ -170,7 +165,7 @@ def knot_from_alexander(name: str, fibered: bool, poly) -> KnotRecord:
         poly = from_text(poly, KNOT_BASIS)
     problems = validate_alexander(poly)
     if problems:
-        raise StructuralError(f"invalid Alexander polynomial for {name!r}: " + "; ".join(problems))
+        raise StructuralError(f"invalid Alexander polynomial for {_shown(name)}: " + "; ".join(problems))
     if poly.eval_ones() == -1:
         poly = -poly
     return KnotRecord(name=name, seifert=None, alexander=poly, fibered=bool(fibered))
@@ -189,7 +184,7 @@ class KnotTable:
         for record in records:
             existing = self._records.setdefault(record.name, record)
             if existing is not record and existing != record:
-                raise StructuralError(f"knot {record.name!r} is already registered with different data")
+                raise StructuralError(f"knot {_shown(record.name)} is already registered with different data")
 
     def with_records(self, records: Sequence[KnotRecord]) -> KnotTable:
         """This table plus ``records``; this table itself when ``records`` is empty."""
@@ -259,7 +254,7 @@ def read_json(path: str, what: str = ""):
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
-        raise SpecFileError(f"cannot read {what}{path!r}: {exc}") from None
+        raise SpecFileError(f"cannot read {what}{_shown(path)}: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecFileError(f"{path}: invalid JSON: {exc}") from None
     except ValueError:  # what int() raises past sys.int_max_str_digits

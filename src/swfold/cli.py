@@ -24,7 +24,7 @@ from collections.abc import Callable
 
 from .alexander import BUILTIN_KNOTS, KnotTable, load_knot_file, read_json, record_from_dict
 from .errors import DomainError, SpecFileError, StructuralError, SwfoldError, UnknownVariableError
-from .fold import QuotientLattice, circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
+from .fold import circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
 from .laurent import _Record, _set
 from .manifolds import ThreeManifold, fiber_sum, surface_times_circle, three_torus
 from .obstruction import euler_search, stabilization_note
@@ -194,15 +194,15 @@ def _cmd_sw3(args) -> _Output:
 def _cmd_fold(args) -> _Output:
     manifold = load_spec(args.spec)
     folded = fold(manifold, args.chi)
-    if folded.product_case:
-        pivot_name = modulus = None
-        case = "product case: zero Euler class, 4-manifold invariants equal the unfolded polynomial"
-    else:
-        quotient = QuotientLattice(folded.chi)
-        pivot_name, modulus = manifold.basis.names[quotient.pivot], quotient.modulus
-        case = f"pivot = {pivot_name}, modulus = {modulus}"
+    pivot_name = modulus = None
+    if not folded.product_case:
+        pivot = folded.chi.pivot
+        pivot_name, modulus = manifold.basis.names[pivot], folded.chi.chi[pivot]
     sw4 = folded.digest
-    header = lambda: [f"manifold = {manifold.name}", f"chi = {folded.chi_text}", case]
+    # chi_text before the modulus: it refuses with a DomainError a chi whose digits str() cannot print
+    header = lambda: [f"manifold = {manifold.name}", f"chi = {folded.chi_text}",
+                      "product case: zero Euler class, 4-manifold invariants equal the unfolded polynomial"
+                      if folded.product_case else f"pivot = {pivot_name}, modulus = {modulus}"]
     return header, [f"sw4 = {sw4}"], lambda: {
         "command": "fold",
         "manifold": manifold.name,

@@ -5,7 +5,29 @@ Two families matter to callers: ``StructuralError`` for malformed values
 mathematically invalid parameters.  The command line maps them to exit
 codes 2 and 1 respectively, and prints the ``code`` of the most-derived
 class as ``error[code]: message``.
+
+A message names a caller's value by :func:`_shown`, the one rule that
+cannot itself fail: ``repr`` and ``str`` raise ``ValueError`` on an
+integer past Python's 4300-digit limit.
 """
+
+from math import log10
+
+
+def _count(n: int) -> str:
+    """``n`` in digits, or its sign and order of magnitude past 30 digits (str() refuses 4300)."""
+    return str(n) if abs(n) < 10**30 else f"about {'-' * (n < 0)}10^{log10(abs(n)):.0f}"
+
+
+def _shown(value) -> str:
+    """How a message names a caller's value: ``_count`` for an int, else ``repr``, or only
+    its type when ``repr`` raises (it holds an integer too long to print)."""
+    if isinstance(value, int):
+        return _count(value)
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} holding an integer too long to print"
 
 
 class SwfoldError(Exception):
@@ -45,7 +67,7 @@ class KnotLookupError(StructuralError):
         self.name = name
         self.available = tuple(available)
         listing = ", ".join(self.available) if self.available else "(none)"
-        super().__init__(f"unknown knot {name!r}; available: {listing}")
+        super().__init__(f"unknown knot {_shown(name)}; available: {listing}")
 
 
 class NotSeifertError(StructuralError):

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import DomainError, ParseError, StructuralError
-from .laurent import Basis, LaurentPoly, _accumulate, _Record, _render, _set, from_text
-from .manifolds import CIRCLE_BASIS, ThreeManifold, _check_genus, require_b_plus, surface_times_circle
+from .errors import DomainError, ParseError, StructuralError, _count, _shown
+from .laurent import Basis, LaurentPoly, _accumulate, _positive, _Record, _render, _set, _vector, from_text
+from .manifolds import CIRCLE_BASIS, ThreeManifold, require_b_plus, surface_times_circle
 
 
 def euler_vector_from_text(text: str, basis: Basis) -> tuple[int, ...]:
@@ -43,24 +43,10 @@ def euler_vector_from_text(text: str, basis: Basis) -> tuple[int, ...]:
         if len(hits) != 1 or hits[0][1] != 1:
             raise ParseError(
                 f"Euler class must be a linear combination of basis variables, "
-                f"got term with exponents {exp}"
+                f"got term with exponents {_shown(exp)}"
             )
         vector[hits[0][0]] += coeff
     return tuple(vector)
-
-
-def _checked_vector(basis: Basis, entries) -> tuple[int, ...]:
-    """Check an Euler vector's length and entry types; the zero vector passes."""
-    try:
-        vector = tuple(entries)
-    except TypeError:
-        raise StructuralError(f"Euler vector must be a sequence of integers, got {entries!r}") from None
-    if len(vector) != basis.rank:
-        raise StructuralError(f"Euler vector has length {len(vector)}, basis rank is {basis.rank}")
-    for e in vector:
-        if not isinstance(e, int) or isinstance(e, bool):
-            raise StructuralError(f"Euler vector entries must be integers, got {e!r}")
-    return vector
 
 
 class EulerClass(_Record):
@@ -69,7 +55,7 @@ class EulerClass(_Record):
     __slots__ = ("basis", "chi")
 
     def __init__(self, basis: Basis, chi: tuple[int, ...]):
-        chi = _checked_vector(basis, chi)
+        chi = _vector(basis, chi, "Euler vector")
         if not any(chi):
             raise DomainError("Euler class is zero (torsion); no quotient to fold over")
         _set(self, "basis", basis)
@@ -117,12 +103,14 @@ class QuotientLattice(_Record):
 def canonical_rep(quotient: QuotientLattice, exp: Sequence[int]) -> tuple[int, ...]:
     """Unique member of exp + Z*chi whose pivot coordinate lies in [0, chi_pivot).
 
-    The one home of the reduction rule: :func:`fold_poly` calls it once per term.
+    The one home of the reduction rule: :func:`fold_poly` calls it once per term.  It checks
+    only that exp is a sequence of chi's length, not ``_vector``'s entry types: its terms come
+    from checked polynomials, and the entry loop would slow every fold.
     """
     try:
         exp = tuple(exp)
     except TypeError:
-        raise StructuralError(f"exponent vector must be a sequence of integers, got {exp!r}") from None
+        raise StructuralError(f"exponent vector must be a sequence of integers, got {_shown(exp)}") from None
     chi = quotient.chi
     if len(exp) != len(chi):
         raise StructuralError(f"exponent length {len(exp)} != Euler vector length {len(chi)}")
@@ -137,8 +125,8 @@ def _require_canonical(terms, pivot: int, modulus: int) -> None:
     for exp, _ in terms:
         if not 0 <= exp[pivot] < modulus:
             raise StructuralError(
-                f"exponent {exp} is not a canonical representative "
-                f"(pivot {pivot}, modulus {modulus})"
+                f"exponent {_shown(exp)} is not a canonical representative "
+                f"(pivot {pivot}, modulus {_count(modulus)})"
             )
 
 
@@ -168,7 +156,7 @@ class FoldedSW(_Record):
             pivot = chi.pivot
             modulus = chi.chi[pivot]
             if modulus < 0:
-                raise StructuralError(f"Euler class {chi.chi} is not sign-normalized: its first nonzero entry "
+                raise StructuralError(f"Euler class {_shown(chi.chi)} is not sign-normalized: its first nonzero entry "
                                       "must be positive")
             _require_canonical(terms, pivot, modulus)
         _set(self, "chi", chi)
@@ -208,7 +196,7 @@ def _as_class(basis: Basis, chi) -> EulerClass | None:
         if chi.basis != basis:
             raise StructuralError("Euler class basis differs from the manifold basis")
         return chi
-    vector = euler_vector_from_text(chi, basis) if isinstance(chi, str) else _checked_vector(basis, chi)
+    vector = euler_vector_from_text(chi, basis) if isinstance(chi, str) else _vector(basis, chi, "Euler vector")
     return EulerClass(basis, vector) if any(vector) else None
 
 
@@ -301,9 +289,9 @@ def circle_bundle_sw_direct(genus: int, euler_number: int) -> FoldedSW:
     (O(g) terms); exponents in the result are residues in [0, |n|).  A
     zero Euler number returns the labeled product case.
     """
-    _check_genus(genus)
+    _positive(genus, "genus")
     if not isinstance(euler_number, int) or isinstance(euler_number, bool):
-        raise DomainError(f"Euler number must be an integer, got {euler_number!r}")
+        raise DomainError(f"Euler number must be an integer, got {_shown(euler_number)}")
     return fold(surface_times_circle(genus), (euler_number,))
 
 
@@ -315,7 +303,7 @@ def circle_bundle_sw_closed_form(genus: int, euler_number: int) -> FoldedSW:
     multiplies by sign(n): comparable with :func:`circle_bundle_sw_direct`
     exponent for exponent, up to one overall sign, in O(g) terms.
     """
-    _check_genus(genus)
+    _positive(genus, "genus")
     if not isinstance(euler_number, int) or isinstance(euler_number, bool) or euler_number == 0:
         raise DomainError("Euler number must be a nonzero integer for the closed form")
     row = surface_times_circle(genus).sw3

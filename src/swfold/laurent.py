@@ -34,10 +34,9 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import repeat
-from math import log10
 from operator import add, attrgetter, neg
 
-from .errors import DomainError, ParseError, StructuralError, UnknownVariableError
+from .errors import DomainError, ParseError, StructuralError, UnknownVariableError, _shown
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _set = object.__setattr__  # how a record's ``__init__`` sets its slots, past the ``__setattr__`` that refuses
@@ -53,7 +52,7 @@ class _Record:
         cls._values = attrgetter(*cls.__slots__)
 
     def __setattr__(self, name, value=None):  # no value when it serves as __delattr__
-        raise AttributeError(f"cannot assign to or delete field {name!r} of an immutable record")
+        raise AttributeError(f"cannot assign to or delete field {_shown(name)} of an immutable record")
     __delattr__ = __setattr__
 
     def __setstate__(self, state):  # copy and pickle pass (None, {slot: value})
@@ -86,9 +85,9 @@ class Basis(_Record):
         seen = set()
         for name in names:
             if not isinstance(name, str) or not _IDENT.match(name):
-                raise StructuralError(f"invalid variable name {name!r}")
+                raise StructuralError(f"invalid variable name {_shown(name)}")
             if name in seen:
-                raise StructuralError(f"duplicate variable name {name!r}")
+                raise StructuralError(f"duplicate variable name {_shown(name)}")
             seen.add(name)
         _set(self, "names", names)
 
@@ -102,7 +101,7 @@ class Basis(_Record):
             return self.names.index(name)
         except ValueError:
             raise UnknownVariableError(
-                f"unknown variable {name!r}; basis is ({', '.join(self.names)})", position=position
+                f"unknown variable {_shown(name)}; basis is ({', '.join(self.names)})", position=position
             ) from None
 
     def unit(self, name: str) -> tuple[int, ...]:
@@ -115,31 +114,43 @@ class Basis(_Record):
         return (0,) * len(self.names)
 
 
+def _vector(basis: Basis, value, what: str) -> tuple[int, ...]:
+    """The one integer-vector rule, for exponents and Euler classes: ``basis.rank`` integers,
+    bools refused; ``what`` names the value in the message."""
+    try:
+        vector = tuple(value)
+    except TypeError:
+        raise StructuralError(f"{what} must be a sequence of integers, got {_shown(value)}") from None
+    if len(vector) != basis.rank:
+        raise StructuralError(f"{what} has length {len(vector)}, basis rank is {basis.rank}")
+    for e in vector:
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise StructuralError(f"{what} entries must be integers, got {_shown(e)}")
+    return vector
+
+
+def _positive(value, what: str) -> None:
+    """The one count rule, for a genus and a search box: an integer >= 1, bools refused."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise DomainError(f"{what} must be an integer >= 1, got {_shown(value)}")
+
+
 def _checked(basis: Basis, terms: Iterable) -> Iterator[tuple[tuple[int, ...], int]]:
     """Validate outside (exponent, coefficient) pairs, yielding tuple exponents."""
-    rank = basis.rank
     try:
         terms = iter(terms)
     except TypeError:
         raise StructuralError(
-            f"terms must be a mapping or an iterable of (exponent, coefficient) pairs, got {terms!r}"
+            f"terms must be a mapping or an iterable of (exponent, coefficient) pairs, got {_shown(terms)}"
         ) from None
     for term in terms:
         try:
             exp, coeff = term
         except (TypeError, ValueError):
-            raise StructuralError(f"a term must be an (exponent, coefficient) pair, got {term!r}") from None
-        try:
-            exp = tuple(exp)
-        except TypeError:
-            raise StructuralError(f"exponent vector must be a sequence of integers, got {exp!r}") from None
-        if len(exp) != rank:
-            raise StructuralError(f"exponent vector {exp} has length {len(exp)}, basis rank is {rank}")
-        for e in exp:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise StructuralError(f"exponent entries must be integers, got {e!r}")
+            raise StructuralError(f"a term must be an (exponent, coefficient) pair, got {_shown(term)}") from None
+        exp = _vector(basis, exp, "exponent vector")
         if not isinstance(coeff, int) or isinstance(coeff, bool):
-            raise StructuralError(f"coefficients must be integers, got {coeff!r}")
+            raise StructuralError(f"coefficients must be integers, got {_shown(coeff)}")
         yield exp, coeff
 
 
@@ -159,21 +170,22 @@ def _accumulate(acc: dict, pairs: Iterable) -> dict:
     return acc
 
 
-class LaurentPoly:
+class LaurentPoly(_Record):
     """Immutable exact Laurent polynomial over a :class:`Basis`.
 
     Supports the ring operations through the usual operators (``+``,
-    ``-``, ``*``, ``**`` with nonnegative exponent); integers coerce to
-    constants.  Mixing operands over different bases raises
-    :class:`StructuralError`.
+    ``-``, ``*``, ``**`` with nonnegative exponent).  An operand is a
+    polynomial over the same basis: another basis raises
+    :class:`StructuralError`, and anything else, an integer included, is
+    not an operand (``TypeError``) and compares unequal.
     """
 
     __slots__ = ("basis", "_terms")
 
     def __init__(self, basis: Basis, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self.basis = basis
-        self._terms = _accumulate({}, _checked(basis, items))
+        _set(self, "basis", basis)
+        _set(self, "_terms", _accumulate({}, _checked(basis, items)))
 
     # -- constructors ------------------------------------------------
 
@@ -181,8 +193,8 @@ class LaurentPoly:
     def _of(basis: Basis, terms: dict) -> LaurentPoly:
         """Wrap a term dict that already keeps the invariant; no checks, no copy."""
         result = LaurentPoly.__new__(LaurentPoly)
-        result.basis = basis
-        result._terms = terms
+        _set(result, "basis", basis)
+        _set(result, "_terms", terms)
         return result
 
     @classmethod
@@ -192,10 +204,6 @@ class LaurentPoly:
     @classmethod
     def one(cls, basis: Basis) -> LaurentPoly:
         return cls._of(basis, {basis.origin: 1})
-
-    @classmethod
-    def constant(cls, basis: Basis, value: int) -> LaurentPoly:
-        return cls(basis, {basis.origin: value})
 
     # -- views -------------------------------------------------------
 
@@ -208,8 +216,7 @@ class LaurentPoly:
         return tuple(sorted(self._terms))
 
     def coeff(self, exp) -> int:
-        [(exp, _)] = _checked(self.basis, [(exp, 0)])
-        return self._terms.get(exp, 0)
+        return self._terms.get(_vector(self.basis, exp, "exponent vector"), 0)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -224,8 +231,6 @@ class LaurentPoly:
                     f"({', '.join(other.basis.names)})"
                 )
             return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return LaurentPoly.constant(self.basis, other)
         return None
 
     def __add__(self, other) -> LaurentPoly:
@@ -233,8 +238,6 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         return LaurentPoly._of(self.basis, _accumulate(dict(self._terms), other._terms.items()))
-
-    __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
         return LaurentPoly._of(self.basis, {exp: -c for exp, c in self._terms.items()})
@@ -244,12 +247,6 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> LaurentPoly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other) -> LaurentPoly:
         other = self._coerce(other)
@@ -262,12 +259,12 @@ class LaurentPoly:
         )
         return LaurentPoly._of(self.basis, _accumulate({}, products))
 
-    __rmul__ = __mul__
+    __rmul__ = __mul__  # only a polynomial operand is taken, so unused; kept because bench/spans.py patches it
 
     # bench/spans.py traces this method as laurent.pow: kept, though nothing in src/ calls it.
     def __pow__(self, k: int) -> LaurentPoly:
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise DomainError(f"polynomial power must be a nonnegative integer, got {k!r}")
+            raise DomainError(f"polynomial power must be a nonnegative integer, got {_shown(k)}")
         result = LaurentPoly.one(self.basis)
         square = self
         while k:
@@ -300,7 +297,7 @@ class LaurentPoly:
         extra = [n for n in images if n not in self.basis.names]
         if extra:
             raise StructuralError(f"reindex images for unknown variables: {', '.join(extra)}")
-        columns = [col for col, _ in _checked(target, ((images[n], 0) for n in self.basis.names))]
+        columns = [_vector(target, images[n], "exponent vector") for n in self.basis.names]
         keys = []
         for exp in self._terms:
             new = [0] * target.rank
@@ -315,14 +312,7 @@ class LaurentPoly:
         """Value at the all-ones point: the sum of all coefficients."""
         return sum(self._terms.values())
 
-    # -- equality / display -------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self == LaurentPoly.constant(self.basis, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.basis == other.basis and self._terms == other._terms
+    # -- equality (the record's: basis and terms) / display ----------
 
     def __hash__(self) -> int:
         return hash((self.basis, tuple(sorted(self._terms.items()))))
@@ -335,11 +325,6 @@ class LaurentPoly:
 
 
 # -- canonical text form ----------------------------------------------
-
-
-def _count(n: int) -> str:
-    """``n`` in digits, or its sign and order of magnitude past 30 digits (str() refuses 4300)."""
-    return str(n) if abs(n) < 10**30 else f"about {'-' * (n < 0)}10^{log10(abs(n)):.0f}"
 
 
 def _balanced_digits(value: int, base: int, count: int) -> list[int]:
@@ -446,7 +431,7 @@ def _scan(text: str) -> list[tuple[str, object, int]]:
         elif word[:1].isalpha():  # a name starts with a letter; "_x" and "½x" do not
             tokens.append(("ident", word, at))
         else:
-            raise ParseError(f"unexpected character {token[0]!r}", position=at)
+            raise ParseError(f"unexpected character {_shown(token[0])}", position=at)
         at += len(token)
     tokens.append(("end", None, len(text)))
     return tokens

@@ -20,8 +20,8 @@ from collections.abc import Iterable
 from math import prod
 
 from .alexander import KnotRecord
-from .errors import DomainError, HypothesisError, StructuralError
-from .laurent import Basis, LaurentPoly, _count, _Record, _set
+from .errors import DomainError, HypothesisError, StructuralError, _count, _shown
+from .laurent import Basis, LaurentPoly, _positive, _Record, _set
 
 #: Basis shared by the three-torus family: the three circle directions.
 T3_BASIS = Basis(("m1", "m2", "m3"))
@@ -45,7 +45,7 @@ class ThreeManifold(_Record):
         if sw3.basis != basis:
             raise StructuralError("sw3 polynomial basis differs from the manifold basis")
         if b1 < basis.rank:
-            raise StructuralError(f"b1 = {b1} smaller than the tracked basis rank {basis.rank}")
+            raise StructuralError(f"b1 = {_shown(b1)} smaller than the tracked basis rank {basis.rank}")
         conj = sw3.conjugate()
         if conj != sw3 and conj != -sw3:
             raise StructuralError("sw3 must be symmetric up to sign under inverting all variables")
@@ -76,13 +76,6 @@ def three_torus() -> ThreeManifold:
     return ThreeManifold(genus=None, basis=T3_BASIS, b1=3, sw3=LaurentPoly.one(T3_BASIS))
 
 
-def _check_genus(genus) -> None:
-    """The one genus rule, shared with the bundle routes of :mod:`swfold.fold`."""
-    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 1:
-        shown = _count(genus) if isinstance(genus, int) else repr(genus)
-        raise DomainError(f"genus must be an integer >= 1, got {shown}")
-
-
 def surface_times_circle(genus: int) -> ThreeManifold:
     """Product of a genus-g surface with the circle: SW = (t - 1/t)^(2g-2).
 
@@ -91,7 +84,7 @@ def surface_times_circle(genus: int) -> ThreeManifold:
     the one binomial row, read by both bundle routes of :mod:`swfold.fold`:
     (-1)^j * C(2g-2, j) at t^(2j-2g+2), each stepped from the last in O(g).
     """
-    _check_genus(genus)
+    _positive(genus, "genus")
     degree, terms, binomial = 2 * genus - 2, {}, 1  # binomial = (-1)^j * C(degree, j)
     if (degree + 1) * degree > MAX_ROW_BITS:
         raise DomainError(f"genus {_count(genus)}: its binomial row may take (2g-1)(2g-2) = "
@@ -113,13 +106,13 @@ def fiber_sum(manifold: ThreeManifold, sums: Iterable[tuple[KnotRecord, str]]) -
     try:
         sums = iter(sums)
     except TypeError:
-        raise StructuralError(f"sums must be an iterable of (knot, meridian) pairs, got {sums!r}") from None
+        raise StructuralError(f"sums must be an iterable of (knot, meridian) pairs, got {_shown(sums)}") from None
     for pair in sums:
         try:
             knot, meridian = pair
             alexander = knot.alexander
         except (TypeError, ValueError, AttributeError):
-            raise StructuralError(f"a sum must be a (KnotRecord, meridian) pair, got {pair!r}") from None
+            raise StructuralError(f"a sum must be a (KnotRecord, meridian) pair, got {_shown(pair)}") from None
         factor = alexander.reindex(basis, {"t": [2 * e for e in basis.unit(meridian)]})
         products[meridian] = products[meridian] * factor if meridian in products else factor
         added.append((knot, meridian))

@@ -26,9 +26,9 @@ from functools import partial
 from itertools import combinations, product
 from math import gcd, isqrt
 
-from .errors import DomainError
+from .errors import DomainError, _count
 from .fold import EulerClass, FoldedSW, fold
-from .laurent import _Memo, _Record, _accumulate, _count, _pack, _piece, _render, _set, _unpack
+from .laurent import _Memo, _Record, _accumulate, _pack, _piece, _positive, _render, _set, _unpack
 from .manifolds import ThreeManifold, require_b_plus
 
 
@@ -63,12 +63,6 @@ class SearchResult(_Record):
 MAX_TERM_FOLDS = 10**7
 
 
-def _check_box(box) -> None:
-    if not isinstance(box, int) or isinstance(box, bool) or box < 1:
-        shown = _count(box) if isinstance(box, int) else repr(box)
-        raise DomainError(f"search box must be an integer >= 1, got {shown}")
-
-
 def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
     """Fold by every Euler class in the box, one per antipodal pair.
 
@@ -85,7 +79,7 @@ def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
     class copies before it accumulates the shifted codes of the moving terms
     alone.  Sorting codes sorts terms; each distinct code is decoded once.
     """
-    _check_box(box)
+    _positive(box, "search box")
     basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
     classes = ((2 * box + 1) ** rank - 1) // 2
     folds = classes * max(len(sw3), 1)  # a zero sw3 still costs one step per class
@@ -147,7 +141,7 @@ def stabilization_note(manifold: ThreeManifold, box: int = 5) -> str:
     support difference set; every other class folds injectively, so its
     verdict equals the unfolded one, read off the fold by the zero class.
     """
-    _check_box(box)
+    _positive(box, "search box")
     unfolded = fold(manifold, manifold.basis.origin)
     terms = unfolded.terms
     lines = [f"manifold {manifold.name}"]

@@ -460,6 +460,30 @@ class TestMalformedInputs:
         assert main(["fold", FIG8_PAIR, "--chi", "9" * 5000 + "*m1"]) == 2
         self.assert_one_error_line(capsys, "error[parse]: ")
 
+    def test_exponent_summed_past_the_digit_limit_in_chi(self, capsys):
+        nines = "9" * 4300  # each literal parses; their sum has 4301 digits
+        assert main(["fold", FIG8_PAIR, "--chi", f"m1^{nines}*m1^{nines}"]) == 2
+        self.assert_one_error_line(capsys, "error[parse]: Euler class must be a linear combination of basis "
+                                           "variables, got term with exponents a tuple holding an integer too long")
+
+    @pytest.mark.parametrize("spec, mode", [("t3", []), ("t3", ["--json"]), ("fig8", [])],
+                             ids=["t3", "t3-json", "fig8"])
+    def test_modulus_past_the_digit_limit(self, capsys, tmp_path, spec, mode):
+        nines = "9" * 4300  # each literal parses; their sum, chi's pivot entry, has 4301 digits
+        path = tmp_path / "t3.json"
+        path.write_text('{"base": "t3"}')  # sw3 = 1 folds to 1: only chi and its modulus are too long
+        argv = ["fold", FIG8_PAIR if spec == "fig8" else str(path), "--chi", f"{nines}*m1 + {nines}*m1", *mode]
+        assert main(argv) == 1
+        self.assert_one_error_line(capsys, "error[domain]: result too large to print")
+
+    def test_seifert_determinant_past_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"name": "k", "fibered": False, "seifert": [[0, 10**4000], [0, 0]]}))
+        assert main(["knot", "register", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error[seifert]: not a knot Seifert matrix: det(V - V^T) = about 10^8000, "
+                                  "expected +-1\n")
+
     def test_oversized_json_integer(self, capsys, tmp_path):
         path = tmp_path / "huge-genus.json"
         path.write_text('{"base": {"surface_x_s1": ' + "1" * 5000 + "}}")

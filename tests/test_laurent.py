@@ -100,9 +100,6 @@ class TestCombine:
         with pytest.raises(StructuralError):
             LaurentPoly.one(b1) + LaurentPoly.one(b2)
 
-    def test_int_coercion(self, b1):
-        assert from_text("t - 1", b1) + 1 == from_text("t", b1)
-
 
 # -- multiplication -----------------------------------------------------
 
@@ -306,7 +303,7 @@ class TestGrammar:
         assert from_text(" -3 * m2 ^ -2+9 ", b2) == from_text("-3*m2^-2 + 9", b2)
 
     def test_bare_integer_and_default_exponent(self, b2):
-        assert from_text("5", b2) == LaurentPoly.constant(b2, 5)
+        assert from_text("5", b2) == monomial(b2, 5, (0, 0))
         assert from_text("m1", b2) == monomial(b2, 1, (1, 0))
         assert from_text("2*m1*m2", b2) == monomial(b2, 2, (1, 1))
 
@@ -525,21 +522,19 @@ class TestInvariants:
         with pytest.raises(StructuralError):
             LaurentPoly(b1, {(1.0,): 1})
 
-    def test_only_a_non_bool_int_compares_as_a_constant(self, b1):
+    def test_a_polynomial_equals_only_a_polynomial(self, b1):
         p, one = from_text("t - t^-1", b1), LaurentPoly.one(b1)
-        assert one == 1 and 1 == one and p != 0 and LaurentPoly.zero(b1) == 0
-        for other in (True, False, 1.0, "1", None):
+        for other in (1, 0, True, False, 1.0, "1", None):
             assert p.__eq__(other) is NotImplemented and one.__eq__(other) is NotImplemented
             assert p != other and one != other and not (one == other)
         assert p in [True, p] and [True, p].index(p) == 1
-        for other in (True, False, 1.0, "1", None):
+        for other in (1, 0, True, False, 1.0, "1", None):
             for form in (lambda: p + other, lambda: other + p, lambda: p - other, lambda: other - p,
                          lambda: p * other, lambda: other * p):
                 with pytest.raises(TypeError):
                     form()
         with pytest.raises(TypeError, match=r"for -: 'bool' and 'LaurentPoly'$"):
             True - p
-        assert sum([p, one]) == p + 1 and 2 - p == -(p - 2) and 3 * p == p * 3 == p + p + p
 
 
 # -- term invariant (hypothesis) -------------------------------------------

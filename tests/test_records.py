@@ -13,9 +13,9 @@ import sys
 
 import pytest
 
-from swfold.alexander import KnotRecord, SeifertMatrix, alexander_from_seifert
+from swfold.alexander import BUILTIN_KNOTS, KnotRecord, SeifertMatrix, alexander_from_seifert, knot_from_alexander
 from swfold.cli import OutputRecord
-from swfold.errors import DomainError, StructuralError
+from swfold.errors import DomainError, StructuralError, SwfoldError
 from swfold.fold import EulerClass, FoldedSW, QuotientLattice, canonical_rep, fold
 from swfold.laurent import Basis, LaurentPoly, from_text
 from swfold.manifolds import T3_BASIS, ThreeManifold, fiber_sum, three_torus
@@ -71,6 +71,10 @@ RECORDS = {
         ("genus", "basis", "b1", "sw3", "sums"),
         f"ThreeManifold(genus=2, basis=Basis(names=('t',)), b1=5, sw3=LaurentPoly('{TWO_SUMS_SW3}', basis=(t)), "
         f"sums=(({KNOT_K!r}, 't'), ({KNOT_J!r}, 't')))",
+    ),
+    "LaurentPoly": (
+        lambda: LaurentPoly(basis=T, terms={(1,): 1, (-1,): -1}), ("basis", "_terms"),
+        "LaurentPoly('-t^-1 + t', basis=(t))",
     ),
     "SearchResult": (
         lambda: SearchResult(box=1, entries=()), ("box", "entries"), "SearchResult(box=1, entries=())",
@@ -197,6 +201,52 @@ def test_validation_errors_keep_type_and_text(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_a_polynomial_held_by_a_manifold_keeps_its_basis():
+    manifold = ThreeManifold(genus=1, basis=T, b1=3, sw3=from_text("t - t^-1", T))
+    for name in ("basis", "_terms"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to or delete field '{name}' of an immutable record$"):
+            setattr(manifold.sw3, name, Basis(("x",)))
+        with pytest.raises(AttributeError):
+            delattr(manifold.sw3, name)
+    assert manifold.sw3.basis == manifold.basis == T
+
+
+_BIG = 10**5000  # repr() and str() raise ValueError on it: past Python's 4300-digit limit
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: EulerClass(T3_BASIS, _BIG), "Euler vector must be a sequence of integers, got about 10^5000"),
+    (lambda: canonical_rep(QuotientLattice(EulerClass(T3_BASIS, (4, 0, 0))), _BIG),
+     "exponent vector must be a sequence of integers, got about 10^5000"),
+    (lambda: LaurentPoly(T3_BASIS, [(_BIG, 1)]), "exponent vector must be a sequence of integers, got about 10^5000"),
+    (lambda: SeifertMatrix(_BIG), "Seifert matrix must be a sequence of integer rows, got about 10^5000"),
+    (lambda: Basis((_BIG,)), "invalid variable name about 10^5000"),
+    (lambda: fiber_sum(three_torus(), [(BUILTIN_KNOTS.lookup("3_1"), _BIG)]),
+     "unknown variable about 10^5000; basis is (m1, m2, m3)"),
+    (lambda: from_text("t", T) ** -_BIG, "polynomial power must be a nonnegative integer, got about -10^5000"),
+    (lambda: BUILTIN_KNOTS.lookup(_BIG), "unknown knot about 10^5000; available: 3_1, 4_1, 5_2"),
+    (lambda: LaurentPoly(T3_BASIS, [(_BIG,)]),
+     "a term must be an (exponent, coefficient) pair, got a tuple holding an integer too long to print"),
+    (lambda: FoldedSW(EulerClass(T, (_BIG,)), T, (((-1,), 1),), True),
+     "exponent (-1,) is not a canonical representative (pivot 0, modulus about 10^5000)"),
+    (lambda: FoldedSW(EulerClass(T, (-_BIG,)), T, (), True),
+     "Euler class a tuple holding an integer too long to print is not sign-normalized: its first nonzero entry "
+     "must be positive"),
+    (lambda: ThreeManifold(1, T, -_BIG, from_text("t - t^-1", T)),
+     "b1 = about -10^5000 smaller than the tracked basis rank 1"),
+    (lambda: alexander_from_seifert([[0, 10**4000], [0, 0]]),
+     "not a knot Seifert matrix: det(V - V^T) = about 10^8000, expected +-1"),
+    (lambda: knot_from_alexander("k", False, LaurentPoly(T, [((0,), _BIG)])),
+     "invalid Alexander polynomial for 'k': value at t=1 is about 10^5000, expected +-1"),
+], ids=["EulerClass", "canonical_rep", "LaurentPoly", "SeifertMatrix", "Basis", "fiber_sum meridian", "power",
+        "lookup", "unprintable term", "canonical range", "sign-normalized", "b1", "Seifert determinant",
+        "Alexander value"])
+def test_a_bad_value_past_the_digit_limit_is_named_in_a_typed_error(build, message):
+    with pytest.raises(SwfoldError) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 def fresh_import_modules(*flags: str) -> set[str]:
