@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import DomainError, ParseError, StructuralError, _count, _shown
-from .laurent import Basis, LaurentPoly, _accumulate, _positive, _Record, _render, _set, _vector, from_text
+from .laurent import Basis, LaurentPoly, _accumulate, _piece, _positive, _Record, _render, _set, _vector, from_text
 from .manifolds import CIRCLE_BASIS, ThreeManifold, require_b_plus, surface_times_circle
 
 
@@ -49,6 +49,18 @@ def euler_vector_from_text(text: str, basis: Basis) -> tuple[int, ...]:
     return tuple(vector)
 
 
+def _unit_piece(basis: Basis, i: int, c: int) -> str:
+    """The signed ``_piece`` of c times the unit vector of coordinate i."""
+    return _piece(basis, ((0,) * i + (1,) + (0,) * (basis.rank - 1 - i), c))
+
+
+def _class_text(pieces: list[str]) -> str:
+    """The one home of a class's text: the ``_unit_piece`` of each nonzero coordinate, last
+    coordinate first, joined as ``_render`` joins terms (a class is never zero)."""
+    text = "".join(pieces)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
 class EulerClass(_Record):
     """Nonzero integer vector in the exponent lattice: the fold direction."""
 
@@ -64,16 +76,13 @@ class EulerClass(_Record):
     @property
     def text(self) -> str:
         """Canonical rendering, e.g. ``"4*m1"`` or ``"2*m2 - m1"`` (last variable first)."""
-        return self._text(tuple(map(self.basis.unit, self.basis.names)))
+        basis, chi = self.basis, self.chi
+        return _class_text([_unit_piece(basis, i, chi[i]) for i in reversed(range(len(chi))) if chi[i]])
 
     @property
     def pivot(self) -> int:
         """Index of the first nonzero entry; a sign-normalized class is positive there."""
         return self.chi.index(next(filter(None, self.chi)))
-
-    def _text(self, units, memo=None) -> str:
-        """``text`` from the basis unit vectors; classes over one basis may share both arguments."""
-        return _render(self.basis, [(units[i], c) for i, c in reversed(tuple(enumerate(self.chi))) if c], memo)
 
     def __neg__(self) -> EulerClass:
         return EulerClass(self.basis, tuple(-c for c in self.chi))
@@ -132,7 +141,7 @@ def _require_canonical(terms, pivot: int, modulus: int) -> None:
 
 def _units(terms) -> tuple[tuple[int, ...], ...]:
     """The one unit scan: exponents of sorted terms whose coefficient is +1 or -1."""
-    return tuple(exp for exp, coeff in terms if coeff in (1, -1))
+    return tuple([exp for exp, coeff in terms if coeff in (1, -1)])
 
 
 class FoldedSW(_Record):

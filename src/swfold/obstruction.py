@@ -24,10 +24,10 @@ from collections import Counter
 from collections.abc import Iterator
 from functools import partial
 from itertools import combinations, product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import DomainError, _count
-from .fold import EulerClass, FoldedSW, fold
+from .fold import EulerClass, FoldedSW, _class_text, _unit_piece, fold
 from .laurent import _Memo, _Record, _accumulate, _pack, _piece, _positive, _render, _set, _unpack
 from .manifolds import ThreeManifold, require_b_plus
 
@@ -51,12 +51,12 @@ class SearchResult(_Record):
         return tuple(_render(e.basis, e.terms, memo) for e in self.entries)
 
     def chi_texts(self) -> Iterator[str]:
-        """Every entry's ``chi.text`` in order (entries share one basis), through one memo and unit vectors."""
+        """Every entry's ``chi.text`` in order (entries share one basis), from one piece memo per coordinate."""
         if not self.entries:
             return iter(())
         basis = self.entries[0].basis
-        units, memo = tuple(map(basis.unit, basis.names)), _Memo(partial(_piece, basis))
-        return (e.chi._text(units, memo) for e in self.entries)
+        columns = [_Memo(partial(_unit_piece, basis, i)) for i in reversed(range(basis.rank))]
+        return (_class_text([column[c] for column, c in zip(columns, e.chi.chi[::-1]) if c]) for e in self.entries)
 
 
 #: The most term folds one search may do: ((2B+1)^r - 1)/2 classes times len(sw3), at least 1 each.
@@ -91,15 +91,18 @@ def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
     s = max((abs(e) for exp in sw3 for e in exp), default=0)
     base = 2 * s * (box + 1) + 1
     codes = [_pack(exp, base) for exp in sw3]
-    decoded, entries = _Memo(partial(_unpack, base=base, rank=rank), zip(codes, sw3)), []
+    decoded, entries = _Memo(lambda code: _unpack(code, base, rank), zip(codes, sw3)), []
     for pivot in reversed(range(rank)):
+        # _pack is linear: a class's code is its modulus's code plus its rest's, packed once per pivot
+        scale, zeros = base ** (rank - 1 - pivot), (0,) * pivot
+        rests = [(rest, _pack(rest, base)) for rest in product(range(-box, box + 1), repeat=rank - 1 - pivot)]
         for modulus in range(1, box + 1):
             ks = [exp[pivot] // modulus for exp in sw3]
             fixed = {code: coeff for code, k, coeff in zip(codes, ks, sw3.values()) if not k}
             moving = [(code, k, coeff) for code, k, coeff in zip(codes, ks, sw3.values()) if k]
-            for rest in product(range(-box, box + 1), repeat=rank - 1 - pivot):
-                vector = (0,) * pivot + (modulus, *rest)
-                step = _pack(vector, base)
+            head, offset = zeros + (modulus,), modulus * scale
+            for rest, rest_code in rests:
+                vector, step = head + rest, offset + rest_code
                 folded = _accumulate(fixed.copy(), [(code - k * step, coeff) for code, k, coeff in moving])
                 order = sorted(folded)
                 terms = tuple(zip(map(decoded.__getitem__, order), map(folded.__getitem__, order)))
@@ -113,18 +116,31 @@ def colliding_classes(manifold: ThreeManifold) -> tuple[tuple[int, ...], ...]:
     Exact: chi collides iff some nonzero multiple of chi is a difference
     of two support exponents, so the collision set consists of diff / k
     for each distinct support difference diff and each divisor k of the
-    gcd of its entries.
+    gcd of its entries.  The pair scan runs per block: one per coordinate if the support is the
+    product of its coordinate sets, whose difference sets then multiply to S - S, else one block.
     """
     support = manifold.sw3.support()
+    columns = [sorted(set(column)) for column in zip(*support)]
     # Support differences have coordinates in [-W, W], so q - p is one subtraction
-    # of base-(2W+1) codes whose balanced digits are q - p.  With p before q in the
-    # sorted support it is positive, so its first nonzero entry is positive: the
-    # sign every class here is normalized to, and division by k > 0 keeps it.
-    width = max((max(col) - min(col) for col in zip(*support)), default=0)
+    # of base-(2W+1) codes whose balanced digits are q - p, and codes add like vectors.
+    # With p before q in a sorted block it is positive, so its first nonzero entry is
+    # positive: the sign every class here is normalized to, and division by k > 0 keeps it.
+    width = max((column[-1] - column[0] for column in columns), default=0)
     base, rank = 2 * width + 1, manifold.basis.rank
-    codes = [_pack(exp, base) for exp in support]
+    if len(support) == prod(map(len, columns)):  # a one-value coordinate adds only zeros
+        blocks = [[v * base ** k for v in col] for k, col in zip(range(rank - 1, -1, -1), columns) if len(col) > 1]
+    else:
+        blocks = [[_pack(exp, base) for exp in support]]
+    # Over the blocks so far, a positive difference is zero before a block and positive in
+    # it, or positive in an earlier block and any difference, zero included, in this one.
+    positive = set()
+    for codes in blocks:
+        diffs = {b - a for a, b in combinations(codes, 2)}
+        if positive:
+            diffs |= {p + d for p in positive for d in (0, *diffs, *[-d for d in diffs])}
+        positive = diffs
     out = set()
-    for value in {b - a for a, b in combinations(codes, 2)}:
+    for value in positive:
         diff = _unpack(value, base, rank)
         g = gcd(*diff)
         for d in range(1, isqrt(g) + 1):

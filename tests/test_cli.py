@@ -178,10 +178,10 @@ class TestTextOutputs:
         assert "all_obstructed = true (62 entries)" in record.text
         assert "no units" in record.text  # stabilization note is appended
 
-    @pytest.mark.parametrize("flags, renders", [((), 2 * 62), (("--json",), 62), (("--quiet",), 0)])
+    @pytest.mark.parametrize("flags, renders", [((), 62), (("--json",), 0), (("--quiet",), 0)])
     def test_search_renders_digests_only_when_printed(self, monkeypatch, flags, renders):
-        """One render per chi text and one per digest in the text header, chi texts alone
-        in the JSON payload, and none for --quiet, which prints neither."""
+        """One render per digest in the text header, and none for the JSON payload or --quiet,
+        which print no digest: chi texts are joined from memoized pieces, not rendered."""
         calls = []
         render = sys.modules["swfold.laurent"]._render
 

@@ -6,6 +6,7 @@ import sys
 import time
 from collections import Counter
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,18 +181,37 @@ class TestEulerSearch:
         assert result.all_obstructed is True
 
     def test_chi_texts_share_one_memo(self, five2_pair, monkeypatch):
-        """One render per entry through one memo, bytes equal to each ``EulerClass.text``."""
-        result = euler_search(five2_pair, 3)
+        """At most r*(2B+1) pieces for a whole search, bytes equal to each ``EulerClass.text``."""
+        box = 3
+        result = euler_search(five2_pair, box)
         expected = tuple(e.chi.text for e in result.entries)
-        memos = []
+        pieces = []
+        piece = sys.modules["swfold.fold"]._piece
 
-        def recording(basis, terms, memo=None):
-            memos.append(memo)
-            return _render(basis, terms, memo)
+        def counting(basis, term):
+            pieces.append(term)
+            return piece(basis, term)
 
-        monkeypatch.setattr(sys.modules["swfold.fold"], "_render", recording)
+        monkeypatch.setattr(sys.modules["swfold.fold"], "_piece", counting)
         assert tuple(result.chi_texts()) == expected
-        assert len(memos) == len(result.entries) and len({id(m) for m in memos}) == 1
+        assert len(pieces) <= five2_pair.basis.rank * (2 * box + 1)
+        assert len(pieces) == len(set(pieces))
+
+    @settings(max_examples=40)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 3))
+    def test_chi_texts_equal_each_class_text(self, rng, rank, box):
+        """A search's chi texts over random names, then folds by classes of several-digit entries."""
+        basis = Basis(tuple(rng.choice(("m", "x", "long_name")) + str(i) for i in range(1, rank + 1)))
+        m = random_manifold(rng, basis)
+        result = euler_search(m, box)
+        vectors = {e.chi.chi for e in result.entries}
+        assert (0,) * (rank - 1) + (box,) in vectors  # its only nonzero entry is its pivot
+        assert rank == 1 or any(min(v) < 0 for v in vectors)
+        assert tuple(result.chi_texts()) == tuple(e.chi.text for e in result.entries)
+        wide = [tuple(rng.choice((0, rng.randint(-999, 999))) for _ in range(rank)) for _ in range(20)]
+        wide.append((0,) * (rank - 1) + (rng.randint(10, 999),))
+        folds = tuple(fold(m, vector) for vector in wide if any(vector))
+        assert tuple(SearchResult(box, folds).chi_texts()) == tuple(e.chi.text for e in folds)
 
     @staticmethod
     def assert_oracles_agree(m, entry):
@@ -339,11 +359,38 @@ def symmetric_manifolds(draw):
     return ThreeManifold(genus=None, basis=basis, b1=max(rank, 3), sw3=LaurentPoly(basis, terms))
 
 
+@st.composite
+def product_manifolds(draw):
+    """Rank 1-4 supports that are products of symmetric coordinate sets of up to 8 values,
+    coordinates up to ~1e8 as in :func:`symmetric_manifolds`, at most 160 points; and the
+    same support without one point and its negative, which is no longer a product."""
+    rank = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(rank):
+        pairs = min(4, max(1, 160 // prod(map(len, columns), start=1) // 2))
+        anchor = draw(st.integers(-10**8, 10**8))
+        shapes = draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-3, 3)), min_size=1, max_size=pairs))
+        columns.append(sorted({sign * (s * anchor + t) for s, t in shapes for sign in (1, -1)}))
+    basis = Basis(tuple(f"x{i}" for i in range(1, rank + 1)))
+    support = list(product(*columns))
+    point = support[draw(st.integers(0, len(support) - 1))]
+    rest = [exp for exp in support if exp not in (point, tuple(-e for e in point))]
+    return [ThreeManifold(genus=None, basis=basis, b1=max(rank, 3), sw3=LaurentPoly(basis, dict.fromkeys(terms, 1)))
+            for terms in (support, rest) if terms]
+
+
 class TestCollidingClassesOracle:
     @settings(deadline=None)  # a 9-digit gcd costs the oracle and the divisor loop ms
     @given(symmetric_manifolds())
     def test_equals_pairwise_tuple_differences(self, m):
         assert colliding_classes(m) == colliders_by_pairs(m.sw3.support())
+
+    @settings(deadline=None, max_examples=50)
+    @given(product_manifolds())
+    def test_blocks_equal_pairwise_tuple_differences(self, manifolds):
+        """One block per coordinate for a product support, one block of all once a point is gone."""
+        for m in manifolds:
+            assert colliding_classes(m) == colliders_by_pairs(m.sw3.support())
 
     def test_nine_sum_five2_tower(self):
         m = three_torus()
