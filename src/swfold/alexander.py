@@ -36,6 +36,11 @@ KNOT_BASIS = Basis(("t",))
 _NOT_PRINTABLE = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff]")
 
 
+def _unknown_field(where: str, key: str) -> SpecFileError:
+    """The error for field ``key`` under ``where``, the key by ``_shown`` if it would break the line."""
+    return SpecFileError(f"{where}.{_shown(key) if _NOT_PRINTABLE.search(key) else key}: unknown field")
+
+
 class SeifertMatrix(_Record):
     """Square integer matrix presenting a Seifert surface pairing.
 
@@ -217,7 +222,7 @@ def record_from_dict(data: dict, where: str) -> KnotRecord:
         raise SpecFileError(f"{where}: expected an object, got {type(data).__name__}")
     for key in data:
         if key not in ("name", "fibered", "seifert", "alexander"):
-            raise SpecFileError(f"{where}.{key}: unknown field")
+            raise _unknown_field(where, key)
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise SpecFileError(f"{where}.name: expected a nonempty string")

@@ -22,7 +22,7 @@ import os
 import sys
 from collections.abc import Callable
 
-from .alexander import BUILTIN_KNOTS, KnotTable, load_knot_file, read_json, record_from_dict
+from .alexander import BUILTIN_KNOTS, KnotTable, _unknown_field, load_knot_file, read_json, record_from_dict
 from .errors import DomainError, SpecFileError, StructuralError, SwfoldError, UnknownVariableError
 from .fold import circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
 from .laurent import _Record, _set
@@ -75,7 +75,7 @@ def build_manifold(data: dict, table: KnotTable, where: str = "spec") -> ThreeMa
     allowed = {"base", "sums", "knots"}
     for key in data:
         if key not in allowed:
-            raise SpecFileError(f"{where}.{key}: unknown field")
+            raise _unknown_field(where, key)
     if "base" not in data:
         raise SpecFileError(f"{where}.base: required field missing")
 

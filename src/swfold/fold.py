@@ -73,6 +73,14 @@ class EulerClass(_Record):
         _set(self, "basis", basis)
         _set(self, "chi", chi)
 
+    @staticmethod
+    def _of(basis: Basis, chi: tuple[int, ...]) -> EulerClass:
+        """Wrap a vector already checked as ``__init__`` checks it, in the ``LaurentPoly._of`` idiom."""
+        result = EulerClass.__new__(EulerClass)
+        _set(result, "basis", basis)
+        _set(result, "chi", chi)
+        return result
+
     @property
     def text(self) -> str:
         """Canonical rendering, e.g. ``"4*m1"`` or ``"2*m2 - m1"`` (last variable first)."""
@@ -129,14 +137,14 @@ def canonical_rep(quotient: QuotientLattice, exp: Sequence[int]) -> tuple[int, .
     return tuple(e - k * c for e, c in zip(exp, chi))
 
 
-def _require_canonical(terms, pivot: int, modulus: int) -> None:
-    """Raise unless every term's exponent has its pivot coordinate in [0, modulus)."""
+def _require_canonical(terms, rank: int, pivot: int | None, modulus: int) -> None:
+    """Raise unless each term's exponent has ``rank`` entries and its pivot coordinate in [0, modulus) (if pivot)."""
     for exp, _ in terms:
-        if not 0 <= exp[pivot] < modulus:
-            raise StructuralError(
-                f"exponent {_shown(exp)} is not a canonical representative "
-                f"(pivot {pivot}, modulus {_count(modulus)})"
-            )
+        if len(exp) != rank:
+            raise StructuralError(f"exponent {_shown(exp)} has length {len(exp)}, basis rank is {rank}")
+        if pivot is not None and not 0 <= exp[pivot] < modulus:
+            raise StructuralError(f"exponent {_shown(exp)} is not a canonical representative "
+                                  f"(pivot {pivot}, modulus {_count(modulus)})")
 
 
 def _units(terms) -> tuple[tuple[int, ...], ...]:
@@ -153,26 +161,42 @@ class FoldedSW(_Record):
     the fold kept every term of sw3 (a merge leaves fewer cosets than
     terms, and a cancellation needs a merge first); ``unit_classes``
     lists the exponents whose coefficient is +1 or -1.  ``__init__``
-    refuses a chi whose pivot entry is negative and an exponent outside
-    the canonical range.  No ring operations are defined on this type.
+    refuses a chi over another basis or with a negative pivot entry, and,
+    in one pass, an exponent of the wrong length or outside the canonical
+    range.  No ring operations are defined on this type.
     """
 
     __slots__ = ("chi", "basis", "terms", "injective", "unit_classes")
 
     def __init__(self, chi: EulerClass | None, basis: Basis,
                  terms: tuple[tuple[tuple[int, ...], int], ...], injective: bool):
+        pivot = modulus = None
         if chi is not None:
+            if chi.basis is not basis and chi.basis != basis:
+                raise StructuralError(f"Euler class {_shown(chi.chi)} is over ({', '.join(chi.basis.names)}), "
+                                      f"not the fold's basis ({', '.join(basis.names)})")
             pivot = chi.pivot
             modulus = chi.chi[pivot]
             if modulus < 0:
                 raise StructuralError(f"Euler class {_shown(chi.chi)} is not sign-normalized: its first nonzero entry "
                                       "must be positive")
-            _require_canonical(terms, pivot, modulus)
+        _require_canonical(terms, basis.rank, pivot, modulus)
         _set(self, "chi", chi)
         _set(self, "basis", basis)
         _set(self, "terms", terms)
         _set(self, "injective", injective)
         _set(self, "unit_classes", _units(terms))
+
+    @staticmethod
+    def _of(chi: EulerClass, basis: Basis, terms, injective: bool) -> FoldedSW:
+        """The record ``__init__`` builds, for a caller that has made its checks: ``unit_classes`` by ``_units``."""
+        result = FoldedSW.__new__(FoldedSW)
+        _set(result, "chi", chi)
+        _set(result, "basis", basis)
+        _set(result, "terms", terms)
+        _set(result, "injective", injective)
+        _set(result, "unit_classes", _units(terms))
+        return result
 
     @property
     def product_case(self) -> bool:

@@ -353,18 +353,25 @@ def _unpack(code: int, base: int, rank: int) -> tuple[int, ...]:
     return tuple(reversed(_balanced_digits(code, base, rank)))
 
 
-def _piece(basis: Basis, term: tuple[tuple[int, ...], int]) -> str:
-    """The one rule for a term's text: ``" + "`` or ``" - "``, the magnitude (left
-    out when it is 1 and a factor follows), then ``name`` or ``name^e`` per nonzero exponent."""
+def _piece(basis: Basis, term: tuple[tuple[int, ...], int], columns: list[_Memo] | None = None) -> str:
+    """The one rule for a term's text: ``" + "`` or ``" - "``, the magnitude (left out when
+    it is 1 and a factor follows), then ``name`` or ``name^e`` per nonzero exponent, looked up
+    in ``columns``, one ``_Memo`` of ``_factor`` per coordinate, when a caller renders many terms."""
     exp, coeff = term
     try:  # str() raises ValueError past int_max_str_digits
-        factors = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(basis.names, exp) if e])
+        factors = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(basis.names, exp) if e]
+                           if columns is None else [column[e] for column, e in zip(columns, exp) if e])
         magnitude = str(abs(coeff))
     except ValueError:
         raise DomainError("result too large to print: an integer has more digits than "
                           "Python's int_max_str_digits limit (4300 by default)") from None
     body = (factors if magnitude == "1" else f"{magnitude}*{factors}") if factors else magnitude
     return (" - " if coeff < 0 else " + ") + body
+
+
+def _factor(basis: Basis, i: int, e: int) -> str:
+    """Variable i to the nonzero power e: the ``_piece`` of that monomial, unsigned."""
+    return _piece(basis, ((0,) * i + (e,) + (0,) * (basis.rank - 1 - i), 1))[3:]
 
 
 class _Memo(dict):
@@ -384,8 +391,8 @@ def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]], memo: _M
 
     The text is one join of each term's ``_piece``, the first unsigned unless
     negative, or ``"0"`` for no terms.  A caller that renders many
-    polynomials over one basis passes one ``_Memo(partial(_piece, basis))``
-    to all of them; a one-off text maps ``_piece`` directly.
+    polynomials over one basis passes one piece memo to all of them; a
+    one-off text maps ``_piece`` directly.
     """
     text = "".join(map(_piece, repeat(basis), terms) if memo is None else map(memo.__getitem__, terms))
     if not text:

@@ -4,18 +4,18 @@ A symplectic 4-manifold with b_+ >= 2 must carry a class with SW
 invariant exactly +-1 (the canonical class), so a folded SW polynomial
 with no unit coefficient obstructs every symplectic structure, with
 either orientation.  The per-class verdict is read off the one fold
-record, :class:`~swfold.fold.FoldedSW`, that :func:`~swfold.fold.fold`
-returns.  :func:`euler_search` builds one such record per Euler class
-in a box (one per antipodal pair) by a packed sweep: every exponent is
-one integer, so a fold is one integer shift per term, made only for the
-terms that move in the class's (pivot, modulus) group; a box over
+record, :class:`~swfold.fold.FoldedSW`.  :func:`euler_search` builds one
+per Euler class in a box (one per antipodal pair) by a packed sweep:
+every exponent is one integer, a fold is one integer shift per term that
+moves in the class's (pivot, modulus) group, and the record checks run
+once per group, so each record is wrapped by ``_of``; a box over
 ``MAX_TERM_FOLDS`` is refused before any work.  One memo type,
-:class:`~swfold.laurent._Memo`, serves the sweep's decoding and the
-listing's pieces: each distinct code is unpacked once per search, and
-each listing row is one join of memoized pieces.  :func:`~swfold.fold.fold`
-is the reference the sweep is tested against, entry for entry.
-:func:`colliding_classes` lists exactly the classes whose folds merge
-terms, so every class outside that set keeps the unfolded verdict.
+:class:`~swfold.laurent._Memo`, decodes each distinct code once per
+search and keeps the listing's pieces and factor texts.
+:func:`~swfold.fold.fold` is the reference the sweep is tested against,
+entry for entry.  :func:`colliding_classes` lists exactly the classes
+whose folds merge terms, so every class outside that set keeps the
+unfolded verdict.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from itertools import combinations, product
 from math import gcd, isqrt, prod
 
 from .errors import DomainError, _count
-from .fold import EulerClass, FoldedSW, _class_text, _unit_piece, fold
-from .laurent import _Memo, _Record, _accumulate, _pack, _piece, _positive, _render, _set, _unpack
+from .fold import EulerClass, FoldedSW, _class_text, _require_canonical, _unit_piece, fold
+from .laurent import _Memo, _Record, _accumulate, _factor, _pack, _piece, _positive, _render, _set, _unpack, _vector
 from .manifolds import ThreeManifold, require_b_plus
 
 
@@ -44,10 +44,13 @@ class SearchResult(_Record):
         return all(e.obstructed for e in self.entries)
 
     def digests(self) -> tuple[str, ...]:
-        """Every entry's digest, each one join of signed pieces from one memo per search."""
+        """Every entry's digest, one join of pieces from one memo per search; each new piece
+        reads its factor texts from one ``_Memo`` per coordinate (entries share one basis)."""
         if not self.entries:
             return ()
-        memo = _Memo(partial(_piece, self.entries[0].basis))
+        basis = self.entries[0].basis
+        columns = [_Memo(partial(_factor, basis, i)) for i in range(basis.rank)]
+        memo = _Memo(lambda term: _piece(basis, term, columns))
         return tuple(_render(e.basis, e.terms, memo) for e in self.entries)
 
     def chi_texts(self) -> Iterator[str]:
@@ -69,15 +72,18 @@ def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
     ((2B+1)^r - 1)/2 :class:`~swfold.fold.FoldedSW` entries in chi order, each
     equal to :func:`~swfold.fold.fold` by its class; over ``MAX_TERM_FOLDS``
     classes times sw3 terms raise :class:`DomainError` before any work.
-    Classes are generated normalized, in lexicographic order: pivot p from
-    the last coordinate down, modulus m in 1..B, then ``(0,)*p + (m, *rest)``
-    for every ``rest`` in [-B, B].  Each sw3
-    exponent is packed once into a balanced base-R integer, R wide enough for
-    every canonical representative in the box, so a term folds by one shift,
-    ``code - (e_p // m) * pack(chi)``.  In a (p, m) group each multiplier is
-    fixed: the terms where it is 0 form one canonical code dict, which each
-    class copies before it accumulates the shifted codes of the moving terms
-    alone.  Sorting codes sorts terms; each distinct code is decoded once.
+    Classes come normalized, in lexicographic order: pivot p from the last
+    coordinate down, modulus m in 1..B, then ``(0,)*p + (m, *rest)`` for every
+    ``rest`` in [-B, B].  Each sw3 exponent is packed once into a balanced
+    base-R integer, R wide enough for every canonical representative in the
+    box, so a term folds by one shift, ``code - (e_p // m) * pack(chi)``.  In a
+    (p, m) group each multiplier is fixed: the terms where it is 0 form one
+    code dict, which each class copies before it adds the moving terms' shifts.
+    Sorting codes sorts terms; each distinct code is decoded once.  The record
+    checks run once per pivot or group, and each record is built by ``_of``:
+    each rest goes through ``_vector`` once, and a term's pivot coordinate is
+    the same in every class of its group, so ``_require_canonical`` checks the
+    group's fold by ``(0,)*p + (m,) + (0,)*(r-1-p)``.
     """
     _positive(box, "search box")
     basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
@@ -91,22 +97,26 @@ def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
     s = max((abs(e) for exp in sw3 for e in exp), default=0)
     base = 2 * s * (box + 1) + 1
     codes = [_pack(exp, base) for exp in sw3]
-    decoded, entries = _Memo(lambda code: _unpack(code, base, rank), zip(codes, sw3)), []
+    decoded, entries, n = _Memo(lambda code: _unpack(code, base, rank), zip(codes, sw3)), [], len(sw3)
     for pivot in reversed(range(rank)):
         # _pack is linear: a class's code is its modulus's code plus its rest's, packed once per pivot
         scale, zeros = base ** (rank - 1 - pivot), (0,) * pivot
         rests = [(rest, _pack(rest, base)) for rest in product(range(-box, box + 1), repeat=rank - 1 - pivot)]
+        for rest, _ in rests:  # EulerClass's vector check, once for every class (0,)*p + (m,) + rest
+            _vector(basis, zeros + (1,) + rest, "Euler vector")
         for modulus in range(1, box + 1):
+            assert modulus >= 1  # so every class (0,)*p + (m,) + rest is nonzero and sign-normalized
             ks = [exp[pivot] // modulus for exp in sw3]
+            head, offset = zeros + (modulus,), modulus * scale
+            _require_canonical([(decoded[code - k * offset], c) for code, k, c in zip(codes, ks, sw3.values())],
+                               rank, pivot, modulus)
             fixed = {code: coeff for code, k, coeff in zip(codes, ks, sw3.values()) if not k}
             moving = [(code, k, coeff) for code, k, coeff in zip(codes, ks, sw3.values()) if k]
-            head, offset = zeros + (modulus,), modulus * scale
             for rest, rest_code in rests:
-                vector, step = head + rest, offset + rest_code
+                step = offset + rest_code
                 folded = _accumulate(fixed.copy(), [(code - k * step, coeff) for code, k, coeff in moving])
-                order = sorted(folded)
-                terms = tuple(zip(map(decoded.__getitem__, order), map(folded.__getitem__, order)))
-                entries.append(FoldedSW(EulerClass(basis, vector), basis, terms, len(terms) == len(sw3)))
+                terms = tuple([(decoded[code], coeff) for code, coeff in sorted(folded.items())])
+                entries.append(FoldedSW._of(EulerClass._of(basis, head + rest), basis, terms, len(terms) == n))
     return SearchResult(box=box, entries=tuple(entries))
 
 

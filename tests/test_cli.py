@@ -568,6 +568,16 @@ class TestMalformedInputs:
         assert main(["knot", "register", str(path)]) == 2
         self.assert_one_error_line(capsys, f"error[spec]: {path}.seifret: unknown field")
 
+    @pytest.mark.parametrize("key", ["\r", "a\nb", "\u2028", "\x85", "\ud800"])
+    def test_unknown_field_that_would_break_the_line_is_named_by_repr(self, capsys, tmp_path, key):
+        spec, knots = tmp_path / "spec.json", tmp_path / "k.json"
+        spec.write_text(json.dumps({"base": "t3", key: None}))
+        knots.write_text(json.dumps({"name": "k", "fibered": True, "alexander": "1", key: None}))
+        assert main(["sw3", str(spec)]) == 2
+        self.assert_one_error_line(capsys, f"error[spec]: {spec}.{key!r}: unknown field")
+        assert main(["knot", "register", str(knots)]) == 2
+        self.assert_one_error_line(capsys, f"error[spec]: {knots}.{key!r}: unknown field")
+
 
 class TestKnotTableEnv:
     def test_extra_table_loaded(self, monkeypatch, tmp_path):

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from swfold.alexander import BUILTIN_KNOTS
 from swfold.cli import run
-from swfold.errors import DomainError, HypothesisError
-from swfold.fold import EulerClass, QuotientLattice, canonical_rep, fold
+from swfold.errors import DomainError, HypothesisError, StructuralError
+from swfold.fold import EulerClass, FoldedSW, QuotientLattice, _require_canonical, canonical_rep, fold
 from swfold.laurent import Basis, LaurentPoly, _render, to_text
 from swfold.manifolds import T3_BASIS, ThreeManifold, fiber_sum, surface_times_circle, three_torus
 from swfold.obstruction import SearchResult, colliding_classes, euler_search, stabilization_note
@@ -212,6 +212,37 @@ class TestEulerSearch:
         wide.append((0,) * (rank - 1) + (rng.randint(10, 999),))
         folds = tuple(fold(m, vector) for vector in wide if any(vector))
         assert tuple(SearchResult(box, folds).chi_texts()) == tuple(e.chi.text for e in folds)
+
+    @settings(max_examples=40)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 3))
+    def test_checked_constructors_accept_every_entry(self, rng, rank, box):
+        """The sweep builds its records by ``_of``; the checked ``__init__``s accept each and build an equal one."""
+        basis = Basis(tuple(f"x{i}" for i in range(1, rank + 1)))
+        m = random_manifold(rng, basis)
+        for e in euler_search(m, box).entries:
+            checked = FoldedSW(EulerClass(basis, e.chi.chi), basis, e.terms, e.injective)
+            assert checked == e and checked.unit_classes == e.unit_classes
+
+    def test_group_check_refuses_a_pivot_coordinate_out_of_range(self):
+        """The check each (pivot, modulus) group runs, given a pivot set outside [0, modulus)."""
+        _require_canonical([((5, 0, 1), 2), ((5, 2, -1), -1)], 3, 1, 3)
+        for exp, message in (([5, 3, 0], r"exponent \[5, 3, 0\] is not a canonical representative \(pivot 1, "
+                                         r"modulus 3\)"),
+                             ((0, -1, 0), r"exponent \(0, -1, 0\) is not a canonical"),
+                             ((0, 1), r"exponent \(0, 1\) has length 2, basis rank is 3")):
+            with pytest.raises(StructuralError, match=message):
+                _require_canonical([((0, 0, 0), 1), (exp, 1)], 3, 1, 3)
+
+    def test_sweep_runs_the_group_check_on_its_decoded_codes(self, fig8_pair, monkeypatch):
+        """A decode that moves every coordinate is refused by the first group that decodes a new code:
+        pivot m2, modulus 3 folds m2^-2 to m2^1, which is no sw3 exponent."""
+        unpack = sys.modules["swfold.obstruction"]._unpack
+        monkeypatch.setattr(sys.modules["swfold.obstruction"], "_unpack",
+                            lambda code, base, rank: tuple(e + 100 for e in unpack(code, base, rank)))
+        assert len(euler_search(fig8_pair, 2).entries) == 62  # every code these groups check is an sw3 exponent
+        with pytest.raises(StructuralError, match=r"^exponent \(98, 101, 100\) is not a canonical representative "
+                                                  r"\(pivot 1, modulus 3\)$"):
+            euler_search(fig8_pair, 3)
 
     @staticmethod
     def assert_oracles_agree(m, entry):

@@ -196,6 +196,14 @@ def test_repr_has_the_dataclass_form(name):
     (lambda: fiber_sum(three_torus(), [5]), StructuralError, "a sum must be a (KnotRecord, meridian) pair, got 5"),
     (lambda: fiber_sum(three_torus(), [("x", "m1")]), StructuralError,
      "a sum must be a (KnotRecord, meridian) pair, got ('x', 'm1')"),
+    (lambda: FoldedSW(EulerClass(T3_BASIS, (0, 0, 1)), T3_BASIS, (((0,), 1),), True), StructuralError,
+     "exponent (0,) has length 1, basis rank is 3"),
+    (lambda: FoldedSW(EulerClass(T3_BASIS, (1, 0, 0)), T3_BASIS, (((0, 0, 0), 1), ((0, 0, 0, 0), 1)), True),
+     StructuralError, "exponent (0, 0, 0, 0) has length 4, basis rank is 3"),
+    (lambda: FoldedSW(None, T3_BASIS, (((0, 1), 1),), True), StructuralError,
+     "exponent (0, 1) has length 2, basis rank is 3"),
+    (lambda: FoldedSW(EulerClass(T3_BASIS, (1, 0, 0)), T, (((0,), 1),), True), StructuralError,
+     "Euler class (1, 0, 0) is over (m1, m2, m3), not the fold's basis (t)"),
 ])
 def test_validation_errors_keep_type_and_text(build, error, message):
     with pytest.raises(error) as caught:
@@ -231,6 +239,8 @@ _BIG = 10**5000  # repr() and str() raise ValueError on it: past Python's 4300-d
      "a term must be an (exponent, coefficient) pair, got a tuple holding an integer too long to print"),
     (lambda: FoldedSW(EulerClass(T, (_BIG,)), T, (((-1,), 1),), True),
      "exponent (-1,) is not a canonical representative (pivot 0, modulus about 10^5000)"),
+    (lambda: FoldedSW(EulerClass(T, (1,)), T, (((_BIG, 0), 1),), True),
+     "exponent a tuple holding an integer too long to print has length 2, basis rank is 1"),
     (lambda: FoldedSW(EulerClass(T, (-_BIG,)), T, (), True),
      "Euler class a tuple holding an integer too long to print is not sign-normalized: its first nonzero entry "
      "must be positive"),
@@ -241,7 +251,8 @@ _BIG = 10**5000  # repr() and str() raise ValueError on it: past Python's 4300-d
     (lambda: knot_from_alexander("k", False, LaurentPoly(T, [((0,), _BIG)])),
      "invalid Alexander polynomial for 'k': value at t=1 is about 10^5000, expected +-1"),
 ], ids=["EulerClass", "canonical_rep", "LaurentPoly", "SeifertMatrix", "Basis", "fiber_sum meridian", "power",
-        "lookup", "unprintable term", "canonical range", "sign-normalized", "b1", "Seifert determinant",
+        "lookup", "unprintable term", "canonical range", "exponent length", "sign-normalized", "b1",
+        "Seifert determinant",
         "Alexander value"])
 def test_a_bad_value_past_the_digit_limit_is_named_in_a_typed_error(build, message):
     with pytest.raises(SwfoldError) as caught:
