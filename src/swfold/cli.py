@@ -24,10 +24,11 @@ from collections.abc import Callable
 
 from .alexander import BUILTIN_KNOTS, KnotTable, _unknown_field, load_knot_file, read_json, record_from_dict
 from .errors import DomainError, SpecFileError, StructuralError, SwfoldError, UnknownVariableError
-from .fold import circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
-from .laurent import _Record, _set
+from .fold import (_class_text, _unit_piece, _units, circle_bundle_sw_closed_form, circle_bundle_sw_direct,
+                   equal_up_to_sign, fold)
+from .laurent import _factor, _Memo, _Record, _render, _set, _signed
 from .manifolds import ThreeManifold, fiber_sum, surface_times_circle, three_torus
-from .obstruction import euler_search, stabilization_note
+from .obstruction import _sweep, stabilization_note
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "schemas")
 
@@ -266,30 +267,35 @@ def _cmd_obstruct(args) -> _Output:
 
 def _cmd_search(args) -> _Output:
     manifold = load_spec(args.spec)
-    result = euler_search(manifold, args.box)
+    decoded, rows = _sweep(manifold, args.box)
+    basis, n = manifold.basis, len(manifold.sw3)
+    units = [_units(terms) for _, terms in rows]  # rows come from the sweep's codes, decoded only when printed
+    all_obstructed = not any(units)
     note = stabilization_note(manifold, args.box)
-    body = [f"all_obstructed = {_bool(result.all_obstructed)} ({len(result.entries)} entries)"]
-    body += note.splitlines()
-    header = lambda: [f"manifold = {manifold.name}, box = {result.box}"] + [
-        f"chi = {chi} | obstructed = {_bool(e.obstructed)} | "
-        f"injective = {_bool(e.injective)} | sw4 = {digest}"
-        for e, chi, digest in zip(result.entries, result.chi_texts(), result.digests())
-    ]
+    body = [f"all_obstructed = {_bool(all_obstructed)} ({len(rows)} entries)"] + note.splitlines()
+
+    def chi_texts():  # each class's EulerClass.text, from one memo of signed unit pieces per coordinate
+        columns = [_Memo(functools.partial(_unit_piece, basis, i)) for i in reversed(range(basis.rank))]
+        return (_class_text([column[c] for column, c in zip(columns, chi[::-1]) if c]) for chi, _ in rows)
+
+    def header():  # a digest's pieces by (code, coefficient), each code's factors joined from per-coordinate memos
+        columns = [_Memo(functools.partial(_factor, basis, i)) for i in range(basis.rank)]
+        factors = _Memo(lambda code: "*".join([column[e] for column, e in zip(columns, decoded[code]) if e]))
+        pieces = _Memo(lambda term: _signed(factors[term[0]], term[1]))
+        return [f"manifold = {manifold.name}, box = {args.box}"] + [
+            f"chi = {chi} | obstructed = {_bool(not u)} | "
+            f"injective = {_bool(len(terms) == n)} | sw4 = {_render(basis, terms, pieces)}"
+            for chi, (_, terms), u in zip(chi_texts(), rows, units)
+        ]
+
     return header, body, lambda: {
         "command": "search",
         "manifold": manifold.name,
-        "box": result.box,
-        "all_obstructed": result.all_obstructed,
-        "count": len(result.entries),
-        "entries": [
-            {
-                "chi": chi,
-                "obstructed": e.obstructed,
-                "unit_classes": [list(u) for u in e.unit_classes],
-                "injective": e.injective,
-            }
-            for e, chi in zip(result.entries, result.chi_texts())
-        ],
+        "box": args.box,
+        "all_obstructed": all_obstructed,
+        "count": len(rows),
+        "entries": [{"chi": chi, "obstructed": not u, "unit_classes": [list(decoded[code]) for code in u],
+                     "injective": len(terms) == n} for chi, (_, terms), u in zip(chi_texts(), rows, units)],
         "stabilization": note,
     }
 

@@ -137,18 +137,38 @@ def canonical_rep(quotient: QuotientLattice, exp: Sequence[int]) -> tuple[int, .
     return tuple(e - k * c for e, c in zip(exp, chi))
 
 
+def _require_integer(value, term) -> None:
+    """``_vector``'s entry rule, for a term's value that is not a plain int: an int subclass passes, a bool does not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise StructuralError(f"exponent entries and coefficients must be integers, got {_shown(value)} "
+                              f"in the term {_shown(term)}")
+
+
 def _require_canonical(terms, rank: int, pivot: int | None, modulus: int) -> None:
-    """Raise unless each term's exponent has ``rank`` entries and its pivot coordinate in [0, modulus) (if pivot)."""
-    for exp, _ in terms:
-        if len(exp) != rank:
-            raise StructuralError(f"exponent {_shown(exp)} has length {len(exp)}, basis rank is {rank}")
+    """Raise unless each term pairs an exponent of ``rank`` integers, its pivot coordinate in [0, modulus)
+    (if pivot), with an integer coefficient: all in one pass, where a plain int costs one type test."""
+    for term in terms:
+        try:
+            exp, coeff = term
+            size = len(exp)
+        except (TypeError, ValueError):
+            raise StructuralError("a term must pair an exponent sequence with a coefficient, "
+                                  f"got {_shown(term)}") from None
+        if size != rank:
+            raise StructuralError(f"exponent {_shown(exp)} has length {size}, basis rank is {rank}")
+        if type(coeff) is not int:
+            _require_integer(coeff, term)
+        for value in exp:
+            if type(value) is not int:
+                _require_integer(value, term)
         if pivot is not None and not 0 <= exp[pivot] < modulus:
             raise StructuralError(f"exponent {_shown(exp)} is not a canonical representative "
                                   f"(pivot {pivot}, modulus {_count(modulus)})")
 
 
-def _units(terms) -> tuple[tuple[int, ...], ...]:
-    """The one unit scan: exponents of sorted terms whose coefficient is +1 or -1."""
+def _units(terms) -> tuple:
+    """The one unit scan: the exponents (or, in a packed search, their codes) of sorted terms whose
+    coefficient is +1 or -1."""
     return tuple([exp for exp, coeff in terms if coeff in (1, -1)])
 
 
@@ -162,8 +182,9 @@ class FoldedSW(_Record):
     terms, and a cancellation needs a merge first); ``unit_classes``
     lists the exponents whose coefficient is +1 or -1.  ``__init__``
     refuses a chi over another basis or with a negative pivot entry, and,
-    in one pass, an exponent of the wrong length or outside the canonical
-    range.  No ring operations are defined on this type.
+    in one pass, a term that is not an (exponent, coefficient) pair of
+    integers or whose exponent has the wrong length or lies outside the
+    canonical range.  No ring operations are defined on this type.
     """
 
     __slots__ = ("chi", "basis", "terms", "injective", "unit_classes")

@@ -331,8 +331,8 @@ def _balanced_digits(value: int, base: int, count: int) -> list[int]:
     """The ``count`` lowest base-``base`` digits of value, each in [-(base//2), (base-1)//2]."""
     half, digits = base // 2, []
     for _ in range(count):
-        digits.append((value + half) % base - half)
-        value = (value - digits[-1]) // base
+        value, digit = divmod(value + half, base)  # value + half = base * next + (digit + half)
+        digits.append(digit - half)
     return digits
 
 
@@ -353,20 +353,30 @@ def _unpack(code: int, base: int, rank: int) -> tuple[int, ...]:
     return tuple(reversed(_balanced_digits(code, base, rank)))
 
 
-def _piece(basis: Basis, term: tuple[tuple[int, ...], int], columns: list[_Memo] | None = None) -> str:
-    """The one rule for a term's text: ``" + "`` or ``" - "``, the magnitude (left out when
-    it is 1 and a factor follows), then ``name`` or ``name^e`` per nonzero exponent, looked up
-    in ``columns``, one ``_Memo`` of ``_factor`` per coordinate, when a caller renders many terms."""
-    exp, coeff = term
-    try:  # str() raises ValueError past int_max_str_digits
-        factors = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(basis.names, exp) if e]
-                           if columns is None else [column[e] for column, e in zip(columns, exp) if e])
+_TOO_LARGE = ("result too large to print: an integer has more digits than "
+              "Python's int_max_str_digits limit (4300 by default)")  # str() raises ValueError past it
+
+
+def _signed(factors: str, coeff: int) -> str:
+    """A term's text from its factor text: ``" + "`` or ``" - "``, then the magnitude, left out
+    when it is 1 and a factor follows; ``_piece`` and the ``search`` listing build pieces by it."""
+    try:
         magnitude = str(abs(coeff))
     except ValueError:
-        raise DomainError("result too large to print: an integer has more digits than "
-                          "Python's int_max_str_digits limit (4300 by default)") from None
+        raise DomainError(_TOO_LARGE) from None
     body = (factors if magnitude == "1" else f"{magnitude}*{factors}") if factors else magnitude
     return (" - " if coeff < 0 else " + ") + body
+
+
+def _piece(basis: Basis, term: tuple[tuple[int, ...], int]) -> str:
+    """The one rule for a term's text: the ``_signed`` of its factors, ``name`` or ``name^e`` per
+    nonzero exponent, joined by ``*``."""
+    exp, coeff = term
+    try:
+        factors = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(basis.names, exp) if e])
+    except ValueError:
+        raise DomainError(_TOO_LARGE) from None
+    return _signed(factors, coeff)
 
 
 def _factor(basis: Basis, i: int, e: int) -> str:

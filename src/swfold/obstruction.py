@@ -4,14 +4,15 @@ A symplectic 4-manifold with b_+ >= 2 must carry a class with SW
 invariant exactly +-1 (the canonical class), so a folded SW polynomial
 with no unit coefficient obstructs every symplectic structure, with
 either orientation.  The per-class verdict is read off the one fold
-record, :class:`~swfold.fold.FoldedSW`.  :func:`euler_search` builds one
-per Euler class in a box (one per antipodal pair) by a packed sweep:
-every exponent is one integer, a fold is one integer shift per term that
-moves in the class's (pivot, modulus) group, and the record checks run
-once per group, so each record is wrapped by ``_of``; a box over
-``MAX_TERM_FOLDS`` is refused before any work.  One memo type,
-:class:`~swfold.laurent._Memo`, decodes each distinct code once per
-search and keeps the listing's pieces and factor texts.
+record, :class:`~swfold.fold.FoldedSW`.  ``_sweep`` folds by every Euler
+class in a box (one per antipodal pair) in packed form: every exponent
+is one integer, a fold is one integer shift per term that moves in the
+class's (pivot, modulus) group, and the record checks run once per
+group; a box over ``MAX_TERM_FOLDS`` is refused before any work.  It
+gives each class's vector and sorted (code, coefficient) terms, with
+one :class:`~swfold.laurent._Memo` that decodes each distinct code once
+per search.  :func:`euler_search` decodes them into records, and
+``search`` on the command line prints its rows from the codes.
 :func:`~swfold.fold.fold` is the reference the sweep is tested against,
 entry for entry.  :func:`colliding_classes` lists exactly the classes
 whose folds merge terms, so every class outside that set keeps the
@@ -21,14 +22,12 @@ unfolded verdict.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
-from functools import partial
 from itertools import combinations, product
 from math import gcd, isqrt, prod
 
 from .errors import DomainError, _count
-from .fold import EulerClass, FoldedSW, _class_text, _require_canonical, _unit_piece, fold
-from .laurent import _Memo, _Record, _accumulate, _factor, _pack, _piece, _positive, _render, _set, _unpack, _vector
+from .fold import EulerClass, FoldedSW, _require_canonical, fold
+from .laurent import _Memo, _Record, _accumulate, _pack, _positive, _set, _unpack, _vector
 from .manifolds import ThreeManifold, require_b_plus
 
 
@@ -43,47 +42,25 @@ class SearchResult(_Record):
     def all_obstructed(self) -> bool:
         return all(e.obstructed for e in self.entries)
 
-    def digests(self) -> tuple[str, ...]:
-        """Every entry's digest, one join of pieces from one memo per search; each new piece
-        reads its factor texts from one ``_Memo`` per coordinate (entries share one basis)."""
-        if not self.entries:
-            return ()
-        basis = self.entries[0].basis
-        columns = [_Memo(partial(_factor, basis, i)) for i in range(basis.rank)]
-        memo = _Memo(lambda term: _piece(basis, term, columns))
-        return tuple(_render(e.basis, e.terms, memo) for e in self.entries)
-
-    def chi_texts(self) -> Iterator[str]:
-        """Every entry's ``chi.text`` in order (entries share one basis), from one piece memo per coordinate."""
-        if not self.entries:
-            return iter(())
-        basis = self.entries[0].basis
-        columns = [_Memo(partial(_unit_piece, basis, i)) for i in reversed(range(basis.rank))]
-        return (_class_text([column[c] for column, c in zip(columns, e.chi.chi[::-1]) if c]) for e in self.entries)
-
 
 #: The most term folds one search may do: ((2B+1)^r - 1)/2 classes times len(sw3), at least 1 each.
 MAX_TERM_FOLDS = 10**7
 
 
-def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
-    """Fold by every Euler class in the box, one per antipodal pair.
+def _sweep(manifold: ThreeManifold, box: int) -> tuple[_Memo, list[tuple[tuple[int, ...], list[tuple[int, int]]]]]:
+    """The memo that decodes a code, and each Euler class in the box (one per antipodal pair) in
+    chi order, with its folded terms as sorted (code, coefficient) pairs.
 
-    ((2B+1)^r - 1)/2 :class:`~swfold.fold.FoldedSW` entries in chi order, each
-    equal to :func:`~swfold.fold.fold` by its class; over ``MAX_TERM_FOLDS``
-    classes times sw3 terms raise :class:`DomainError` before any work.
-    Classes come normalized, in lexicographic order: pivot p from the last
-    coordinate down, modulus m in 1..B, then ``(0,)*p + (m, *rest)`` for every
-    ``rest`` in [-B, B].  Each sw3 exponent is packed once into a balanced
-    base-R integer, R wide enough for every canonical representative in the
-    box, so a term folds by one shift, ``code - (e_p // m) * pack(chi)``.  In a
-    (p, m) group each multiplier is fixed: the terms where it is 0 form one
-    code dict, which each class copies before it adds the moving terms' shifts.
-    Sorting codes sorts terms; each distinct code is decoded once.  The record
-    checks run once per pivot or group, and each record is built by ``_of``:
-    each rest goes through ``_vector`` once, and a term's pivot coordinate is
-    the same in every class of its group, so ``_require_canonical`` checks the
-    group's fold by ``(0,)*p + (m,) + (0,)*(r-1-p)``.
+    Over ``MAX_TERM_FOLDS`` classes times sw3 terms raise :class:`DomainError` before any work.
+    Classes come normalized, in lexicographic order: pivot p from the last coordinate down,
+    modulus m in 1..B, then ``(0,)*p + (m, *rest)`` for every ``rest`` in [-B, B].  Each sw3
+    exponent is packed once into a balanced base-R integer, R wide enough for every canonical
+    representative in the box, so a term folds by one shift, ``code - (e_p // m) * pack(chi)``.
+    In a (p, m) group each multiplier is fixed: the terms where it is 0 form one code dict, which
+    each class copies before ``_accumulate`` adds the moving terms' shifts.  Sorting codes sorts
+    terms.  The record checks run once per pivot or group: each rest goes through ``_vector``
+    once, and a term's pivot coordinate is the same in every class of its group, so
+    ``_require_canonical`` checks the group's fold by ``(0,)*p + (m,) + (0,)*(r-1-p)``.
     """
     _positive(box, "search box")
     basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
@@ -97,7 +74,7 @@ def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
     s = max((abs(e) for exp in sw3 for e in exp), default=0)
     base = 2 * s * (box + 1) + 1
     codes = [_pack(exp, base) for exp in sw3]
-    decoded, entries, n = _Memo(lambda code: _unpack(code, base, rank), zip(codes, sw3)), [], len(sw3)
+    decoded, rows = _Memo(lambda code: _unpack(code, base, rank), zip(codes, sw3)), []
     for pivot in reversed(range(rank)):
         # _pack is linear: a class's code is its modulus's code plus its rest's, packed once per pivot
         scale, zeros = base ** (rank - 1 - pivot), (0,) * pivot
@@ -115,9 +92,19 @@ def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
             for rest, rest_code in rests:
                 step = offset + rest_code
                 folded = _accumulate(fixed.copy(), [(code - k * step, coeff) for code, k, coeff in moving])
-                terms = tuple([(decoded[code], coeff) for code, coeff in sorted(folded.items())])
-                entries.append(FoldedSW._of(EulerClass._of(basis, head + rest), basis, terms, len(terms) == n))
-    return SearchResult(box=box, entries=tuple(entries))
+                rows.append((head + rest, sorted(folded.items())))
+    return decoded, rows
+
+
+def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
+    """((2B+1)^r - 1)/2 :class:`~swfold.fold.FoldedSW` entries, one per Euler class of ``_sweep``, each
+    equal to :func:`~swfold.fold.fold` by its class: the reference that ``search``'s listing is tested against."""
+    decoded, rows = _sweep(manifold, box)
+    basis, n = manifold.basis, len(manifold.sw3)
+    return SearchResult(box=box, entries=tuple([
+        FoldedSW._of(EulerClass._of(basis, chi), basis, tuple([(decoded[code], c) for code, c in terms]),
+                     len(terms) == n)
+        for chi, terms in rows]))
 
 
 def colliding_classes(manifold: ThreeManifold) -> tuple[tuple[int, ...], ...]:

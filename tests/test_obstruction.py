@@ -1,5 +1,6 @@
 """Unit-coefficient obstruction verdicts and box searches."""
 
+import json
 import random
 import re
 import sys
@@ -7,12 +8,14 @@ import time
 from collections import Counter
 from itertools import product
 from math import prod
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swfold.alexander import BUILTIN_KNOTS
-from swfold.cli import run
+from swfold import cli
+from swfold.cli import OutputRecord, emit, run
 from swfold.errors import DomainError, HypothesisError, StructuralError
 from swfold.fold import EulerClass, FoldedSW, QuotientLattice, _require_canonical, canonical_rep, fold
 from swfold.laurent import Basis, LaurentPoly, _render, to_text
@@ -80,6 +83,79 @@ class TestTaubesReport:
 def half_box(rank: int, box: int) -> list[tuple[int, ...]]:
     """Oracle: the box's vectors whose first nonzero entry is positive, in product order."""
     return [v for v in product(range(-box, box + 1), repeat=rank) if next((c for c in v if c), 0) > 0]
+
+
+def search_output(m: ThreeManifold, box: int, *flags: str) -> bytes:
+    """What ``swfold search`` prints for a spec that builds m."""
+    with mock.patch.object(cli, "load_spec", lambda path: m):
+        return emit(run(["search", "spec.json", "--box", str(box), *flags]))
+
+
+def search_text(m: ThreeManifold, box: int) -> str:
+    return search_output(m, box).decode()
+
+
+def search_payload(m: ThreeManifold, box: int) -> dict:
+    return json.loads(search_output(m, box, "--json"))
+
+
+def search_reference(m: ThreeManifold, box: int, *flags: str) -> bytes:
+    """Oracle: the ``search`` output built from the ``euler_search`` records, one row per entry."""
+    result, note = euler_search(m, box), stabilization_note(m, box)
+    if "--json" in flags:
+        entries = [{"chi": e.chi.text, "obstructed": e.obstructed, "unit_classes": [list(u) for u in e.unit_classes],
+                    "injective": e.injective} for e in result.entries]
+        return emit(OutputRecord((), payload={
+            "command": "search", "manifold": m.name, "box": box, "all_obstructed": result.all_obstructed,
+            "count": len(result.entries), "entries": entries, "stabilization": note}))
+    shown = {True: "true", False: "false"}
+    body = [f"all_obstructed = {shown[result.all_obstructed]} ({len(result.entries)} entries)", *note.splitlines()]
+    header = [f"manifold = {m.name}, box = {box}"] + [
+        f"chi = {e.chi.text} | obstructed = {shown[e.obstructed]} | injective = {shown[e.injective]} | "
+        f"sw4 = {_render(e.basis, e.terms)}" for e in result.entries]
+    return emit(OutputRecord((), text="\n".join(body if "--quiet" in flags else header + body)))
+
+
+X1X2 = Basis(("x1", "x2"))
+
+#: Box 2 over these: x2 + x1 merges every term of CANCELLING into pairs that cancel (sw4 = 0), and
+#: -x2 + x1 merges x1 into x2 (coefficient 2); x2 + x1 folds x1 of UNIT_AT_ORIGIN onto x2 and leaves
+#: its unit at the origin (the piece "1", no "*").  A random_manifold's origin coefficient is even.
+CANCELLING = ThreeManifold(None, X1X2, 3, LaurentPoly(X1X2, {
+    (1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1, (2, 0): 1, (-2, 0): -1, (0, 2): 1, (0, -2): -1}))
+UNIT_AT_ORIGIN = ThreeManifold(None, X1X2, 3, LaurentPoly(X1X2, {
+    (0, 0): 1, (1, 0): -2, (-1, 0): -2, (0, 1): 3, (0, -1): 3}))
+
+
+@st.composite
+def searches(draw):
+    """A ``random_manifold`` of rank 1-4 and a box of 1-3."""
+    rng, rank, box = draw(st.randoms(use_true_random=False)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    return random_manifold(rng, Basis(tuple(f"x{i}" for i in range(1, rank + 1)))), box
+
+
+class TestSearchListing:
+    """``search`` prints its rows from the sweep's codes; ``euler_search``'s records are the reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(searches())
+    @example((CANCELLING, 2))
+    @example((UNIT_AT_ORIGIN, 2))
+    def test_listing_equals_the_records(self, drawn):
+        m, box = drawn
+        for flags in ((), ("--quiet",), ("--json",)):
+            assert search_output(m, box, *flags) == search_reference(m, box, *flags), flags
+
+    def test_the_examples_cover_cancellation_merges_and_the_unit_at_the_origin(self):
+        def rows(m):
+            return {row.split(" | ")[0]: row for row in search_text(m, 2).splitlines() if row.startswith("chi = ")}
+
+        cancelling, unit = rows(CANCELLING), rows(UNIT_AT_ORIGIN)
+        assert cancelling["chi = x2 + x1"].endswith(" | injective = false | sw4 = 0")
+        assert cancelling["chi = -x2 + x1"].endswith(" | injective = false | sw4 = -2*x2^-2 - 2*x2^-1 + 2*x2 + 2*x2^2")
+        assert unit["chi = x2 + x1"] == "chi = x2 + x1 | obstructed = false | injective = false | sw4 = x2^-1 + 1 + x2"
+        entry = search_payload(UNIT_AT_ORIGIN, 2)["entries"][list(unit).index("chi = x2 + x1")]
+        assert entry["unit_classes"] == [[0, -1], [0, 0], [0, 1]]
 
 
 class TestEulerSearch:
@@ -159,8 +235,6 @@ class TestEulerSearch:
             assert entry == reference and entry.digest == reference.digest
         for entry in rng.sample(result.entries, min(5, len(result.entries))):
             assert entry.terms == fold_bruteforce(m, entry.chi).poly.terms()
-        assert result.digests() == tuple(_render(e.basis, e.terms) for e in result.entries)
-        assert tuple(result.chi_texts()) == tuple(e.chi.text for e in result.entries)
 
     def test_representatives_at_the_packing_bound(self):
         """Coordinates of +-s folded by chi = (1, B) reach +-s*(B+1), the widest code digit."""
@@ -175,16 +249,14 @@ class TestEulerSearch:
             assert entry == fold(m, entry.chi)
             assert entry.terms == fold_bruteforce(m, entry.chi).poly.terms()
 
-    def test_an_empty_result_has_no_digests_or_chi_texts(self):
-        result = SearchResult(box=1, entries=())
-        assert result.digests() == () and tuple(result.chi_texts()) == ()
-        assert result.all_obstructed is True
+    def test_an_empty_result_is_all_obstructed(self):
+        assert SearchResult(box=1, entries=()).all_obstructed is True
 
     def test_chi_texts_share_one_memo(self, five2_pair, monkeypatch):
-        """At most r*(2B+1) pieces for a whole search, bytes equal to each ``EulerClass.text``."""
+        """The listing builds at most r*(2B+1) class pieces for a whole search, each row's text
+        equal to its class's ``EulerClass.text``."""
         box = 3
-        result = euler_search(five2_pair, box)
-        expected = tuple(e.chi.text for e in result.entries)
+        expected = [f"chi = {e.chi.text} |" for e in euler_search(five2_pair, box).entries]
         pieces = []
         piece = sys.modules["swfold.fold"]._piece
 
@@ -193,25 +265,31 @@ class TestEulerSearch:
             return piece(basis, term)
 
         monkeypatch.setattr(sys.modules["swfold.fold"], "_piece", counting)
-        assert tuple(result.chi_texts()) == expected
+        rows = [line for line in search_text(five2_pair, box).splitlines() if line.startswith("chi = ")]
+        assert [row[:len(prefix)] for row, prefix in zip(rows, expected)] == expected
+        assert len(rows) == len(expected)
         assert len(pieces) <= five2_pair.basis.rank * (2 * box + 1)
         assert len(pieces) == len(set(pieces))
 
-    @settings(max_examples=40)
+    @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 3))
     def test_chi_texts_equal_each_class_text(self, rng, rank, box):
-        """A search's chi texts over random names, then folds by classes of several-digit entries."""
+        """The listing's chi texts over random names, against each entry's ``EulerClass.text``."""
         basis = Basis(tuple(rng.choice(("m", "x", "long_name")) + str(i) for i in range(1, rank + 1)))
         m = random_manifold(rng, basis)
-        result = euler_search(m, box)
-        vectors = {e.chi.chi for e in result.entries}
+        entries = euler_search(m, box).entries
+        vectors = {e.chi.chi for e in entries}
         assert (0,) * (rank - 1) + (box,) in vectors  # its only nonzero entry is its pivot
         assert rank == 1 or any(min(v) < 0 for v in vectors)
-        assert tuple(result.chi_texts()) == tuple(e.chi.text for e in result.entries)
-        wide = [tuple(rng.choice((0, rng.randint(-999, 999))) for _ in range(rank)) for _ in range(20)]
-        wide.append((0,) * (rank - 1) + (rng.randint(10, 999),))
-        folds = tuple(fold(m, vector) for vector in wide if any(vector))
-        assert tuple(SearchResult(box, folds).chi_texts()) == tuple(e.chi.text for e in folds)
+        chis = [entry["chi"] for entry in search_payload(m, box)["entries"]]
+        assert chis == [e.chi.text for e in entries]
+
+    def test_two_digit_chi_texts_equal_each_class_text(self):
+        """Classes of a box past 9: the listing's memoized pieces for two-digit entries."""
+        m = random_manifold(random.Random(7), Basis(("x1", "x2")))
+        chis = [entry["chi"] for entry in search_payload(m, 12)["entries"]]
+        assert chis == [e.chi.text for e in euler_search(m, 12).entries]
+        assert {"12*x2 + 12*x1", "-12*x2 + 12*x1", "12*x1"} <= set(chis)
 
     @settings(max_examples=40)
     @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 3))
@@ -325,7 +403,9 @@ class TestEulerSearch:
             euler_search(zero, 10**4)
         assert time.perf_counter() - start < 1
         result = euler_search(zero, 2)
-        assert len(result.entries) == (5**3 - 1) // 2 and result.digests() == ("0",) * 62
+        assert len(result.entries) == (5**3 - 1) // 2 and all(e.digest == "0" for e in result.entries)
+        rows = [line for line in search_text(zero, 2).splitlines() if line.startswith("chi = ")]
+        assert len(rows) == 62 and all(row.endswith(" | injective = true | sw4 = 0") for row in rows)
 
     def test_low_b_plus_rejected(self):
         s = surface_times_circle(1)

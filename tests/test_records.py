@@ -204,11 +204,33 @@ def test_repr_has_the_dataclass_form(name):
      "exponent (0, 1) has length 2, basis rank is 3"),
     (lambda: FoldedSW(EulerClass(T3_BASIS, (1, 0, 0)), T, (((0,), 1),), True), StructuralError,
      "Euler class (1, 0, 0) is over (m1, m2, m3), not the fold's basis (t)"),
+    (lambda: FoldedSW(None, T, ((5, 1),), True), StructuralError,
+     "a term must pair an exponent sequence with a coefficient, got (5, 1)"),
+    (lambda: FoldedSW(None, T, (((5,),),), True), StructuralError,
+     "a term must pair an exponent sequence with a coefficient, got ((5,),)"),
+    (lambda: FoldedSW(None, T, (((1.5,), 1),), True), StructuralError,
+     "exponent entries and coefficients must be integers, got 1.5 in the term ((1.5,), 1)"),
+    (lambda: FoldedSW(None, T, (((True,), 1),), True), StructuralError,
+     "exponent entries and coefficients must be integers, got True in the term ((True,), 1)"),
+    (lambda: FoldedSW(None, T, (((1,), 1.5),), True), StructuralError,
+     "exponent entries and coefficients must be integers, got 1.5 in the term ((1,), 1.5)"),
+    (lambda: FoldedSW(EulerClass(T, (4,)), T, (((1,), False),), True), StructuralError,
+     "exponent entries and coefficients must be integers, got False in the term ((1,), False)"),
 ])
 def test_validation_errors_keep_type_and_text(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_a_fold_record_takes_the_integers_a_polynomial_takes():
+    """An int subclass other than bool passes ``FoldedSW``'s term check, as it passes ``_vector``."""
+    class Small(int):
+        pass
+
+    terms = (((Small(1),), Small(-2)),)
+    assert LaurentPoly(T, terms).terms() == terms
+    assert FoldedSW(EulerClass(T, (4,)), T, terms, True).terms == terms
 
 
 def test_a_polynomial_held_by_a_manifold_keeps_its_basis():
