@@ -59,12 +59,7 @@ from .manifolds import (
     surface_times_circle,
     three_torus,
 )
-from .obstruction import (
-    SearchResult,
-    colliding_classes,
-    euler_search,
-    stabilization_note,
-)
+from .obstruction import colliding_classes, stabilization_note
 
 __version__ = "0.1.0"
 

@@ -26,7 +26,7 @@ from .alexander import BUILTIN_KNOTS, KnotTable, _unknown_field, load_knot_file,
 from .errors import DomainError, SpecFileError, StructuralError, SwfoldError, UnknownVariableError
 from .fold import (_class_text, _unit_piece, _units, circle_bundle_sw_closed_form, circle_bundle_sw_direct,
                    equal_up_to_sign, fold)
-from .laurent import _factor, _Memo, _Record, _render, _set, _signed
+from .laurent import _digits, _factor, _Memo, _Record, _render, _set, _signed
 from .manifolds import ThreeManifold, fiber_sum, surface_times_circle, three_torus
 from .obstruction import _sweep, stabilization_note
 
@@ -246,7 +246,7 @@ def _cmd_obstruct(args) -> _Output:
     folded = fold(manifold, args.chi)
     product_case, chi = folded.product_case, folded.chi_text
     source = f"{manifold.name} [chi = {chi}{' (product case)' if product_case else ''}]"
-    units = " ".join(str(list(u)) for u in folded.unit_classes) or "(none)"
+    units = " ".join("[" + ", ".join(map(_digits, u)) + "]" for u in folded.unit_classes) or "(none)"
     body = [
         f"obstructed = {_bool(folded.obstructed)}",
         f"unit classes: {units}",

@@ -11,13 +11,13 @@ built by :func:`~swfold.manifolds.surface_times_circle`; ``bundle
 --method both`` compares the :func:`canonical_rep` fold of that row with
 its ``%`` residue map.
 
-:class:`FoldedSW` is the one record of a fold: every producer here and
-:func:`swfold.obstruction.euler_search` builds it from the sorted folded
-terms, and whether the fold merged terms, its unit classes and the
-Taubes verdict are read off it.  Folded results are terminal values:
-their exponents are canonical coset representatives (pivot coordinate
-reduced into [0, chi_pivot)), on which ring operations would be
-meaningless, so :class:`FoldedSW` deliberately defines none.
+:class:`FoldedSW` is the one record of a fold: every producer here
+builds it, checked, from the sorted folded terms, and whether the fold
+merged terms, its unit classes and the Taubes verdict are read off it.
+Folded results are terminal values: their exponents are canonical coset
+representatives (pivot coordinate reduced into [0, chi_pivot)), on
+which ring operations would be meaningless, so :class:`FoldedSW`
+deliberately defines none.
 """
 
 from __future__ import annotations
@@ -72,14 +72,6 @@ class EulerClass(_Record):
             raise DomainError("Euler class is zero (torsion); no quotient to fold over")
         _set(self, "basis", basis)
         _set(self, "chi", chi)
-
-    @staticmethod
-    def _of(basis: Basis, chi: tuple[int, ...]) -> EulerClass:
-        """Wrap a vector already checked as ``__init__`` checks it, in the ``LaurentPoly._of`` idiom."""
-        result = EulerClass.__new__(EulerClass)
-        _set(result, "basis", basis)
-        _set(result, "chi", chi)
-        return result
 
     @property
     def text(self) -> str:
@@ -207,17 +199,6 @@ class FoldedSW(_Record):
         _set(self, "terms", terms)
         _set(self, "injective", injective)
         _set(self, "unit_classes", _units(terms))
-
-    @staticmethod
-    def _of(chi: EulerClass, basis: Basis, terms, injective: bool) -> FoldedSW:
-        """The record ``__init__`` builds, for a caller that has made its checks: ``unit_classes`` by ``_units``."""
-        result = FoldedSW.__new__(FoldedSW)
-        _set(result, "chi", chi)
-        _set(result, "basis", basis)
-        _set(result, "terms", terms)
-        _set(result, "injective", injective)
-        _set(result, "unit_classes", _units(terms))
-        return result
 
     @property
     def product_case(self) -> bool:

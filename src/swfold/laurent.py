@@ -357,13 +357,18 @@ _TOO_LARGE = ("result too large to print: an integer has more digits than "
               "Python's int_max_str_digits limit (4300 by default)")  # str() raises ValueError past it
 
 
+def _digits(n: int) -> str:
+    """An integer of a printed result as text: ``str(n)``, or :class:`DomainError` past str()'s digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise DomainError(_TOO_LARGE) from None
+
+
 def _signed(factors: str, coeff: int) -> str:
     """A term's text from its factor text: ``" + "`` or ``" - "``, then the magnitude, left out
     when it is 1 and a factor follows; ``_piece`` and the ``search`` listing build pieces by it."""
-    try:
-        magnitude = str(abs(coeff))
-    except ValueError:
-        raise DomainError(_TOO_LARGE) from None
+    magnitude = _digits(abs(coeff))
     body = (factors if magnitude == "1" else f"{magnitude}*{factors}") if factors else magnitude
     return (" - " if coeff < 0 else " + ") + body
 
@@ -372,7 +377,7 @@ def _piece(basis: Basis, term: tuple[tuple[int, ...], int]) -> str:
     """The one rule for a term's text: the ``_signed`` of its factors, ``name`` or ``name^e`` per
     nonzero exponent, joined by ``*``."""
     exp, coeff = term
-    try:
+    try:  # one try around the join, not a _digits call per exponent: every render builds these
         factors = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(basis.names, exp) if e])
     except ValueError:
         raise DomainError(_TOO_LARGE) from None

@@ -11,12 +11,11 @@ class's (pivot, modulus) group, and the record checks run once per
 group; a box over ``MAX_TERM_FOLDS`` is refused before any work.  It
 gives each class's vector and sorted (code, coefficient) terms, with
 one :class:`~swfold.laurent._Memo` that decodes each distinct code once
-per search.  :func:`euler_search` decodes them into records, and
-``search`` on the command line prints its rows from the codes.
-:func:`~swfold.fold.fold` is the reference the sweep is tested against,
-entry for entry.  :func:`colliding_classes` lists exactly the classes
-whose folds merge terms, so every class outside that set keeps the
-unfolded verdict.
+per search, and ``search`` on the command line prints its rows from the
+codes.  :func:`~swfold.fold.fold` by each class is the reference the
+sweep is tested against, entry for entry.  :func:`colliding_classes`
+lists exactly the classes whose folds merge terms, so every class
+outside that set keeps the unfolded verdict.
 """
 
 from __future__ import annotations
@@ -26,21 +25,9 @@ from itertools import combinations, product
 from math import gcd, isqrt, prod
 
 from .errors import DomainError, _count
-from .fold import EulerClass, FoldedSW, _require_canonical, fold
-from .laurent import _Memo, _Record, _accumulate, _pack, _positive, _set, _unpack, _vector
+from .fold import _require_canonical, fold
+from .laurent import _Memo, _accumulate, _digits, _pack, _positive, _unpack, _vector
 from .manifolds import ThreeManifold, require_b_plus
-
-
-class SearchResult(_Record):
-    __slots__ = ("box", "entries")
-
-    def __init__(self, box: int, entries: tuple[FoldedSW, ...]):
-        _set(self, "box", box)
-        _set(self, "entries", entries)
-
-    @property
-    def all_obstructed(self) -> bool:
-        return all(e.obstructed for e in self.entries)
 
 
 #: The most term folds one search may do: ((2B+1)^r - 1)/2 classes times len(sw3), at least 1 each.
@@ -94,17 +81,6 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[_Memo, list[tuple[tuple[i
                 folded = _accumulate(fixed.copy(), [(code - k * step, coeff) for code, k, coeff in moving])
                 rows.append((head + rest, sorted(folded.items())))
     return decoded, rows
-
-
-def euler_search(manifold: ThreeManifold, box: int = 5) -> SearchResult:
-    """((2B+1)^r - 1)/2 :class:`~swfold.fold.FoldedSW` entries, one per Euler class of ``_sweep``, each
-    equal to :func:`~swfold.fold.fold` by its class: the reference that ``search``'s listing is tested against."""
-    decoded, rows = _sweep(manifold, box)
-    basis, n = manifold.basis, len(manifold.sw3)
-    return SearchResult(box=box, entries=tuple([
-        FoldedSW._of(EulerClass._of(basis, chi), basis, tuple([(decoded[code], c) for code, c in terms]),
-                     len(terms) == n)
-        for chi, terms in rows]))
 
 
 def colliding_classes(manifold: ThreeManifold) -> tuple[tuple[int, ...], ...]:
@@ -164,7 +140,7 @@ def stabilization_note(manifold: ThreeManifold, box: int = 5) -> str:
         return "\n".join(lines)
 
     counts = Counter(coeff for _, coeff in terms)
-    multiset = "{" + ", ".join(f"{value} x{count}" if count > 1 else f"{value}"
+    multiset = "{" + ", ".join(f"{_digits(value)} x{count}" if count > 1 else _digits(value)
                                for value, count in sorted(counts.items())) + "}"
     verdict = ("no units; all injective folds are obstructed" if unfolded.obstructed
                else "unit coefficients present; injective folds are not obstructed")

@@ -5,11 +5,13 @@ up to one overall sign.  Run with ``pytest tests/test_acceptance.py -v``
 (add ``-s`` to see the per-criterion PASS lines).
 """
 
+import pathlib
 import random
 
 import pytest
 
 from swfold.alexander import BUILTIN_KNOTS
+from swfold.cli import run
 from swfold.fold import (
     EulerClass,
     QuotientLattice,
@@ -23,10 +25,10 @@ from swfold.fold import (
 )
 from swfold.laurent import LaurentPoly, from_text, to_text
 from swfold.manifolds import T3_BASIS, fiber_sum, surface_times_circle, three_torus
-from swfold.obstruction import euler_search
 
 from conftest import coefficients, fold_bruteforce, random_basis, random_poly
 from test_fold import random_chi, random_manifold
+from test_obstruction import half_box
 
 
 def announce(number, message):
@@ -113,17 +115,18 @@ def test_criterion_06_example1_obstruction():
 
 def test_criterion_07_example2_search():
     manifold = pair_manifold("5_2")
-    result = euler_search(manifold, 5)
-    assert result.all_obstructed is True
-    assert len(result.entries) == ((2 * 5 + 1) ** 3 - 1) // 2 == 665
-    # injective-fold fast path agrees entry-by-entry with full folding
-    for index, entry in enumerate(result.entries):
-        folded = fold(manifold, entry.chi)
-        full_verdict = not any(c in (1, -1) for c in coefficients(folded.poly))
-        assert entry.obstructed == full_verdict
-        if not entry.injective or index % 20 == 0:
-            assert folded == fold_bruteforce(manifold, entry.chi)
-    announce(7, "box-5 search over 665 classes: all obstructed; fast path agrees with full folds")
+    classes = half_box(3, 5)
+    assert len(classes) == ((2 * 5 + 1) ** 3 - 1) // 2 == 665
+    # each class of the box folded on its own, its verdict read off the coefficients
+    for index, chi in enumerate(classes):
+        folded = fold(manifold, chi)
+        assert not any(c in (1, -1) for c in coefficients(folded.poly)), chi
+        assert folded.obstructed is True
+        if not folded.injective or index % 20 == 0:
+            assert folded == fold_bruteforce(manifold, chi)
+    spec = pathlib.Path(__file__).resolve().parent.parent / "demos" / "52-pair.json"
+    assert run(["search", str(spec), "--box", "5", "--quiet"]).text.startswith("all_obstructed = true (665 entries)\n")
+    announce(7, "box-5 search over 665 classes: every fold obstructed; merging folds agree with brute force")
 
 
 def test_criterion_08_fold_oracle_equivalence():

@@ -29,6 +29,8 @@ NINE_TERM_FIG8 = (
     " - 3*m2^2 + m1^2*m2^-2 - 3*m1^2 + m1^2*m2^2"
 )
 SIX_TERM_FOLD = "-3*m2^-2 + 9 - 3*m2^2 + 2*m1^2*m2^-2 - 6*m1^2 + 2*m1^2*m2^2"
+#: A 2200-digit integer: a product of two has about 4400 digits, past str()'s limit of 4300.
+N_2200 = int("9" * 2200)
 #: An inline knot under a built-in knot's name with other data.
 CLASHING_TREFOIL = {"name": "3_1", "fibered": False, "alexander": "3*t - 5 + 3*t^-1"}
 
@@ -500,6 +502,20 @@ class TestMalformedInputs:
         for method in ("closed", "both"):
             assert main(["bundle", "--genus", "7200", "--euler", "4", "--method", method]) == 1
             self.assert_one_error_line(capsys, "error[domain]: result too large to print")
+
+    @pytest.mark.parametrize("mode", [[], ["--json"], ["--quiet"]], ids=["text", "json", "quiet"])
+    @pytest.mark.parametrize("alexander, meridians, command", [
+        # coefficients of two 2200-digit factors multiply: the search note's coefficient multiset
+        (f"{N_2200}*t - {2 * N_2200 - 1} + {N_2200}*t^-1", ["m1", "m2"], ["search", "--box", "1"]),
+        # a unit at an exponent of 4301 digits: the unit classes that obstruct lists
+        (f"t^{'9' * 4300}*t^{'9' * 4300} - 1 + t^-{'9' * 4300}*t^-{'9' * 4300}", ["m1"], ["obstruct", "--chi", "m2"]),
+    ], ids=["search-note", "obstruct-units"])
+    def test_sw3_past_the_digit_limit(self, capsys, tmp_path, mode, alexander, meridians, command):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"base": "t3", "knots": [{"name": "k", "fibered": False, "alexander": alexander}],
+                                    "sums": [{"knot": "k", "meridian": m} for m in meridians]}))
+        assert main([command[0], str(path), *command[1:], *mode]) == 1
+        self.assert_one_error_line(capsys, "error[domain]: result too large to print")
 
     @pytest.mark.parametrize("euler", [1, -1, 2, -2])
     def test_large_genus_fold_that_cancels_every_term_prints(self, capsys, euler):

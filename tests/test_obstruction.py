@@ -20,7 +20,7 @@ from swfold.errors import DomainError, HypothesisError, StructuralError
 from swfold.fold import EulerClass, FoldedSW, QuotientLattice, _require_canonical, canonical_rep, fold
 from swfold.laurent import Basis, LaurentPoly, _render, to_text
 from swfold.manifolds import T3_BASIS, ThreeManifold, fiber_sum, surface_times_circle, three_torus
-from swfold.obstruction import SearchResult, colliding_classes, euler_search, stabilization_note
+from swfold.obstruction import _sweep, colliding_classes, stabilization_note
 
 from conftest import coefficients, fold_bruteforce, random_basis, random_poly
 from test_fold import random_chi, random_manifold
@@ -99,21 +99,38 @@ def search_payload(m: ThreeManifold, box: int) -> dict:
     return json.loads(search_output(m, box, "--json"))
 
 
+def box_folds(m: ThreeManifold, box: int) -> list[FoldedSW]:
+    """Oracle: ``fold`` by each class of ``half_box``, in its order."""
+    return [fold(m, chi) for chi in half_box(m.basis.rank, box)]
+
+
+def sweep_terms(m: ThreeManifold, box: int) -> list[tuple[tuple[int, ...], tuple]]:
+    """``_sweep``'s rows with their codes decoded: each class vector and its sorted folded terms."""
+    decoded, rows = _sweep(m, box)
+    return [(chi, tuple([(decoded[code], c) for code, c in terms])) for chi, terms in rows]
+
+
 def search_reference(m: ThreeManifold, box: int, *flags: str) -> bytes:
-    """Oracle: the ``search`` output built from the ``euler_search`` records, one row per entry."""
-    result, note = euler_search(m, box), stabilization_note(m, box)
+    """Oracle: the ``search`` output built from ``box_folds``, one row per class."""
+    entries, note = box_folds(m, box), stabilization_note(m, box)
+    all_obstructed = all(e.obstructed for e in entries)
     if "--json" in flags:
-        entries = [{"chi": e.chi.text, "obstructed": e.obstructed, "unit_classes": [list(u) for u in e.unit_classes],
-                    "injective": e.injective} for e in result.entries]
+        rows = [{"chi": e.chi.text, "obstructed": e.obstructed, "unit_classes": [list(u) for u in e.unit_classes],
+                 "injective": e.injective} for e in entries]
         return emit(OutputRecord((), payload={
-            "command": "search", "manifold": m.name, "box": box, "all_obstructed": result.all_obstructed,
-            "count": len(result.entries), "entries": entries, "stabilization": note}))
+            "command": "search", "manifold": m.name, "box": box, "all_obstructed": all_obstructed,
+            "count": len(entries), "entries": rows, "stabilization": note}))
     shown = {True: "true", False: "false"}
-    body = [f"all_obstructed = {shown[result.all_obstructed]} ({len(result.entries)} entries)", *note.splitlines()]
+    body = [f"all_obstructed = {shown[all_obstructed]} ({len(entries)} entries)", *note.splitlines()]
     header = [f"manifold = {m.name}, box = {box}"] + [
         f"chi = {e.chi.text} | obstructed = {shown[e.obstructed]} | injective = {shown[e.injective]} | "
-        f"sw4 = {_render(e.basis, e.terms)}" for e in result.entries]
+        f"sw4 = {_render(e.basis, e.terms)}" for e in entries]
     return emit(OutputRecord((), text="\n".join(body if "--quiet" in flags else header + body)))
+
+
+def listing_rows(text: str) -> dict[str, str]:
+    """The listing's rows by their ``chi = ...`` field."""
+    return {row.split(" | ")[0]: row for row in text.splitlines() if row.startswith("chi = ")}
 
 
 X1X2 = Basis(("x1", "x2"))
@@ -135,128 +152,47 @@ def searches(draw):
 
 
 class TestSearchListing:
-    """``search`` prints its rows from the sweep's codes; ``euler_search``'s records are the reference."""
+    """``search`` prints its rows from the sweep's codes; ``fold`` by each class of ``half_box`` is the reference."""
 
     @settings(max_examples=40, deadline=None)
     @given(searches())
     @example((CANCELLING, 2))
     @example((UNIT_AT_ORIGIN, 2))
-    def test_listing_equals_the_records(self, drawn):
+    def test_listing_equals_the_folds(self, drawn):
         m, box = drawn
         for flags in ((), ("--quiet",), ("--json",)):
             assert search_output(m, box, *flags) == search_reference(m, box, *flags), flags
 
     def test_the_examples_cover_cancellation_merges_and_the_unit_at_the_origin(self):
-        def rows(m):
-            return {row.split(" | ")[0]: row for row in search_text(m, 2).splitlines() if row.startswith("chi = ")}
-
-        cancelling, unit = rows(CANCELLING), rows(UNIT_AT_ORIGIN)
+        cancelling, unit = listing_rows(search_text(CANCELLING, 2)), listing_rows(search_text(UNIT_AT_ORIGIN, 2))
         assert cancelling["chi = x2 + x1"].endswith(" | injective = false | sw4 = 0")
         assert cancelling["chi = -x2 + x1"].endswith(" | injective = false | sw4 = -2*x2^-2 - 2*x2^-1 + 2*x2 + 2*x2^2")
         assert unit["chi = x2 + x1"] == "chi = x2 + x1 | obstructed = false | injective = false | sw4 = x2^-1 + 1 + x2"
         entry = search_payload(UNIT_AT_ORIGIN, 2)["entries"][list(unit).index("chi = x2 + x1")]
         assert entry["unit_classes"] == [[0, -1], [0, 0], [0, 1]]
 
-
-class TestEulerSearch:
-    def test_entry_count_formula(self, fig8_pair):
-        for box in (1, 2):
-            result = euler_search(fig8_pair, box)
-            assert len(result.entries) == ((2 * box + 1) ** 3 - 1) // 2
-        for box in range(1, 5):
-            for rank in (1, 2, 3):
-                assert len(half_box(rank, box)) == ((2 * box + 1) ** rank - 1) // 2
-
     def test_fig8_pair_not_all_obstructed(self, fig8_pair):
-        result = euler_search(fig8_pair, 2)
-        assert result.all_obstructed is False
-        by_chi = {e.chi.text: e for e in result.entries}
+        text = search_text(fig8_pair, 2)
+        assert "\nall_obstructed = false (62 entries)\n" in text
         # folding onto the m1 direction leaves column sums {-1, 3, -1}
-        assert by_chi["m1"].obstructed is False
+        assert listing_rows(text)["chi = m1"].startswith("chi = m1 | obstructed = false | ")
 
-    def test_fig8_pair_4m_entries_obstructed(self, fig8_pair):
-        result = euler_search(fig8_pair, 5)
-        by_chi = {e.chi.text: e for e in result.entries}
-        assert by_chi["4*m1"].obstructed is True
-        assert by_chi["4*m2"].obstructed is True
+    def test_fig8_pair_4m_rows_obstructed(self, fig8_pair):
+        rows = listing_rows(search_text(fig8_pair, 5))
+        assert rows["chi = 4*m1"].startswith("chi = 4*m1 | obstructed = true | ")
+        assert rows["chi = 4*m2"].startswith("chi = 4*m2 | obstructed = true | ")
         # -4*m1 and -4*m2 are covered by their antipodal representatives
         assert fold(fig8_pair, "-4*m1").poly == fold(fig8_pair, "4*m1").poly
         assert fold(fig8_pair, "-4*m2").poly == fold(fig8_pair, "4*m2").poly
 
     def test_five2_pair_all_obstructed_small_box(self, five2_pair):
-        result = euler_search(five2_pair, 3)
-        assert result.all_obstructed is True
-
-    def test_entries_sorted_and_deterministic(self, five2_pair):
-        a = euler_search(five2_pair, 2)
-        b = euler_search(five2_pair, 2)
-        assert a == b
-        rank2 = random_manifold(random.Random(97), Basis(("x1", "x2")))
-        for m in (surface_times_circle(2), rank2, five2_pair):
-            for box in range(1, 5):
-                vectors = [e.chi.chi for e in euler_search(m, box).entries]
-                assert vectors == half_box(m.basis.rank, box) == sorted(vectors), (m.basis.rank, box)
-
-    def test_fast_path_agrees_with_full_fold(self, fig8_pair, five2_pair):
-        for m in (fig8_pair, five2_pair):
-            for entry in euler_search(m, 8).entries:
-                folded = fold(m, entry.chi)
-                full_verdict = not any(c in (1, -1) for c in coefficients(folded.poly))
-                assert entry.obstructed == full_verdict
-                assert entry.digest == str(folded.poly)
-                assert entry.unit_classes == unit_exponents(folded.poly)
-
-    def test_random_entries_agree_with_definitions(self):
-        rng = random.Random(89)
-        cancelled = 0
-        for _ in range(40):
-            basis = random_basis(rng)
-            m = random_manifold(rng, basis)
-            support = m.sw3.support()
-            for entry in euler_search(m, 2).entries:
-                q = QuotientLattice(entry.chi)
-                cosets = {canonical_rep(q, e) for e in support}
-                assert entry.injective == (len(cosets) == len(support))
-                oracle = fold_bruteforce(m, entry.chi).poly
-                assert entry.obstructed == (not any(c in (1, -1) for c in coefficients(oracle)))
-                assert entry.digest == to_text(oracle)
-                assert entry.unit_classes == unit_exponents(oracle)
-                cancelled += len(oracle) < len(cosets)
-        assert cancelled > 0  # merged coefficients that cancel must be exercised
-
-    @settings(max_examples=30)
-    @given(st.randoms(use_true_random=False), st.integers(1, 3))
-    def test_packed_sweep_equals_taubes_report(self, rng, box):
-        """The packed sweep against the single-class fold path, entry for entry."""
-        m = random_manifold(rng, random_basis(rng))
-        result = euler_search(m, box)
-        for entry in result.entries:
-            reference = fold(m, entry.chi)
-            assert entry == reference and entry.digest == reference.digest
-        for entry in rng.sample(result.entries, min(5, len(result.entries))):
-            assert entry.terms == fold_bruteforce(m, entry.chi).poly.terms()
-
-    def test_representatives_at_the_packing_bound(self):
-        """Coordinates of +-s folded by chi = (1, B) reach +-s*(B+1), the widest code digit."""
-        s, box = 3, 2
-        basis = Basis(("x1", "x2"))
-        sw3 = LaurentPoly(basis, {(s, -s): 2, (-s, s): 2, (s, s): -1, (-s, -s): -1, (0, 0): 3, (1, -2): 1, (-1, 2): 1})
-        m = ThreeManifold(genus=None, basis=basis, b1=3, sw3=sw3)
-        result = euler_search(m, box)
-        widest = max(abs(e) for entry in result.entries for exp, _ in entry.terms for e in exp)
-        assert widest == s * (box + 1)
-        for entry in result.entries:
-            assert entry == fold(m, entry.chi)
-            assert entry.terms == fold_bruteforce(m, entry.chi).poly.terms()
-
-    def test_an_empty_result_is_all_obstructed(self):
-        assert SearchResult(box=1, entries=()).all_obstructed is True
+        assert search_output(five2_pair, 3, "--quiet").startswith(b"all_obstructed = true (171 entries)\n")
 
     def test_chi_texts_share_one_memo(self, five2_pair, monkeypatch):
         """The listing builds at most r*(2B+1) class pieces for a whole search, each row's text
         equal to its class's ``EulerClass.text``."""
         box = 3
-        expected = [f"chi = {e.chi.text} |" for e in euler_search(five2_pair, box).entries]
+        expected = [f"chi = {e.chi.text} |" for e in box_folds(five2_pair, box)]
         pieces = []
         piece = sys.modules["swfold.fold"]._piece
 
@@ -274,10 +210,10 @@ class TestEulerSearch:
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 3))
     def test_chi_texts_equal_each_class_text(self, rng, rank, box):
-        """The listing's chi texts over random names, against each entry's ``EulerClass.text``."""
+        """The listing's chi texts over random names, against each class's ``EulerClass.text``."""
         basis = Basis(tuple(rng.choice(("m", "x", "long_name")) + str(i) for i in range(1, rank + 1)))
         m = random_manifold(rng, basis)
-        entries = euler_search(m, box).entries
+        entries = box_folds(m, box)
         vectors = {e.chi.chi for e in entries}
         assert (0,) * (rank - 1) + (box,) in vectors  # its only nonzero entry is its pivot
         assert rank == 1 or any(min(v) < 0 for v in vectors)
@@ -288,18 +224,82 @@ class TestEulerSearch:
         """Classes of a box past 9: the listing's memoized pieces for two-digit entries."""
         m = random_manifold(random.Random(7), Basis(("x1", "x2")))
         chis = [entry["chi"] for entry in search_payload(m, 12)["entries"]]
-        assert chis == [e.chi.text for e in euler_search(m, 12).entries]
+        assert chis == [e.chi.text for e in box_folds(m, 12)]
         assert {"12*x2 + 12*x1", "-12*x2 + 12*x1", "12*x1"} <= set(chis)
 
-    @settings(max_examples=40)
-    @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 3))
-    def test_checked_constructors_accept_every_entry(self, rng, rank, box):
-        """The sweep builds its records by ``_of``; the checked ``__init__``s accept each and build an equal one."""
-        basis = Basis(tuple(f"x{i}" for i in range(1, rank + 1)))
-        m = random_manifold(rng, basis)
-        for e in euler_search(m, box).entries:
-            checked = FoldedSW(EulerClass(basis, e.chi.chi), basis, e.terms, e.injective)
-            assert checked == e and checked.unit_classes == e.unit_classes
+
+class TestSweep:
+    """The kernel ``_sweep`` against ``fold`` by each class of ``half_box``, and its refusals."""
+
+    def test_row_count_formula(self, fig8_pair):
+        for box in (1, 2):
+            assert len(_sweep(fig8_pair, box)[1]) == ((2 * box + 1) ** 3 - 1) // 2
+        for box in range(1, 5):
+            for rank in (1, 2, 3):
+                assert len(half_box(rank, box)) == ((2 * box + 1) ** rank - 1) // 2
+
+    def test_rows_sorted_and_deterministic(self, five2_pair):
+        assert _sweep(five2_pair, 2)[1] == _sweep(five2_pair, 2)[1]
+        rank2 = random_manifold(random.Random(97), Basis(("x1", "x2")))
+        for m in (surface_times_circle(2), rank2, five2_pair):
+            for box in range(1, 5):
+                vectors = [chi for chi, _ in _sweep(m, box)[1]]
+                assert vectors == half_box(m.basis.rank, box) == sorted(vectors), (m.basis.rank, box)
+
+    def test_demo_pairs_at_box_8_equal_the_folds(self, fig8_pair, five2_pair):
+        for m in (fig8_pair, five2_pair):
+            for (chi, terms), folded in zip(sweep_terms(m, 8), box_folds(m, 8), strict=True):
+                assert chi == folded.chi.chi and terms == folded.terms
+                assert (len(terms) == len(m.sw3)) == folded.injective
+                assert any(c in (1, -1) for _, c in terms) == (not folded.obstructed)
+
+    def test_random_rows_agree_with_definitions(self):
+        rng = random.Random(89)
+        cancelled = 0
+        for _ in range(40):
+            basis = random_basis(rng)
+            m = random_manifold(rng, basis)
+            support = m.sw3.support()
+            for chi, terms in sweep_terms(m, 2):
+                q = QuotientLattice(EulerClass(basis, chi))
+                cosets = {canonical_rep(q, e) for e in support}
+                assert (len(terms) == len(support)) == (len(cosets) == len(support))
+                oracle = fold_bruteforce(m, chi).poly
+                assert terms == oracle.terms()
+                assert _render(basis, terms) == to_text(oracle)
+                cancelled += len(oracle) < len(cosets)
+        assert cancelled > 0  # merged coefficients that cancel must be exercised
+
+    @settings(max_examples=30)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3))
+    def test_packed_sweep_equals_each_fold(self, rng, box):
+        """The packed sweep against the single-class fold path, row for row."""
+        m = random_manifold(rng, random_basis(rng))
+        rows = sweep_terms(m, box)
+        for (chi, terms), folded in zip(rows, box_folds(m, box), strict=True):
+            assert chi == folded.chi.chi and terms == folded.terms
+            assert (len(terms) == len(m.sw3)) == folded.injective
+        for chi, terms in rng.sample(rows, min(5, len(rows))):
+            assert terms == fold_bruteforce(m, chi).poly.terms()
+
+    @staticmethod
+    def assert_oracles_agree(m, chi, terms):
+        """A row against the single-class fold and the brute-force fold."""
+        folded = fold(m, chi)
+        assert terms == folded.terms and (len(terms) == len(m.sw3)) == folded.injective
+        assert terms == fold_bruteforce(m, chi).poly.terms()
+
+    def test_representatives_at_the_packing_bound(self):
+        """Coordinates of +-s folded by chi = (1, B) reach +-s*(B+1), the widest code digit."""
+        s, box = 3, 2
+        basis = Basis(("x1", "x2"))
+        sw3 = LaurentPoly(basis, {(s, -s): 2, (-s, s): 2, (s, s): -1, (-s, -s): -1, (0, 0): 3, (1, -2): 1, (-1, 2): 1})
+        m = ThreeManifold(genus=None, basis=basis, b1=3, sw3=sw3)
+        rows = sweep_terms(m, box)
+        widest = max(abs(e) for _, terms in rows for exp, _ in terms for e in exp)
+        assert widest == s * (box + 1)
+        for chi, terms in rows:
+            self.assert_oracles_agree(m, chi, terms)
 
     def test_group_check_refuses_a_pivot_coordinate_out_of_range(self):
         """The check each (pivot, modulus) group runs, given a pivot set outside [0, modulus)."""
@@ -317,43 +317,37 @@ class TestEulerSearch:
         unpack = sys.modules["swfold.obstruction"]._unpack
         monkeypatch.setattr(sys.modules["swfold.obstruction"], "_unpack",
                             lambda code, base, rank: tuple(e + 100 for e in unpack(code, base, rank)))
-        assert len(euler_search(fig8_pair, 2).entries) == 62  # every code these groups check is an sw3 exponent
+        assert len(_sweep(fig8_pair, 2)[1]) == 62  # every code these groups check is an sw3 exponent
         with pytest.raises(StructuralError, match=r"^exponent \(98, 101, 100\) is not a canonical representative "
                                                   r"\(pivot 1, modulus 3\)$"):
-            euler_search(fig8_pair, 3)
-
-    @staticmethod
-    def assert_oracles_agree(m, entry):
-        """An entry against the single-class fold and the brute-force fold."""
-        assert entry == fold(m, entry.chi)
-        assert entry.terms == fold_bruteforce(m, entry.chi).poly.terms()
+            _sweep(fig8_pair, 3)
 
     def test_group_where_no_term_moves(self, five2_pair):
-        """Sums on m1 and m2 only: with pivot m3 every multiplier is 0, so each entry is sw3 itself."""
-        entries = [e for e in euler_search(five2_pair, 3).entries if e.chi.chi[:2] == (0, 0)]
-        assert [e.chi.chi for e in entries] == [(0, 0, 1), (0, 0, 2), (0, 0, 3)]
-        for entry in entries:
-            assert entry.terms == five2_pair.sw3.terms() and entry.injective
-            self.assert_oracles_agree(five2_pair, entry)
+        """Sums on m1 and m2 only: with pivot m3 every multiplier is 0, so each row is sw3 itself."""
+        rows = [(chi, terms) for chi, terms in sweep_terms(five2_pair, 3) if chi[:2] == (0, 0)]
+        assert [chi for chi, _ in rows] == [(0, 0, 1), (0, 0, 2), (0, 0, 3)]
+        for chi, terms in rows:
+            assert terms == five2_pair.sw3.terms()
+            self.assert_oracles_agree(five2_pair, chi, terms)
 
     def test_moving_terms_merge_into_fixed_codes(self, five2_pair):
         """chi = 2*m1: the m1^-2 and m1^2 columns move onto the fixed m1^0 column and merge."""
         sw3 = dict(five2_pair.sw3.terms())
-        [entry] = [e for e in euler_search(five2_pair, 2).entries if e.chi.chi == (2, 0, 0)]
-        assert not entry.injective and {exp[0] for exp, _ in entry.terms} == {0}
-        fixed = [(exp, c) for exp, c in entry.terms if exp in sw3]
+        [terms] = [terms for chi, terms in sweep_terms(five2_pair, 2) if chi == (2, 0, 0)]
+        assert len(terms) < len(sw3) and {exp[0] for exp, _ in terms} == {0}
+        fixed = [(exp, c) for exp, c in terms if exp in sw3]
         assert fixed and all(c != sw3[exp] for exp, c in fixed)  # each fixed term gained moving ones
-        self.assert_oracles_agree(five2_pair, entry)
+        self.assert_oracles_agree(five2_pair, (2, 0, 0), terms)
 
     def test_fold_that_cancels_every_term(self, tmp_path):
         """On S2xS1, t^2 - 2 + t^-2 folds to 0 by t and by 2*t: the rows print exactly sw4 = 0."""
         spec = tmp_path / "S2xS1.json"
         spec.write_text('{"base": {"surface_x_s1": 2}}')
         m = surface_times_circle(2)
-        by_chi = {e.chi.text: e for e in euler_search(m, 3).entries}
-        for chi in ("t", "2*t"):
-            assert by_chi[chi].terms == () and not by_chi[chi].injective
-            self.assert_oracles_agree(m, by_chi[chi])
+        by_chi = dict(sweep_terms(m, 3))
+        for chi in ((1,), (2,)):
+            assert by_chi[chi] == ()
+            self.assert_oracles_agree(m, chi, by_chi[chi])
         rows = run(["search", str(spec), "--box", "3"]).text.splitlines()[1:4]
         assert rows == ["chi = t | obstructed = true | injective = false | sw4 = 0",
                         "chi = 2*t | obstructed = true | injective = false | sw4 = 0",
@@ -367,27 +361,25 @@ class TestEulerSearch:
             start = time.perf_counter()
             with pytest.raises(DomainError, match=f" holds {re.escape(classes)} Euler classes of {len(m.sw3)} terms "
                                                   r"each: .* term folds, over the limit of 10000000"):
-                euler_search(m, box)
+                _sweep(m, box)
             assert time.perf_counter() - start < 1
         monkeypatch.setattr(sys.modules["swfold.obstruction"], "MAX_TERM_FOLDS", 62 * 9)
-        assert len(euler_search(fig8_pair, 2).entries) == 62  # the limit itself is allowed
+        assert len(_sweep(fig8_pair, 2)[1]) == 62  # the limit itself is allowed
         monkeypatch.setattr(sys.modules["swfold.obstruction"], "MAX_TERM_FOLDS", 62 * 9 - 1)
         with pytest.raises(DomainError, match="558 term folds, over the limit of 557"):
-            euler_search(fig8_pair, 2)
+            _sweep(fig8_pair, 2)
 
     def test_bad_box_rejected(self, fig8_pair):
-        with pytest.raises(DomainError):
-            euler_search(fig8_pair, 0)
         for box in (True, 2.0, 0):
             with pytest.raises(DomainError, match="search box must be an integer >= 1"):
-                euler_search(fig8_pair, box)
+                _sweep(fig8_pair, box)
             with pytest.raises(DomainError, match="search box must be an integer >= 1"):
                 stabilization_note(fig8_pair, box)
 
     def test_huge_box_is_printed_by_magnitude(self, fig8_pair):
         """A box past str()'s digit limit is printed by its sign and magnitude, not raised as ValueError."""
         assert "box about 10^5000 covers every collision-capable class" in stabilization_note(fig8_pair, 10**5000)
-        for call in (euler_search, stabilization_note):
+        for call in (_sweep, stabilization_note):
             start = time.perf_counter()
             with pytest.raises(DomainError) as err:
                 call(fig8_pair, -10**5000)
@@ -400,18 +392,17 @@ class TestEulerSearch:
         start = time.perf_counter()
         with pytest.raises(DomainError, match="holds 4000600030000 Euler classes of 0 terms each: "
                                               "4000600030000 term folds, over the limit of 10000000"):
-            euler_search(zero, 10**4)
+            _sweep(zero, 10**4)
         assert time.perf_counter() - start < 1
-        result = euler_search(zero, 2)
-        assert len(result.entries) == (5**3 - 1) // 2 and all(e.digest == "0" for e in result.entries)
-        rows = [line for line in search_text(zero, 2).splitlines() if line.startswith("chi = ")]
+        assert sweep_terms(zero, 2) == [(chi, ()) for chi in half_box(3, 2)]
+        rows = listing_rows(search_text(zero, 2)).values()
         assert len(rows) == 62 and all(row.endswith(" | injective = true | sw4 = 0") for row in rows)
 
     def test_low_b_plus_rejected(self):
         s = surface_times_circle(1)
         pretend = ThreeManifold(s.genus, s.basis, 2, s.sw3)
         with pytest.raises(HypothesisError):
-            euler_search(pretend, 2)
+            _sweep(pretend, 2)
 
 
 class TestCollidingClasses:
@@ -421,9 +412,8 @@ class TestCollidingClasses:
 
     def test_collision_set_is_exactly_the_noninjective_set(self, five2_pair):
         colliders = set(colliding_classes(five2_pair))
-        result = euler_search(five2_pair, 5)
-        for entry in result.entries:
-            assert (entry.chi.chi in colliders) == (not entry.injective)
+        for folded in box_folds(five2_pair, 5):
+            assert (folded.chi.chi in colliders) == (not folded.injective)
 
     def test_random_agreement_with_injectivity(self):
         rng = random.Random(83)

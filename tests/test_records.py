@@ -19,7 +19,6 @@ from swfold.errors import DomainError, StructuralError, SwfoldError
 from swfold.fold import EulerClass, FoldedSW, QuotientLattice, canonical_rep, fold
 from swfold.laurent import Basis, LaurentPoly, from_text
 from swfold.manifolds import T3_BASIS, ThreeManifold, fiber_sum, three_torus
-from swfold.obstruction import SearchResult
 
 from conftest import fold_bruteforce, monomial
 
@@ -76,9 +75,6 @@ RECORDS = {
         lambda: LaurentPoly(basis=T, terms={(1,): 1, (-1,): -1}), ("basis", "_terms"),
         "LaurentPoly('-t^-1 + t', basis=(t))",
     ),
-    "SearchResult": (
-        lambda: SearchResult(box=1, entries=()), ("box", "entries"), "SearchResult(box=1, entries=())",
-    ),
     "OutputRecord": (
         lambda: OutputRecord(command=("knot", "list"), text="x"), ("command", "text", "payload"),
         "OutputRecord(command=('knot', 'list'), text='x', payload=None)",
@@ -126,7 +122,7 @@ def test_copy_and_pickle_keep_the_value(name):
 @pytest.mark.parametrize("name", RECORDS)
 def test_another_class_compares_unequal(name):
     make, _, _ = RECORDS[name]
-    record, other = make(), RECORDS["SearchResult" if name == "Basis" else "Basis"][0]()
+    record, other = make(), RECORDS["OutputRecord" if name == "Basis" else "Basis"][0]()
     assert record.__eq__(other) is NotImplemented
     assert record != other and other != record
     assert record != object() and record != None  # noqa: E711
