@@ -282,6 +282,17 @@ class TestSweep:
         for chi, terms in rng.sample(rows, min(5, len(rows))):
             assert terms == fold_bruteforce(m, chi).poly.terms()
 
+    @settings(max_examples=40)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 3))
+    def test_checked_constructors_accept_every_entry(self, rng, rank, box):
+        """The checked ``__init__``s accept each decoded row as it stands and build the class's fold."""
+        basis = Basis(tuple(f"x{i}" for i in range(1, rank + 1)))
+        m = random_manifold(rng, basis)
+        for chi, terms in sweep_terms(m, box):
+            checked = FoldedSW(EulerClass(basis, chi), basis, terms, len(terms) == len(m.sw3))
+            folded = fold(m, chi)
+            assert checked == folded and checked.unit_classes == folded.unit_classes
+
     @staticmethod
     def assert_oracles_agree(m, chi, terms):
         """A row against the single-class fold and the brute-force fold."""
