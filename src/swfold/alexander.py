@@ -134,11 +134,15 @@ def validate_alexander(poly: LaurentPoly) -> tuple[str, ...]:
 
 
 class KnotRecord(_Record):
-    """Named knot: optional Seifert matrix, its polynomial, fiberedness flag."""
+    """Named knot: optional Seifert matrix, its polynomial, fiberedness flag; a fibered knot's
+    polynomial is its monodromy's characteristic one, so ``fibered`` needs it monic."""
 
     __slots__ = ("name", "seifert", "alexander", "fibered")
 
     def __init__(self, name: str, seifert: SeifertMatrix | None, alexander: LaurentPoly, fibered: bool):
+        if fibered and (lead := max(alexander.terms(), default=((), 0))[1]) not in (1, -1):
+            raise StructuralError(f"knot {_shown(name)} cannot be fibered: its Alexander polynomial has "
+                                  f"leading coefficient {_count(lead)}, and a fibered knot's is +-1")
         _set(self, "name", name)
         _set(self, "seifert", seifert)
         _set(self, "alexander", alexander)

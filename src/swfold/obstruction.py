@@ -15,13 +15,14 @@ per search, and ``search`` on the command line prints its rows from the
 codes.  :func:`~swfold.fold.fold` by each class is the reference the
 sweep is tested against, entry for entry.  :func:`colliding_classes`
 lists exactly the classes whose folds merge terms, so every class
-outside that set keeps the unfolded verdict.
+outside that set keeps the unfolded verdict; it works per divisor of a
+column difference on a product support, else per pair difference.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from math import gcd, isqrt, prod
 
 from .errors import DomainError, _count
@@ -32,6 +33,9 @@ from .manifolds import ThreeManifold, require_b_plus
 
 #: The most term folds one search may do: ((2B+1)^r - 1)/2 classes times len(sw3), at least 1 each.
 MAX_TERM_FOLDS = 10**7
+
+#: The most trial divisions one ``colliding_classes`` may do: isqrt(n) for each distinct n it factors.
+MAX_TRIAL_DIVISIONS = 10**7
 
 
 def _sweep(manifold: ThreeManifold, box: int) -> tuple[_Memo, list[tuple[tuple[int, ...], list[tuple[int, int]]]]]:
@@ -83,44 +87,48 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[_Memo, list[tuple[tuple[i
     return decoded, rows
 
 
+def _divisors(numbers) -> dict[int, list[int]]:
+    """Each distinct positive number's divisors, by trial division up to its isqrt; over
+    ``MAX_TRIAL_DIVISIONS`` trial divisions in all raise :class:`DomainError` before any."""
+    roots = {n: isqrt(n) for n in set(numbers)}
+    if (trials := sum(roots.values())) > MAX_TRIAL_DIVISIONS:
+        raise DomainError(f"finding the colliding Euler classes takes {_count(trials)} trial divisions of "
+                          f"{len(roots)} support differences, over the limit of {MAX_TRIAL_DIVISIONS}")
+    small = {n: [d for d in range(1, root + 1) if n % d == 0] for n, root in roots.items()}
+    return {n: low + [n // d for d in reversed(low) if d * d != n] for n, low in small.items()}
+
+
 def colliding_classes(manifold: ThreeManifold) -> tuple[tuple[int, ...], ...]:
     """Every Euler class (one per antipodal pair) whose fold merges terms.
 
-    Exact: chi collides iff some nonzero multiple of chi is a difference
-    of two support exponents, so the collision set consists of diff / k
-    for each distinct support difference diff and each divisor k of the
-    gcd of its entries.  The pair scan runs per block: one per coordinate if the support is the
-    product of its coordinate sets, whose difference sets then multiply to S - S, else one block.
+    Exact: chi collides iff k*chi is in S - S for some k >= 1, S the support.  If S is the product
+    of its coordinate sets, S - S = D_1 x ... x D_r for the differences D_i within coordinate i,
+    and k divides a positive one; each such k gives the positive tuples of the product of the
+    ``d // k`` over the d in D_i that k divides.  Any other S is scanned by pairs: each positive
+    difference divided by each divisor of the gcd of its entries.
     """
     support = manifold.sw3.support()
     columns = [sorted(set(column)) for column in zip(*support)]
-    # Support differences have coordinates in [-W, W], so q - p is one subtraction
-    # of base-(2W+1) codes whose balanced digits are q - p, and codes add like vectors.
-    # With p before q in a sorted block it is positive, so its first nonzero entry is
-    # positive: the sign every class here is normalized to, and division by k > 0 keeps it.
-    width = max((column[-1] - column[0] for column in columns), default=0)
-    base, rank = 2 * width + 1, manifold.basis.rank
-    if len(support) == prod(map(len, columns)):  # a one-value coordinate adds only zeros
-        blocks = [[v * base ** k for v in col] for k, col in zip(range(rank - 1, -1, -1), columns) if len(col) > 1]
-    else:
-        blocks = [[_pack(exp, base) for exp in support]]
-    # Over the blocks so far, a positive difference is zero before a block and positive in
-    # it, or positive in an earlier block and any difference, zero included, in this one.
-    positive = set()
-    for codes in blocks:
-        diffs = {b - a for a, b in combinations(codes, 2)}
-        if positive:
-            diffs |= {p + d for p in positive for d in (0, *diffs, *[-d for d in diffs])}
-        positive = diffs
-    out = set()
-    for value in positive:
-        diff = _unpack(value, base, rank)
-        g = gcd(*diff)
-        for d in range(1, isqrt(g) + 1):
-            if g % d == 0:
-                out.add(tuple(c // d for c in diff))
-                out.add(tuple(c // (g // d) for c in diff))
-    return tuple(sorted(out))
+    if len(support) == prod(map(len, columns)):  # every T3 spec with axis meridians, every rank-1 base
+        diffs = [{b - a for a, b in combinations(column, 2)} for column in columns]
+        divisors, quotients = _divisors(set().union(*diffs)), [{} for _ in columns]
+        for column, by_k in zip(diffs, quotients):  # k -> [0, +-d // k for each d in D_i that k divides]
+            for d in column:
+                for k in divisors[d]:
+                    by_k.setdefault(k, [0]).extend((d // k, -d // k))
+        lists = ([sorted(by_k.get(k, (0,))) for by_k in quotients] for k in set().union(*quotients))
+        # over sorted symmetric lists the product is in tuple order, -v mirroring v, so zero is its middle
+        runs = (islice(product(*values), prod(map(len, values)) // 2 + 1, None) for values in lists)
+        # dropping repeats leaves each run sorted, and sorted() merges runs in about n*log(len(runs)) steps
+        return tuple(sorted(dict.fromkeys(chain.from_iterable(runs))))
+    # Differences have coordinates in [-W, W], so q - p is one subtraction of base-(2W+1) codes
+    # whose balanced digits are q - p; with p before q in the sorted support it is positive.
+    base = 2 * max((column[-1] - column[0] for column in columns), default=0) + 1
+    codes = [_pack(exp, base) for exp in support]
+    diffs = [_unpack(value, base, manifold.basis.rank) for value in {b - a for a, b in combinations(codes, 2)}]
+    gcds = [gcd(*diff) for diff in diffs]
+    divisors = _divisors(gcds)
+    return tuple(sorted({tuple(c // k for c in diff) for diff, g in zip(diffs, gcds) for k in divisors[g]}))
 
 
 def stabilization_note(manifold: ThreeManifold, box: int = 5) -> str:

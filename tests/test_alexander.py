@@ -303,6 +303,27 @@ class TestValidateAlexander:
             validate_alexander(from_text("m1", b2))
 
 
+class TestMonicGate:
+    """A fibered knot's polynomial is its monodromy's characteristic polynomial, so its leading
+    coefficient is +-1; ``fibered=True`` with any other is refused wherever a record is made."""
+
+    MESSAGE = "knot 'fake' cannot be fibered: its Alexander polynomial has leading coefficient {}, " \
+              "and a fibered knot's is +-1"
+
+    @pytest.mark.parametrize("make, lead", [
+        (lambda fibered: knot_from_alexander("fake", fibered, "2*t - 3 + 2*t^-1"), 2),
+        (lambda fibered: knot_from_seifert("fake", fibered, ((-1, 1), (0, -2))), 2),
+        (lambda fibered: knot_from_alexander("fake", fibered, f"-{10**40}*t + {2 * 10**40 - 1} - {10**40}*t^-1"),
+         "about 10^40"),
+        (lambda fibered: KnotRecord("fake", None, LaurentPoly.zero(KNOT_BASIS), fibered), 0),
+    ], ids=["alexander", "seifert", "huge", "zero"])
+    def test_non_monic_fibered_is_refused(self, make, lead):
+        with pytest.raises(StructuralError) as err:
+            make(True)
+        assert type(err.value) is StructuralError and str(err.value) == self.MESSAGE.format(lead)
+        assert make(False).fibered is False
+
+
 class TestRegistration:
     def test_from_polynomial_normalizes_sign(self):
         record = knot_from_alexander("test_negative", True, "-t + 1 - t^-1")

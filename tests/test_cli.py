@@ -118,7 +118,8 @@ class TestLoadSpec:
         ([{"name": "k"}, CLASHING_TREFOIL], SpecFileError, "spec.knots[0].fibered: expected true or false"),
         ([{**CLASHING_TREFOIL, "name": "k"}, CLASHING_TREFOIL], StructuralError,
          "spec.knots[1]: knot '3_1' is already registered with different data"),
-        ([{**CLASHING_TREFOIL, "name": "k"}, {**CLASHING_TREFOIL, "name": "k", "fibered": True}], StructuralError,
+        ([{**CLASHING_TREFOIL, "name": "k"}, {**CLASHING_TREFOIL, "name": "k", "alexander": "2*t - 3 + 2*t^-1"}],
+         StructuralError,
          "spec.knots[1]: knot 'k' is already registered with different data"),
     ])
     def test_first_bad_knot_in_spec_order_is_reported(self, knots, error, message):
@@ -379,6 +380,25 @@ class TestExitCodes:
             main(["fold", FIG8_PAIR])  # --chi is required
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("form", [{"alexander": "2*t - 3 + 2*t^-1"}, {"seifert": [[-1, 1], [0, -2]]}],
+                             ids=["alexander", "seifert"])
+    def test_fibered_registration_with_a_non_monic_polynomial_exits_2(self, capsys, tmp_path, form):
+        """A fibered knot's Alexander polynomial is monic; 5_2's leading coefficient 2 refutes the flag,
+        registered or declared inline, so no spec summing the knot reports a fibered orbit."""
+        error = ("", "error[structure]: knot 'fake' cannot be fibered: its Alexander polynomial "
+                     "has leading coefficient 2, and a fibered knot's is +-1\n")
+        path, spec = tmp_path / "k.json", tmp_path / "spec.json"
+        path.write_text(json.dumps({"name": "fake", "fibered": True, **form}))
+        assert main(["knot", "register", str(path)]) == 2
+        assert capsys.readouterr() == error
+        spec.write_text(json.dumps({"base": "t3", "knots": [{"name": "fake", "fibered": True, **form}],
+                                    "sums": [{"knot": "fake", "meridian": "m1"}, {"knot": "fake", "meridian": "m2"}]}))
+        assert main(["obstruct", str(spec), "--chi", "m3"]) == 2
+        assert capsys.readouterr() == error
+        path.write_text(json.dumps({"name": "fake", "fibered": False, **form}))
+        assert main(["knot", "register", str(path)]) == 0
+        assert capsys.readouterr().out == "registered fake  fibered=false  alexander = 2*t^-1 - 3 + 2*t\n"
+
     def test_bad_seifert_registration_exits_2(self, capsys, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps({"name": "x", "fibered": True, "seifert": [[1, 0], [0, 1]]}))
@@ -516,6 +536,20 @@ class TestMalformedInputs:
                                     "sums": [{"knot": "k", "meridian": m} for m in meridians]}))
         assert main([command[0], str(path), *command[1:], *mode]) == 1
         self.assert_one_error_line(capsys, "error[domain]: result too large to print")
+
+    @pytest.mark.parametrize("mode", [[], ["--json"], ["--quiet"]], ids=["text", "json", "quiet"])
+    def test_search_whose_colliders_need_too_many_trial_divisions(self, capsys, tmp_path, mode):
+        """A unit at an exponent of 4301 digits: factoring its support differences would take about
+        10^2151 trial divisions, so search refuses before the first one, at once."""
+        nines = "9" * 4300
+        knot = {"name": "k", "fibered": True, "alexander": f"t^{nines}*t^{nines} - 1 + t^-{nines}*t^-{nines}"}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"base": "t3", "knots": [knot], "sums": [{"knot": "k", "meridian": "m1"}]}))
+        start = time.perf_counter()
+        assert main(["search", str(path), "--box", "1", *mode]) == 1
+        assert time.perf_counter() - start < 1
+        self.assert_one_error_line(capsys, "error[domain]: finding the colliding Euler classes takes about 10^2151 "
+                                           "trial divisions of 2 support differences, over the limit of 10000000")
 
     @pytest.mark.parametrize("euler", [1, -1, 2, -2])
     def test_large_genus_fold_that_cancels_every_term_prints(self, capsys, euler):

@@ -7,7 +7,7 @@ import sys
 import time
 from collections import Counter
 from itertools import product
-from math import prod
+from math import gcd, isqrt, prod
 from unittest import mock
 
 import pytest
@@ -452,6 +452,13 @@ def colliders_by_pairs(support) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
+def sw3_on(support) -> ThreeManifold:
+    """A manifold whose sw3 is 1 on every exponent of ``support``, over x1..xr."""
+    rank = len(support[0])
+    basis = Basis(tuple(f"x{i}" for i in range(1, rank + 1)))
+    return ThreeManifold(genus=None, basis=basis, b1=max(rank, 3), sw3=LaurentPoly(basis, dict.fromkeys(support, 1)))
+
+
 @st.composite
 def symmetric_manifolds(draw):
     """Rank 1-4, 1-40 support terms (closed under negation), coordinates up to ~1e8.
@@ -500,9 +507,22 @@ class TestCollidingClassesOracle:
     @settings(deadline=None, max_examples=50)
     @given(product_manifolds())
     def test_blocks_equal_pairwise_tuple_differences(self, manifolds):
-        """One block per coordinate for a product support, one block of all once a point is gone."""
+        """The per-divisor route for a product support, and the pair scan once a point is gone."""
         for m in manifolds:
             assert colliding_classes(m) == colliders_by_pairs(m.sw3.support())
+
+    def test_wide_rank_one_support(self):
+        """{t^A, t^-A} with A = 2*999999999989: one difference, 4*999999999989, whose isqrt of about
+        2e6 trial divisions stays under the bound."""
+        a = 2 * 999999999989
+        m = sw3_on([(-a,), (a,)])
+        assert colliding_classes(m) == colliders_by_pairs(m.sw3.support())
+
+    def test_highly_composite_column_differences(self):
+        """Rank 3, each column {0, +-360360, +-720720}: column differences with hundreds of divisors,
+        so the same class comes from many k."""
+        m = sw3_on(list(product((-720720, -360360, 0, 360360, 720720), repeat=3)))
+        assert colliding_classes(m) == colliders_by_pairs(m.sw3.support())
 
     def test_nine_sum_five2_tower(self):
         m = three_torus()
@@ -512,6 +532,39 @@ class TestCollidingClassesOracle:
         colliders = colliding_classes(m)
         assert len(colliders) == 2025
         assert colliders == colliders_by_pairs(m.sw3.support())
+
+
+class TestTrialDivisionBound:
+    """Each distinct number factored costs isqrt(n) trial divisions, on either route; over
+    ``MAX_TRIAL_DIVISIONS`` in all, one :class:`DomainError` names the estimate before the first."""
+
+    @pytest.mark.parametrize("route", ["product", "pairs"])
+    def test_the_limit_itself_is_allowed(self, monkeypatch, route):
+        columns = [(-30, -6, 6, 30), (-10, 0, 10)]
+        support = list(product(*columns))
+        if route == "product":  # the distinct positive differences within a column
+            numbers = {b - a for column in columns for a in column for b in column if b > a}
+        else:  # one point and its negative gone: the distinct gcds of the pair differences
+            support = [exp for exp in support if exp not in ((30, 10), (-30, -10))]
+            numbers = {gcd(*(q - p for p, q in zip(a, b))) for a in support for b in support if a < b}
+        m, trials = sw3_on(support), sum(map(isqrt, numbers))
+        monkeypatch.setattr(sys.modules["swfold.obstruction"], "MAX_TRIAL_DIVISIONS", trials)
+        assert colliding_classes(m) == colliders_by_pairs(m.sw3.support())
+        monkeypatch.setattr(sys.modules["swfold.obstruction"], "MAX_TRIAL_DIVISIONS", trials - 1)
+        with pytest.raises(DomainError) as err:
+            colliding_classes(m)
+        assert str(err.value) == (f"finding the colliding Euler classes takes {trials} trial divisions of "
+                                  f"{len(numbers)} support differences, over the limit of {trials - 1}")
+
+    @pytest.mark.parametrize("exponent", [10**4300, 2 * 10**15], ids=["4301-digit", "2e15"])
+    def test_wide_support_is_refused_at_once(self, exponent):
+        """{t^-A, 1, t^A}: differences A and 2A, whose isqrts sum far over the limit."""
+        m = sw3_on([(-exponent,), (0,), (exponent,)])
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"takes (about 10\^2150|\d+) trial divisions of 2 support differences, "
+                                              "over the limit of 10000000"):
+            stabilization_note(m, 1)
+        assert time.perf_counter() - start < 1
 
 
 def read_note(note: str):
