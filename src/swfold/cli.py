@@ -24,9 +24,8 @@ from collections.abc import Callable
 
 from .alexander import BUILTIN_KNOTS, KnotTable, _unknown_field, load_knot_file, read_json, record_from_dict
 from .errors import DomainError, SpecFileError, StructuralError, SwfoldError, UnknownVariableError
-from .fold import (_class_text, _unit_piece, _units, circle_bundle_sw_closed_form, circle_bundle_sw_direct,
-                   equal_up_to_sign, fold)
-from .laurent import _digits, _factor, _Memo, _Record, _render, _set, _signed
+from .fold import _units, circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
+from .laurent import _digits, _joined, _Memo, _monomial, _Record, _render, _set, _signed
 from .manifolds import ThreeManifold, fiber_sum, surface_times_circle, three_torus
 from .obstruction import _sweep, stabilization_note
 
@@ -85,11 +84,12 @@ def build_manifold(data: dict, table: KnotTable, where: str = "spec") -> ThreeMa
         raise SpecFileError(f"{where}.knots: expected a list")
     for i, entry in enumerate(knots):  # one at a time, so the first bad entry in spec order is the one reported
         path = f"{where}.knots[{i}]"
-        record = record_from_dict(entry, path)
         try:
-            table = table.with_records((record,))
-        except StructuralError as exc:  # a clash with a knot already in the table
-            raise StructuralError(f"{path}: {exc}") from None
+            table = table.with_records((record_from_dict(entry, path),))
+        except SpecFileError:  # its message already carries the field path
+            raise
+        except StructuralError as exc:  # a knot that fails registration, or clashes with one in the table
+            raise type(exc)(f"{path}: {exc}") from None
 
     base = data["base"]
     if base == "t3":
@@ -274,14 +274,13 @@ def _cmd_search(args) -> _Output:
     note = stabilization_note(manifold, args.box)
     body = [f"all_obstructed = {_bool(all_obstructed)} ({len(rows)} entries)"] + note.splitlines()
 
-    def chi_texts():  # each class's EulerClass.text, from one memo of signed unit pieces per coordinate
-        columns = [_Memo(functools.partial(_unit_piece, basis, i)) for i in reversed(range(basis.rank))]
-        return (_class_text([column[c] for column, c in zip(columns, chi[::-1]) if c]) for chi, _ in rows)
+    def chi_texts():  # each class's EulerClass.text, from one memo of signed pieces per coordinate
+        columns = [_Memo(functools.partial(_signed, name)) for name in basis.names[::-1]]
+        return (_joined([column[c] for column, c in zip(columns, chi[::-1]) if c]) for chi, _ in rows)
 
-    def header():  # a digest's pieces by (code, coefficient), each code's factors joined from per-coordinate memos
-        columns = [_Memo(functools.partial(_factor, basis, i)) for i in range(basis.rank)]
-        factors = _Memo(lambda code: "*".join([column[e] for column, e in zip(columns, decoded[code]) if e]))
-        pieces = _Memo(lambda term: _signed(factors[term[0]], term[1]))
+    def header():  # a digest's pieces by (code, coefficient), from one memo of each code's monomial
+        monomials = _Memo(lambda code: _monomial(basis, decoded[code]))
+        pieces = _Memo(lambda term: _signed(monomials[term[0]], term[1]))
         return [f"manifold = {manifold.name}, box = {args.box}"] + [
             f"chi = {chi} | obstructed = {_bool(not u)} | "
             f"injective = {_bool(len(terms) == n)} | sw4 = {_render(basis, terms, pieces)}"

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import DomainError, ParseError, StructuralError, _count, _shown
-from .laurent import Basis, LaurentPoly, _accumulate, _piece, _positive, _Record, _render, _set, _vector, from_text
+from .errors import DomainError, ParseError, StructuralError, _shown
+from .laurent import (Basis, LaurentPoly, _accumulate, _joined, _positive, _Record, _render, _require_terms, _set,
+                      _signed, _vector, from_text)
 from .manifolds import CIRCLE_BASIS, ThreeManifold, require_b_plus, surface_times_circle
 
 
@@ -49,18 +50,6 @@ def euler_vector_from_text(text: str, basis: Basis) -> tuple[int, ...]:
     return tuple(vector)
 
 
-def _unit_piece(basis: Basis, i: int, c: int) -> str:
-    """The signed ``_piece`` of c times the unit vector of coordinate i."""
-    return _piece(basis, ((0,) * i + (1,) + (0,) * (basis.rank - 1 - i), c))
-
-
-def _class_text(pieces: list[str]) -> str:
-    """The one home of a class's text: the ``_unit_piece`` of each nonzero coordinate, last
-    coordinate first, joined as ``_render`` joins terms (a class is never zero)."""
-    text = "".join(pieces)
-    return text[3:] if text[1] == "+" else "-" + text[3:]
-
-
 class EulerClass(_Record):
     """Nonzero integer vector in the exponent lattice: the fold direction."""
 
@@ -76,8 +65,7 @@ class EulerClass(_Record):
     @property
     def text(self) -> str:
         """Canonical rendering, e.g. ``"4*m1"`` or ``"2*m2 - m1"`` (last variable first)."""
-        basis, chi = self.basis, self.chi
-        return _class_text([_unit_piece(basis, i, chi[i]) for i in reversed(range(len(chi))) if chi[i]])
+        return _joined([_signed(name, c) for name, c in zip(self.basis.names[::-1], self.chi[::-1]) if c])
 
     @property
     def pivot(self) -> int:
@@ -129,35 +117,6 @@ def canonical_rep(quotient: QuotientLattice, exp: Sequence[int]) -> tuple[int, .
     return tuple(e - k * c for e, c in zip(exp, chi))
 
 
-def _require_integer(value, term) -> None:
-    """``_vector``'s entry rule, for a term's value that is not a plain int: an int subclass passes, a bool does not."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise StructuralError(f"exponent entries and coefficients must be integers, got {_shown(value)} "
-                              f"in the term {_shown(term)}")
-
-
-def _require_canonical(terms, rank: int, pivot: int | None, modulus: int) -> None:
-    """Raise unless each term pairs an exponent of ``rank`` integers, its pivot coordinate in [0, modulus)
-    (if pivot), with an integer coefficient: all in one pass, where a plain int costs one type test."""
-    for term in terms:
-        try:
-            exp, coeff = term
-            size = len(exp)
-        except (TypeError, ValueError):
-            raise StructuralError("a term must pair an exponent sequence with a coefficient, "
-                                  f"got {_shown(term)}") from None
-        if size != rank:
-            raise StructuralError(f"exponent {_shown(exp)} has length {size}, basis rank is {rank}")
-        if type(coeff) is not int:
-            _require_integer(coeff, term)
-        for value in exp:
-            if type(value) is not int:
-                _require_integer(value, term)
-        if pivot is not None and not 0 <= exp[pivot] < modulus:
-            raise StructuralError(f"exponent {_shown(exp)} is not a canonical representative "
-                                  f"(pivot {pivot}, modulus {_count(modulus)})")
-
-
 def _units(terms) -> tuple:
     """The one unit scan: the exponents (or, in a packed search, their codes) of sorted terms whose
     coefficient is +1 or -1."""
@@ -193,7 +152,7 @@ class FoldedSW(_Record):
             if modulus < 0:
                 raise StructuralError(f"Euler class {_shown(chi.chi)} is not sign-normalized: its first nonzero entry "
                                       "must be positive")
-        _require_canonical(terms, basis.rank, pivot, modulus)
+        _require_terms(terms, basis.rank, pivot, modulus)
         _set(self, "chi", chi)
         _set(self, "basis", basis)
         _set(self, "terms", terms)

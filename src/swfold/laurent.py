@@ -12,6 +12,11 @@ never stored.  ``_accumulate`` is the one function that enforces it:
 every producer whose terms can collide or cancel goes through it, and
 ``LaurentPoly._of`` wraps the result without checking it again.
 
+Each term rule lives here: ``_require_terms`` is the one check of a
+term's shape, for polynomials and for folded records, and ``_monomial``,
+``_signed`` and ``_joined`` are the one way a term, and a sum of terms,
+is printed.
+
 The canonical term order is lexicographic on exponent vectors with the
 first variable most significant, which makes iteration, ``to_text`` and
 hashing deterministic.
@@ -32,11 +37,11 @@ pass over them through the state machine ``_GRAMMAR``.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
 from operator import add, attrgetter, neg
 
-from .errors import DomainError, ParseError, StructuralError, UnknownVariableError, _shown
+from .errors import DomainError, ParseError, StructuralError, UnknownVariableError, _count, _shown
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _set = object.__setattr__  # how a record's ``__init__`` sets its slots, past the ``__setattr__`` that refuses
@@ -135,23 +140,31 @@ def _positive(value, what: str) -> None:
         raise DomainError(f"{what} must be an integer >= 1, got {_shown(value)}")
 
 
-def _checked(basis: Basis, terms: Iterable) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Validate outside (exponent, coefficient) pairs, yielding tuple exponents."""
-    try:
-        terms = iter(terms)
-    except TypeError:
-        raise StructuralError(
-            f"terms must be a mapping or an iterable of (exponent, coefficient) pairs, got {_shown(terms)}"
-        ) from None
+def _require_terms(terms, rank: int, pivot: int | None = None, modulus: int = 0) -> None:
+    """The one term rule: raise unless each term pairs an exponent of ``rank`` integers, its pivot
+    coordinate in [0, modulus) (if pivot), with an integer coefficient, bools refused as ``_vector``
+    refuses them: all in one pass, where a plain int costs one type test."""
     for term in terms:
         try:
             exp, coeff = term
+            size = len(exp)
         except (TypeError, ValueError):
-            raise StructuralError(f"a term must be an (exponent, coefficient) pair, got {_shown(term)}") from None
-        exp = _vector(basis, exp, "exponent vector")
-        if not isinstance(coeff, int) or isinstance(coeff, bool):
-            raise StructuralError(f"coefficients must be integers, got {_shown(coeff)}")
-        yield exp, coeff
+            raise StructuralError("a term must pair an exponent sequence with a coefficient, "
+                                  f"got {_shown(term)}") from None
+        if size != rank:
+            raise StructuralError(f"exponent {_shown(exp)} has length {size}, basis rank is {rank}")
+        plain = type(coeff) is int
+        for value in exp:
+            if type(value) is not int:
+                plain = False
+        if not plain:  # an int subclass passes, as it passes _vector; a bool does not
+            for value in (coeff, *exp):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise StructuralError(f"exponent entries and coefficients must be integers, got "
+                                          f"{_shown(value)} in the term {_shown(term)}")
+        if pivot is not None and not 0 <= exp[pivot] < modulus:
+            raise StructuralError(f"exponent {_shown(exp)} is not a canonical representative "
+                                  f"(pivot {pivot}, modulus {_count(modulus)})")
 
 
 def _accumulate(acc: dict, pairs: Iterable) -> dict:
@@ -183,9 +196,16 @@ class LaurentPoly(_Record):
     __slots__ = ("basis", "_terms")
 
     def __init__(self, basis: Basis, terms: Mapping | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        try:
+            items = iter(terms.items() if isinstance(terms, Mapping) else terms)
+        except TypeError:
+            raise StructuralError(
+                f"terms must be a mapping or an iterable of (exponent, coefficient) pairs, got {_shown(terms)}"
+            ) from None
+        items = list(items)
+        _require_terms(items, basis.rank)
         _set(self, "basis", basis)
-        _set(self, "_terms", _accumulate({}, _checked(basis, items)))
+        _set(self, "_terms", _accumulate({}, [(tuple(exp), coeff) for exp, coeff in items]))
 
     # -- constructors ------------------------------------------------
 
@@ -367,26 +387,32 @@ def _digits(n: int) -> str:
 
 def _signed(factors: str, coeff: int) -> str:
     """A term's text from its factor text: ``" + "`` or ``" - "``, then the magnitude, left out
-    when it is 1 and a factor follows; ``_piece`` and the ``search`` listing build pieces by it."""
+    when it is 1 and a factor follows."""
     magnitude = _digits(abs(coeff))
     body = (factors if magnitude == "1" else f"{magnitude}*{factors}") if factors else magnitude
     return (" - " if coeff < 0 else " + ") + body
 
 
-def _piece(basis: Basis, term: tuple[tuple[int, ...], int]) -> str:
-    """The one rule for a term's text: the ``_signed`` of its factors, ``name`` or ``name^e`` per
-    nonzero exponent, joined by ``*``."""
-    exp, coeff = term
+def _monomial(basis: Basis, exp: Sequence[int]) -> str:
+    """The one factor text: ``name`` or ``name^e`` per nonzero exponent, joined by ``*`` (empty at the origin)."""
     try:  # one try around the join, not a _digits call per exponent: every render builds these
-        factors = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(basis.names, exp) if e])
+        return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(basis.names, exp) if e])
     except ValueError:
         raise DomainError(_TOO_LARGE) from None
-    return _signed(factors, coeff)
 
 
-def _factor(basis: Basis, i: int, e: int) -> str:
-    """Variable i to the nonzero power e: the ``_piece`` of that monomial, unsigned."""
-    return _piece(basis, ((0,) * i + (e,) + (0,) * (basis.rank - 1 - i), 1))[3:]
+def _piece(basis: Basis, term: tuple[tuple[int, ...], int]) -> str:
+    """The one rule for a term's text: the ``_signed`` of its ``_monomial``."""
+    exp, coeff = term
+    return _signed(_monomial(basis, exp), coeff)
+
+
+def _joined(pieces: Iterable[str]) -> str:
+    """The one join of signed pieces: the first unsigned unless negative, or ``"0"`` for none."""
+    text = "".join(pieces)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 class _Memo(dict):
@@ -402,17 +428,11 @@ class _Memo(dict):
 
 
 def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]], memo: _Memo | None = None) -> str:
-    """The one renderer: text form of terms already in canonical order.
-
-    The text is one join of each term's ``_piece``, the first unsigned unless
-    negative, or ``"0"`` for no terms.  A caller that renders many
-    polynomials over one basis passes one piece memo to all of them; a
-    one-off text maps ``_piece`` directly.
+    """The one renderer: text form of terms already in canonical order, the ``_joined`` of each
+    term's ``_piece``.  A caller that renders many polynomials over one basis passes one piece
+    memo to all of them; a one-off text maps ``_piece`` directly.
     """
-    text = "".join(map(_piece, repeat(basis), terms) if memo is None else map(memo.__getitem__, terms))
-    if not text:
-        return "0"
-    return text[3:] if text[1] == "+" else "-" + text[3:]
+    return _joined(map(_piece, repeat(basis), terms) if memo is None else map(memo.__getitem__, terms))
 
 
 def to_text(poly: LaurentPoly) -> str:

@@ -26,8 +26,8 @@ from itertools import chain, combinations, islice, product
 from math import gcd, isqrt, prod
 
 from .errors import DomainError, _count
-from .fold import _require_canonical, fold
-from .laurent import _Memo, _accumulate, _digits, _pack, _positive, _unpack, _vector
+from .fold import fold
+from .laurent import _Memo, _accumulate, _digits, _pack, _positive, _require_terms, _unpack, _vector
 from .manifolds import ThreeManifold, require_b_plus
 
 
@@ -51,7 +51,7 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[_Memo, list[tuple[tuple[i
     each class copies before ``_accumulate`` adds the moving terms' shifts.  Sorting codes sorts
     terms.  The record checks run once per pivot or group: each rest goes through ``_vector``
     once, and a term's pivot coordinate is the same in every class of its group, so
-    ``_require_canonical`` checks the group's fold by ``(0,)*p + (m,) + (0,)*(r-1-p)``.
+    ``_require_terms`` checks the group's fold by ``(0,)*p + (m,) + (0,)*(r-1-p)``.
     """
     _positive(box, "search box")
     basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
@@ -76,8 +76,8 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[_Memo, list[tuple[tuple[i
             assert modulus >= 1  # so every class (0,)*p + (m,) + rest is nonzero and sign-normalized
             ks = [exp[pivot] // modulus for exp in sw3]
             head, offset = zeros + (modulus,), modulus * scale
-            _require_canonical([(decoded[code - k * offset], c) for code, k, c in zip(codes, ks, sw3.values())],
-                               rank, pivot, modulus)
+            _require_terms([(decoded[code - k * offset], c) for code, k, c in zip(codes, ks, sw3.values())],
+                           rank, pivot, modulus)
             fixed = {code: coeff for code, k, coeff in zip(codes, ks, sw3.values()) if not k}
             moving = [(code, k, coeff) for code, k, coeff in zip(codes, ks, sw3.values()) if k]
             for rest, rest_code in rests:

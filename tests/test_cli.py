@@ -385,16 +385,16 @@ class TestExitCodes:
     def test_fibered_registration_with_a_non_monic_polynomial_exits_2(self, capsys, tmp_path, form):
         """A fibered knot's Alexander polynomial is monic; 5_2's leading coefficient 2 refutes the flag,
         registered or declared inline, so no spec summing the knot reports a fibered orbit."""
-        error = ("", "error[structure]: knot 'fake' cannot be fibered: its Alexander polynomial "
-                     "has leading coefficient 2, and a fibered knot's is +-1\n")
+        error = ("knot 'fake' cannot be fibered: its Alexander polynomial "
+                 "has leading coefficient 2, and a fibered knot's is +-1\n")
         path, spec = tmp_path / "k.json", tmp_path / "spec.json"
         path.write_text(json.dumps({"name": "fake", "fibered": True, **form}))
         assert main(["knot", "register", str(path)]) == 2
-        assert capsys.readouterr() == error
+        assert capsys.readouterr() == ("", f"error[structure]: {error}")
         spec.write_text(json.dumps({"base": "t3", "knots": [{"name": "fake", "fibered": True, **form}],
                                     "sums": [{"knot": "fake", "meridian": "m1"}, {"knot": "fake", "meridian": "m2"}]}))
         assert main(["obstruct", str(spec), "--chi", "m3"]) == 2
-        assert capsys.readouterr() == error
+        assert capsys.readouterr() == ("", f"error[structure]: {spec}.knots[0]: {error}")
         path.write_text(json.dumps({"name": "fake", "fibered": False, **form}))
         assert main(["knot", "register", str(path)]) == 0
         assert capsys.readouterr().out == "registered fake  fibered=false  alexander = 2*t^-1 - 3 + 2*t\n"
@@ -596,7 +596,7 @@ class TestMalformedInputs:
         spec.write_text(json.dumps({"base": "t3", "knots": [{"name": "k", "fibered": False, "alexander": "t^2 + 3"}],
                                     "sums": [{"knot": "k", "meridian": "m1"}]}))
         assert main(["sw3", str(spec)]) == 2
-        line = ("error[structure]: invalid Alexander polynomial for 'k': "
+        line = (f"error[structure]: {spec}.knots[0]: invalid Alexander polynomial for 'k': "
                 "not symmetric under t -> 1/t; value at t=1 is 4, expected +-1\n")
         assert capsys.readouterr() == ("", line)
 
@@ -605,6 +605,17 @@ class TestMalformedInputs:
          "error[name]: {spec}.sums[1].meridian: unknown variable 'm4'; basis is (m1, m2, m3)\n"),
         ({"base": "t3", "knots": [CLASHING_TREFOIL], "sums": [{"knot": "3_1", "meridian": "m1"}]},
          "error[structure]: {spec}.knots[0]: knot '3_1' is already registered with different data\n"),
+        # an inline knot that fails registration keeps its error's class, so its code, under the field path
+        ({"base": "t3", "knots": [{"name": "fake", "fibered": True, "alexander": "2*t - 3 + 2*t^-1"}]},
+         "error[structure]: {spec}.knots[0]: knot 'fake' cannot be fibered: its Alexander polynomial "
+         "has leading coefficient 2, and a fibered knot's is +-1\n"),
+        ({"base": "t3", "knots": [{"name": "x", "fibered": False, "seifert": [[1, 0], [0, 1]]}]},
+         "error[seifert]: {spec}.knots[0]: not a knot Seifert matrix: det(V - V^T) = 0, expected +-1\n"),
+        ({"base": "t3", "knots": [{"name": "y", "fibered": False, "alexander": "t + x"}]},
+         "error[name]: {spec}.knots[0]: unknown variable 'x'; basis is (t) (at position 4)\n"),
+        # a schema error already names its field, so it passes through unchanged
+        ({"base": "t3", "knots": [{"name": "z", "fibered": 1, "alexander": "t - 1 + t^-1"}]},
+         "error[spec]: {spec}.knots[0].fibered: expected true or false\n"),
     ])
     def test_spec_entry_error_names_its_field(self, capsys, tmp_path, data, line):
         spec = tmp_path / "spec.json"

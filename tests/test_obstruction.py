@@ -17,8 +17,8 @@ from swfold.alexander import BUILTIN_KNOTS
 from swfold import cli
 from swfold.cli import OutputRecord, emit, run
 from swfold.errors import DomainError, HypothesisError, StructuralError
-from swfold.fold import EulerClass, FoldedSW, QuotientLattice, _require_canonical, canonical_rep, fold
-from swfold.laurent import Basis, LaurentPoly, _render, to_text
+from swfold.fold import EulerClass, FoldedSW, QuotientLattice, canonical_rep, fold
+from swfold.laurent import Basis, LaurentPoly, _render, _require_terms, to_text
 from swfold.manifolds import T3_BASIS, ThreeManifold, fiber_sum, surface_times_circle, three_torus
 from swfold.obstruction import _sweep, colliding_classes, stabilization_note
 
@@ -190,22 +190,24 @@ class TestSearchListing:
 
     def test_chi_texts_share_one_memo(self, five2_pair, monkeypatch):
         """The listing builds at most r*(2B+1) class pieces for a whole search, each row's text
-        equal to its class's ``EulerClass.text``."""
+        equal to its class's ``EulerClass.text``.  ``--json`` renders no digest, so every
+        ``_signed`` call the listing makes builds a class piece."""
         box = 3
-        expected = [f"chi = {e.chi.text} |" for e in box_folds(five2_pair, box)]
-        pieces = []
-        piece = sys.modules["swfold.fold"]._piece
-
-        def counting(basis, term):
-            pieces.append(term)
-            return piece(basis, term)
-
-        monkeypatch.setattr(sys.modules["swfold.fold"], "_piece", counting)
+        expected = [e.chi.text for e in box_folds(five2_pair, box)]
         rows = [line for line in search_text(five2_pair, box).splitlines() if line.startswith("chi = ")]
-        assert [row[:len(prefix)] for row, prefix in zip(rows, expected)] == expected
-        assert len(rows) == len(expected)
-        assert len(pieces) <= five2_pair.basis.rank * (2 * box + 1)
+        assert [row.split(" | ")[0] for row in rows] == [f"chi = {text}" for text in expected]
+        pieces = []
+        signed = sys.modules["swfold.cli"]._signed
+
+        def counting(factors, coeff):
+            pieces.append((factors, coeff))
+            return signed(factors, coeff)
+
+        monkeypatch.setattr(sys.modules["swfold.cli"], "_signed", counting)
+        assert [entry["chi"] for entry in search_payload(five2_pair, box)["entries"]] == expected
+        assert 0 < len(pieces) <= five2_pair.basis.rank * (2 * box + 1)
         assert len(pieces) == len(set(pieces))
+        assert {factors for factors, _ in pieces} <= set(five2_pair.basis.names)
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 3))
@@ -314,13 +316,13 @@ class TestSweep:
 
     def test_group_check_refuses_a_pivot_coordinate_out_of_range(self):
         """The check each (pivot, modulus) group runs, given a pivot set outside [0, modulus)."""
-        _require_canonical([((5, 0, 1), 2), ((5, 2, -1), -1)], 3, 1, 3)
+        _require_terms([((5, 0, 1), 2), ((5, 2, -1), -1)], 3, 1, 3)
         for exp, message in (([5, 3, 0], r"exponent \[5, 3, 0\] is not a canonical representative \(pivot 1, "
                                          r"modulus 3\)"),
                              ((0, -1, 0), r"exponent \(0, -1, 0\) is not a canonical"),
                              ((0, 1), r"exponent \(0, 1\) has length 2, basis rank is 3")):
             with pytest.raises(StructuralError, match=message):
-                _require_canonical([((0, 0, 0), 1), (exp, 1)], 3, 1, 3)
+                _require_terms([((0, 0, 0), 1), (exp, 1)], 3, 1, 3)
 
     def test_sweep_runs_the_group_check_on_its_decoded_codes(self, fig8_pair, monkeypatch):
         """A decode that moves every coordinate is refused by the first group that decodes a new code:

@@ -172,8 +172,10 @@ def test_repr_has_the_dataclass_form(name):
     (lambda: fold(three_torus(), 4), StructuralError, "Euler vector must be a sequence of integers, got 4"),
     (lambda: fold_bruteforce(three_torus(), None), StructuralError,
      "Euler vector must be a sequence of integers, got None"),
-    (lambda: LaurentPoly(T3_BASIS, [(5, 1)]), StructuralError, "exponent vector must be a sequence of integers, got 5"),
-    (lambda: monomial(T3_BASIS, 1, 5), StructuralError, "exponent vector must be a sequence of integers, got 5"),
+    (lambda: LaurentPoly(T3_BASIS, [(5, 1)]), StructuralError,
+     "a term must pair an exponent sequence with a coefficient, got (5, 1)"),
+    (lambda: monomial(T3_BASIS, 1, 5), StructuralError,
+     "a term must pair an exponent sequence with a coefficient, got (5, 1)"),
     (lambda: from_text("t", T).coeff(5), StructuralError, "exponent vector must be a sequence of integers, got 5"),
     (lambda: from_text("t", T).reindex(T3_BASIS, {"t": 5}), StructuralError,
      "exponent vector must be a sequence of integers, got 5"),
@@ -185,9 +187,10 @@ def test_repr_has_the_dataclass_form(name):
      "Seifert matrix must be a sequence of integer rows, got None"),
     (lambda: LaurentPoly(T3_BASIS, 5), StructuralError,
      "terms must be a mapping or an iterable of (exponent, coefficient) pairs, got 5"),
-    (lambda: LaurentPoly(T3_BASIS, [5]), StructuralError, "a term must be an (exponent, coefficient) pair, got 5"),
+    (lambda: LaurentPoly(T3_BASIS, [5]), StructuralError,
+     "a term must pair an exponent sequence with a coefficient, got 5"),
     (lambda: LaurentPoly(T3_BASIS, [(1, 2, 3)]), StructuralError,
-     "a term must be an (exponent, coefficient) pair, got (1, 2, 3)"),
+     "a term must pair an exponent sequence with a coefficient, got (1, 2, 3)"),
     (lambda: fiber_sum(three_torus(), 5), StructuralError, "sums must be an iterable of (knot, meridian) pairs, got 5"),
     (lambda: fiber_sum(three_torus(), [5]), StructuralError, "a sum must be a (KnotRecord, meridian) pair, got 5"),
     (lambda: fiber_sum(three_torus(), [("x", "m1")]), StructuralError,
@@ -246,7 +249,8 @@ _BIG = 10**5000  # repr() and str() raise ValueError on it: past Python's 4300-d
     (lambda: EulerClass(T3_BASIS, _BIG), "Euler vector must be a sequence of integers, got about 10^5000"),
     (lambda: canonical_rep(QuotientLattice(EulerClass(T3_BASIS, (4, 0, 0))), _BIG),
      "exponent vector must be a sequence of integers, got about 10^5000"),
-    (lambda: LaurentPoly(T3_BASIS, [(_BIG, 1)]), "exponent vector must be a sequence of integers, got about 10^5000"),
+    (lambda: LaurentPoly(T3_BASIS, [(_BIG, 1)]),
+     "a term must pair an exponent sequence with a coefficient, got a tuple holding an integer too long to print"),
     (lambda: SeifertMatrix(_BIG), "Seifert matrix must be a sequence of integer rows, got about 10^5000"),
     (lambda: Basis((_BIG,)), "invalid variable name about 10^5000"),
     (lambda: fiber_sum(three_torus(), [(BUILTIN_KNOTS.lookup("3_1"), _BIG)]),
@@ -254,7 +258,7 @@ _BIG = 10**5000  # repr() and str() raise ValueError on it: past Python's 4300-d
     (lambda: from_text("t", T) ** -_BIG, "polynomial power must be a nonnegative integer, got about -10^5000"),
     (lambda: BUILTIN_KNOTS.lookup(_BIG), "unknown knot about 10^5000; available: 3_1, 4_1, 5_2"),
     (lambda: LaurentPoly(T3_BASIS, [(_BIG,)]),
-     "a term must be an (exponent, coefficient) pair, got a tuple holding an integer too long to print"),
+     "a term must pair an exponent sequence with a coefficient, got a tuple holding an integer too long to print"),
     (lambda: FoldedSW(EulerClass(T, (_BIG,)), T, (((-1,), 1),), True),
      "exponent (-1,) is not a canonical representative (pivot 0, modulus about 10^5000)"),
     (lambda: FoldedSW(EulerClass(T, (1,)), T, (((_BIG, 0), 1),), True),
@@ -276,6 +280,32 @@ def test_a_bad_value_past_the_digit_limit_is_named_in_a_typed_error(build, messa
     with pytest.raises(SwfoldError) as caught:
         build()
     assert str(caught.value) == message
+
+
+#: Malformed terms over (t): ``LaurentPoly`` and ``FoldedSW`` check terms by one rule, so one message each.
+MALFORMED_TERMS = {
+    "int exponent": (5, 1),
+    "wrong length": ((0, 1), 1),
+    "float entry": ((1.5,), 1),
+    "bool entry": ((True,), 1),
+    "float coefficient": ((1,), 1.5),
+    "bool coefficient": ((1,), False),
+    "not a pair": ((5,),),
+    "three items": ((1,), 2, 3),
+    "5000-digit entry": ((_BIG, 0), 1),
+    "5000-digit exponent": (_BIG, 1),
+}
+
+
+@pytest.mark.parametrize("term", MALFORMED_TERMS.values(), ids=MALFORMED_TERMS)
+def test_a_polynomial_and_a_fold_record_refuse_a_term_alike(term):
+    messages = []
+    for build in (lambda: LaurentPoly(T, [term]), lambda: FoldedSW(None, T, (term,), True)):
+        with pytest.raises(StructuralError) as caught:
+            build()
+        assert type(caught.value) is StructuralError
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
 
 
 def fresh_import_modules(*flags: str) -> set[str]:
