@@ -25,7 +25,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from math import prod
 
-from .errors import KnotLookupError, NotSeifertError, SpecFileError, StructuralError, _count, _shown
+from .errors import KnotLookupError, NotSeifertError, ParseError, SpecFileError, StructuralError, _count, _shown
 from .laurent import Basis, LaurentPoly, _balanced_digits, _Record, _set, from_text, to_text
 
 #: Every knot polynomial lives over this one-variable basis.
@@ -248,7 +248,13 @@ def record_from_dict(data: dict, where: str) -> KnotRecord:
     alexander = data["alexander"]
     if not isinstance(alexander, str):
         raise SpecFileError(f"{where}.alexander: expected a polynomial string")
-    return knot_from_alexander(name, fibered, alexander)
+    try:
+        poly = from_text(alexander, KNOT_BASIS)
+    except ParseError as exc:  # the same class, so the same code, and its position within the field's text
+        error = type(exc)(f"{where}.alexander: {exc}")
+        error.position = exc.position
+        raise error from None
+    return knot_from_alexander(name, fibered, poly)
 
 
 def read_json(path: str, what: str = ""):

@@ -23,11 +23,11 @@ import sys
 from collections.abc import Callable
 
 from .alexander import BUILTIN_KNOTS, KnotTable, _unknown_field, load_knot_file, read_json, record_from_dict
-from .errors import DomainError, SpecFileError, StructuralError, SwfoldError, UnknownVariableError
+from .errors import DomainError, ParseError, SpecFileError, StructuralError, SwfoldError, UnknownVariableError
 from .fold import _units, circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
 from .laurent import _digits, _joined, _Memo, _monomial, _Record, _render, _set, _signed
 from .manifolds import ThreeManifold, fiber_sum, surface_times_circle, three_torus
-from .obstruction import _sweep, stabilization_note
+from .obstruction import _note, _split, _sweep
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "schemas")
 
@@ -86,7 +86,7 @@ def build_manifold(data: dict, table: KnotTable, where: str = "spec") -> ThreeMa
         path = f"{where}.knots[{i}]"
         try:
             table = table.with_records((record_from_dict(entry, path),))
-        except SpecFileError:  # its message already carries the field path
+        except (SpecFileError, ParseError):  # its message already carries the field path
             raise
         except StructuralError as exc:  # a knot that fails registration, or clashes with one in the table
             raise type(exc)(f"{path}: {exc}") from None
@@ -267,24 +267,27 @@ def _cmd_obstruct(args) -> _Output:
 
 def _cmd_search(args) -> _Output:
     manifold = load_spec(args.spec)
-    decoded, rows = _sweep(manifold, args.box)
-    basis, n = manifold.basis, len(manifold.sw3)
-    units = [_units(terms) for _, terms in rows]  # rows come from the sweep's codes, decoded only when printed
-    all_obstructed = not any(units)
-    note = stabilization_note(manifold, args.box)
+    decoded, width, colliders, rows = _sweep(manifold, args.box)  # one colliding_classes, for rows and note
+    basis, n, half = manifold.basis, len(manifold.sw3), width // 2
+    all_obstructed = all(obstructed for _, _, obstructed in rows)
+    note = _note(manifold, args.box, colliders)
     body = [f"all_obstructed = {_bool(all_obstructed)} ({len(rows)} entries)"] + note.splitlines()
 
     def chi_texts():  # each class's EulerClass.text, from one memo of signed pieces per coordinate
         columns = [_Memo(functools.partial(_signed, name)) for name in basis.names[::-1]]
-        return (_joined([column[c] for column, c in zip(columns, chi[::-1]) if c]) for chi, _ in rows)
+        return (_joined([column[c] for column, c in zip(columns, chi[::-1]) if c]) for chi, _, _ in rows)
 
-    def header():  # a digest's pieces by (code, coefficient), from one memo of each code's monomial
+    def header():  # a digest's pieces by key, from one memo of each code's monomial
         monomials = _Memo(lambda code: _monomial(basis, decoded[code]))
-        pieces = _Memo(lambda term: _signed(monomials[term[0]], term[1]))
+
+        def piece(key):  # _split inlined: a call per piece is a measurable share of a small search
+            code, digit = divmod(key + half, width)
+            return _signed(monomials[code], digit - half)
+        pieces = _Memo(piece)
         return [f"manifold = {manifold.name}, box = {args.box}"] + [
-            f"chi = {chi} | obstructed = {_bool(not u)} | "
-            f"injective = {_bool(len(terms) == n)} | sw4 = {_render(basis, terms, pieces)}"
-            for chi, (_, terms), u in zip(chi_texts(), rows, units)
+            f"chi = {chi} | obstructed = {_bool(obstructed)} | "
+            f"injective = {_bool(len(keys) == n)} | sw4 = {_render(basis, keys, pieces)}"
+            for chi, (_, keys, obstructed) in zip(chi_texts(), rows)
         ]
 
     return header, body, lambda: {
@@ -293,8 +296,9 @@ def _cmd_search(args) -> _Output:
         "box": args.box,
         "all_obstructed": all_obstructed,
         "count": len(rows),
-        "entries": [{"chi": chi, "obstructed": not u, "unit_classes": [list(decoded[code]) for code in u],
-                     "injective": len(terms) == n} for chi, (_, terms), u in zip(chi_texts(), rows, units)],
+        "entries": [{"chi": chi, "obstructed": obstructed, "unit_classes": [] if obstructed else
+                     [list(decoded[code]) for code in _units(_split(key, width) for key in keys)],
+                     "injective": len(keys) == n} for chi, (_, keys, obstructed) in zip(chi_texts(), rows)],
         "stabilization": note,
     }
 

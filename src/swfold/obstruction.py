@@ -9,14 +9,16 @@ class in a box (one per antipodal pair) in packed form: every exponent
 is one integer, a fold is one integer shift per term that moves in the
 class's (pivot, modulus) group, and the record checks run once per
 group; a box over ``MAX_TERM_FOLDS`` is refused before any work.  It
-gives each class's vector and sorted (code, coefficient) terms, with
-one :class:`~swfold.laurent._Memo` that decodes each distinct code once
-per search, and ``search`` on the command line prints its rows from the
-codes.  :func:`~swfold.fold.fold` by each class is the reference the
-sweep is tested against, entry for entry.  :func:`colliding_classes`
-lists exactly the classes whose folds merge terms, so every class
-outside that set keeps the unfolded verdict; it works per divisor of a
-column difference on a product support, else per pair difference.
+gives each class's vector, verdict and folded terms as sorted int keys
+(code and coefficient in one integer, read back by ``_split``), and
+``search`` on the command line prints its rows from the keys.
+:func:`~swfold.fold.fold` by each class is the reference the sweep is
+tested against, entry for entry.  :func:`colliding_classes` lists
+exactly the classes whose folds merge terms, so every class outside
+that set keeps sw3's coefficients and verdict; the sweep finds them
+once, for its rows and for the note, and shifts the other classes' keys
+with no accumulation.  It works per divisor of a column difference on a
+product support, else per pair difference.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import chain, combinations, islice, product
 from math import gcd, isqrt, prod
 
 from .errors import DomainError, _count
-from .fold import fold
+from .fold import _units, fold
 from .laurent import _Memo, _accumulate, _digits, _pack, _positive, _require_terms, _unpack, _vector
 from .manifolds import ThreeManifold, require_b_plus
 
@@ -38,20 +40,28 @@ MAX_TERM_FOLDS = 10**7
 MAX_TRIAL_DIVISIONS = 10**7
 
 
-def _sweep(manifold: ThreeManifold, box: int) -> tuple[_Memo, list[tuple[tuple[int, ...], list[tuple[int, int]]]]]:
-    """The memo that decodes a code, and each Euler class in the box (one per antipodal pair) in
-    chi order, with its folded terms as sorted (code, coefficient) pairs.
+def _sweep(manifold: ThreeManifold, box: int) -> tuple[_Memo, int, tuple[tuple[int, ...], ...],
+                                                      list[tuple[tuple[int, ...], list[int], bool]]]:
+    """The memo that decodes a code, the key width W, the colliding classes, and each Euler class in
+    the box (one per antipodal pair) in chi order, with its folded terms as sorted keys and its verdict.
 
-    Over ``MAX_TERM_FOLDS`` classes times sw3 terms raise :class:`DomainError` before any work.
-    Classes come normalized, in lexicographic order: pivot p from the last coordinate down,
-    modulus m in 1..B, then ``(0,)*p + (m, *rest)`` for every ``rest`` in [-B, B].  Each sw3
-    exponent is packed once into a balanced base-R integer, R wide enough for every canonical
-    representative in the box, so a term folds by one shift, ``code - (e_p // m) * pack(chi)``.
-    In a (p, m) group each multiplier is fixed: the terms where it is 0 form one code dict, which
-    each class copies before ``_accumulate`` adds the moving terms' shifts.  Sorting codes sorts
-    terms.  The record checks run once per pivot or group: each rest goes through ``_vector``
-    once, and a term's pivot coordinate is the same in every class of its group, so
-    ``_require_terms`` checks the group's fold by ``(0,)*p + (m,) + (0,)*(r-1-p)``.
+    Over ``MAX_TERM_FOLDS`` classes times sw3 terms raise :class:`DomainError` before any work;
+    then ``require_b_plus`` runs, and :func:`colliding_classes` once.  Classes come normalized, in
+    lexicographic order: pivot p from the last coordinate down, modulus m in 1..B, then
+    ``(0,)*p + (m, *rest)`` for every ``rest`` in [-B, B].  Each sw3 exponent is packed once into
+    a balanced base-R integer, R wide enough for every canonical representative in the box, so a
+    term folds by one shift, ``code - (e_p // m) * pack(chi)``; the memo decodes each distinct code
+    once per search.  A term is one int, its key ``code * W + coefficient``: no merged coefficient
+    passes sw3's L1 norm S, so with W = 2S + 1 the coefficient is one more balanced digit, which
+    ``_split`` reads back, and sorting keys sorts terms by code.  In a (p, m) group each multiplier
+    is fixed, and the terms where it is 0 stay put.  A class outside the colliding ones merges
+    nothing: its row is those fixed keys plus each moving key shifted by ``k * W * pack(chi)``,
+    sorted as ints, and its verdict is sw3's own.  A collider copies the group's fixed dict, keyed
+    by code times W, ``_accumulate`` adds the moving terms' shifts, its keys are those plus each
+    coefficient, and its verdict is ``_units`` of the folded terms.  The record checks run once per
+    pivot or group: each rest goes through ``_vector`` once, and a term's pivot coordinate is the
+    same in every class of its group, so ``_require_terms`` checks the group's fold by
+    ``(0,)*p + (m,) + (0,)*(r-1-p)``.
     """
     _positive(box, "search box")
     basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
@@ -61,10 +71,13 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[_Memo, list[tuple[tuple[i
         raise DomainError(f"search box {_count(box)} holds {_count(classes)} Euler classes of {len(sw3)} terms "
                           f"each: {_count(folds)} term folds, over the limit of {MAX_TERM_FOLDS}")
     require_b_plus(manifold)
+    colliders = colliding_classes(manifold)
+    colliding, obstructed = set(colliders), not _units(sw3.items())  # an injective fold keeps sw3's verdict
     # |e - k*chi| <= s + s*box for coordinates |e| <= s, since |k| = |e_p // m| <= s
     s = max((abs(e) for exp in sw3 for e in exp), default=0)
-    base = 2 * s * (box + 1) + 1
+    base, width = 2 * s * (box + 1) + 1, 2 * sum(map(abs, sw3.values())) + 1
     codes = [_pack(exp, base) for exp in sw3]
+    scaled = [code * width for code in codes]  # a term's key less its coefficient
     decoded, rows = _Memo(lambda code: _unpack(code, base, rank), zip(codes, sw3)), []
     for pivot in reversed(range(rank)):
         # _pack is linear: a class's code is its modulus's code plus its rest's, packed once per pivot
@@ -78,13 +91,27 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[_Memo, list[tuple[tuple[i
             head, offset = zeros + (modulus,), modulus * scale
             _require_terms([(decoded[code - k * offset], c) for code, k, c in zip(codes, ks, sw3.values())],
                            rank, pivot, modulus)
-            fixed = {code: coeff for code, k, coeff in zip(codes, ks, sw3.values()) if not k}
-            moving = [(code, k, coeff) for code, k, coeff in zip(codes, ks, sw3.values()) if k]
+            fixed = {sc: coeff for sc, k, coeff in zip(scaled, ks, sw3.values()) if not k}
+            moving = [(sc, k * width, coeff) for sc, k, coeff in zip(scaled, ks, sw3.values()) if k]
+            fixed_keys = [sc + coeff for sc, coeff in fixed.items()]
+            moving_keys = [(sc + coeff, kw) for sc, kw, coeff in moving]
             for rest, rest_code in rests:
-                step = offset + rest_code
-                folded = _accumulate(fixed.copy(), [(code - k * step, coeff) for code, k, coeff in moving])
-                rows.append((head + rest, sorted(folded.items())))
-    return decoded, rows
+                chi, step = head + rest, offset + rest_code
+                if chi in colliding:
+                    folded = _accumulate(fixed.copy(), [(sc - kw * step, coeff) for sc, kw, coeff in moving])
+                    row = sorted([sc + coeff for sc, coeff in folded.items()])
+                    rows.append((chi, row, not _units(folded.items())))
+                else:
+                    row = fixed_keys + [key - kw * step for key, kw in moving_keys]
+                    row.sort()
+                    rows.append((chi, row, obstructed))
+    return decoded, width, colliders, rows
+
+
+def _split(key: int, width: int) -> tuple[int, int]:
+    """A sweep key's code and coefficient: the balanced base-W digits of ``code * W + coefficient``."""
+    code, digit = divmod(key + width // 2, width)
+    return code, digit - width // 2
 
 
 def _divisors(numbers) -> dict[int, list[int]]:
@@ -139,6 +166,11 @@ def stabilization_note(manifold: ThreeManifold, box: int = 5) -> str:
     verdict equals the unfolded one, read off the fold by the zero class.
     """
     _positive(box, "search box")
+    return _note(manifold, box, colliding_classes(manifold))
+
+
+def _note(manifold: ThreeManifold, box: int, colliders: tuple[tuple[int, ...], ...]) -> str:
+    """The body of :func:`stabilization_note`, given the manifold's colliding classes."""
     unfolded = fold(manifold, manifold.basis.origin)
     terms = unfolded.terms
     lines = [f"manifold {manifold.name}"]
@@ -154,7 +186,6 @@ def stabilization_note(manifold: ThreeManifold, box: int = 5) -> str:
                else "unit coefficients present; injective folds are not obstructed")
     lines.append(f"unfolded coefficients {multiset}: {verdict}")
 
-    colliders = colliding_classes(manifold)
     extents = [max(map(abs, chi)) for chi in colliders]
     largest, missed = max(extents), sum(extent > box for extent in extents)
     lines.append(

@@ -197,6 +197,8 @@ class TestTextOutputs:
                 monkeypatch.setattr(module, "_render", counting)
         run(["search", FIVE2_PAIR, "--box", "2", *flags])
         assert len(calls) == renders
+        # each digest renders a row of the sweep as it stands: a sorted list of plain int keys
+        assert all(type(row) is list and row == sorted(row) and all(type(key) is int for key in row) for row in calls)
 
     def test_knot_list(self):
         record = run(["knot", "list"])
@@ -450,7 +452,7 @@ class TestMalformedInputs:
         path = tmp_path / "k.json"
         path.write_text(json.dumps({"name": "k", "fibered": False, "alexander": "t^\u00b2"}))
         assert main(["knot", "register", str(path)]) == 2
-        self.assert_one_error_line(capsys, "error[parse]: unexpected character")
+        self.assert_one_error_line(capsys, f"error[parse]: {path}.alexander: unexpected character")
 
     @pytest.fixture(params=["not-utf8", "deep"])
     def unreadable(self, request, tmp_path):
@@ -538,16 +540,32 @@ class TestMalformedInputs:
         self.assert_one_error_line(capsys, "error[domain]: result too large to print")
 
     @pytest.mark.parametrize("mode", [[], ["--json"], ["--quiet"]], ids=["text", "json", "quiet"])
-    def test_search_whose_colliders_need_too_many_trial_divisions(self, capsys, tmp_path, mode):
+    def test_search_whose_colliders_need_too_many_trial_divisions(self, capsys, monkeypatch, tmp_path, mode):
         """A unit at an exponent of 4301 digits: factoring its support differences would take about
-        10^2151 trial divisions, so search refuses before the first one, at once."""
+        10^2151 trial divisions, so search refuses before the first one, at once, and before any row."""
         nines = "9" * 4300
         knot = {"name": "k", "fibered": True, "alexander": f"t^{nines}*t^{nines} - 1 + t^-{nines}*t^-{nines}"}
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"base": "t3", "knots": [knot], "sums": [{"knot": "k", "meridian": "m1"}]}))
+        obstruction = sys.modules["swfold.obstruction"]
+        for name in ("_vector", "_require_terms"):  # the per-pivot and per-group checks that come before any row
+            monkeypatch.setattr(obstruction, name, lambda *args: pytest.fail("a row was started"))
         start = time.perf_counter()
         assert main(["search", str(path), "--box", "1", *mode]) == 1
         assert time.perf_counter() - start < 1
+        self.assert_one_error_line(capsys, "error[domain]: finding the colliding Euler classes takes about 10^2151 "
+                                           "trial divisions of 2 support differences, over the limit of 10000000")
+
+    def test_search_over_both_limits_reports_the_trial_divisions(self, capsys, tmp_path):
+        """Coefficients of 4400 digits and exponents of 4301: the colliders, found before any row is built,
+        refuse first, ahead of the note's coefficient multiset that could not print."""
+        nines = "9" * 4300
+        knot = {"name": "k", "fibered": False,
+                "alexander": f"{N_2200}*t^{nines}*t^{nines} - {2 * N_2200 - 1} + {N_2200}*t^-{nines}*t^-{nines}"}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"base": "t3", "knots": [knot],
+                                    "sums": [{"knot": "k", "meridian": m} for m in ("m1", "m2")]}))
+        assert main(["search", str(path), "--box", "1"]) == 1
         self.assert_one_error_line(capsys, "error[domain]: finding the colliding Euler classes takes about 10^2151 "
                                            "trial divisions of 2 support differences, over the limit of 10000000")
 
@@ -612,7 +630,7 @@ class TestMalformedInputs:
         ({"base": "t3", "knots": [{"name": "x", "fibered": False, "seifert": [[1, 0], [0, 1]]}]},
          "error[seifert]: {spec}.knots[0]: not a knot Seifert matrix: det(V - V^T) = 0, expected +-1\n"),
         ({"base": "t3", "knots": [{"name": "y", "fibered": False, "alexander": "t + x"}]},
-         "error[name]: {spec}.knots[0]: unknown variable 'x'; basis is (t) (at position 4)\n"),
+         "error[name]: {spec}.knots[0].alexander: unknown variable 'x'; basis is (t) (at position 4)\n"),
         # a schema error already names its field, so it passes through unchanged
         ({"base": "t3", "knots": [{"name": "z", "fibered": 1, "alexander": "t - 1 + t^-1"}]},
          "error[spec]: {spec}.knots[0].fibered: expected true or false\n"),
@@ -622,6 +640,24 @@ class TestMalformedInputs:
         spec.write_text(json.dumps(data))
         assert main(["sw3", str(spec)]) == 2
         assert capsys.readouterr() == ("", line.format(spec=spec))
+
+    def test_bad_alexander_text_names_its_field_in_both_knot_routes(self, capsys, tmp_path):
+        """A knot file and a spec's inline knot name the ``alexander`` field once, and the error keeps
+        its class, its exit code and its position within the field's text."""
+        knot = {"name": "y", "fibered": False, "alexander": "t + x"}
+        path, spec = tmp_path / "k.json", tmp_path / "spec.json"
+        path.write_text(json.dumps(knot))
+        spec.write_text(json.dumps({"base": "t3", "knots": [knot]}))
+        message = "{where}.alexander: unknown variable 'x'; basis is (t) (at position 4)"
+        assert main(["knot", "register", str(path)]) == 2
+        self.assert_one_error_line(capsys, "error[name]: " + message.format(where=path) + "\n")
+        assert main(["sw3", str(spec)]) == 2
+        self.assert_one_error_line(capsys, "error[name]: " + message.format(where=f"{spec}.knots[0]") + "\n")
+        for call, where in ((lambda: load_spec(str(spec)), f"{spec}.knots[0]"),
+                            (lambda: build_manifold({"base": "t3", "knots": [knot]}, BUILTIN_KNOTS), "spec.knots[0]")):
+            with pytest.raises(UnknownVariableError) as err:
+                call()
+            assert (str(err.value), err.value.position) == (message.format(where=where), 4)
 
     def test_unknown_registration_field(self, capsys, tmp_path):
         path = tmp_path / "k.json"

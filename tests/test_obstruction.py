@@ -18,9 +18,9 @@ from swfold import cli
 from swfold.cli import OutputRecord, emit, run
 from swfold.errors import DomainError, HypothesisError, StructuralError
 from swfold.fold import EulerClass, FoldedSW, QuotientLattice, canonical_rep, fold
-from swfold.laurent import Basis, LaurentPoly, _render, _require_terms, to_text
+from swfold.laurent import Basis, LaurentPoly, _render, _require_terms, from_text, to_text
 from swfold.manifolds import T3_BASIS, ThreeManifold, fiber_sum, surface_times_circle, three_torus
-from swfold.obstruction import _sweep, colliding_classes, stabilization_note
+from swfold.obstruction import _split, _sweep, colliding_classes, stabilization_note
 
 from conftest import coefficients, fold_bruteforce, random_basis, random_poly
 from test_fold import random_chi, random_manifold
@@ -105,9 +105,17 @@ def box_folds(m: ThreeManifold, box: int) -> list[FoldedSW]:
 
 
 def sweep_terms(m: ThreeManifold, box: int) -> list[tuple[tuple[int, ...], tuple]]:
-    """``_sweep``'s rows with their codes decoded: each class vector and its sorted folded terms."""
-    decoded, rows = _sweep(m, box)
-    return [(chi, tuple([(decoded[code], c) for code, c in terms])) for chi, terms in rows]
+    """``_sweep``'s rows with their keys decoded: each class vector and its sorted folded terms.
+
+    Each row must be a sorted list of plain ints, and its verdict the absence of a unit coefficient."""
+    decoded, width, _, rows = _sweep(m, box)
+    decoded_rows = []
+    for chi, keys, obstructed in rows:
+        assert type(keys) is list and all(type(key) is int for key in keys) and keys == sorted(keys)
+        terms = tuple([(decoded[code], coeff) for code, coeff in (_split(key, width) for key in keys)])
+        assert obstructed == (not any(c in (1, -1) for _, c in terms))
+        decoded_rows.append((chi, terms))
+    return decoded_rows
 
 
 def search_reference(m: ThreeManifold, box: int, *flags: str) -> bytes:
@@ -235,25 +243,47 @@ class TestSweep:
 
     def test_row_count_formula(self, fig8_pair):
         for box in (1, 2):
-            assert len(_sweep(fig8_pair, box)[1]) == ((2 * box + 1) ** 3 - 1) // 2
+            assert len(_sweep(fig8_pair, box)[3]) == ((2 * box + 1) ** 3 - 1) // 2
         for box in range(1, 5):
             for rank in (1, 2, 3):
                 assert len(half_box(rank, box)) == ((2 * box + 1) ** rank - 1) // 2
 
     def test_rows_sorted_and_deterministic(self, five2_pair):
-        assert _sweep(five2_pair, 2)[1] == _sweep(five2_pair, 2)[1]
+        assert _sweep(five2_pair, 2)[3] == _sweep(five2_pair, 2)[3]
         rank2 = random_manifold(random.Random(97), Basis(("x1", "x2")))
         for m in (surface_times_circle(2), rank2, five2_pair):
             for box in range(1, 5):
-                vectors = [chi for chi, _ in _sweep(m, box)[1]]
+                vectors = [chi for chi, _, _ in _sweep(m, box)[3]]
                 assert vectors == half_box(m.basis.rank, box) == sorted(vectors), (m.basis.rank, box)
 
+    @staticmethod
+    def assert_rows_split_at_the_colliders(m, box):
+        """Each row equals its class's fold; a class outside ``colliding_classes`` keeps every sw3 term,
+        and a collider keeps fewer, so the sweep's two row paths split exactly where merging can happen."""
+        colliders = set(colliding_classes(m))
+        for (chi, terms), folded in zip(sweep_terms(m, box), box_folds(m, box), strict=True):
+            assert chi == folded.chi.chi and terms == folded.terms
+            assert (len(terms) == len(m.sw3)) == folded.injective
+            assert any(c in (1, -1) for _, c in terms) == (not folded.obstructed)
+            assert len(terms) < len(m.sw3) if chi in colliders else len(terms) == len(m.sw3)
+
     def test_demo_pairs_at_box_8_equal_the_folds(self, fig8_pair, five2_pair):
-        for m in (fig8_pair, five2_pair):
-            for (chi, terms), folded in zip(sweep_terms(m, 8), box_folds(m, 8), strict=True):
-                assert chi == folded.chi.chi and terms == folded.terms
-                assert (len(terms) == len(m.sw3)) == folded.injective
-                assert any(c in (1, -1) for _, c in terms) == (not folded.obstructed)
+        """Both demo pairs, and the trefoil demo, row for row."""
+        trefoil = fiber_sum(three_torus(), [(BUILTIN_KNOTS.lookup("3_1"), "m1")])
+        for m in (trefoil, fig8_pair, five2_pair):
+            self.assert_rows_split_at_the_colliders(m, 8)
+
+    @settings(max_examples=30)
+    @given(st.randoms(use_true_random=False).map(lambda rng: random_manifold(rng, random_basis(rng))),
+           st.integers(1, 3))
+    # the widest key digit: by t every term merges into one coefficient of sw3's L1 norm S, +S and -S
+    @example(ThreeManifold(None, Basis(("t",)), 3, from_text("t^-1 + 2 + t", Basis(("t",)))), 2)
+    @example(ThreeManifold(None, Basis(("t",)), 3, from_text("-t^-3 - 2*t^-1 - 2*t - t^3", Basis(("t",)))), 1)
+    # negative codes: by x2 and 2*x2 the terms of each x1 column merge, the x1^-1 column's below zero
+    @example(ThreeManifold(None, Basis(("x1", "x2")), 3,
+                           from_text("x1^-1*x2^-1 + 3*x1^-1*x2 + 3*x1*x2^-1 + x1*x2", Basis(("x1", "x2")))), 2)
+    def test_rows_split_at_the_colliders(self, m, box):
+        self.assert_rows_split_at_the_colliders(m, box)
 
     def test_random_rows_agree_with_definitions(self):
         rng = random.Random(89)
@@ -330,7 +360,7 @@ class TestSweep:
         unpack = sys.modules["swfold.obstruction"]._unpack
         monkeypatch.setattr(sys.modules["swfold.obstruction"], "_unpack",
                             lambda code, base, rank: tuple(e + 100 for e in unpack(code, base, rank)))
-        assert len(_sweep(fig8_pair, 2)[1]) == 62  # every code these groups check is an sw3 exponent
+        assert len(_sweep(fig8_pair, 2)[3]) == 62  # every code these groups check is an sw3 exponent
         with pytest.raises(StructuralError, match=r"^exponent \(98, 101, 100\) is not a canonical representative "
                                                   r"\(pivot 1, modulus 3\)$"):
             _sweep(fig8_pair, 3)
@@ -377,7 +407,7 @@ class TestSweep:
                 _sweep(m, box)
             assert time.perf_counter() - start < 1
         monkeypatch.setattr(sys.modules["swfold.obstruction"], "MAX_TERM_FOLDS", 62 * 9)
-        assert len(_sweep(fig8_pair, 2)[1]) == 62  # the limit itself is allowed
+        assert len(_sweep(fig8_pair, 2)[3]) == 62  # the limit itself is allowed
         monkeypatch.setattr(sys.modules["swfold.obstruction"], "MAX_TERM_FOLDS", 62 * 9 - 1)
         with pytest.raises(DomainError, match="558 term folds, over the limit of 557"):
             _sweep(fig8_pair, 2)
@@ -416,6 +446,16 @@ class TestSweep:
         pretend = ThreeManifold(s.genus, s.basis, 2, s.sw3)
         with pytest.raises(HypothesisError):
             _sweep(pretend, 2)
+
+    @pytest.mark.parametrize("flags", [(), ("--json",), ("--quiet",)], ids=["text", "json", "quiet"])
+    def test_search_finds_the_colliders_once(self, monkeypatch, five2_pair, flags):
+        """The sweep's colliders split its rows and feed the note: one ``colliding_classes`` per search."""
+        calls, module = [], sys.modules["swfold.obstruction"]
+        find = module.colliding_classes
+        monkeypatch.setattr(module, "colliding_classes", lambda m: calls.append(m) or find(m))
+        out = search_output(five2_pair, 2, *flags)
+        assert calls == [five2_pair]
+        assert out == search_reference(five2_pair, 2, *flags)
 
 
 class TestCollidingClasses:
