@@ -25,7 +25,7 @@ from collections.abc import Callable
 from .alexander import BUILTIN_KNOTS, KnotTable, _unknown_field, load_knot_file, read_json, record_from_dict
 from .errors import DomainError, ParseError, SpecFileError, StructuralError, SwfoldError, UnknownVariableError
 from .fold import _units, circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
-from .laurent import _digits, _joined, _Memo, _monomial, _Record, _render, _set, _signed
+from .laurent import _code_monomials, _digits, _joined, _Memo, _Record, _render, _set, _signed
 from .manifolds import ThreeManifold, fiber_sum, surface_times_circle, three_torus
 from .obstruction import _note, _split, _sweep
 
@@ -267,7 +267,7 @@ def _cmd_obstruct(args) -> _Output:
 
 def _cmd_search(args) -> _Output:
     manifold = load_spec(args.spec)
-    decoded, width, colliders, rows = _sweep(manifold, args.box)  # one colliding_classes, for rows and note
+    decoded, width, colliders, rows, base = _sweep(manifold, args.box)  # one colliding_classes, for rows and note
     basis, n, half = manifold.basis, len(manifold.sw3), width // 2
     all_obstructed = all(obstructed for _, _, obstructed in rows)
     note = _note(manifold, args.box, colliders)
@@ -278,7 +278,7 @@ def _cmd_search(args) -> _Output:
         return (_joined([column[c] for column, c in zip(columns, chi[::-1]) if c]) for chi, _, _ in rows)
 
     def header():  # a digest's pieces by key, from one memo of each code's monomial
-        monomials = _Memo(lambda code: _monomial(basis, decoded[code]))
+        monomials = _code_monomials(basis, base)
 
         def piece(key):  # _split inlined: a call per piece is a measurable share of a small search
             code, digit = divmod(key + half, width)

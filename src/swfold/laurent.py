@@ -427,6 +427,27 @@ class _Memo(dict):
         return value
 
 
+def _code_monomials(basis: Basis, base: int) -> _Memo:
+    """The ``_monomial`` of each code ``_pack`` makes with ``base``, for a caller that prints many codes.
+
+    A new code's text is the ``*`` join of the ``_monomial`` of each nonzero coordinate on its own,
+    kept in one memo per coordinate; its digits come out as ``_balanced_digits`` gives them, last
+    coordinate first, with that loop inlined: decoding is most of the cost of a code's first text.
+    """
+    rank, low = basis.rank, base // 2
+    factors = [_Memo(lambda e, i=i: _monomial(basis, (0,) * i + (e,) + (0,) * (rank - 1 - i)))
+               for i in reversed(range(rank))]
+
+    def monomial(code: int) -> str:
+        texts = []
+        for column in factors:
+            code, digit = divmod(code + low, base)
+            if digit != low:
+                texts.append(column[digit - low])
+        return "*".join(reversed(texts))
+    return _Memo(monomial)
+
+
 def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]], memo: _Memo | None = None) -> str:
     """The one renderer: text form of terms already in canonical order, the ``_joined`` of each
     term's ``_piece``.  A caller that renders many polynomials over one basis passes one piece

@@ -41,9 +41,10 @@ MAX_TRIAL_DIVISIONS = 10**7
 
 
 def _sweep(manifold: ThreeManifold, box: int) -> tuple[_Memo, int, tuple[tuple[int, ...], ...],
-                                                      list[tuple[tuple[int, ...], list[int], bool]]]:
-    """The memo that decodes a code, the key width W, the colliding classes, and each Euler class in
-    the box (one per antipodal pair) in chi order, with its folded terms as sorted keys and its verdict.
+                                                      list[tuple[tuple[int, ...], list[int], bool]], int]:
+    """The memo that decodes a code, the key width W, the colliding classes, each Euler class in the
+    box (one per antipodal pair) in chi order, with its folded terms as sorted keys and its verdict,
+    and the packing base R.
 
     Over ``MAX_TERM_FOLDS`` classes times sw3 terms raise :class:`DomainError` before any work;
     then ``require_b_plus`` runs, and :func:`colliding_classes` once.  Classes come normalized, in
@@ -92,20 +93,21 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[_Memo, int, tuple[tuple[i
             _require_terms([(decoded[code - k * offset], c) for code, k, c in zip(codes, ks, sw3.values())],
                            rank, pivot, modulus)
             fixed = {sc: coeff for sc, k, coeff in zip(scaled, ks, sw3.values()) if not k}
-            moving = [(sc, k * width, coeff) for sc, k, coeff in zip(scaled, ks, sw3.values()) if k]
+            shifts = [(sc, k * width) for sc, k in zip(scaled, ks) if k]
+            coeffs = [coeff for k, coeff in zip(ks, sw3.values()) if k]
             fixed_keys = [sc + coeff for sc, coeff in fixed.items()]
-            moving_keys = [(sc + coeff, kw) for sc, kw, coeff in moving]
+            moving_keys = [(sc + coeff, kw) for (sc, kw), coeff in zip(shifts, coeffs)]
             for rest, rest_code in rests:
                 chi, step = head + rest, offset + rest_code
-                if chi in colliding:
-                    folded = _accumulate(fixed.copy(), [(sc - kw * step, coeff) for sc, kw, coeff in moving])
+                if chi in colliding:  # zip hands _accumulate its pairs without a tuple per term
+                    folded = _accumulate(fixed.copy(), zip([sc - kw * step for sc, kw in shifts], coeffs))
                     row = sorted([sc + coeff for sc, coeff in folded.items()])
                     rows.append((chi, row, not _units(folded.items())))
                 else:
                     row = fixed_keys + [key - kw * step for key, kw in moving_keys]
                     row.sort()
                     rows.append((chi, row, obstructed))
-    return decoded, width, colliders, rows
+    return decoded, width, colliders, rows, base
 
 
 def _split(key: int, width: int) -> tuple[int, int]:

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from swfold.errors import DomainError, ParseError, StructuralError, UnknownVariableError
 from swfold.fold import EulerClass, QuotientLattice, fold_poly
-from swfold.laurent import Basis, LaurentPoly, _balanced_digits, _Memo, _piece, _render, from_text, to_text
+from swfold.laurent import (Basis, LaurentPoly, _balanced_digits, _code_monomials, _Memo, _monomial, _pack,
+                            _piece, _render, _unpack, from_text, to_text)
 
 from conftest import coefficients, monomial, random_basis, random_poly
 
@@ -495,6 +496,24 @@ class TestBalancedDigits:
         base, digits = drawn
         value = sum(d * base**i for i, d in enumerate(digits))
         assert _balanced_digits(value, base, len(digits)) == digits
+
+    @pytest.mark.parametrize("base", [1, 3, 7, 11])
+    def test_code_monomials_read_every_code_as_unpack_does(self, base):
+        """Each code's text, joined from one memo per coordinate, is the ``_monomial`` of its exponent."""
+        low = -(base // 2)
+        for rank in (1, 2, 3):
+            basis = Basis(tuple(f"x{i}" for i in range(1, rank + 1)))
+            memo = _code_monomials(basis, base)
+            for exp in product(range(low, low + base), repeat=rank):
+                code = _pack(exp, base)
+                assert memo[code] == _monomial(basis, exp) == _monomial(basis, _unpack(code, base, rank))
+
+    @given(st.integers(1, 10**13).flatmap(lambda base: st.tuples(
+        st.just(base), st.lists(st.integers(-(base // 2), (base - 1) // 2), min_size=1, max_size=4))))
+    def test_code_monomials_at_large_bases(self, drawn):
+        base, exp = drawn
+        basis = Basis(tuple(f"x{i}" for i in range(1, len(exp) + 1)))
+        assert _code_monomials(basis, base)[_pack(exp, base)] == _monomial(basis, exp)
 
 
 class TestInvariants:

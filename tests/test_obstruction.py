@@ -108,7 +108,7 @@ def sweep_terms(m: ThreeManifold, box: int) -> list[tuple[tuple[int, ...], tuple
     """``_sweep``'s rows with their keys decoded: each class vector and its sorted folded terms.
 
     Each row must be a sorted list of plain ints, and its verdict the absence of a unit coefficient."""
-    decoded, width, _, rows = _sweep(m, box)
+    decoded, width, _, rows, _ = _sweep(m, box)
     decoded_rows = []
     for chi, keys, obstructed in rows:
         assert type(keys) is list and all(type(key) is int for key in keys) and keys == sorted(keys)
