@@ -277,11 +277,20 @@ def read_json(path: str, what: str = ""):
                             "digits, Python's limit for converting text to int") from None
 
 
+def _listed_record(entry, path: str) -> KnotRecord:
+    """The record of the entry at ``path`` of a list of knots: a registration failure is prefixed by
+    ``path``, and schema and parse errors carry their field path already."""
+    try:
+        return record_from_dict(entry, path)
+    except (SpecFileError, ParseError):
+        raise
+    except StructuralError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def load_knot_file(path: str) -> list[KnotRecord]:
-    """Read a registration file (one object or a list of objects) into records."""
+    """Read a registration file (one object or a list of objects) into records, in file order."""
     data = read_json(path, "knot file ")
-    entries = data if isinstance(data, list) else [data]
-    return [
-        record_from_dict(entry, f"{path}[{i}]" if isinstance(data, list) else path)
-        for i, entry in enumerate(entries)
-    ]
+    if not isinstance(data, list):
+        return [record_from_dict(data, path)]
+    return [_listed_record(entry, f"{path}[{i}]") for i, entry in enumerate(data)]

@@ -22,12 +22,12 @@ import os
 import sys
 from collections.abc import Callable
 
-from .alexander import BUILTIN_KNOTS, KnotTable, _unknown_field, load_knot_file, read_json, record_from_dict
-from .errors import DomainError, ParseError, SpecFileError, StructuralError, SwfoldError, UnknownVariableError
+from .alexander import BUILTIN_KNOTS, KnotTable, _listed_record, _unknown_field, load_knot_file, read_json
+from .errors import DomainError, SpecFileError, StructuralError, SwfoldError, UnknownVariableError
 from .fold import _units, circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
-from .laurent import _code_monomials, _digits, _joined, _Memo, _Record, _render, _set, _signed
+from .laurent import _digits, _joined, _Memo, _Record, _set, _signed
 from .manifolds import ThreeManifold, fiber_sum, surface_times_circle, three_torus
-from .obstruction import _note, _split, _sweep
+from .obstruction import _note, _sweep
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "schemas")
 
@@ -84,11 +84,10 @@ def build_manifold(data: dict, table: KnotTable, where: str = "spec") -> ThreeMa
         raise SpecFileError(f"{where}.knots: expected a list")
     for i, entry in enumerate(knots):  # one at a time, so the first bad entry in spec order is the one reported
         path = f"{where}.knots[{i}]"
+        record = _listed_record(entry, path)
         try:
-            table = table.with_records((record_from_dict(entry, path),))
-        except (SpecFileError, ParseError):  # its message already carries the field path
-            raise
-        except StructuralError as exc:  # a knot that fails registration, or clashes with one in the table
+            table = table.with_records((record,))
+        except StructuralError as exc:  # a clash with a knot in the table
             raise type(exc)(f"{path}: {exc}") from None
 
     base = data["base"]
@@ -267,8 +266,8 @@ def _cmd_obstruct(args) -> _Output:
 
 def _cmd_search(args) -> _Output:
     manifold = load_spec(args.spec)
-    decoded, width, colliders, rows, base = _sweep(manifold, args.box)  # one colliding_classes, for rows and note
-    basis, n, half = manifold.basis, len(manifold.sw3), width // 2
+    colliders, rows, terms, pieces = _sweep(manifold, args.box)  # one colliding_classes, for rows and note
+    basis, n = manifold.basis, len(manifold.sw3)
     all_obstructed = all(obstructed for _, _, obstructed in rows)
     note = _note(manifold, args.box, colliders)
     body = [f"all_obstructed = {_bool(all_obstructed)} ({len(rows)} entries)"] + note.splitlines()
@@ -277,19 +276,11 @@ def _cmd_search(args) -> _Output:
         columns = [_Memo(functools.partial(_signed, name)) for name in basis.names[::-1]]
         return (_joined([column[c] for column, c in zip(columns, chi[::-1]) if c]) for chi, _, _ in rows)
 
-    def header():  # a digest's pieces by key, from one memo of each code's monomial
-        monomials = _code_monomials(basis, base)
-
-        def piece(key):  # _split inlined: a call per piece is a measurable share of a small search
-            code, digit = divmod(key + half, width)
-            return _signed(monomials[code], digit - half)
-        pieces = _Memo(piece)
-        return [f"manifold = {manifold.name}, box = {args.box}"] + [
-            f"chi = {chi} | obstructed = {_bool(obstructed)} | "
-            f"injective = {_bool(len(keys) == n)} | sw4 = {_render(basis, keys, pieces)}"
-            for chi, (_, keys, obstructed) in zip(chi_texts(), rows)
-        ]
-
+    header = lambda: [f"manifold = {manifold.name}, box = {args.box}"] + [
+        f"chi = {chi} | obstructed = {_bool(obstructed)} | "
+        f"injective = {_bool(len(keys) == n)} | sw4 = {_joined(map(pieces.__getitem__, keys))}"
+        for chi, (_, keys, obstructed) in zip(chi_texts(), rows)
+    ]
     return header, body, lambda: {
         "command": "search",
         "manifold": manifold.name,
@@ -297,7 +288,7 @@ def _cmd_search(args) -> _Output:
         "all_obstructed": all_obstructed,
         "count": len(rows),
         "entries": [{"chi": chi, "obstructed": obstructed, "unit_classes": [] if obstructed else
-                     [list(decoded[code]) for code in _units(_split(key, width) for key in keys)],
+                     [list(exp) for exp in _units(map(terms.__getitem__, keys))],
                      "injective": len(keys) == n} for chi, (_, keys, obstructed) in zip(chi_texts(), rows)],
         "stabilization": note,
     }

@@ -448,12 +448,10 @@ def _code_monomials(basis: Basis, base: int) -> _Memo:
     return _Memo(monomial)
 
 
-def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]], memo: _Memo | None = None) -> str:
+def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]]) -> str:
     """The one renderer: text form of terms already in canonical order, the ``_joined`` of each
-    term's ``_piece``.  A caller that renders many polynomials over one basis passes one piece
-    memo to all of them; a one-off text maps ``_piece`` directly.
-    """
-    return _joined(map(_piece, repeat(basis), terms) if memo is None else map(memo.__getitem__, terms))
+    term's ``_piece``."""
+    return _joined(map(_piece, repeat(basis), terms))
 
 
 def to_text(poly: LaurentPoly) -> str:

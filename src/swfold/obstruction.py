@@ -10,8 +10,8 @@ is one integer, a fold is one integer shift per term that moves in the
 class's (pivot, modulus) group, and the record checks run once per
 group; a box over ``MAX_TERM_FOLDS`` is refused before any work.  It
 gives each class's vector, verdict and folded terms as sorted int keys
-(code and coefficient in one integer, read back by ``_split``), and
-``search`` on the command line prints its rows from the keys.
+(code and coefficient in one integer) and two memos that read a key as
+a term or as its text, so ``search`` on the command line prints them.
 :func:`~swfold.fold.fold` by each class is the reference the sweep is
 tested against, entry for entry.  :func:`colliding_classes` lists
 exactly the classes whose folds merge terms, so every class outside
@@ -29,7 +29,8 @@ from math import gcd, isqrt, prod
 
 from .errors import DomainError, _count
 from .fold import _units, fold
-from .laurent import _Memo, _accumulate, _digits, _pack, _positive, _require_terms, _unpack, _vector
+from .laurent import (_Memo, _accumulate, _code_monomials, _digits, _pack, _positive, _require_terms, _signed,
+                      _unpack, _vector)
 from .manifolds import ThreeManifold, require_b_plus
 
 
@@ -40,21 +41,21 @@ MAX_TERM_FOLDS = 10**7
 MAX_TRIAL_DIVISIONS = 10**7
 
 
-def _sweep(manifold: ThreeManifold, box: int) -> tuple[_Memo, int, tuple[tuple[int, ...], ...],
-                                                      list[tuple[tuple[int, ...], list[int], bool]], int]:
-    """The memo that decodes a code, the key width W, the colliding classes, each Euler class in the
-    box (one per antipodal pair) in chi order, with its folded terms as sorted keys and its verdict,
-    and the packing base R.
+def _sweep(manifold: ThreeManifold, box: int) -> tuple[tuple[tuple[int, ...], ...],
+                                                      list[tuple[tuple[int, ...], list[int], bool]], _Memo, _Memo]:
+    """The colliding classes, each Euler class in the box (one per antipodal pair) in chi order with
+    its folded terms as sorted keys and its verdict, and two memos that read a key back: ``terms``
+    gives its (exponent, coefficient), ``pieces`` its signed piece text.
 
     Over ``MAX_TERM_FOLDS`` classes times sw3 terms raise :class:`DomainError` before any work;
     then ``require_b_plus`` runs, and :func:`colliding_classes` once.  Classes come normalized, in
     lexicographic order: pivot p from the last coordinate down, modulus m in 1..B, then
     ``(0,)*p + (m, *rest)`` for every ``rest`` in [-B, B].  Each sw3 exponent is packed once into
     a balanced base-R integer, R wide enough for every canonical representative in the box, so a
-    term folds by one shift, ``code - (e_p // m) * pack(chi)``; the memo decodes each distinct code
+    term folds by one shift, ``code - (e_p // m) * pack(chi)``; a memo decodes each distinct code
     once per search.  A term is one int, its key ``code * W + coefficient``: no merged coefficient
     passes sw3's L1 norm S, so with W = 2S + 1 the coefficient is one more balanced digit, which
-    ``_split`` reads back, and sorting keys sorts terms by code.  In a (p, m) group each multiplier
+    both memos read back, and sorting keys sorts terms by code.  In a (p, m) group each multiplier
     is fixed, and the terms where it is 0 stay put.  A class outside the colliding ones merges
     nothing: its row is those fixed keys plus each moving key shifted by ``k * W * pack(chi)``,
     sorted as ints, and its verdict is sw3's own.  A collider copies the group's fixed dict, keyed
@@ -62,7 +63,7 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[_Memo, int, tuple[tuple[i
     coefficient, and its verdict is ``_units`` of the folded terms.  The record checks run once per
     pivot or group: each rest goes through ``_vector`` once, and a term's pivot coordinate is the
     same in every class of its group, so ``_require_terms`` checks the group's fold by
-    ``(0,)*p + (m,) + (0,)*(r-1-p)``.
+    ``(0,)*p + (m,) + (0,)*(r-1-p)``.  A piece is ``_signed`` of its code's ``_code_monomials`` text.
     """
     _positive(box, "search box")
     basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
@@ -107,13 +108,13 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[_Memo, int, tuple[tuple[i
                     row = fixed_keys + [key - kw * step for key, kw in moving_keys]
                     row.sort()
                     rows.append((chi, row, obstructed))
-    return decoded, width, colliders, rows, base
 
-
-def _split(key: int, width: int) -> tuple[int, int]:
-    """A sweep key's code and coefficient: the balanced base-W digits of ``code * W + coefficient``."""
-    code, digit = divmod(key + width // 2, width)
-    return code, digit - width // 2
+    def reader(texts, join):  # a memo of join(texts[code], coefficient) by key: its balanced base-W digits
+        def read(key):
+            code, digit = divmod(key + width // 2, width)
+            return join(texts[code], digit - width // 2)
+        return _Memo(read)
+    return colliders, rows, reader(decoded, lambda *term: term), reader(_code_monomials(basis, base), _signed)
 
 
 def _divisors(numbers) -> dict[int, list[int]]:

@@ -183,21 +183,37 @@ class TestTextOutputs:
 
     @pytest.mark.parametrize("flags, renders", [((), 62), (("--json",), 0), (("--quiet",), 0)])
     def test_search_renders_digests_only_when_printed(self, monkeypatch, flags, renders):
-        """One render per digest in the text header, and none for the JSON payload or --quiet,
-        which print no digest: chi texts are joined from memoized pieces, not rendered."""
-        calls = []
-        render = sys.modules["swfold.laurent"]._render
+        """One digest per row in the text header, and none for the JSON payload or --quiet, which print
+        no digest: a digest is the ``_joined`` of its row's pieces, looked up key by key in the sweep's
+        ``pieces`` memo, and chi texts are joined from pieces of their own."""
+        calls, looked_up, rows = [], [], []
+        sweep, joined = cli._sweep, cli._joined
 
-        def counting(basis, terms, memo=None):
-            calls.append(terms)
-            return render(basis, terms, memo)
+        class Pieces(dict):  # the sweep's memo, recording each key it is asked for
+            def __init__(self, memo):
+                self.memo = memo
 
-        for module in list(sys.modules.values()):  # every binding of the renderer
-            if getattr(module, "_render", None) is render:
-                monkeypatch.setattr(module, "_render", counting)
+            def __getitem__(self, key):
+                looked_up.append(key)
+                return self.memo[key]
+
+        def recording_sweep(manifold, box):
+            colliders, found, terms, pieces = sweep(manifold, box)
+            rows.extend(keys for _, keys, _ in found)
+            return colliders, found, terms, Pieces(pieces)
+
+        def counting(texts):
+            start, texts = len(looked_up), list(texts)
+            if len(looked_up) > start:  # a digest: the keys whose pieces this call joins
+                calls.append(looked_up[start:])
+            return joined(texts)
+
+        monkeypatch.setattr(cli, "_sweep", recording_sweep)
+        monkeypatch.setattr(cli, "_joined", counting)
         run(["search", FIVE2_PAIR, "--box", "2", *flags])
-        assert len(calls) == renders
+        assert len(calls) == renders and len(looked_up) == sum(map(len, calls))
         # each digest renders a row of the sweep as it stands: a sorted list of plain int keys
+        assert calls == rows[:renders]
         assert all(type(row) is list and row == sorted(row) and all(type(key) is int for key in row) for row in calls)
 
     def test_knot_list(self):
@@ -640,6 +656,37 @@ class TestMalformedInputs:
         spec.write_text(json.dumps(data))
         assert main(["sw3", str(spec)]) == 2
         assert capsys.readouterr() == ("", line.format(spec=spec))
+
+    @pytest.mark.parametrize("entry, line", [
+        ({"name": "fake", "fibered": True, "alexander": "2*t - 3 + 2*t^-1"},
+         "error[structure]: {where}: knot 'fake' cannot be fibered: its Alexander polynomial "
+         "has leading coefficient 2, and a fibered knot's is +-1\n"),
+        ({"name": "k", "fibered": False, "alexander": "t^2 + 3"},
+         "error[structure]: {where}: invalid Alexander polynomial for 'k': "
+         "not symmetric under t -> 1/t; value at t=1 is 4, expected +-1\n"),
+        ({"name": "x", "fibered": False, "seifert": [[1, 0], [0, 1]]},
+         "error[seifert]: {where}: not a knot Seifert matrix: det(V - V^T) = 0, expected +-1\n"),
+        ({"name": "x", "fibered": False, "seifert": [[1, 0], [0]]},
+         "error[structure]: {where}: Seifert matrix must be square, got row of length 1 in size 2\n"),
+    ])
+    def test_list_knot_file_entry_error_names_its_index(self, capsys, monkeypatch, tmp_path, entry, line):
+        """A registration failure in entry [1] of a list knot file names the file and the index, through
+        ``knot register`` and through ``SWFOLD_KNOT_TABLE``, as the same entry inline in a spec names its
+        field; an earlier bad entry is the one reported."""
+        valid = {"name": "ok", "fibered": False, "alexander": "3*t - 5 + 3*t^-1"}
+        path, spec = tmp_path / "list.json", tmp_path / "spec.json"
+        path.write_text(json.dumps([valid, entry]))
+        spec.write_text(json.dumps({"base": "t3", "knots": [entry]}))
+        assert main(["knot", "register", str(path)]) == 2
+        assert capsys.readouterr() == ("", line.format(where=f"{path}[1]"))
+        assert main(["sw3", str(spec)]) == 2
+        assert capsys.readouterr() == ("", line.format(where=f"{spec}.knots[0]"))
+        monkeypatch.setenv(ENV_KNOT_TABLE, str(path))
+        assert main(["knot", "list"]) == 2
+        assert capsys.readouterr() == ("", line.format(where=f"{path}[1]"))
+        path.write_text(json.dumps([{**valid, "fibered": 1}, entry]))
+        assert main(["knot", "list"]) == 2
+        assert capsys.readouterr() == ("", f"error[spec]: {path}[0].fibered: expected true or false\n")
 
     def test_bad_alexander_text_names_its_field_in_both_knot_routes(self, capsys, tmp_path):
         """A knot file and a spec's inline knot name the ``alexander`` field once, and the error keeps

@@ -113,6 +113,14 @@ class TestEulerText:
                 fold_bruteforce(five2_pair, vector)
 
 
+    def test_class_over_another_basis_rejected(self, five2_pair):
+        """``fold`` takes an ``EulerClass`` only over the manifold's own basis: another rank, or the
+        same rank with other names, is refused before any fold."""
+        assert fold(five2_pair, EulerClass(five2_pair.basis, (1, 0, 0))) == fold(five2_pair, "m1")
+        for basis in (Basis(("m1", "m2")), Basis(("x1", "x2", "x3"))):
+            with pytest.raises(StructuralError, match="^Euler class basis differs from the manifold basis$"):
+                fold(five2_pair, EulerClass(basis, (1,) + (0,) * (basis.rank - 1)))
+
 class TestQuotientLattice:
     def test_pivot_and_normalization(self, b3):
         q = quotient_of(b3, (0, -2, 1))

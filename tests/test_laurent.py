@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from swfold.errors import DomainError, ParseError, StructuralError, UnknownVariableError
 from swfold.fold import EulerClass, QuotientLattice, fold_poly
-from swfold.laurent import (Basis, LaurentPoly, _balanced_digits, _code_monomials, _Memo, _monomial, _pack,
-                            _piece, _render, _unpack, from_text, to_text)
+from swfold.laurent import (Basis, LaurentPoly, _balanced_digits, _code_monomials, _joined, _Memo, _monomial,
+                            _pack, _piece, _unpack, from_text, to_text)
 
 from conftest import coefficients, monomial, random_basis, random_poly
 
@@ -229,6 +229,10 @@ class TestReindex:
         with pytest.raises(StructuralError):
             from_text("m1", b2).reindex(b1, {"m1": (1,)})
 
+    def test_image_for_unknown_variable_rejected(self, b1, b2):
+        with pytest.raises(StructuralError, match="^reindex images for unknown variables: m3, x$"):
+            from_text("m1 + m2", b2).reindex(b1, {"m1": (1,), "m2": (1,), "m3": (1,), "x": (2,)})
+
     def test_wrong_length_image_rejected(self, b1, b2):
         with pytest.raises(StructuralError):
             from_text("t", b1).reindex(b2, {"t": (1,)})
@@ -272,12 +276,12 @@ class TestGrammar:
         assert from_text("0", b1) == LaurentPoly.zero(b1)
 
     def test_one_piece_memo_serves_many_texts(self, b2):
-        """Pieces keep their sign, so a memo shared across polynomials renders each as alone."""
+        """Pieces keep their sign, so ``_joined`` over a memo shared across polynomials renders each as alone."""
         rng, memo = random.Random(31), _Memo(partial(_piece, b2))
         for _ in range(200):
             p = random_poly(rng, b2, max_terms=5, max_exp=2, max_coeff=2)
-            assert _render(b2, p.terms(), memo) == to_text(p)
-            assert from_text(_render(b2, p.terms(), memo), b2) == p
+            assert _joined(map(memo.__getitem__, p.terms())) == to_text(p)
+            assert from_text(_joined(map(memo.__getitem__, p.terms())), b2) == p
         assert all(piece.startswith((" + ", " - ")) for piece in memo.values())
         with pytest.raises(DomainError, match="result too large to print"):
             to_text(monomial(b2, 1, (10**5000, 0)))

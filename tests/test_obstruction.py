@@ -18,9 +18,9 @@ from swfold import cli
 from swfold.cli import OutputRecord, emit, run
 from swfold.errors import DomainError, HypothesisError, StructuralError
 from swfold.fold import EulerClass, FoldedSW, QuotientLattice, canonical_rep, fold
-from swfold.laurent import Basis, LaurentPoly, _render, _require_terms, from_text, to_text
+from swfold.laurent import Basis, LaurentPoly, _piece, _render, _require_terms, from_text, to_text
 from swfold.manifolds import T3_BASIS, ThreeManifold, fiber_sum, surface_times_circle, three_torus
-from swfold.obstruction import _split, _sweep, colliding_classes, stabilization_note
+from swfold.obstruction import _sweep, colliding_classes, stabilization_note
 
 from conftest import coefficients, fold_bruteforce, random_basis, random_poly
 from test_fold import random_chi, random_manifold
@@ -105,14 +105,17 @@ def box_folds(m: ThreeManifold, box: int) -> list[FoldedSW]:
 
 
 def sweep_terms(m: ThreeManifold, box: int) -> list[tuple[tuple[int, ...], tuple]]:
-    """``_sweep``'s rows with their keys decoded: each class vector and its sorted folded terms.
+    """``_sweep``'s rows with their keys read back by its ``terms`` memo: each class vector and its
+    sorted folded terms.
 
-    Each row must be a sorted list of plain ints, and its verdict the absence of a unit coefficient."""
-    decoded, width, _, rows, _ = _sweep(m, box)
+    Each row must be a sorted list of plain ints, its verdict the absence of a unit coefficient, and
+    each key's text from the ``pieces`` memo the ``_piece`` of its term."""
+    _, rows, read, pieces = _sweep(m, box)
     decoded_rows = []
     for chi, keys, obstructed in rows:
         assert type(keys) is list and all(type(key) is int for key in keys) and keys == sorted(keys)
-        terms = tuple([(decoded[code], coeff) for code, coeff in (_split(key, width) for key in keys)])
+        terms = tuple([read[key] for key in keys])
+        assert [pieces[key] for key in keys] == [_piece(m.basis, term) for term in terms]
         assert obstructed == (not any(c in (1, -1) for _, c in terms))
         decoded_rows.append((chi, terms))
     return decoded_rows
@@ -243,17 +246,17 @@ class TestSweep:
 
     def test_row_count_formula(self, fig8_pair):
         for box in (1, 2):
-            assert len(_sweep(fig8_pair, box)[3]) == ((2 * box + 1) ** 3 - 1) // 2
+            assert len(_sweep(fig8_pair, box)[1]) == ((2 * box + 1) ** 3 - 1) // 2
         for box in range(1, 5):
             for rank in (1, 2, 3):
                 assert len(half_box(rank, box)) == ((2 * box + 1) ** rank - 1) // 2
 
     def test_rows_sorted_and_deterministic(self, five2_pair):
-        assert _sweep(five2_pair, 2)[3] == _sweep(five2_pair, 2)[3]
+        assert _sweep(five2_pair, 2)[1] == _sweep(five2_pair, 2)[1]
         rank2 = random_manifold(random.Random(97), Basis(("x1", "x2")))
         for m in (surface_times_circle(2), rank2, five2_pair):
             for box in range(1, 5):
-                vectors = [chi for chi, _, _ in _sweep(m, box)[3]]
+                vectors = [chi for chi, _, _ in _sweep(m, box)[1]]
                 assert vectors == half_box(m.basis.rank, box) == sorted(vectors), (m.basis.rank, box)
 
     @staticmethod
@@ -360,7 +363,7 @@ class TestSweep:
         unpack = sys.modules["swfold.obstruction"]._unpack
         monkeypatch.setattr(sys.modules["swfold.obstruction"], "_unpack",
                             lambda code, base, rank: tuple(e + 100 for e in unpack(code, base, rank)))
-        assert len(_sweep(fig8_pair, 2)[3]) == 62  # every code these groups check is an sw3 exponent
+        assert len(_sweep(fig8_pair, 2)[1]) == 62  # every code these groups check is an sw3 exponent
         with pytest.raises(StructuralError, match=r"^exponent \(98, 101, 100\) is not a canonical representative "
                                                   r"\(pivot 1, modulus 3\)$"):
             _sweep(fig8_pair, 3)
@@ -407,7 +410,7 @@ class TestSweep:
                 _sweep(m, box)
             assert time.perf_counter() - start < 1
         monkeypatch.setattr(sys.modules["swfold.obstruction"], "MAX_TERM_FOLDS", 62 * 9)
-        assert len(_sweep(fig8_pair, 2)[3]) == 62  # the limit itself is allowed
+        assert len(_sweep(fig8_pair, 2)[1]) == 62  # the limit itself is allowed
         monkeypatch.setattr(sys.modules["swfold.obstruction"], "MAX_TERM_FOLDS", 62 * 9 - 1)
         with pytest.raises(DomainError, match="558 term folds, over the limit of 557"):
             _sweep(fig8_pair, 2)
