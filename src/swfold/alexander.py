@@ -25,7 +25,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from math import prod
 
-from .errors import KnotLookupError, NotSeifertError, ParseError, SpecFileError, StructuralError, _count, _shown
+from .errors import KnotLookupError, NotSeifertError, ParseError, SpecFileError, StructuralError, _at, _count, _shown
 from .laurent import Basis, LaurentPoly, _balanced_digits, _Record, _set, from_text, to_text
 
 #: Every knot polynomial lives over this one-variable basis.
@@ -250,10 +250,8 @@ def record_from_dict(data: dict, where: str) -> KnotRecord:
         raise SpecFileError(f"{where}.alexander: expected a polynomial string")
     try:
         poly = from_text(alexander, KNOT_BASIS)
-    except ParseError as exc:  # the same class, so the same code, and its position within the field's text
-        error = type(exc)(f"{where}.alexander: {exc}")
-        error.position = exc.position
-        raise error from None
+    except ParseError as exc:  # its position stays that within the field's text
+        raise _at(f"{where}.alexander", exc) from None
     return knot_from_alexander(name, fibered, poly)
 
 
@@ -285,7 +283,7 @@ def _listed_record(entry, path: str) -> KnotRecord:
     except (SpecFileError, ParseError):
         raise
     except StructuralError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        raise _at(path, exc) from None
 
 
 def load_knot_file(path: str) -> list[KnotRecord]:

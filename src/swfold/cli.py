@@ -23,7 +23,7 @@ import sys
 from collections.abc import Callable
 
 from .alexander import BUILTIN_KNOTS, KnotTable, _listed_record, _unknown_field, load_knot_file, read_json
-from .errors import DomainError, SpecFileError, StructuralError, SwfoldError, UnknownVariableError
+from .errors import DomainError, SpecFileError, StructuralError, SwfoldError, UnknownVariableError, _at
 from .fold import _units, circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
 from .laurent import _digits, _joined, _Memo, _Record, _set, _signed
 from .manifolds import ThreeManifold, fiber_sum, surface_times_circle, three_torus
@@ -88,7 +88,7 @@ def build_manifold(data: dict, table: KnotTable, where: str = "spec") -> ThreeMa
         try:
             table = table.with_records((record,))
         except StructuralError as exc:  # a clash with a knot in the table
-            raise type(exc)(f"{path}: {exc}") from None
+            raise _at(path, exc) from None
 
     base = data["base"]
     if base == "t3":
@@ -114,7 +114,7 @@ def build_manifold(data: dict, table: KnotTable, where: str = "spec") -> ThreeMa
             try:
                 manifold.basis.index(entry["meridian"])
             except UnknownVariableError as exc:
-                raise UnknownVariableError(f"{where}.sums[{i}].meridian: {exc}") from None
+                raise _at(f"{where}.sums[{i}].meridian", exc) from None
             yield table.lookup(entry["knot"]), entry["meridian"]
     return fiber_sum(manifold, pairs())
 

@@ -9,6 +9,13 @@ class as ``error[code]: message``.
 A message names a caller's value by :func:`_shown`, the one rule that
 cannot itself fail: ``repr`` and ``str`` raise ``ValueError`` on an
 integer past Python's 4300-digit limit.
+
+Two refusal rules live here too.  :func:`_bounded` is the one work
+bound: a count of work over its limit raises :class:`DomainError`,
+``<message>, over the limit of <limit>``, before that work starts.
+:func:`_at` is the one field-path rule: an error about a field is
+re-raised under that field's path as the same object, so it keeps its
+class (so its code and exit), and a parse error its position.
 """
 
 from math import log10
@@ -92,3 +99,15 @@ class HypothesisError(DomainError):
     """Fold requested on a manifold where the b_+ >= 2 hypothesis fails."""
 
     code = "hypothesis"
+
+
+def _bounded(estimate: int, limit: int, message: str) -> None:
+    """Raise ``DomainError("<message>, over the limit of <limit>")`` if ``estimate`` passes ``limit``."""
+    if estimate > limit:
+        raise DomainError(f"{message}, over the limit of {limit}")
+
+
+def _at(path: str, exc: SwfoldError) -> SwfoldError:
+    """``exc``, its message prefixed by the field ``path``: the same object, so its class and position stay."""
+    exc.args = (f"{path}: {exc}",)
+    return exc

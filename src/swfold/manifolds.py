@@ -12,15 +12,19 @@ polynomial by the knot's Alexander polynomial evaluated at the square of
 the meridian variable; the basis and b_1 are unchanged because the knot
 complement's first homology is generated by the glued meridian.
 :func:`fiber_sum` makes all of a spec's sums one product of this kind.
+Both costs that grow with a spec are bounded through
+:func:`~swfold.errors._bounded` before the work: a surface base's
+binomial row by ``MAX_ROW_BITS``, and each of the fiber sums' products
+by ``MAX_TERM_PAIRS`` on the term pairs counted through it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from math import prod
+from functools import reduce
 
 from .alexander import KnotRecord
-from .errors import DomainError, HypothesisError, StructuralError, _count, _shown
+from .errors import HypothesisError, StructuralError, _bounded, _count, _shown
 from .laurent import Basis, LaurentPoly, _positive, _Record, _set
 
 #: Basis shared by the three-torus family: the three circle directions.
@@ -32,6 +36,10 @@ CIRCLE_BASIS = Basis(("t",))
 #: Bits the binomial row of a genus-g surface times the circle may take: its 2g - 1
 #: coefficients are below 2^(2g-2), so (2g-1)(2g-2) bounds the row.  Every genus up to 8192 passes.
 MAX_ROW_BITS = 2**28
+
+#: The most term pairs one :func:`fiber_sum` may multiply.  The terms made are at most the pairs, about 390 B
+#: each: a 91-term knot summed on m1, m2 and m3 multiplies 761,943 pairs into 753,571 terms (293 MB).
+MAX_TERM_PAIRS = 10**6
 
 
 class ThreeManifold(_Record):
@@ -86,9 +94,8 @@ def surface_times_circle(genus: int) -> ThreeManifold:
     """
     _positive(genus, "genus")
     degree, terms, binomial = 2 * genus - 2, {}, 1  # binomial = (-1)^j * C(degree, j)
-    if (degree + 1) * degree > MAX_ROW_BITS:
-        raise DomainError(f"genus {_count(genus)}: its binomial row may take (2g-1)(2g-2) = "
-                          f"{_count((degree + 1) * degree)} bits, over the limit of {MAX_ROW_BITS}")
+    bits = (degree + 1) * degree
+    _bounded(bits, MAX_ROW_BITS, f"genus {_count(genus)}: its binomial row may take (2g-1)(2g-2) = {_count(bits)} bits")
     for j in range(degree + 1):
         terms[(2 * j - degree,)] = binomial
         binomial = -binomial * (degree - j) // (j + 1)
@@ -96,13 +103,16 @@ def surface_times_circle(genus: int) -> ThreeManifold:
 
 
 def fiber_sum(manifold: ThreeManifold, sums: Iterable[tuple[KnotRecord, str]]) -> ThreeManifold:
-    """Fiber-sum knot complements along meridians, one ``(knot, meridian)`` pair per sum, read lazily.
+    """Fiber-sum knot complements along meridians, one ``(knot, meridian)`` pair per sum.
 
     sw3 times each knot polynomial at meridian^2 is one exact product: each meridian's factors
-    first, in spec order, then each meridian's product into sw3.  The pairs are appended to the
-    manifold's sums; one record is built and checked, or none for no sums.
+    first, in spec order, then each meridian's product into sw3.  Every pair is read first, so a
+    bad one is reported ahead of the bound.  Each product adds its term pairs to a running count
+    before it is made, and a count over ``MAX_TERM_PAIRS`` raises :class:`DomainError` instead, so
+    no spec multiplies more than that many pairs.  The pairs are appended to the manifold's sums;
+    one record is built and checked, or none for no sums.
     """
-    basis, added, products = manifold.basis, [], {}
+    basis, added, factors, term_pairs = manifold.basis, [], [], 0
     try:
         sums = iter(sums)
     except TypeError:
@@ -113,12 +123,21 @@ def fiber_sum(manifold: ThreeManifold, sums: Iterable[tuple[KnotRecord, str]]) -
             alexander = knot.alexander
         except (TypeError, ValueError, AttributeError):
             raise StructuralError(f"a sum must be a (KnotRecord, meridian) pair, got {_shown(pair)}") from None
-        factor = alexander.reindex(basis, {"t": [2 * e for e in basis.unit(meridian)]})
-        products[meridian] = products[meridian] * factor if meridian in products else factor
+        factors.append((meridian, alexander.reindex(basis, {"t": [2 * e for e in basis.unit(meridian)]})))
         added.append((knot, meridian))
     if not added:
         return manifold
-    return ThreeManifold(manifold.genus, basis, manifold.b1, prod(products.values(), start=manifold.sw3),
+
+    def times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+        nonlocal term_pairs
+        term_pairs += len(a) * len(b)
+        _bounded(term_pairs, MAX_TERM_PAIRS, f"the fiber sums multiply at least {_count(term_pairs)} term pairs")
+        return a * b
+
+    products = {}
+    for meridian, factor in factors:
+        products[meridian] = times(products[meridian], factor) if meridian in products else factor
+    return ThreeManifold(manifold.genus, basis, manifold.b1, reduce(times, products.values(), manifold.sw3),
                          manifold.sums + tuple(added))
 
 

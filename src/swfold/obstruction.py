@@ -8,7 +8,8 @@ record, :class:`~swfold.fold.FoldedSW`.  ``_sweep`` folds by every Euler
 class in a box (one per antipodal pair) in packed form: every exponent
 is one integer, a fold is one integer shift per term that moves in the
 class's (pivot, modulus) group, and the record checks run once per
-group; a box over ``MAX_TERM_FOLDS`` is refused before any work.  It
+group; a box over ``MAX_TERM_FOLDS`` is refused before any work, by
+:func:`~swfold.errors._bounded` as every work bound is.  It
 gives each class's vector, verdict and folded terms as sorted int keys
 (code and coefficient in one integer) and two memos that read a key as
 a term or as its text, so ``search`` on the command line prints them.
@@ -18,7 +19,8 @@ exactly the classes whose folds merge terms, so every class outside
 that set keeps sw3's coefficients and verdict; the sweep finds them
 once, for its rows and for the note, and shifts the other classes' keys
 with no accumulation.  It works per divisor of a column difference on a
-product support, else per pair difference.
+product support, else per pair difference, and refuses over
+``MAX_TRIAL_DIVISIONS`` trial divisions before the first.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import Counter
 from itertools import chain, combinations, islice, product
 from math import gcd, isqrt, prod
 
-from .errors import DomainError, _count
+from .errors import _bounded, _count
 from .fold import _units, fold
 from .laurent import (_Memo, _accumulate, _code_monomials, _digits, _pack, _positive, _require_terms, _signed,
                       _unpack, _vector)
@@ -69,9 +71,8 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[tuple[tuple[int, ...], ..
     basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
     classes = ((2 * box + 1) ** rank - 1) // 2
     folds = classes * max(len(sw3), 1)  # a zero sw3 still costs one step per class
-    if folds > MAX_TERM_FOLDS:
-        raise DomainError(f"search box {_count(box)} holds {_count(classes)} Euler classes of {len(sw3)} terms "
-                          f"each: {_count(folds)} term folds, over the limit of {MAX_TERM_FOLDS}")
+    _bounded(folds, MAX_TERM_FOLDS, f"search box {_count(box)} holds {_count(classes)} Euler classes of "
+                                    f"{len(sw3)} terms each: {_count(folds)} term folds")
     require_b_plus(manifold)
     colliders = colliding_classes(manifold)
     colliding, obstructed = set(colliders), not _units(sw3.items())  # an injective fold keeps sw3's verdict
@@ -121,9 +122,9 @@ def _divisors(numbers) -> dict[int, list[int]]:
     """Each distinct positive number's divisors, by trial division up to its isqrt; over
     ``MAX_TRIAL_DIVISIONS`` trial divisions in all raise :class:`DomainError` before any."""
     roots = {n: isqrt(n) for n in set(numbers)}
-    if (trials := sum(roots.values())) > MAX_TRIAL_DIVISIONS:
-        raise DomainError(f"finding the colliding Euler classes takes {_count(trials)} trial divisions of "
-                          f"{len(roots)} support differences, over the limit of {MAX_TRIAL_DIVISIONS}")
+    trials = sum(roots.values())
+    _bounded(trials, MAX_TRIAL_DIVISIONS, f"finding the colliding Euler classes takes {_count(trials)} trial "
+                                          f"divisions of {len(roots)} support differences")
     small = {n: [d for d in range(1, root + 1) if n % d == 0] for n, root in roots.items()}
     return {n: low + [n // d for d in reversed(low) if d * d != n] for n, low in small.items()}
 

@@ -13,7 +13,7 @@ import pytest
 from swfold import cli
 from swfold.alexander import BUILTIN_KNOTS
 from swfold.cli import ENV_KNOT_TABLE, OutputRecord, build_manifold, emit, load_spec, main, run
-from swfold.errors import KnotLookupError, SpecFileError, StructuralError, UnknownVariableError
+from swfold.errors import KnotLookupError, SpecFileError, StructuralError, UnknownVariableError, _at
 from swfold.laurent import Basis, from_text
 
 from conftest import schema_validator
@@ -33,6 +33,12 @@ SIX_TERM_FOLD = "-3*m2^-2 + 9 - 3*m2^2 + 2*m1^2*m2^-2 - 6*m1^2 + 2*m1^2*m2^2"
 N_2200 = int("9" * 2200)
 #: An inline knot under a built-in knot's name with other data.
 CLASHING_TREFOIL = {"name": "3_1", "fibered": False, "alexander": "3*t - 5 + 3*t^-1"}
+
+
+def wide_knot(k: int) -> dict:
+    """An inline knot of 2k + 1 terms, the alternating sum of t^j for |j| <= k."""
+    return {"name": "wide", "fibered": False,
+            "alexander": " ".join(f"{'-+'[j % 2 == 0]} t^{j}" for j in range(-k, k + 1))}
 
 
 def validate_against(payload, schema_name):
@@ -601,6 +607,50 @@ class TestMalformedInputs:
         self.assert_one_error_line(capsys, "error[domain]: genus 100000: its binomial row may take "
                                    f"(2g-1)(2g-2) = 39999400002 bits, over the limit of {2**28}\n")
 
+    @pytest.mark.parametrize("mode", [[], ["--json"], ["--quiet"]], ids=["text", "json", "quiet"])
+    @pytest.mark.parametrize("command", [["sw3"], ["fold", "--chi", "m1"], ["obstruct", "--chi", "m1"],
+                                         ["search", "--box", "1"]], ids=["sw3", "fold", "obstruct", "search"])
+    def test_fiber_sums_over_the_term_pair_bound(self, capsys, tmp_path, command, mode):
+        """A 101-term knot on m1, m2 and m3 multiplies 1,040,603 term pairs: refused before the last product."""
+        path = tmp_path / "wide-50.json"
+        path.write_text(json.dumps({"base": "t3", "knots": [wide_knot(50)],
+                                    "sums": [{"knot": "wide", "meridian": m} for m in ("m1", "m2", "m3")]}))
+        start = time.perf_counter()
+        assert main([command[0], str(path), *command[1:], *mode]) == 1
+        assert time.perf_counter() - start < 0.5
+        self.assert_one_error_line(capsys, "error[domain]: the fiber sums multiply at least 1040603 term pairs, "
+                                           "over the limit of 1000000\n")
+
+    @pytest.mark.parametrize("command", [["sw3"], ["search", "--box", "1"]], ids=["sw3", "search"])
+    def test_the_term_pair_limit_itself_is_allowed(self, capsys, monkeypatch, command):
+        """The 5_2 pair multiplies 3 + 9 term pairs: it builds at a limit of 12 and is refused at 11."""
+        assert main([command[0], FIVE2_PAIR, *command[1:]]) == 0
+        built = capsys.readouterr()
+        monkeypatch.setattr(sys.modules["swfold.manifolds"], "MAX_TERM_PAIRS", 12)
+        assert main([command[0], FIVE2_PAIR, *command[1:]]) == 0
+        assert capsys.readouterr() == built
+        monkeypatch.setattr(sys.modules["swfold.manifolds"], "MAX_TERM_PAIRS", 11)
+        assert main([command[0], FIVE2_PAIR, *command[1:]]) == 1
+        error = "error[domain]: the fiber sums multiply at least 12 term pairs, over the limit of 11\n"
+        assert capsys.readouterr() == ("", error)
+
+    @pytest.mark.parametrize("entry, error", [
+        ({"knot": "wide", "meridian": "m4"},
+         "error[name]: {}.sums[1].meridian: unknown variable 'm4'; basis is (m1, m2, m3)"),
+        ({"knot": "nope", "meridian": "m2"}, "error[lookup]: unknown knot 'nope'; available: 3_1, 4_1, 5_2, wide"),
+        (5, 'error[spec]: {}.sums[1]: expected {{"knot": name, "meridian": variable}}'),
+        ({"knot": "wide", "meridian": "m1"}, "error[domain]: the fiber sums multiply at least 1002001 term pairs, "
+                                             "over the limit of 1000000"),
+    ], ids=["meridian", "knot", "shape", "none"])
+    def test_a_bad_sum_after_a_wide_knot_is_reported(self, capsys, tmp_path, entry, error):
+        """Every pair is read before the bound, so a malformed sums[1] is reported, not the bound it follows."""
+        path = tmp_path / "spec.json"
+        wide = {"knot": "wide", "meridian": "m1"}
+        path.write_text(json.dumps({"base": "t3", "knots": [wide_knot(500)],
+                                    "sums": [wide, entry, {**wide, "meridian": "m2"}, {**wide, "meridian": "m3"}]}))
+        assert main(["sw3", str(path)]) == (1 if error.startswith("error[domain]") else 2)
+        assert capsys.readouterr() == ("", error.format(path) + "\n")
+
     @pytest.mark.parametrize("name", ["x\ud800", "x\nobstructed = true", "x\u2028y"])
     def test_knot_name_that_is_not_one_printable_line(self, capsys, tmp_path, name):
         knot = {"name": name, "fibered": True, "alexander": "t - 1 + t^-1"}
@@ -705,6 +755,15 @@ class TestMalformedInputs:
             with pytest.raises(UnknownVariableError) as err:
                 call()
             assert (str(err.value), err.value.position) == (message.format(where=where), 4)
+
+    def test_field_path_rule_re_raises_the_error_itself(self):
+        """``_at`` prefixes the message of the error object it is given, so a class whose constructor
+        takes no bare message keeps its fields, and a parse error its position."""
+        lookup, parse = KnotLookupError("x", ["3_1"]), UnknownVariableError("unknown variable 'x'", position=4)
+        assert _at("m.json.sums[0].knot", lookup) is lookup and lookup.name == "x"
+        assert str(lookup) == "m.json.sums[0].knot: unknown knot 'x'; available: 3_1"
+        assert _at("k.json.alexander", parse) is parse and parse.position == 4
+        assert str(parse) == "k.json.alexander: unknown variable 'x' (at position 4)"
 
     def test_unknown_registration_field(self, capsys, tmp_path):
         path = tmp_path / "k.json"

@@ -3,16 +3,19 @@
 import math
 import random
 import re
+import sys
+import time
 from collections import Counter
 
 import pytest
 
-from swfold.alexander import BUILTIN_KNOTS, knot_from_seifert
+from swfold.alexander import BUILTIN_KNOTS, knot_from_alexander, knot_from_seifert
 from swfold.errors import DomainError, HypothesisError, StructuralError, UnknownVariableError
 from swfold.fold import fold
 from swfold.laurent import LaurentPoly, from_text
 from swfold.manifolds import (
     MAX_ROW_BITS,
+    MAX_TERM_PAIRS,
     T3_BASIS,
     ThreeManifold,
     fiber_sum,
@@ -157,13 +160,39 @@ def _random_tower(seed: int):
     return base, [(rng.choice(knots), rng.choice(base.basis.names)) for _ in range(rng.randint(1, 9))]
 
 
+def wide_knot(k: int):
+    """A knot of 2k + 1 terms, the alternating sum of t^j for |j| <= k: its value at 1 is +-1."""
+    return knot_from_alexander(f"wide{k}", False, " ".join(f"{'-+'[j % 2 == 0]} t^{j}" for j in range(-k, k + 1)))
+
+
+def pairs_multiplied(monkeypatch, base, sums) -> int:
+    """The term pairs ``fiber_sum(base, sums)`` multiplies, counted in ``LaurentPoly.__mul__``, after
+    checking that the work bound counts them exactly: the sums build at that limit and are refused,
+    naming the count, one below it."""
+    counted, mul = [0], LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: counted.__setitem__(0, counted[0] + len(a) * len(b))
+                        or mul(a, b))
+    built = fiber_sum(base, sums)
+    monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+    monkeypatch.setattr(sys.modules["swfold.manifolds"], "MAX_TERM_PAIRS", counted[0])
+    assert fiber_sum(base, sums) == built
+    monkeypatch.setattr(sys.modules["swfold.manifolds"], "MAX_TERM_PAIRS", counted[0] - 1)
+    with pytest.raises(DomainError) as err:
+        fiber_sum(base, sums)
+    assert str(err.value) == (f"the fiber sums multiply at least {counted[0]} term pairs, "
+                              f"over the limit of {counted[0] - 1}")
+    monkeypatch.setattr(sys.modules["swfold.manifolds"], "MAX_TERM_PAIRS", MAX_TERM_PAIRS)
+    return counted[0]
+
+
 class TestFiberSumOracle:
     """``fiber_sum`` against a left-to-right chain of one-pair sums: sw3 by dict convolution, and name,
     provenance and ``fibered`` by texts built here from the base and the pairs."""
 
     @pytest.mark.parametrize("seed", TOWER_SEEDS)
-    def test_random_tower(self, seed):
+    def test_random_tower(self, monkeypatch, seed):
         base, sums = _random_tower(seed)
+        assert pairs_multiplied(monkeypatch, base, sums) > 0  # the work bound counts the pairs exactly
         genus = None if base.basis == T3_BASIS else (base.b1 - 1) // 2
         name = "T3" if genus is None else f"S{genus}xS1"
         provenance = ["t3" if genus is None else f"surface_x_s1(genus={genus})"]
@@ -199,6 +228,53 @@ class TestFiberSumOracle:
         monkeypatch.setattr(ThreeManifold, "__init__", lambda self, *a, **kw: built.append(kw) or init(self, *a, **kw))
         m = fiber_sum(base, [(knot, "m1"), (knot, "m2"), (knot, "m1")])
         assert len(built) == 1 and len(m.sw3) == 15
+
+
+class TestTermPairBound:
+    """Each product in ``fiber_sum`` adds its term pairs to a running count before it is made; a count
+    over ``MAX_TERM_PAIRS`` is one :class:`DomainError` that names it, and no later product is made."""
+
+    K = {name: BUILTIN_KNOTS.lookup(name) for name in BUILTIN_KNOTS.names()}
+
+    @pytest.mark.parametrize("base, sums, pairs", [
+        (three_torus(), [("3_1", "m1")], 3),
+        (three_torus(), [("4_1", "m1"), ("4_1", "m2")], 12),
+        (three_torus(), [("5_2", "m1"), ("5_2", "m2")], 12),
+        (three_torus(), [("5_2", f"m{j % 3 + 1}") for j in range(9)], 471),
+        (three_torus(), [("5_2", "m1")] * 20, 1238),
+        (surface_times_circle(8), [("3_1", "t")] * 3, 129),
+    ], ids=["trefoil", "fig8-pair", "52-pair", "5_2-tower-x9", "5_2-x20-on-m1", "S8-3_1-x3"])
+    def test_count_is_exact_on_the_demos_and_towers(self, monkeypatch, base, sums, pairs):
+        assert pairs_multiplied(monkeypatch, base, [(self.K[name], m) for name, m in sums]) == pairs
+
+    def test_wide_knots_on_three_meridians(self, monkeypatch):
+        """2k + 1 terms on m1, m2 and m3: (2k+1) + (2k+1)^2 + (2k+1)^3 pairs; k = 45 builds, k = 50 not."""
+        for k in (2, 5, 20):
+            n = 2 * k + 1
+            sums = [(wide_knot(k), m) for m in ("m1", "m2", "m3")]
+            assert pairs_multiplied(monkeypatch, three_torus(), sums) == n + n**2 + n**3
+        assert 91 + 91**2 + 91**3 == 761_943 <= MAX_TERM_PAIRS < 101 + 101**2 + 101**3 == 1_040_603
+        with pytest.raises(DomainError, match="^the fiber sums multiply at least 1040603 term pairs, over the limit "
+                                              "of 10+$"):
+            fiber_sum(three_torus(), [(wide_knot(50), m) for m in ("m1", "m2", "m3")])
+
+    def test_refused_at_once(self, monkeypatch):
+        """k = 500 on three meridians asks for about 10^9 terms: refused before the product that passes
+        the limit, after one product of 1,001 pairs."""
+        counted, mul = [], LaurentPoly.__mul__
+        monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: counted.append(len(a) * len(b)) or mul(a, b))
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="^the fiber sums multiply at least 1003002 term pairs, over the limit "
+                                              "of 1000000$"):
+            fiber_sum(three_torus(), [(wide_knot(500), m) for m in ("m1", "m2", "m3")])
+        assert time.perf_counter() - start < 0.5 and counted == [1001]
+
+    @pytest.mark.parametrize("bad, error", [((BUILTIN_KNOTS.lookup("3_1"), "m9"), UnknownVariableError),
+                                            ("not a pair", StructuralError)], ids=["meridian", "pair"])
+    def test_a_bad_pair_after_wide_ones_is_reported(self, bad, error):
+        wide = wide_knot(500)
+        with pytest.raises(error):
+            fiber_sum(three_torus(), [(wide, "m1"), (wide, "m1"), bad, (wide, "m2"), (wide, "m3")])
 
 
 class TestThreeManifoldInvariants:
