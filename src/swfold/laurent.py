@@ -430,22 +430,22 @@ class _Memo(dict):
 def _code_monomials(basis: Basis, base: int) -> _Memo:
     """The ``_monomial`` of each code ``_pack`` makes with ``base``, for a caller that prints many codes.
 
-    A new code's text is the ``*`` join of the ``_monomial`` of each nonzero coordinate on its own,
-    kept in one memo per coordinate; its digits come out as ``_balanced_digits`` gives them, last
-    coordinate first, with that loop inlined: decoding is most of the cost of a code's first text.
+    One memo per level i keeps the text of each code of the first i coordinates.  One ``divmod``
+    splits a new code, as ``_balanced_digits`` does, into its lowest balanced digit, the exponent of
+    coordinate i, and the code of the first i - 1; its text is the level below's text of the latter
+    joined by ``*`` to the ``_monomial`` of the former on its own, kept in one memo per coordinate.
+    So a new code costs one ``divmod`` and two dict reads.
     """
-    rank, low = basis.rank, base // 2
-    factors = [_Memo(lambda e, i=i: _monomial(basis, (0,) * i + (e,) + (0,) * (rank - 1 - i)))
-               for i in reversed(range(rank))]
+    rank, low, level = basis.rank, base // 2, {0: ""}
+    for i in range(rank):
+        column = _Memo(lambda e, i=i: _monomial(basis, (0,) * i + (e,) + (0,) * (rank - 1 - i)), {0: ""})
 
-    def monomial(code: int) -> str:
-        texts = []
-        for column in factors:
+        def monomial(code: int, high=level, column=column) -> str:
             code, digit = divmod(code + low, base)
-            if digit != low:
-                texts.append(column[digit - low])
-        return "*".join(reversed(texts))
-    return _Memo(monomial)
+            head, factor = high[code], column[digit - low]
+            return f"{head}*{factor}" if head and factor else head or factor
+        level = _Memo(monomial)
+    return level
 
 
 def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]]) -> str:

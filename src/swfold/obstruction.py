@@ -12,7 +12,9 @@ group; a box over ``MAX_TERM_FOLDS`` is refused before any work, by
 :func:`~swfold.errors._bounded` as every work bound is.  It
 gives each class's vector, verdict and folded terms as sorted int keys
 (code and coefficient in one integer) and two memos that read a key as
-a term or as its text, so ``search`` on the command line prints them.
+a term or as its text, so ``search`` on the command line prints them; a
+new text is its coefficient's memoized sign and magnitude followed by
+its code's memoized factor text.
 :func:`~swfold.fold.fold` by each class is the reference the sweep is
 tested against, entry for entry.  :func:`colliding_classes` lists
 exactly the classes whose folds merge terms, so every class outside
@@ -65,7 +67,9 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[tuple[tuple[int, ...], ..
     coefficient, and its verdict is ``_units`` of the folded terms.  The record checks run once per
     pivot or group: each rest goes through ``_vector`` once, and a term's pivot coordinate is the
     same in every class of its group, so ``_require_terms`` checks the group's fold by
-    ``(0,)*p + (m,) + (0,)*(r-1-p)``.  A piece is ``_signed`` of its code's ``_code_monomials`` text.
+    ``(0,)*p + (m,) + (0,)*(r-1-p)``.  A piece is one concatenation: its coefficient's sign and
+    magnitude, memoized from ``_signed``, then its code's ``_code_monomials`` text; the origin code,
+    with no factor text, takes ``_signed`` whole.
     """
     _positive(box, "search box")
     basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
@@ -110,12 +114,18 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[tuple[tuple[int, ...], ..
                     row.sort()
                     rows.append((chi, row, obstructed))
 
-    def reader(texts, join):  # a memo of join(texts[code], coefficient) by key: its balanced base-W digits
-        def read(key):
-            code, digit = divmod(key + width // 2, width)
-            return join(texts[code], digit - width // 2)
-        return _Memo(read)
-    return colliders, rows, reader(decoded, lambda *term: term), reader(_code_monomials(basis, base), _signed)
+    half, monomials = width // 2, _code_monomials(basis, base)
+    prefixes = _Memo(lambda coeff: _signed("x", coeff)[:-1])  # the sign and magnitude before a factor text
+
+    def term(key):  # a key's balanced base-W digits: its code and its coefficient
+        code, digit = divmod(key + half, width)
+        return decoded[code], digit - half
+
+    def piece(key):
+        code, digit = divmod(key + half, width)
+        factors = monomials[code]
+        return prefixes[digit - half] + factors if factors else _signed(factors, digit - half)
+    return colliders, rows, _Memo(term), _Memo(piece)
 
 
 def _divisors(numbers) -> dict[int, list[int]]:

@@ -503,7 +503,8 @@ class TestBalancedDigits:
 
     @pytest.mark.parametrize("base", [1, 3, 7, 11])
     def test_code_monomials_read_every_code_as_unpack_does(self, base):
-        """Each code's text, joined from one memo per coordinate, is the ``_monomial`` of its exponent."""
+        """Each code's text, its first coordinates' text from the memo a level down joined to its last
+        coordinate's from one memo per coordinate, is the ``_monomial`` of its exponent."""
         low = -(base // 2)
         for rank in (1, 2, 3):
             basis = Basis(tuple(f"x{i}" for i in range(1, rank + 1)))

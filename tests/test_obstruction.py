@@ -154,6 +154,17 @@ CANCELLING = ThreeManifold(None, X1X2, 3, LaurentPoly(X1X2, {
 UNIT_AT_ORIGIN = ThreeManifold(None, X1X2, 3, LaurentPoly(X1X2, {
     (0, 0): 1, (1, 0): -2, (-1, 0): -2, (0, 1): 3, (0, -1): 3}))
 
+#: Pieces whose sign-and-magnitude part is not " + ": two-digit coefficients away from the origin,
+#: -1 at the origin (a piece with no factor text) and -1 away from it (a "-" with no magnitude).
+TWO_DIGITS_AWAY = ThreeManifold(None, X1X2, 3, LaurentPoly(X1X2, {
+    (0, 0): 2, (1, 0): 12, (-1, 0): 12, (0, 1): -13, (0, -1): -13}))
+MINUS_ONE_AT_ORIGIN = ThreeManifold(None, X1X2, 3, LaurentPoly(X1X2, {(0, 0): -1, (1, 1): 2, (-1, -1): 2}))
+MINUS_ONE_AWAY = ThreeManifold(None, X1X2, 3, LaurentPoly(X1X2, {
+    (0, 0): 4, (2, 0): -1, (-2, 0): -1, (1, 1): 3, (-1, -1): 3}))
+
+#: Box 10 over rank 3: chi texts with two-digit entries in every coordinate.
+RANK3 = random_manifold(random.Random(10), Basis(("x1", "x2", "x3")))
+
 
 @st.composite
 def searches(draw):
@@ -169,6 +180,10 @@ class TestSearchListing:
     @given(searches())
     @example((CANCELLING, 2))
     @example((UNIT_AT_ORIGIN, 2))
+    @example((TWO_DIGITS_AWAY, 2))
+    @example((MINUS_ONE_AT_ORIGIN, 2))
+    @example((MINUS_ONE_AWAY, 2))
+    @example((RANK3, 10))
     def test_listing_equals_the_folds(self, drawn):
         m, box = drawn
         for flags in ((), ("--quiet",), ("--json",)):
@@ -181,6 +196,16 @@ class TestSearchListing:
         assert unit["chi = x2 + x1"] == "chi = x2 + x1 | obstructed = false | injective = false | sw4 = x2^-1 + 1 + x2"
         entry = search_payload(UNIT_AT_ORIGIN, 2)["entries"][list(unit).index("chi = x2 + x1")]
         assert entry["unit_classes"] == [[0, -1], [0, 0], [0, 1]]
+
+    def test_the_examples_cover_signs_magnitudes_and_two_digit_classes(self):
+        assert listing_rows(search_text(TWO_DIGITS_AWAY, 2))["chi = 2*x1"].endswith(
+            " | sw4 = -13*x2^-1 + 2 - 13*x2 + 24*x1")
+        assert listing_rows(search_text(MINUS_ONE_AT_ORIGIN, 2))["chi = x2 + 2*x1"].endswith(
+            " | sw4 = -1 + 2*x1 + 2*x1*x2")
+        assert listing_rows(search_text(MINUS_ONE_AWAY, 2))["chi = x2"].endswith(
+            " | sw4 = -x1^-2 + 3*x1^-1 + 4 + 3*x1 - x1^2")
+        assert {"10*x3 + 10*x2 + 10*x1", "-10*x3 - 10*x2 + 10*x1"} <= set(
+            entry["chi"] for entry in search_payload(RANK3, 10)["entries"])
 
     def test_fig8_pair_not_all_obstructed(self, fig8_pair):
         text = search_text(fig8_pair, 2)
@@ -219,6 +244,29 @@ class TestSearchListing:
         assert 0 < len(pieces) <= five2_pair.basis.rank * (2 * box + 1)
         assert len(pieces) == len(set(pieces))
         assert {factors for factors, _ in pieces} <= set(five2_pair.basis.names)
+
+    def test_pieces_are_built_from_memoized_parts(self, fig8_pair, monkeypatch):
+        """The text listing of ``search --box 8`` calls ``_signed`` at most once per distinct coefficient
+        (a piece's sign and magnitude), once per origin piece and r*(2B+1) times for chi pieces, and
+        ``_monomial`` at most once per (coordinate, value) of the folded exponents."""
+        box, rank = 8, fig8_pair.basis.rank
+        expected, folds = search_reference(fig8_pair, box), box_folds(fig8_pair, box)
+        coefficients = {coeff for f in folds for _, coeff in f.terms}
+        at_origin = {coeff for f in folds for exp, coeff in f.terms if not any(exp)}
+        entries = {(i, e) for f in folds for exp, _ in f.terms for i, e in enumerate(exp)}
+        signed, monomials = [], []
+        for name in ("swfold.cli", "swfold.obstruction"):
+            real = sys.modules[name]._signed
+            monkeypatch.setattr(sys.modules[name], "_signed",
+                                lambda factors, coeff, real=real: signed.append(coeff) or real(factors, coeff))
+        laurent = sys.modules["swfold.laurent"]
+        monomial = laurent._monomial
+        monkeypatch.setattr(laurent, "_monomial", lambda basis, exp: monomials.append(exp) or monomial(basis, exp))
+        assert search_output(fig8_pair, box) == expected
+        assert 0 < len(signed) <= len(coefficients) + len(at_origin) + rank * (2 * box + 1)
+        assert len(monomials) == len(set(monomials))
+        assert {(i, e) for exp in monomials for i, e in enumerate(exp) if e} <= entries
+        assert all(sum(map(bool, exp)) == 1 for exp in monomials)
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 3))

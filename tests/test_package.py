@@ -1,5 +1,5 @@
 """The package's public names: ``swfold.__all__`` lists exactly what ``__init__`` imports;
-and every other module uses each name it imports."""
+every other module uses each name it imports; and no module keeps a memo for the process."""
 
 import ast
 import pathlib
@@ -54,3 +54,57 @@ MODULES = sorted(path for path in pathlib.Path(swfold.__file__).parent.glob("*.p
 @pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
 def test_every_imported_name_is_used(path):
     assert unused_imports(path) == []
+
+
+def _calls(node: ast.AST):
+    """The calls an expression makes when it is evaluated: none inside a lambda it only defines."""
+    if isinstance(node, ast.Lambda):
+        return
+    if isinstance(node, ast.Call):
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child)
+
+
+CACHES = {"cache", "lru_cache", "functools.cache", "functools.lru_cache"}
+
+
+def process_memos(path: pathlib.Path) -> list[str]:
+    """What in a module keeps results for the life of the process: each ``_Memo(...)`` bound by a
+    module-level or class-level statement, and each function under a ``functools.cache`` or
+    ``lru_cache`` decorator, as ``module.name``."""
+    tree, found = ast.parse(path.read_text(encoding="utf-8")), []
+    statements = list(tree.body)
+    while statements:
+        node = statements.pop()
+        if isinstance(node, ast.ClassDef):
+            statements.extend(node.body)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+            if any(ast.unparse(call.func).rpartition(".")[2] == "_Memo" for call in _calls(node.value)):
+                target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+                found.append(f"{path.stem}.{ast.unparse(target)}")
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                if ast.unparse(decorator.func if isinstance(decorator, ast.Call) else decorator) in CACHES:
+                    found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_no_memo_outlives_a_command():
+    """A memo lives in the call that made it: only the argument parser, built once per process, is cached."""
+    assert [name for path in MODULES for name in process_memos(path)] == ["cli.build_parser"]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("_TEXTS = _Memo(str)", ["m._TEXTS"]),
+    ("TABLE: dict = {1: [_Memo(str)]}", ["m.TABLE"]),
+    ("class C:\n    texts = _Memo(str)", ["m.texts"]),
+    ("@functools.lru_cache(maxsize=None)\ndef f(x):\n    return x", ["m.f"]),
+    ("class C:\n    @cache\n    def g(self):\n        return 1", ["m.g"]),
+    ("make = lambda: _Memo(str)\ndef f():\n    return _Memo(str)", []),
+], ids=["memo", "nested", "class", "lru_cache", "method", "per-call"])
+def test_process_memos_finds_each_form(tmp_path, source, found):
+    path = tmp_path / "m.py"
+    path.write_text(source, encoding="utf-8")
+    assert process_memos(path) == found
