@@ -368,7 +368,8 @@ def main(argv=None) -> int:
     except SwfoldError as exc:
         sys.stderr.write(f"error[{exc.code}]: {exc}\n")
         return 1 if isinstance(exc, DomainError) else 2
-    sys.stdout.write(emit(record).decode("utf-8"))
+    sys.stdout.flush()  # the text layer first, then emit's own bytes, whatever the stdout encoding
+    sys.stdout.buffer.write(emit(record))
     return record.status
 
 

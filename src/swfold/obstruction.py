@@ -6,15 +6,14 @@ with no unit coefficient obstructs every symplectic structure, with
 either orientation.  The per-class verdict is read off the one fold
 record, :class:`~swfold.fold.FoldedSW`.  ``_sweep`` folds by every Euler
 class in a box (one per antipodal pair) in packed form: every exponent
-is one integer, a fold is one integer shift per term that moves in the
-class's (pivot, modulus) group, and the record checks run once per
-group; a box over ``MAX_TERM_FOLDS`` is refused before any work, by
-:func:`~swfold.errors._bounded` as every work bound is.  It
-gives each class's vector, verdict and folded terms as sorted int keys
-(code and coefficient in one integer) and two memos that read a key as
-a term or as its text, so ``search`` on the command line prints them; a
-new text is its coefficient's memoized sign and magnitude followed by
-its code's memoized factor text.
+is one integer, and a fold is one integer shift per term that moves in
+the class's (pivot, modulus) group.  It builds no record, and once the
+box is checked every class and representative it makes is valid by
+construction; a box over ``MAX_TERM_FOLDS`` is refused before any work,
+by :func:`~swfold.errors._bounded` as every work bound is.  It gives
+each class's vector, verdict and folded terms as sorted int keys (code
+and coefficient in one integer) and two memos that read a key as a term
+or as its text, so ``search`` on the command line prints them.
 :func:`~swfold.fold.fold` by each class is the reference the sweep is
 tested against, entry for entry.  :func:`colliding_classes` lists
 exactly the classes whose folds merge terms, so every class outside
@@ -33,8 +32,7 @@ from math import gcd, isqrt, prod
 
 from .errors import _bounded, _count
 from .fold import _units, fold
-from .laurent import (_Memo, _accumulate, _code_monomials, _digits, _pack, _positive, _require_terms, _signed,
-                      _unpack, _vector)
+from .laurent import _Memo, _accumulate, _code_monomials, _digits, _pack, _positive, _signed, _unpack
 from .manifolds import ThreeManifold, require_b_plus
 
 
@@ -51,25 +49,22 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[tuple[tuple[int, ...], ..
     its folded terms as sorted keys and its verdict, and two memos that read a key back: ``terms``
     gives its (exponent, coefficient), ``pieces`` its signed piece text.
 
-    Over ``MAX_TERM_FOLDS`` classes times sw3 terms raise :class:`DomainError` before any work;
-    then ``require_b_plus`` runs, and :func:`colliding_classes` once.  Classes come normalized, in
-    lexicographic order: pivot p from the last coordinate down, modulus m in 1..B, then
-    ``(0,)*p + (m, *rest)`` for every ``rest`` in [-B, B].  Each sw3 exponent is packed once into
-    a balanced base-R integer, R wide enough for every canonical representative in the box, so a
-    term folds by one shift, ``code - (e_p // m) * pack(chi)``; a memo decodes each distinct code
-    once per search.  A term is one int, its key ``code * W + coefficient``: no merged coefficient
-    passes sw3's L1 norm S, so with W = 2S + 1 the coefficient is one more balanced digit, which
-    both memos read back, and sorting keys sorts terms by code.  In a (p, m) group each multiplier
-    is fixed, and the terms where it is 0 stay put.  A class outside the colliding ones merges
-    nothing: its row is those fixed keys plus each moving key shifted by ``k * W * pack(chi)``,
-    sorted as ints, and its verdict is sw3's own.  A collider copies the group's fixed dict, keyed
-    by code times W, ``_accumulate`` adds the moving terms' shifts, its keys are those plus each
-    coefficient, and its verdict is ``_units`` of the folded terms.  The record checks run once per
-    pivot or group: each rest goes through ``_vector`` once, and a term's pivot coordinate is the
-    same in every class of its group, so ``_require_terms`` checks the group's fold by
-    ``(0,)*p + (m,) + (0,)*(r-1-p)``.  A piece is one concatenation: its coefficient's sign and
-    magnitude, memoized from ``_signed``, then its code's ``_code_monomials`` text; the origin code,
-    with no factor text, takes ``_signed`` whole.
+    Over ``MAX_TERM_FOLDS`` classes times sw3 terms raise :class:`DomainError` before any work; then
+    ``require_b_plus`` runs, and :func:`colliding_classes` once.  Classes come normalized, in
+    lexicographic order: pivot p from the last coordinate down, modulus m in 1..B, then ``(0,)*p + (m,
+    *rest)`` for every ``rest`` in [-B, B].  Each sw3 exponent is packed once into a balanced base-R
+    integer, R wide enough for every canonical representative in the box, so a term folds by one shift,
+    ``code - (e_p // m) * pack(chi)``.  A term is one int, its key ``code * W + coefficient``: no merged
+    coefficient passes sw3's L1 norm S, so with W = 2S + 1 the coefficient is one more balanced digit,
+    which both memos read back, and sorting keys sorts terms by code.  In a (p, m) group each multiplier
+    is fixed, and the terms where it is 0 stay put.  A class outside the colliding ones merges nothing:
+    its row is those fixed keys plus each moving key shifted by ``k * W * pack(chi)``, sorted as ints, and
+    its verdict is sw3's own.  A collider's ``_accumulate`` adds the moving terms' shifts to a copy of the
+    group's fixed dict, keyed by code times W, and its verdict is ``_units`` of the folded terms.  No
+    record is built, and none needs a check: each class is nonzero with a positive pivot entry, and each
+    representative's pivot coordinate ``e_p - (e_p // m) * m`` lies in [0, m).  A piece is its
+    coefficient's sign and magnitude, memoized from ``_signed``, then its code's ``_code_monomials`` text;
+    the origin code, with no factor text, takes ``_signed`` whole.
     """
     _positive(box, "search box")
     basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
@@ -83,21 +78,15 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[tuple[tuple[int, ...], ..
     # |e - k*chi| <= s + s*box for coordinates |e| <= s, since |k| = |e_p // m| <= s
     s = max((abs(e) for exp in sw3 for e in exp), default=0)
     base, width = 2 * s * (box + 1) + 1, 2 * sum(map(abs, sw3.values())) + 1
-    codes = [_pack(exp, base) for exp in sw3]
-    scaled = [code * width for code in codes]  # a term's key less its coefficient
-    decoded, rows = _Memo(lambda code: _unpack(code, base, rank), zip(codes, sw3)), []
+    scaled = [_pack(exp, base) * width for exp in sw3]  # a term's key less its coefficient
+    rows = []
     for pivot in reversed(range(rank)):
         # _pack is linear: a class's code is its modulus's code plus its rest's, packed once per pivot
         scale, zeros = base ** (rank - 1 - pivot), (0,) * pivot
         rests = [(rest, _pack(rest, base)) for rest in product(range(-box, box + 1), repeat=rank - 1 - pivot)]
-        for rest, _ in rests:  # EulerClass's vector check, once for every class (0,)*p + (m,) + rest
-            _vector(basis, zeros + (1,) + rest, "Euler vector")
         for modulus in range(1, box + 1):
-            assert modulus >= 1  # so every class (0,)*p + (m,) + rest is nonzero and sign-normalized
             ks = [exp[pivot] // modulus for exp in sw3]
             head, offset = zeros + (modulus,), modulus * scale
-            _require_terms([(decoded[code - k * offset], c) for code, k, c in zip(codes, ks, sw3.values())],
-                           rank, pivot, modulus)
             fixed = {sc: coeff for sc, k, coeff in zip(scaled, ks, sw3.values()) if not k}
             shifts = [(sc, k * width) for sc, k in zip(scaled, ks) if k]
             coeffs = [coeff for k, coeff in zip(ks, sw3.values()) if k]
@@ -119,7 +108,7 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[tuple[tuple[int, ...], ..
 
     def term(key):  # a key's balanced base-W digits: its code and its coefficient
         code, digit = divmod(key + half, width)
-        return decoded[code], digit - half
+        return _unpack(code, base, rank), digit - half
 
     def piece(key):
         code, digit = divmod(key + half, width)

@@ -1,6 +1,7 @@
 """Command line: golden outputs, JSON payloads, schemas, exit codes."""
 
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -570,8 +571,8 @@ class TestMalformedInputs:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"base": "t3", "knots": [knot], "sums": [{"knot": "k", "meridian": "m1"}]}))
         obstruction = sys.modules["swfold.obstruction"]
-        for name in ("_vector", "_require_terms"):  # the per-pivot and per-group checks that come before any row
-            monkeypatch.setattr(obstruction, name, lambda *args: pytest.fail("a row was started"))
+        # packing sw3's exponents is the first row work after the colliders
+        monkeypatch.setattr(obstruction, "_pack", lambda *args: pytest.fail("a row was started"))
         start = time.perf_counter()
         assert main(["search", str(path), "--box", "1", *mode]) == 1
         assert time.perf_counter() - start < 1
@@ -814,6 +815,17 @@ class TestKnotTableEnv:
         monkeypatch.delenv(ENV_KNOT_TABLE)
         with pytest.raises(KnotLookupError):
             load_spec(str(spec))
+
+    def test_main_writes_utf8_bytes_to_an_ascii_stdout(self, monkeypatch, tmp_path):
+        """``main`` writes the bytes ``emit`` made, so a knot name outside ASCII reaches an
+        ASCII-encoded stdout as its UTF-8 bytes instead of failing to encode."""
+        table = tmp_path / "extra.json"
+        table.write_text(json.dumps({"name": "nœud", "fibered": True, "alexander": "t - 1 + t^-1"}))
+        monkeypatch.setenv(ENV_KNOT_TABLE, str(table))
+        raw = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+        assert main(["knot", "list"]) == 0
+        assert raw.getvalue().endswith("nœud  fibered=true  alexander = t^-1 - 1 + t\n".encode())
 
 
 class TestKnotScope:

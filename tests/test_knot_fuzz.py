@@ -39,14 +39,14 @@ def knot_path(tmp_path_factory):
 
 def outcome(argv, table=None):
     """Exit code, stdout and stderr lines of one command, from the built-in knots and ``table`` as the env file."""
-    out, err = io.StringIO(), io.StringIO()
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()  # main writes to stdout's buffer
     with mock.patch.dict(os.environ), mock.patch.object(cli, "session_knots", BUILTIN_KNOTS), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         os.environ.pop(ENV_KNOT_TABLE, None)
         if table is not None:
             os.environ[ENV_KNOT_TABLE] = table
         code = main(argv)
-    return code, out.getvalue(), err.getvalue().splitlines()
+    return code, out.buffer.getvalue().decode(), err.getvalue().splitlines()
 
 
 def assert_one_typed_line(code, out, lines, shows):

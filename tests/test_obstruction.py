@@ -396,7 +396,8 @@ class TestSweep:
             self.assert_oracles_agree(m, chi, terms)
 
     def test_group_check_refuses_a_pivot_coordinate_out_of_range(self):
-        """The check each (pivot, modulus) group runs, given a pivot set outside [0, modulus)."""
+        """``FoldedSW``'s term check for a fold by a class with pivot 1 and modulus 3, given a pivot
+        coordinate outside [0, 3) and an exponent of the wrong length."""
         _require_terms([((5, 0, 1), 2), ((5, 2, -1), -1)], 3, 1, 3)
         for exp, message in (([5, 3, 0], r"exponent \[5, 3, 0\] is not a canonical representative \(pivot 1, "
                                          r"modulus 3\)"),
@@ -404,17 +405,6 @@ class TestSweep:
                              ((0, 1), r"exponent \(0, 1\) has length 2, basis rank is 3")):
             with pytest.raises(StructuralError, match=message):
                 _require_terms([((0, 0, 0), 1), (exp, 1)], 3, 1, 3)
-
-    def test_sweep_runs_the_group_check_on_its_decoded_codes(self, fig8_pair, monkeypatch):
-        """A decode that moves every coordinate is refused by the first group that decodes a new code:
-        pivot m2, modulus 3 folds m2^-2 to m2^1, which is no sw3 exponent."""
-        unpack = sys.modules["swfold.obstruction"]._unpack
-        monkeypatch.setattr(sys.modules["swfold.obstruction"], "_unpack",
-                            lambda code, base, rank: tuple(e + 100 for e in unpack(code, base, rank)))
-        assert len(_sweep(fig8_pair, 2)[1]) == 62  # every code these groups check is an sw3 exponent
-        with pytest.raises(StructuralError, match=r"^exponent \(98, 101, 100\) is not a canonical representative "
-                                                  r"\(pivot 1, modulus 3\)$"):
-            _sweep(fig8_pair, 3)
 
     def test_group_where_no_term_moves(self, five2_pair):
         """Sums on m1 and m2 only: with pivot m3 every multiplier is 0, so each row is sw3 itself."""
@@ -507,6 +497,44 @@ class TestSweep:
         out = search_output(five2_pair, 2, *flags)
         assert calls == [five2_pair]
         assert out == search_reference(five2_pair, 2, *flags)
+
+
+def negated(chi: tuple[int, ...], terms, s: int) -> dict:
+    """Oracle: the terms of a fold by chi with each exponent negated and stepped along chi back into
+    [0, m) at chi's pivot, m its pivot entry, and each coefficient times s; no floor division, no packing."""
+    pivot = next(i for i, c in enumerate(chi) if c)
+    out = {}
+    for exp, coeff in terms:
+        exp = [-e for e in exp]
+        while exp[pivot] < 0:
+            exp = [e + c for e, c in zip(exp, chi)]
+        while exp[pivot] >= chi[pivot]:
+            exp = [e - c for e, c in zip(exp, chi)]
+        out[tuple(exp)] = s * coeff
+    return out
+
+
+class TestNegationInvariance:
+    """A free circle action has SW_X(-xi) = +-SW_X(xi): with sw3.conjugate() == s*sw3, negating a fold's
+    exponents back into canonical form and multiplying its coefficients by s gives the same fold."""
+
+    @settings(max_examples=60)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3), st.sampled_from((1, -1)))
+    def test_every_fold_and_row_is_negation_invariant(self, rng, box, sign):
+        m = random_manifold(rng, random_basis(rng))
+        more = random.Random(rng.getrandbits(64))  # the rest of the draws, past Hypothesis's example size
+        if sign == -1:  # random_manifold's sw3 is symmetric; p - p.conjugate() is antisymmetric
+            p = random_poly(more, m.basis, max_terms=6, max_exp=6, max_coeff=4)
+            m = ThreeManifold(None, m.basis, m.b1, p - p.conjugate())
+        s = 1 if m.sw3.conjugate() == m.sw3 else -1
+        assert m.sw3.conjugate() == (m.sw3 if s == 1 else -m.sw3)
+        for _ in range(5):
+            folded = fold(m, random_chi(more, m.basis.rank))
+            assert negated(folded.chi.chi, folded.terms, s) == dict(folded.terms)
+        _, rows, read, _ = _sweep(m, box)
+        for chi, keys, _ in rows:
+            terms = [read[key] for key in keys]
+            assert negated(chi, terms, s) == dict(terms), chi
 
 
 class TestCollidingClasses:

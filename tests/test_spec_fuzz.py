@@ -72,13 +72,13 @@ def spec_path(tmp_path_factory):
 @example(text='{"base": "t3", "knots": [{"name": "k", "fibered": true, "seifert": [[' + "7" * 5000 + "]]}]}")
 def test_any_json_spec_builds_or_fails_with_one_typed_line(spec_path, text):
     spec_path.write_text(text, encoding="utf-8", errors="surrogatepass")
-    out, err = io.StringIO(), io.StringIO()
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()  # main writes to stdout's buffer
     with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         os.environ.pop(ENV_KNOT_TABLE, None)
         code = main(["sw3", str(spec_path)])
-    lines = err.getvalue().splitlines()
+    lines, printed = err.getvalue().splitlines(), out.buffer.getvalue().decode()
     if code == 0:
-        assert lines == [] and out.getvalue().startswith("manifold = ")
+        assert lines == [] and printed.startswith("manifold = ")
     else:
-        assert code in (1, 2) and out.getvalue() == ""
+        assert code in (1, 2) and printed == ""
         assert len(lines) == 1 and re.fullmatch(r"error\[[a-z]+\]: .+", lines[0]), lines
