@@ -32,6 +32,10 @@ print("\nextreme coefficients of the unfolded polynomial are +-1, so every")
 print("injective fold keeps a unit coefficient; total cancellation (n = 2)")
 print("or coefficient merging can remove them.")
 
+# Both routes map an exponent e to the same residue, e % |n| (canonical_rep by
+# the class (|n|,) is e - (e // |n|)*|n|), so the grid checks the two code
+# paths and the sign convention; the independent check of the values is the
+# math.comb expansion in tests/test_fold.py and bench/oracles.py.
 print("\ncross-check over a grid (every genus 1..5, |n| in 1..10):")
 bad = 0
 for genus in range(1, 6):

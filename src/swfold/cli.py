@@ -24,8 +24,9 @@ from collections.abc import Callable
 
 from .alexander import BUILTIN_KNOTS, KnotTable, _listed_record, _unknown_field, load_knot_file, read_json
 from .errors import DomainError, SpecFileError, StructuralError, SwfoldError, UnknownVariableError, _at
-from .fold import _units, circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign, fold
-from .laurent import _digits, _joined, _Memo, _Record, _set, _signed
+from .fold import (_printable_bundle, _units, circle_bundle_sw_closed_form, circle_bundle_sw_direct, equal_up_to_sign,
+                   fold)
+from .laurent import _digits, _joined, _Record, _set
 from .manifolds import ThreeManifold, fiber_sum, surface_times_circle, three_torus
 from .obstruction import _note, _sweep
 
@@ -218,6 +219,8 @@ def _cmd_fold(args) -> _Output:
 def _cmd_bundle(args) -> _Output:
     direct = closed = direct_text = closed_text = match = None
     body = []
+    if args.euler or args.method == "direct":  # the closed form refuses n = 0 before any work
+        _printable_bundle(args.genus, args.euler)
     if args.method in ("direct", "both"):
         direct = circle_bundle_sw_direct(args.genus, args.euler)
         direct_text = direct.digest
@@ -266,20 +269,16 @@ def _cmd_obstruct(args) -> _Output:
 
 def _cmd_search(args) -> _Output:
     manifold = load_spec(args.spec)
-    colliders, rows, terms, pieces = _sweep(manifold, args.box)  # one colliding_classes, for rows and note
-    basis, n = manifold.basis, len(manifold.sw3)
+    colliders, rows, terms, pieces, texts = _sweep(manifold, args.box)  # one colliding_classes, for rows and note
+    n = len(manifold.sw3)
     all_obstructed = all(obstructed for _, _, obstructed in rows)
     note = _note(manifold, args.box, colliders)
     body = [f"all_obstructed = {_bool(all_obstructed)} ({len(rows)} entries)"] + note.splitlines()
 
-    def chi_texts():  # each class's EulerClass.text, from one memo of signed pieces per coordinate
-        columns = [_Memo(functools.partial(_signed, name)) for name in basis.names[::-1]]
-        return (_joined([column[c] for column, c in zip(columns, chi[::-1]) if c]) for chi, _, _ in rows)
-
     header = lambda: [f"manifold = {manifold.name}, box = {args.box}"] + [
         f"chi = {chi} | obstructed = {_bool(obstructed)} | "
         f"injective = {_bool(len(keys) == n)} | sw4 = {_joined(map(pieces.__getitem__, keys))}"
-        for chi, (_, keys, obstructed) in zip(chi_texts(), rows)
+        for chi, (_, keys, obstructed) in zip(texts(), rows)
     ]
     return header, body, lambda: {
         "command": "search",
@@ -289,7 +288,7 @@ def _cmd_search(args) -> _Output:
         "count": len(rows),
         "entries": [{"chi": chi, "obstructed": obstructed, "unit_classes": [] if obstructed else
                      [list(exp) for exp in _units(map(terms.__getitem__, keys))],
-                     "injective": len(keys) == n} for chi, (_, keys, obstructed) in zip(chi_texts(), rows)],
+                     "injective": len(keys) == n} for chi, (_, keys, obstructed) in zip(texts(), rows)],
         "stabilization": note,
     }
 

@@ -7,9 +7,12 @@ sum of the SW coefficients of M over the corresponding coset of the
 integer span of chi.  This module implements that coset fold, a
 brute-force oracle for it, and the two circle-bundle-over-a-surface
 specializations, which both read the O(g)-term row of (t - 1/t)^(2g-2)
-built by :func:`~swfold.manifolds.surface_times_circle`; ``bundle
---method both`` compares the :func:`canonical_rep` fold of that row with
-its ``%`` residue map.
+built by :func:`~swfold.manifolds.surface_times_circle`.  Both use the
+same residue map: :func:`canonical_rep` by the class (|n|,) is
+``e - (e // |n|) * |n|``, which is ``e % |n|``.  So ``bundle --method
+both`` checks the two code paths and the sign convention; the
+independent checks are the ``math.comb`` expansions in the tests and the
+benchmark's oracles.
 
 :class:`FoldedSW` is the one record of a fold: every producer here
 builds it, checked, from the sorted folded terms, and whether the fold
@@ -22,12 +25,14 @@ deliberately defines none.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
+from math import floor, lgamma, log, log10, pi, sin
 
-from .errors import DomainError, ParseError, StructuralError, _shown
+from .errors import DomainError, ParseError, StructuralError, _bounded, _count, _shown
 from .laurent import (Basis, LaurentPoly, _accumulate, _joined, _positive, _Record, _render, _require_terms, _set,
                       _signed, _vector, from_text)
-from .manifolds import CIRCLE_BASIS, ThreeManifold, require_b_plus, surface_times_circle
+from .manifolds import CIRCLE_BASIS, ThreeManifold, _row_degree, require_b_plus, surface_times_circle
 
 
 def euler_vector_from_text(text: str, basis: Basis) -> tuple[int, ...]:
@@ -304,6 +309,32 @@ def circle_bundle_sw_closed_form(genus: int, euler_number: int) -> FoldedSW:
     modulus, sign = abs(euler_number), (1 if euler_number > 0 else -1)
     residues = tuple(sorted(_accumulate({}, (((e % modulus,), sign * c) for (e,), c in row._terms.items())).items()))
     return FoldedSW(EulerClass(CIRCLE_BASIS, (modulus,)), CIRCLE_BASIS, residues, len(residues) == len(row))
+
+
+def _printable_bundle(genus: int, euler_number: int) -> None:
+    """Refuse, before its row is built, a bundle whose printed fold holds a coefficient ``str`` cannot print.
+
+    Folding P = (t - 1/t)^D, D = 2g - 2, by n sums P's coefficients per residue mod |n|.  By the
+    roots-of-unity filter the sum at r is the mean over k of w^(-kr) * P(w^k), w = exp(2*pi*i/|n|), and
+    |P(w^k)| = |2*sin(2*pi*k/|n|)|^D.  With M the largest base, at the k nearest |n|/4, every folded
+    coefficient is at most M^D, and by Parseval the largest is at least M^D/|n|; folds by 1 and 2 are 0,
+    as P(1) = P(-1) = 0.  At n = 0 the row itself prints, its largest coefficient C(D, g - 1).  A lower
+    bound more than one digit past ``sys.get_int_max_str_digits()`` raises :class:`DomainError` through
+    :func:`~swfold.errors._bounded`; a limit of 0 refuses nothing.  M <= 2 and C(D, g - 1) <= 2^D, so
+    while D*log10(2) stays within the limit plus one digit nothing is refused and no float work is done.
+    A genus whose row is over ``MAX_ROW_BITS`` keeps that refusal, also before any work.
+    """
+    limit, modulus = sys.get_int_max_str_digits(), abs(euler_number)
+    if not limit or 2 * genus - 2 <= (limit + 1) / log10(2) or 0 < modulus < 3:
+        return
+    degree = _row_degree(genus)
+    if modulus:
+        lower = degree * log10(2 * sin(2 * pi * ((modulus + 2) // 4) / modulus)) - log10(modulus)
+    else:
+        lower = (lgamma(degree + 1) - 2 * lgamma(genus)) / log(10)
+    digits = floor(lower) + 1
+    _bounded(digits - 1, limit, f"result too large to print: the bundle of genus {genus} and Euler number "
+                                f"{_count(euler_number)} has a coefficient of at least {digits} digits")
 
 
 def equal_up_to_sign(a: FoldedSW, b: FoldedSW) -> bool:

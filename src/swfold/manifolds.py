@@ -84,6 +84,16 @@ def three_torus() -> ThreeManifold:
     return ThreeManifold(genus=None, basis=T3_BASIS, b1=3, sw3=LaurentPoly.one(T3_BASIS))
 
 
+def _row_degree(genus: int) -> int:
+    """The degree 2g - 2 of the genus-g binomial row, once the genus is checked and the row's
+    (2g-1)(2g-2) bits are within ``MAX_ROW_BITS``."""
+    _positive(genus, "genus")
+    degree = 2 * genus - 2
+    bits = (degree + 1) * degree
+    _bounded(bits, MAX_ROW_BITS, f"genus {_count(genus)}: its binomial row may take (2g-1)(2g-2) = {_count(bits)} bits")
+    return degree
+
+
 def surface_times_circle(genus: int) -> ThreeManifold:
     """Product of a genus-g surface with the circle: SW = (t - 1/t)^(2g-2).
 
@@ -92,10 +102,7 @@ def surface_times_circle(genus: int) -> ThreeManifold:
     the one binomial row, read by both bundle routes of :mod:`swfold.fold`:
     (-1)^j * C(2g-2, j) at t^(2j-2g+2), each stepped from the last in O(g).
     """
-    _positive(genus, "genus")
-    degree, terms, binomial = 2 * genus - 2, {}, 1  # binomial = (-1)^j * C(degree, j)
-    bits = (degree + 1) * degree
-    _bounded(bits, MAX_ROW_BITS, f"genus {_count(genus)}: its binomial row may take (2g-1)(2g-2) = {_count(bits)} bits")
+    degree, terms, binomial = _row_degree(genus), {}, 1  # binomial = (-1)^j * C(degree, j)
     for j in range(degree + 1):
         terms[(2 * j - degree,)] = binomial
         binomial = -binomial * (degree - j) // (j + 1)

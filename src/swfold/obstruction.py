@@ -12,8 +12,11 @@ box is checked every class and representative it makes is valid by
 construction; a box over ``MAX_TERM_FOLDS`` is refused before any work,
 by :func:`~swfold.errors._bounded` as every work bound is.  It gives
 each class's vector, verdict and folded terms as sorted int keys (code
-and coefficient in one integer) and two memos that read a key as a term
-or as its text, so ``search`` on the command line prints them.
+and coefficient in one integer), two memos that read a key as a term
+or as its text, and a reader of each class's text, so ``search`` on the
+command line prints them.  A class's text is its rest's text, joined
+once per rest of its pivot, then its modulus's piece: one concatenation
+per class.
 :func:`~swfold.fold.fold` by each class is the reference the sweep is
 tested against, entry for entry.  :func:`colliding_classes` lists
 exactly the classes whose folds merge terms, so every class outside
@@ -27,12 +30,14 @@ product support, else per pair difference, and refuses over
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterator
+from functools import partial
 from itertools import chain, combinations, islice, product
 from math import gcd, isqrt, prod
 
 from .errors import _bounded, _count
 from .fold import _units, fold
-from .laurent import _Memo, _accumulate, _code_monomials, _digits, _pack, _positive, _signed, _unpack
+from .laurent import _Memo, _accumulate, _code_monomials, _digits, _joined, _pack, _positive, _signed, _unpack
 from .manifolds import ThreeManifold, require_b_plus
 
 
@@ -44,10 +49,12 @@ MAX_TRIAL_DIVISIONS = 10**7
 
 
 def _sweep(manifold: ThreeManifold, box: int) -> tuple[tuple[tuple[int, ...], ...],
-                                                      list[tuple[tuple[int, ...], list[int], bool]], _Memo, _Memo]:
+                                                      list[tuple[tuple[int, ...], list[int], bool]], _Memo, _Memo,
+                                                      Callable[[], Iterator[str]]]:
     """The colliding classes, each Euler class in the box (one per antipodal pair) in chi order with
-    its folded terms as sorted keys and its verdict, and two memos that read a key back: ``terms``
-    gives its (exponent, coefficient), ``pieces`` its signed piece text.
+    its folded terms as sorted keys and its verdict, two memos that read a key back: ``terms``
+    gives its (exponent, coefficient), ``pieces`` its signed piece text, and ``texts``, whose call
+    yields each row's ``EulerClass.text`` in row order.
 
     Over ``MAX_TERM_FOLDS`` classes times sw3 terms raise :class:`DomainError` before any work; then
     ``require_b_plus`` runs, and :func:`colliding_classes` once.  Classes come normalized, in
@@ -64,7 +71,12 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[tuple[tuple[int, ...], ..
     record is built, and none needs a check: each class is nonzero with a positive pivot entry, and each
     representative's pivot coordinate ``e_p - (e_p // m) * m`` lies in [0, m).  A piece is its
     coefficient's sign and magnitude, memoized from ``_signed``, then its code's ``_code_monomials`` text;
-    the origin code, with no factor text, takes ``_signed`` whole.
+    the origin code, with no factor text, takes ``_signed`` whole.  A class's text lists its entries
+    last coordinate first, so it is the text of its rest followed by its modulus's piece: ``texts``
+    joins each rest's pieces once per pivot, at most (2B+1)^(r-1) strings, and each class is one
+    concatenation of its rest's text and its group's one modulus piece, the rest text dropped when
+    empty and the leading ``" + "`` with it.  Class pieces come from one ``_signed`` memo per
+    coordinate, at most 2B each.
     """
     _positive(box, "search box")
     basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
@@ -79,11 +91,12 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[tuple[tuple[int, ...], ..
     s = max((abs(e) for exp in sw3 for e in exp), default=0)
     base, width = 2 * s * (box + 1) + 1, 2 * sum(map(abs, sw3.values())) + 1
     scaled = [_pack(exp, base) * width for exp in sw3]  # a term's key less its coefficient
-    rows = []
+    rows, pivots = [], []  # each pivot and its rests, in row order, for texts
     for pivot in reversed(range(rank)):
         # _pack is linear: a class's code is its modulus's code plus its rest's, packed once per pivot
         scale, zeros = base ** (rank - 1 - pivot), (0,) * pivot
         rests = [(rest, _pack(rest, base)) for rest in product(range(-box, box + 1), repeat=rank - 1 - pivot)]
+        pivots.append((pivot, rests))
         for modulus in range(1, box + 1):
             ks = [exp[pivot] // modulus for exp in sw3]
             head, offset = zeros + (modulus,), modulus * scale
@@ -114,7 +127,17 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[tuple[tuple[int, ...], ..
         code, digit = divmod(key + half, width)
         factors = monomials[code]
         return prefixes[digit - half] + factors if factors else _signed(factors, digit - half)
-    return colliders, rows, _Memo(term), _Memo(piece)
+
+    def texts():
+        columns = [_Memo(partial(_signed, name)) for name in basis.names]  # each coordinate's class pieces
+        for pivot, rests in pivots:
+            trailing = columns[:pivot:-1]  # the rest's coordinates, last first
+            tails = [_joined([column[c] for column, c in zip(trailing, rest[::-1]) if c]) if any(rest) else ""
+                     for rest, _ in rests]
+            for modulus in range(1, box + 1):
+                head = columns[pivot][modulus]  # positive, so a class with a zero rest drops its " + "
+                yield from [tail + head if tail else head[3:] for tail in tails]
+    return colliders, rows, _Memo(term), _Memo(piece), texts
 
 
 def _divisors(numbers) -> dict[int, list[int]]:

@@ -192,7 +192,7 @@ class TestTextOutputs:
     def test_search_renders_digests_only_when_printed(self, monkeypatch, flags, renders):
         """One digest per row in the text header, and none for the JSON payload or --quiet, which print
         no digest: a digest is the ``_joined`` of its row's pieces, looked up key by key in the sweep's
-        ``pieces`` memo, and chi texts are joined from pieces of their own."""
+        ``pieces`` memo, and chi texts come from the sweep's ``texts``."""
         calls, looked_up, rows = [], [], []
         sweep, joined = cli._sweep, cli._joined
 
@@ -205,9 +205,9 @@ class TestTextOutputs:
                 return self.memo[key]
 
         def recording_sweep(manifold, box):
-            colliders, found, terms, pieces = sweep(manifold, box)
+            colliders, found, terms, pieces, texts = sweep(manifold, box)
             rows.extend(keys for _, keys, _ in found)
-            return colliders, found, terms, Pieces(pieces)
+            return colliders, found, terms, Pieces(pieces), texts
 
         def counting(texts):
             start, texts = len(looked_up), list(texts)
@@ -591,6 +591,30 @@ class TestMalformedInputs:
         assert main(["search", str(path), "--box", "1"]) == 1
         self.assert_one_error_line(capsys, "error[domain]: finding the colliding Euler classes takes about 10^2151 "
                                            "trial divisions of 2 support differences, over the limit of 10000000")
+
+    @pytest.mark.parametrize("euler, method, digits", [(4, "closed", 4334), (4, "both", 4334), (-4, "direct", 4334),
+                                                       (12, "both", 4334), (0, "direct", 4333)])
+    def test_unprintable_bundle_is_refused_before_its_row(self, capsys, monkeypatch, euler, method, digits):
+        """A fold by 4 of the genus-7200 row has a coefficient 2^14397 of 4334 digits: refused from the bound
+        M^D/|n| on its largest coefficient, before any binomial is built; at n = 0 the row's C(14398, 7199)."""
+        fold_module = sys.modules["swfold.fold"]
+        monkeypatch.setattr(fold_module, "surface_times_circle", lambda genus: pytest.fail("a row was built"))
+        assert main(["bundle", "--genus", "7200", "--euler", str(euler), "--method", method]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error[domain]: result too large to print: the bundle of genus 7200 and Euler number "
+                       f"{euler} has a coefficient of at least {digits} digits, over the limit of 4300\n")
+
+    def test_bundle_refusal_follows_the_live_digit_limit(self, capsys):
+        """A limit of 0 lifts str()'s bound, so the genus-7200 fold by 4 prints its 4334-digit coefficients."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert main(["bundle", "--genus", "7200", "--euler", "4", "--method", "closed", "--quiet"]) == 0
+            out = capsys.readouterr().out
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert out.startswith("closed = ") and len(out) > 2 * 4334
 
     @pytest.mark.parametrize("euler", [1, -1, 2, -2])
     def test_large_genus_fold_that_cancels_every_term_prints(self, capsys, euler):

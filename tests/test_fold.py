@@ -12,6 +12,7 @@ from swfold.fold import (
     EulerClass,
     FoldedSW,
     QuotientLattice,
+    _printable_bundle,
     canonical_rep,
     circle_bundle_sw_closed_form,
     circle_bundle_sw_direct,
@@ -526,6 +527,33 @@ class TestCircleBundles:
         with pytest.raises(DomainError) as caught:
             method(genus, euler_number)
         assert str(caught.value) == message
+
+    def test_bundle_refused_only_where_its_fold_cannot_print(self):
+        """Near a 640-digit limit, ``_printable_bundle`` refuses only folds whose digest ``str`` cannot print
+        anyway, and every fold of 4 digits or more past the limit."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        refused = passed = 0
+        try:
+            for genus in range(1060, 1076):
+                for n in (0, 3, 4, 5, 6, 7, 8, 12, -4):
+                    folded = circle_bundle_sw_direct(genus, n)
+                    largest = max(abs(coeff) for _, coeff in folded.terms)
+                    try:
+                        _printable_bundle(genus, n)
+                    except DomainError as exc:
+                        assert str(exc).startswith("result too large to print: ")
+                        with pytest.raises(DomainError, match="result too large to print"):
+                            folded.digest
+                        refused += 1
+                    else:
+                        assert largest < 10 ** (640 + 3), (genus, n)
+                        passed += 1
+            for n in (1, -1, 2, -2):  # past the threshold, but every coefficient folds to 0
+                _printable_bundle(1075, n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert refused and passed
 
 
 class TestEqualUpToSign:

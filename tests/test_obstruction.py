@@ -110,7 +110,7 @@ def sweep_terms(m: ThreeManifold, box: int) -> list[tuple[tuple[int, ...], tuple
 
     Each row must be a sorted list of plain ints, its verdict the absence of a unit coefficient, and
     each key's text from the ``pieces`` memo the ``_piece`` of its term."""
-    _, rows, read, pieces = _sweep(m, box)
+    _, rows, read, pieces, _ = _sweep(m, box)
     decoded_rows = []
     for chi, keys, obstructed in rows:
         assert type(keys) is list and all(type(key) is int for key in keys) and keys == sorted(keys)
@@ -227,19 +227,19 @@ class TestSearchListing:
     def test_chi_texts_share_one_memo(self, five2_pair, monkeypatch):
         """The listing builds at most r*(2B+1) class pieces for a whole search, each row's text
         equal to its class's ``EulerClass.text``.  ``--json`` renders no digest, so every
-        ``_signed`` call the listing makes builds a class piece."""
+        ``_signed`` call the sweep makes builds a class piece."""
         box = 3
         expected = [e.chi.text for e in box_folds(five2_pair, box)]
         rows = [line for line in search_text(five2_pair, box).splitlines() if line.startswith("chi = ")]
         assert [row.split(" | ")[0] for row in rows] == [f"chi = {text}" for text in expected]
         pieces = []
-        signed = sys.modules["swfold.cli"]._signed
+        signed = sys.modules["swfold.obstruction"]._signed
 
         def counting(factors, coeff):
             pieces.append((factors, coeff))
             return signed(factors, coeff)
 
-        monkeypatch.setattr(sys.modules["swfold.cli"], "_signed", counting)
+        monkeypatch.setattr(sys.modules["swfold.obstruction"], "_signed", counting)
         assert [entry["chi"] for entry in search_payload(five2_pair, box)["entries"]] == expected
         assert 0 < len(pieces) <= five2_pair.basis.rank * (2 * box + 1)
         assert len(pieces) == len(set(pieces))
@@ -255,10 +255,9 @@ class TestSearchListing:
         at_origin = {coeff for f in folds for exp, coeff in f.terms if not any(exp)}
         entries = {(i, e) for f in folds for exp, _ in f.terms for i, e in enumerate(exp)}
         signed, monomials = [], []
-        for name in ("swfold.cli", "swfold.obstruction"):
-            real = sys.modules[name]._signed
-            monkeypatch.setattr(sys.modules[name], "_signed",
-                                lambda factors, coeff, real=real: signed.append(coeff) or real(factors, coeff))
+        obstruction = sys.modules["swfold.obstruction"]  # the listing's every piece, chi pieces too
+        real = obstruction._signed
+        monkeypatch.setattr(obstruction, "_signed", lambda factors, coeff: signed.append(coeff) or real(factors, coeff))
         laurent = sys.modules["swfold.laurent"]
         monomial = laurent._monomial
         monkeypatch.setattr(laurent, "_monomial", lambda basis, exp: monomials.append(exp) or monomial(basis, exp))
@@ -267,6 +266,20 @@ class TestSearchListing:
         assert len(monomials) == len(set(monomials))
         assert {(i, e) for exp in monomials for i, e in enumerate(exp) if e} <= entries
         assert all(sum(map(bool, exp)) == 1 for exp in monomials)
+
+    def test_chi_texts_are_joined_once_per_rest(self, fig8_pair, monkeypatch):
+        """The text listing of ``search --box 8`` at rank 3 joins class texts once per rest of a pivot, at
+        most 17^2 + 17 + 1 = 307 times for its 2456 rows, and ``cli`` joins only each row's digest."""
+        joins = {}
+        for name in ("swfold.cli", "swfold.obstruction"):
+            module = sys.modules[name]
+            real = getattr(module, "_joined", None)
+            monkeypatch.setattr(module, "_joined", lambda pieces, name=name, real=real:
+                                joins.setdefault(name, []).append(1) or real(pieces), raising=False)
+        rows = [line.split(" | ")[0] for line in search_text(fig8_pair, 8).splitlines() if line.startswith("chi = ")]
+        assert rows == [f"chi = {EulerClass(fig8_pair.basis, chi).text}" for chi in half_box(3, 8)]
+        assert len(joins["swfold.cli"]) == len(rows) == 2456
+        assert len(joins["swfold.obstruction"]) <= 17**2 + 17 + 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(1, 3))
@@ -291,6 +304,24 @@ class TestSearchListing:
 
 class TestSweep:
     """The kernel ``_sweep`` against ``fold`` by each class of ``half_box``, and its refusals."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(1, 12))
+    @example(seed=1, rank=1, box=12)  # rank 1: one empty rest, two-digit moduli
+    @example(seed=2, rank=2, box=11)  # negative and two-digit rests
+    @example(seed=3, rank=3, box=10)
+    @example(seed=4, rank=4, box=4)
+    def test_texts_are_each_rows_class_text(self, seed, rank, box):
+        """``texts()`` yields ``EulerClass.text`` of each row's vector, in row order, over random names; at
+        most 10^4 classes a box."""
+        box = min(box, max(b for b in range(1, 13) if (2 * b + 1) ** rank <= 10**4))
+        rng = random.Random(seed)
+        basis = Basis(tuple(rng.choice(("m", "x", "long_name", "T")) + rng.choice(("", "_", "9")) + str(i)
+                            for i in range(1, rank + 1)))
+        _, rows, _, _, texts = _sweep(random_manifold(rng, basis), box)
+        expected = [EulerClass(basis, chi).text for chi, _, _ in rows]
+        assert list(texts()) == expected
+        assert list(texts()) == expected  # each call reads the rows afresh
 
     def test_row_count_formula(self, fig8_pair):
         for box in (1, 2):
@@ -531,7 +562,7 @@ class TestNegationInvariance:
         for _ in range(5):
             folded = fold(m, random_chi(more, m.basis.rank))
             assert negated(folded.chi.chi, folded.terms, s) == dict(folded.terms)
-        _, rows, read, _ = _sweep(m, box)
+        _, rows, read, _, _ = _sweep(m, box)
         for chi, keys, _ in rows:
             terms = [read[key] for key in keys]
             assert negated(chi, terms, s) == dict(terms), chi
