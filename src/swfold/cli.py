@@ -28,7 +28,7 @@ from .fold import (_printable_bundle, _units, circle_bundle_sw_closed_form, circ
                    fold)
 from .laurent import _digits, _joined, _Record, _set
 from .manifolds import ThreeManifold, fiber_sum, surface_times_circle, three_torus
-from .obstruction import _note, _sweep
+from .obstruction import _sweep
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "schemas")
 
@@ -217,21 +217,17 @@ def _cmd_fold(args) -> _Output:
 
 
 def _cmd_bundle(args) -> _Output:
-    direct = closed = direct_text = closed_text = match = None
-    body = []
     if args.euler or args.method == "direct":  # the closed form refuses n = 0 before any work
         _printable_bundle(args.genus, args.euler)
-    if args.method in ("direct", "both"):
-        direct = circle_bundle_sw_direct(args.genus, args.euler)
-        direct_text = direct.digest
-        body.append(f"direct = {direct_text}")
-    if args.method in ("closed", "both"):
-        closed = circle_bundle_sw_closed_form(args.genus, args.euler)
-        closed_text = closed.digest
-        body.append(f"closed = {closed_text}")
-    if args.method == "both":
-        match = equal_up_to_sign(direct, closed)
-        body.append("MATCH (up to sign)" if match else "MISMATCH")
+    # the closed form first, each digest right after its route: it refuses n = 0 before the direct route
+    # folds the row, and as it is +-(the direct fold), a digest that cannot print fails alike on either
+    closed = circle_bundle_sw_closed_form(args.genus, args.euler) if args.method != "direct" else None
+    closed_text = closed and closed.digest
+    direct = circle_bundle_sw_direct(args.genus, args.euler) if args.method != "closed" else None
+    direct_text = direct and direct.digest
+    match = equal_up_to_sign(direct, closed) if args.method == "both" else None
+    body = ([f"{name} = {text}" for name, text in (("direct", direct_text), ("closed", closed_text)) if text]
+            + ["MATCH (up to sign)" if match else "MISMATCH"] * (match is not None))
     return lambda: [f"genus = {args.genus}, euler = {args.euler}"], body, lambda: {
         "command": "bundle",
         "genus": args.genus,
@@ -269,10 +265,9 @@ def _cmd_obstruct(args) -> _Output:
 
 def _cmd_search(args) -> _Output:
     manifold = load_spec(args.spec)
-    colliders, rows, terms, pieces, texts = _sweep(manifold, args.box)  # one colliding_classes, for rows and note
+    note, rows, terms, pieces, texts = _sweep(manifold, args.box)
     n = len(manifold.sw3)
     all_obstructed = all(obstructed for _, _, obstructed in rows)
-    note = _note(manifold, args.box, colliders)
     body = [f"all_obstructed = {_bool(all_obstructed)} ({len(rows)} entries)"] + note.splitlines()
 
     header = lambda: [f"manifold = {manifold.name}, box = {args.box}"] + [

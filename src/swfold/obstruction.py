@@ -11,20 +11,19 @@ the class's (pivot, modulus) group.  It builds no record, and once the
 box is checked every class and representative it makes is valid by
 construction; a box over ``MAX_TERM_FOLDS`` is refused before any work,
 by :func:`~swfold.errors._bounded` as every work bound is.  It gives
-each class's vector, verdict and folded terms as sorted int keys (code
-and coefficient in one integer), two memos that read a key as a term
-or as its text, and a reader of each class's text, so ``search`` on the
-command line prints them.  A class's text is its rest's text, joined
-once per rest of its pivot, then its modulus's piece: one concatenation
-per class.
+the box's :func:`stabilization_note`, each class's vector, verdict and
+folded terms as sorted int keys (code and coefficient in one integer),
+two memos that read a key as a term or as its text, and a reader of
+each class's text, so ``search`` on the command line prints them.
 :func:`~swfold.fold.fold` by each class is the reference the sweep is
 tested against, entry for entry.  :func:`colliding_classes` lists
 exactly the classes whose folds merge terms, so every class outside
-that set keeps sw3's coefficients and verdict; the sweep finds them
-once, for its rows and for the note, and shifts the other classes' keys
-with no accumulation.  It works per divisor of a column difference on a
-product support, else per pair difference, and refuses over
-``MAX_TRIAL_DIVISIONS`` trial divisions before the first.
+that set keeps sw3's coefficients and verdict.  It works per divisor of
+a column difference on a product support, else per pair difference, and
+refuses over ``MAX_TRIAL_DIVISIONS`` trial divisions before the first.
+The sweep finds the colliders once and builds the note from them before
+it packs any exponent, so a note that cannot print is refused before
+any row; it shifts the other classes' keys with no accumulation.
 """
 
 from __future__ import annotations
@@ -48,16 +47,16 @@ MAX_TERM_FOLDS = 10**7
 MAX_TRIAL_DIVISIONS = 10**7
 
 
-def _sweep(manifold: ThreeManifold, box: int) -> tuple[tuple[tuple[int, ...], ...],
-                                                      list[tuple[tuple[int, ...], list[int], bool]], _Memo, _Memo,
-                                                      Callable[[], Iterator[str]]]:
-    """The colliding classes, each Euler class in the box (one per antipodal pair) in chi order with
-    its folded terms as sorted keys and its verdict, two memos that read a key back: ``terms``
+def _sweep(manifold: ThreeManifold, box: int) -> tuple[str, list[tuple[tuple[int, ...], list[int], bool]], _Memo,
+                                                      _Memo, Callable[[], Iterator[str]]]:
+    """The box's :func:`stabilization_note`, each Euler class in the box (one per antipodal pair) in chi
+    order with its folded terms as sorted keys and its verdict, two memos that read a key back: ``terms``
     gives its (exponent, coefficient), ``pieces`` its signed piece text, and ``texts``, whose call
     yields each row's ``EulerClass.text`` in row order.
 
     Over ``MAX_TERM_FOLDS`` classes times sw3 terms raise :class:`DomainError` before any work; then
-    ``require_b_plus`` runs, and :func:`colliding_classes` once.  Classes come normalized, in
+    ``require_b_plus`` runs, :func:`colliding_classes` once, and the note is built from its classes, so
+    a note that cannot print is refused before any exponent is packed.  Classes come normalized, in
     lexicographic order: pivot p from the last coordinate down, modulus m in 1..B, then ``(0,)*p + (m,
     *rest)`` for every ``rest`` in [-B, B].  Each sw3 exponent is packed once into a balanced base-R
     integer, R wide enough for every canonical representative in the box, so a term folds by one shift,
@@ -65,18 +64,11 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[tuple[tuple[int, ...], ..
     coefficient passes sw3's L1 norm S, so with W = 2S + 1 the coefficient is one more balanced digit,
     which both memos read back, and sorting keys sorts terms by code.  In a (p, m) group each multiplier
     is fixed, and the terms where it is 0 stay put.  A class outside the colliding ones merges nothing:
-    its row is those fixed keys plus each moving key shifted by ``k * W * pack(chi)``, sorted as ints, and
-    its verdict is sw3's own.  A collider's ``_accumulate`` adds the moving terms' shifts to a copy of the
-    group's fixed dict, keyed by code times W, and its verdict is ``_units`` of the folded terms.  No
-    record is built, and none needs a check: each class is nonzero with a positive pivot entry, and each
-    representative's pivot coordinate ``e_p - (e_p // m) * m`` lies in [0, m).  A piece is its
-    coefficient's sign and magnitude, memoized from ``_signed``, then its code's ``_code_monomials`` text;
-    the origin code, with no factor text, takes ``_signed`` whole.  A class's text lists its entries
-    last coordinate first, so it is the text of its rest followed by its modulus's piece: ``texts``
-    joins each rest's pieces once per pivot, at most (2B+1)^(r-1) strings, and each class is one
-    concatenation of its rest's text and its group's one modulus piece, the rest text dropped when
-    empty and the leading ``" + "`` with it.  Class pieces come from one ``_signed`` memo per
-    coordinate, at most 2B each.
+    its row is the group's keys shifted, with no accumulation, and its verdict is sw3's own.  No record
+    is built, and none needs a check: each class is nonzero with a positive pivot entry, and each
+    representative's pivot coordinate ``e_p - (e_p // m) * m`` lies in [0, m).  A class's text lists its
+    entries last coordinate first, so it is the text of its rest followed by its modulus's piece, and
+    ``texts`` joins each rest's pieces once per pivot, at most (2B+1)^(r-1) strings.
     """
     _positive(box, "search box")
     basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
@@ -86,6 +78,7 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[tuple[tuple[int, ...], ..
                                     f"{len(sw3)} terms each: {_count(folds)} term folds")
     require_b_plus(manifold)
     colliders = colliding_classes(manifold)
+    note = _note(manifold, box, colliders)  # a note that cannot print refuses before any row
     colliding, obstructed = set(colliders), not _units(sw3.items())  # an injective fold keeps sw3's verdict
     # |e - k*chi| <= s + s*box for coordinates |e| <= s, since |k| = |e_p // m| <= s
     s = max((abs(e) for exp in sw3 for e in exp), default=0)
@@ -137,7 +130,7 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[tuple[tuple[int, ...], ..
             for modulus in range(1, box + 1):
                 head = columns[pivot][modulus]  # positive, so a class with a zero rest drops its " + "
                 yield from [tail + head if tail else head[3:] for tail in tails]
-    return colliders, rows, _Memo(term), _Memo(piece), texts
+    return note, rows, _Memo(term), _Memo(piece), texts
 
 
 def _divisors(numbers) -> dict[int, list[int]]:

@@ -205,9 +205,9 @@ class TestTextOutputs:
                 return self.memo[key]
 
         def recording_sweep(manifold, box):
-            colliders, found, terms, pieces, texts = sweep(manifold, box)
+            note, found, terms, pieces, texts = sweep(manifold, box)
             rows.extend(keys for _, keys, _ in found)
-            return colliders, found, terms, Pieces(pieces), texts
+            return note, found, terms, Pieces(pieces), texts
 
         def counting(texts):
             start, texts = len(looked_up), list(texts)
@@ -555,10 +555,12 @@ class TestMalformedInputs:
         # a unit at an exponent of 4301 digits: the unit classes that obstruct lists
         (f"t^{'9' * 4300}*t^{'9' * 4300} - 1 + t^-{'9' * 4300}*t^-{'9' * 4300}", ["m1"], ["obstruct", "--chi", "m2"]),
     ], ids=["search-note", "obstruct-units"])
-    def test_sw3_past_the_digit_limit(self, capsys, tmp_path, mode, alexander, meridians, command):
+    def test_sw3_past_the_digit_limit(self, capsys, monkeypatch, tmp_path, mode, alexander, meridians, command):
+        """Refused before any row: the sweep builds search's note ahead of its first packed exponent."""
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"base": "t3", "knots": [{"name": "k", "fibered": False, "alexander": alexander}],
                                     "sums": [{"knot": "k", "meridian": m} for m in meridians]}))
+        monkeypatch.setattr(sys.modules["swfold.obstruction"], "_pack", lambda *args: pytest.fail("a row was started"))
         assert main([command[0], str(path), *command[1:], *mode]) == 1
         self.assert_one_error_line(capsys, "error[domain]: result too large to print")
 
@@ -604,6 +606,28 @@ class TestMalformedInputs:
         assert out == ""
         assert err == ("error[domain]: result too large to print: the bundle of genus 7200 and Euler number "
                        f"{euler} has a coefficient of at least {digits} digits, over the limit of 4300\n")
+
+    def test_zero_euler_number_is_refused_before_the_row_of_both_routes(self, capsys, monkeypatch):
+        """``--method both`` runs the closed form first, so n = 0 is refused before the direct route folds
+        the genus-7200 row, whose C(14398, 7199) could not print either."""
+        fold_module = sys.modules["swfold.fold"]
+        monkeypatch.setattr(fold_module, "surface_times_circle", lambda genus: pytest.fail("a row was built"))
+        assert main(["bundle", "--genus", "7200", "--euler", "0", "--method", "both"]) == 1
+        error = "error[domain]: Euler number must be a nonzero integer for the closed form\n"
+        assert capsys.readouterr() == ("", error)
+
+    def test_bundle_one_digit_margin_at_its_edge(self, capsys):
+        """At a 640-digit limit the genus-1066 fold by 4 has a lower bound of 641 digits: one digit past
+        the limit is the float margin, so the precheck passes it, and ``str`` refuses its 641-digit
+        coefficients with the generic line."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["bundle", "--genus", "1066", "--euler", "4", "--method", "closed"]) == 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr() == ("", "error[domain]: result too large to print: an integer has more digits than "
+                                           "Python's int_max_str_digits limit (4300 by default)\n")
 
     def test_bundle_refusal_follows_the_live_digit_limit(self, capsys):
         """A limit of 0 lifts str()'s bound, so the genus-7200 fold by 4 prints its 4334-digit coefficients."""

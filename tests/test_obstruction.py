@@ -1,13 +1,16 @@
 """Unit-coefficient obstruction verdicts and box searches."""
 
 import json
+import pathlib
 import random
 import re
 import sys
 import time
 from collections import Counter
+from functools import reduce
 from itertools import product
 from math import gcd, isqrt, prod
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -17,13 +20,15 @@ from swfold.alexander import BUILTIN_KNOTS
 from swfold import cli
 from swfold.cli import OutputRecord, emit, run
 from swfold.errors import DomainError, HypothesisError, StructuralError
-from swfold.fold import EulerClass, FoldedSW, QuotientLattice, canonical_rep, fold
+from swfold.fold import EulerClass, FoldedSW, QuotientLattice, canonical_rep, fold, fold_poly
 from swfold.laurent import Basis, LaurentPoly, _piece, _render, _require_terms, from_text, to_text
 from swfold.manifolds import T3_BASIS, ThreeManifold, fiber_sum, surface_times_circle, three_torus
 from swfold.obstruction import _sweep, colliding_classes, stabilization_note
 
 from conftest import coefficients, fold_bruteforce, random_basis, random_poly
 from test_fold import random_chi, random_manifold
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
 def unit_exponents(poly):
@@ -519,6 +524,18 @@ class TestSweep:
         with pytest.raises(HypothesisError):
             _sweep(pretend, 2)
 
+    @pytest.mark.parametrize("spec", ["trefoil.json", "fig8-pair.json", "52-pair.json"])
+    def test_note_is_each_demos_stabilization_note(self, spec):
+        m = cli.load_spec(str(DEMOS / spec))
+        for box in (1, 2, 5, 8):
+            assert _sweep(m, box)[0] == stabilization_note(m, box), box
+
+    def test_note_is_the_stabilization_note(self):
+        rng = random.Random(107)
+        for _ in range(80):
+            m, box = random_manifold(rng, random_basis(rng)), rng.randint(1, 4)
+            assert _sweep(m, box)[0] == stabilization_note(m, box)
+
     @pytest.mark.parametrize("flags", [(), ("--json",), ("--quiet",)], ids=["text", "json", "quiet"])
     def test_search_finds_the_colliders_once(self, monkeypatch, five2_pair, flags):
         """The sweep's colliders split its rows and feed the note: one ``colliding_classes`` per search."""
@@ -543,6 +560,28 @@ def negated(chi: tuple[int, ...], terms, s: int) -> dict:
             exp = [e - c for e, c in zip(exp, chi)]
         out[tuple(exp)] = s * coeff
     return out
+
+
+class TestFoldIsARingMap:
+    """Folding by chi maps Z[H] onto Z[H/<chi>] as rings, so a fiber sum's fold is the fold of the product of
+    its base's fold and each knot factor's fold: each side folds by its own route, factor by factor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(BUILTIN_KNOTS.names()), st.sampled_from(T3_BASIS.names)),
+                    min_size=1, max_size=4), st.integers(1, 3), st.data())
+    def test_tower_fold_is_the_fold_of_its_folded_factors(self, sums, box, data):
+        m = fiber_sum(three_torus(), [(BUILTIN_KNOTS.lookup(name), meridian) for name, meridian in sums])
+        chi = tuple(data.draw(st.lists(st.integers(-box, box), min_size=3, max_size=3).filter(any)))
+        quotient = QuotientLattice(EulerClass(T3_BASIS, chi))
+        squared = {meridian: {"t": [2 * e for e in T3_BASIS.unit(meridian)]} for meridian in T3_BASIS.names}
+        # each knot's Alexander polynomial at its meridian squared
+        factors = [BUILTIN_KNOTS.lookup(name).alexander.reindex(T3_BASIS, squared[meridian]) for name, meridian in sums]
+        folded = reduce(mul, [fold_poly(f, quotient) for f in [three_torus().sw3, *factors]])
+        expected = fold_poly(folded, quotient).terms()
+        assert fold(m, chi).terms == expected
+        _, rows, read, _, _ = _sweep(m, box)
+        keys = next(keys for vector, keys, _ in rows if vector == quotient.chi)
+        assert tuple(read[key] for key in keys) == expected
 
 
 class TestNegationInvariance:
