@@ -39,15 +39,11 @@ from .errors import (
 from .fold import (
     EulerClass,
     FoldedSW,
-    QuotientLattice,
-    canonical_rep,
     circle_bundle_sw_closed_form,
     circle_bundle_sw_direct,
     equal_up_to_sign,
     euler_vector_from_text,
     fold,
-    fold_poly,
-    fold_poly_bruteforce,
 )
 from .laurent import Basis, LaurentPoly, from_text, to_text
 from .manifolds import (

@@ -185,7 +185,8 @@ class KnotTable:
 
     :meth:`with_records` returns a new table and leaves this one as it
     was.  Adding a record identical to one already present is a no-op; a
-    different record under an existing name is rejected.
+    different record under an existing name is rejected.  A record is
+    compared with the stored one only when it is not that same object.
     """
 
     def __init__(self, records: Iterable[KnotRecord]):

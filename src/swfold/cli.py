@@ -7,7 +7,9 @@ its SW polynomial), ``fold`` (coset-fold by an Euler class), ``bundle``
 (unit-coefficient verdict for one Euler class) and ``search``
 (exhaustive box sweep).  Output is byte-deterministic; ``--json`` emits
 a payload with sorted keys that validates against the schema files
-shipped in ``swfold/schemas``.
+shipped in ``swfold/schemas``.  Each handler renders each polynomial at
+most once, and ``run`` builds the header lines and the payload only when
+they are printed.
 
 Exit codes: 0 success, 1 domain/hypothesis error, 2 parse/structural
 error (including usage errors, which argparse reports itself).
@@ -40,13 +42,12 @@ session_knots: KnotTable = BUILTIN_KNOTS
 
 
 class OutputRecord(_Record):
-    """What one invocation produced: echo, and the text or (for ``--json``) the payload it prints."""
+    """What one invocation prints: its text, or (for ``--json``) its payload."""
 
-    __slots__ = ("command", "text", "payload")
+    __slots__ = ("text", "payload")
     status = 0  # not a field (a returned record succeeded, a failing command raises); bench/run.py reads it
 
-    def __init__(self, command: tuple[str, ...], text: str = "", payload: dict | None = None):
-        _set(self, "command", command)
+    def __init__(self, text: str = "", payload: dict | None = None):
         _set(self, "text", text)
         _set(self, "payload", payload)
 
@@ -264,6 +265,10 @@ def _cmd_obstruct(args) -> _Output:
 
 
 def _cmd_search(args) -> _Output:
+    """The sweep's rows as printed: ``all_obstructed``, the count and each ``obstructed`` are the sweep's
+    verdicts, and ``injective`` is a row's key count against sw3's term count.  The text header joins
+    each row's memoized ``pieces``; ``--json`` reads a row's ``terms`` only for the unit classes of a
+    row that is not obstructed; ``--quiet`` builds no piece and no class text."""
     manifold = load_spec(args.spec)
     note, rows, terms, pieces, texts = _sweep(manifold, args.box)
     n = len(manifold.sw3)
@@ -348,12 +353,11 @@ _HANDLERS = {
 
 def run(argv) -> OutputRecord:
     """Execute one command line and return the record (raises on errors)."""
-    argv = list(argv)
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(list(argv))
     header, body, payload = _HANDLERS[args.command](args)
     if args.json:
-        return OutputRecord(command=tuple(argv), payload=payload())
-    return OutputRecord(command=tuple(argv), text="\n".join(body if args.quiet else header() + body))
+        return OutputRecord(payload=payload())
+    return OutputRecord("\n".join(body if args.quiet else header() + body))
 
 
 def main(argv=None) -> int:

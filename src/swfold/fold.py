@@ -21,6 +21,12 @@ Folded results are terminal values: their exponents are canonical coset
 representatives (pivot coordinate reduced into [0, chi_pivot)), on
 which ring operations would be meaningless, so :class:`FoldedSW`
 deliberately defines none.
+
+:func:`fold` is the one fold of a manifold that the package exports.
+:func:`fold_poly`, :func:`canonical_rep`, :class:`QuotientLattice` and
+the brute-force :func:`fold_poly_bruteforce` stay public in this module
+only, not in ``swfold.__all__``: the benchmark's oracle and the tests
+import them from here.
 """
 
 from __future__ import annotations

@@ -143,7 +143,9 @@ def _positive(value, what: str) -> None:
 def _require_terms(terms, rank: int, pivot: int | None = None, modulus: int = 0) -> None:
     """The one term rule: raise unless each term pairs an exponent of ``rank`` integers, its pivot
     coordinate in [0, modulus) (if pivot), with an integer coefficient, bools refused as ``_vector``
-    refuses them: all in one pass, where a plain int costs one type test."""
+    refuses them: all in one pass, where a plain int costs one type test.  :class:`LaurentPoly` runs
+    it with no pivot and ``FoldedSW`` with its pivot and modulus, so a malformed term gets the same
+    :class:`StructuralError` from both records."""
     for term in terms:
         try:
             exp, coeff = term
@@ -348,7 +350,12 @@ class LaurentPoly(_Record):
 
 
 def _balanced_digits(value: int, base: int, count: int) -> list[int]:
-    """The ``count`` lowest base-``base`` digits of value, each in [-(base//2), (base-1)//2]."""
+    """The ``count`` lowest base-``base`` digits of value, each in [-(base//2), (base-1)//2].
+
+    The one home of balanced digits: the Alexander determinant reads its coefficients off them, and
+    ``_pack`` and ``_unpack`` below encode and decode the exponent codes of the collision scan and of
+    the ``search`` sweep.
+    """
     half, digits = base // 2, []
     for _ in range(count):
         value, digit = divmod(value + half, base)  # value + half = base * next + (digit + half)
@@ -416,7 +423,12 @@ def _joined(pieces: Iterable[str]) -> str:
 
 
 class _Memo(dict):
-    """``fn(key)`` for each key, computed on its first lookup and kept; ``known`` seeds it."""
+    """``fn(key)`` for each key, computed on its first lookup and kept; ``known`` seeds it.
+
+    A memo lives in the call that made it: ``tests/test_package.py`` fails on a module-level or
+    class-level memo and on a ``functools.cache`` or ``lru_cache`` other than the command line's
+    one argument parser.
+    """
 
     def __init__(self, fn, known=()):
         super().__init__(known)

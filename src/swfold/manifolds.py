@@ -117,7 +117,9 @@ def fiber_sum(manifold: ThreeManifold, sums: Iterable[tuple[KnotRecord, str]]) -
     bad one is reported ahead of the bound.  Each product adds its term pairs to a running count
     before it is made, and a count over ``MAX_TERM_PAIRS`` raises :class:`DomainError` instead, so
     no spec multiplies more than that many pairs.  The pairs are appended to the manifold's sums;
-    one record is built and checked, or none for no sums.
+    one record is built and checked, or none for no sums.  The nine-sum tower of
+    ``tests/test_cli_tower_golden.py`` (three three-term knot factors on each meridian) takes 471
+    term pairs this way, instead of 2079 left to right.
     """
     basis, added, factors, term_pairs = manifold.basis, [], [], 0
     try:

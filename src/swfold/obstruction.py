@@ -9,8 +9,9 @@ class in a box (one per antipodal pair) in packed form: every exponent
 is one integer, and a fold is one integer shift per term that moves in
 the class's (pivot, modulus) group.  It builds no record, and once the
 box is checked every class and representative it makes is valid by
-construction; a box over ``MAX_TERM_FOLDS`` is refused before any work,
-by :func:`~swfold.errors._bounded` as every work bound is.  It gives
+construction; a box over ``MAX_TERM_FOLDS`` term folds, each counted once
+per 64-bit word of the widest key, is refused before any work, by
+:func:`~swfold.errors._bounded` as every work bound is.  It gives
 the box's :func:`stabilization_note`, each class's vector, verdict and
 folded terms as sorted int keys (code and coefficient in one integer),
 two memos that read a key as a term or as its text, and a reader of
@@ -40,7 +41,8 @@ from .laurent import _Memo, _accumulate, _code_monomials, _digits, _joined, _pac
 from .manifolds import ThreeManifold, require_b_plus
 
 
-#: The most term folds one search may do: ((2B+1)^r - 1)/2 classes times len(sw3), at least 1 each.
+#: The most term folds one search may do: ((2B+1)^r - 1)/2 classes times len(sw3), at least 1 each,
+#: times the 64-bit words of its widest key, so a fold of a key of many words counts once per word.
 MAX_TERM_FOLDS = 10**7
 
 #: The most trial divisions one ``colliding_classes`` may do: isqrt(n) for each distinct n it factors.
@@ -54,35 +56,39 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[str, list[tuple[tuple[int
     gives its (exponent, coefficient), ``pieces`` its signed piece text, and ``texts``, whose call
     yields each row's ``EulerClass.text`` in row order.
 
-    Over ``MAX_TERM_FOLDS`` classes times sw3 terms raise :class:`DomainError` before any work; then
-    ``require_b_plus`` runs, :func:`colliding_classes` once, and the note is built from its classes, so
-    a note that cannot print is refused before any exponent is packed.  Classes come normalized, in
+    Over ``MAX_TERM_FOLDS`` classes times sw3 terms times the 64-bit words of the widest key, read off the
+    bit lengths of R and W below (one word for every demo), raise :class:`DomainError` before any work; then
+    ``require_b_plus`` runs, :func:`colliding_classes` once, and the note is built from its classes, so a
+    note that cannot print is refused before any exponent is packed.  Classes come normalized, in
     lexicographic order: pivot p from the last coordinate down, modulus m in 1..B, then ``(0,)*p + (m,
     *rest)`` for every ``rest`` in [-B, B].  Each sw3 exponent is packed once into a balanced base-R
     integer, R wide enough for every canonical representative in the box, so a term folds by one shift,
     ``code - (e_p // m) * pack(chi)``.  A term is one int, its key ``code * W + coefficient``: no merged
-    coefficient passes sw3's L1 norm S, so with W = 2S + 1 the coefficient is one more balanced digit,
-    which both memos read back, and sorting keys sorts terms by code.  In a (p, m) group each multiplier
-    is fixed, and the terms where it is 0 stay put.  A class outside the colliding ones merges nothing:
-    its row is the group's keys shifted, with no accumulation, and its verdict is sw3's own.  No record
-    is built, and none needs a check: each class is nonzero with a positive pivot entry, and each
-    representative's pivot coordinate ``e_p - (e_p // m) * m`` lies in [0, m).  A class's text lists its
-    entries last coordinate first, so it is the text of its rest followed by its modulus's piece, and
-    ``texts`` joins each rest's pieces once per pivot, at most (2B+1)^(r-1) strings.
+    coefficient passes sw3's L1 norm S, so with W = 2S + 1 the coefficient is one more balanced digit, which
+    both memos read back, and sorting keys sorts terms by code.  In a (p, m) group each multiplier is fixed,
+    and the terms where it is 0 stay put.  A class outside the colliding ones merges nothing: its row is the
+    group's keys shifted, with no accumulation, and its verdict is sw3's own.  No record is built, and none
+    needs a check: each class is nonzero with a positive pivot entry, and each representative's pivot
+    coordinate ``e_p - (e_p // m) * m`` lies in [0, m).  A class's text lists its entries last coordinate
+    first, so it is the text of its rest followed by its modulus's piece, and ``texts`` joins each rest's
+    pieces once per pivot, at most (2B+1)^(r-1) strings, keeping one pivot's rest texts at a time; rows hold
+    no text.
     """
     _positive(box, "search box")
     basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
+    # |e - k*chi| <= s + s*box for coordinates |e| <= s, since |k| = |e_p // m| <= s
+    s = max((abs(e) for exp in sw3 for e in exp), default=0)
+    base, width = 2 * s * (box + 1) + 1, 2 * sum(map(abs, sw3.values())) + 1
+    words = -(-(rank * base.bit_length() + width.bit_length()) // 64)  # of a key, |key| < R^r * W / 2
     classes = ((2 * box + 1) ** rank - 1) // 2
     folds = classes * max(len(sw3), 1)  # a zero sw3 still costs one step per class
-    _bounded(folds, MAX_TERM_FOLDS, f"search box {_count(box)} holds {_count(classes)} Euler classes of "
-                                    f"{len(sw3)} terms each: {_count(folds)} term folds")
+    wide = f" of {words} key words each, {_count(folds * words)} one-word term folds" if words > 1 else ""
+    _bounded(folds * words, MAX_TERM_FOLDS, f"search box {_count(box)} holds {_count(classes)} Euler classes of "
+                                            f"{len(sw3)} terms each: {_count(folds)} term folds{wide}")
     require_b_plus(manifold)
     colliders = colliding_classes(manifold)
     note = _note(manifold, box, colliders)  # a note that cannot print refuses before any row
     colliding, obstructed = set(colliders), not _units(sw3.items())  # an injective fold keeps sw3's verdict
-    # |e - k*chi| <= s + s*box for coordinates |e| <= s, since |k| = |e_p // m| <= s
-    s = max((abs(e) for exp in sw3 for e in exp), default=0)
-    base, width = 2 * s * (box + 1) + 1, 2 * sum(map(abs, sw3.values())) + 1
     scaled = [_pack(exp, base) * width for exp in sw3]  # a term's key less its coefficient
     rows, pivots = [], []  # each pivot and its rests, in row order, for texts
     for pivot in reversed(range(rank)):
@@ -151,7 +157,9 @@ def colliding_classes(manifold: ThreeManifold) -> tuple[tuple[int, ...], ...]:
     of its coordinate sets, S - S = D_1 x ... x D_r for the differences D_i within coordinate i,
     and k divides a positive one; each such k gives the positive tuples of the product of the
     ``d // k`` over the d in D_i that k divides.  Any other S is scanned by pairs: each positive
-    difference divided by each divisor of the gcd of its entries.
+    difference divided by each divisor of the gcd of its entries.  The nine-sum 5_2 tower has 343
+    terms and 58,653 point pairs, but three columns of 7 values whose 6 positive differences have 9
+    divisors in all.
     """
     support = manifold.sw3.support()
     columns = [sorted(set(column)) for column in zip(*support)]

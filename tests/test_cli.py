@@ -240,10 +240,6 @@ class TestTextOutputs:
         record = run(["knot", "register", str(path)])
         assert "registered granny" in record.text
 
-    def test_command_echo_preserved(self):
-        record = run(["sw3", TREFOIL])
-        assert record.command == ("sw3", TREFOIL)
-
 
 class TestJsonOutputs:
     def test_sw3_payload_schema_and_round_trip(self):
@@ -339,9 +335,9 @@ class TestDeterminism:
 
 
 class TestOutputRecord:
-    def test_three_fields_and_constant_status(self):
-        assert OutputRecord.__slots__ == ("command", "text", "payload")
-        assert OutputRecord(("sw3",)).status == 0 and OutputRecord.status == 0
+    def test_two_fields_and_constant_status(self):
+        assert OutputRecord.__slots__ == ("text", "payload")
+        assert OutputRecord().status == 0 and OutputRecord.status == 0
 
     @pytest.mark.parametrize("payload, out", [
         (None, b"plain\n"),
@@ -349,7 +345,7 @@ class TestOutputRecord:
         ({"b": [], "a": 1}, b'{\n  "a": 1,\n  "b": []\n}\n'),
     ])
     def test_emit_prints_json_exactly_when_a_payload_is_set(self, payload, out):
-        assert emit(OutputRecord(("x",), text="plain", payload=payload)) == out
+        assert emit(OutputRecord(text="plain", payload=payload)) == out
 
 
 class TestExitCodes:

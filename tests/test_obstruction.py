@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swfold.alexander import BUILTIN_KNOTS
+from swfold.alexander import BUILTIN_KNOTS, knot_from_alexander
 from swfold import cli
 from swfold.cli import OutputRecord, emit, run
 from swfold.errors import DomainError, HypothesisError, StructuralError
@@ -133,7 +133,7 @@ def search_reference(m: ThreeManifold, box: int, *flags: str) -> bytes:
     if "--json" in flags:
         rows = [{"chi": e.chi.text, "obstructed": e.obstructed, "unit_classes": [list(u) for u in e.unit_classes],
                  "injective": e.injective} for e in entries]
-        return emit(OutputRecord((), payload={
+        return emit(OutputRecord(payload={
             "command": "search", "manifold": m.name, "box": box, "all_obstructed": all_obstructed,
             "count": len(entries), "entries": rows, "stabilization": note}))
     shown = {True: "true", False: "false"}
@@ -141,7 +141,7 @@ def search_reference(m: ThreeManifold, box: int, *flags: str) -> bytes:
     header = [f"manifold = {m.name}, box = {box}"] + [
         f"chi = {e.chi.text} | obstructed = {shown[e.obstructed]} | injective = {shown[e.injective]} | "
         f"sw4 = {_render(e.basis, e.terms)}" for e in entries]
-    return emit(OutputRecord((), text="\n".join(body if "--quiet" in flags else header + body)))
+    return emit(OutputRecord("\n".join(body if "--quiet" in flags else header + body)))
 
 
 def listing_rows(text: str) -> dict[str, str]:
@@ -517,6 +517,20 @@ class TestSweep:
         assert sweep_terms(zero, 2) == [(chi, ()) for chi in half_box(3, 2)]
         rows = listing_rows(search_text(zero, 2)).values()
         assert len(rows) == 62 and all(row.endswith(" | injective = true | sw4 = 0") for row in rows)
+
+    def test_term_folds_count_once_per_key_word(self):
+        """A key of many 64-bit words costs a fold per word: 1,000-digit knot coefficients on m1 and m2
+        give 9 terms on 6,669-bit keys (105 words), so box 20's 310,140 term folds count 32,564,700."""
+        n = int("9" * 1000)
+        big = knot_from_alexander("big", False, f"{n}*t - {2 * n - 1} + {n}*t^-1")
+        m = fiber_sum(three_torus(), [(big, "m1"), (big, "m2")])
+        start = time.perf_counter()
+        with pytest.raises(DomainError) as err:
+            _sweep(m, 20)
+        assert time.perf_counter() - start < 1
+        assert str(err.value) == ("search box 20 holds 34460 Euler classes of 9 terms each: 310140 term folds of "
+                                  "105 key words each, 32564700 one-word term folds, over the limit of 10000000")
+        assert len(_sweep(m, 10)[1]) == 4630  # 41,670 term folds times 105 words: 4,375,350
 
     def test_low_b_plus_rejected(self):
         s = surface_times_circle(1)

@@ -1,8 +1,12 @@
 """The package's public names: ``swfold.__all__`` lists exactly what ``__init__`` imports;
-every other module uses each name it imports; and no module keeps a memo for the process."""
+every other module uses each name it imports; no module keeps a memo for the process; and the
+README names no private attribute."""
 
 import ast
+import importlib
 import pathlib
+import re
+import sys
 
 import pytest
 
@@ -108,3 +112,37 @@ def test_process_memos_finds_each_form(tmp_path, source, found):
     path = tmp_path / "m.py"
     path.write_text(source, encoding="utf-8")
     assert process_memos(path) == found
+
+
+FOLD_INTERNALS = ("QuotientLattice", "canonical_rep", "fold_poly", "fold_poly_bruteforce")
+
+
+def test_fold_internals_are_not_exported_but_stay_in_their_module():
+    """``fold`` is the one public fold; its kernel and the brute-force oracle stay public in
+    ``swfold.fold`` alone, where the benchmark imports them."""
+    module = sys.modules["swfold.fold"]
+    for name in FOLD_INTERNALS:
+        assert name not in swfold.__all__ and not hasattr(swfold, name)
+        assert callable(getattr(module, name))
+
+
+def private_names() -> set[str]:
+    """The ``_``-prefixed, non-dunder attributes of every swfold module and of the classes they define."""
+    names = set()
+    for path in MODULES:
+        module = importlib.import_module(f"swfold.{path.stem}")
+        scopes = [vars(module)] + [vars(value) for value in vars(module).values()
+                                   if isinstance(value, type) and value.__module__ == module.__name__]
+        names.update(name for scope in scopes for name in scope
+                     if name.startswith("_") and not (name.startswith("__") and name.endswith("__")))
+    return names
+
+
+def test_readme_names_no_private_attribute():
+    """The README states the contract: no backticked span in it names a private attribute of the package."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    private = private_names()
+    assert {"_sweep", "_Record", "_terms", "_of"} <= private
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.M | re.S)  # fenced blocks hold no spans
+    named = {word for span in re.findall(r"`([^`]+)`", prose) for word in re.findall(r"\w+", span)}
+    assert sorted(named & private) == []
