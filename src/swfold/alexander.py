@@ -9,7 +9,9 @@ flipped if Delta(1) = -1).
 
 The determinant is one integer Bareiss determinant of base*V - V^T, at a
 point t = base above twice every coefficient, whose balanced base-`base`
-digits are the coefficients (Kronecker substitution).
+digits are the coefficients (Kronecker substitution).  Its word products
+are estimated from the size and the bit length of base first, and a
+count over ``MAX_WORD_PRODUCTS`` is refused before any elimination step.
 
 The built-in table :data:`BUILTIN_KNOTS` ships the three knots the
 bundled demos are built on: the trefoil 3_1 and the figure-eight 4_1
@@ -25,11 +27,18 @@ import sys
 from collections.abc import Iterable, Sequence
 from math import prod
 
-from .errors import KnotLookupError, NotSeifertError, ParseError, SpecFileError, StructuralError, _at, _count, _shown
+from .errors import (KnotLookupError, NotSeifertError, ParseError, SpecFileError, StructuralError, _at, _bounded,
+                     _count, _shown)
 from .laurent import Basis, LaurentPoly, _balanced_digits, _Record, _set, from_text, to_text
 
 #: Every knot polynomial lives over this one-variable basis.
 KNOT_BASIS = Basis(("t",))
+
+#: The most 64-bit word products one Alexander determinant may take: Bareiss on a size-n matrix multiplies
+#: about n^3/3 pairs of integers of up to n*bitlen(base) bits, counted as that many words squared.  Dense
+#: size-40 congruences of T(2, 41) count about 2.4*10^9 and take 3.6 s on a shared 2-core host; size 50 counts
+#: 1.3*10^10.
+MAX_WORD_PRODUCTS = 5 * 10**9
 
 #: What a knot name may not hold, so that it prints as one line of text: a C0 or
 #: C1 control character or DEL, a line or paragraph separator, or a lone surrogate.
@@ -94,7 +103,9 @@ def alexander_from_seifert(matrix) -> LaurentPoly:
 
     Computes det(tV - V^T), recenters exponents so the result is fixed by
     t -> 1/t, and scales by -1 if needed so the value at t = 1 is +1.
-    Raises :class:`NotSeifertError` when det(V - V^T) is not +-1.
+    Raises :class:`NotSeifertError` when det(V - V^T) is not +-1, and
+    :class:`DomainError` before any elimination step when the determinant
+    would take over ``MAX_WORD_PRODUCTS`` word products.
     """
     if not isinstance(matrix, SeifertMatrix):
         matrix = SeifertMatrix(matrix)
@@ -104,6 +115,9 @@ def alexander_from_seifert(matrix) -> LaurentPoly:
     # so base exceeds twice every coefficient and the n+1 coefficients are
     # the balanced base-`base` digits of the determinant at t = base.
     base = 2 * prod(1 + sum(map(abs, row + col)) for row, col in pairs)
+    products = n**3 // 3 * (-(-n * base.bit_length() // 64)) ** 2  # the widest entry has about n*bitlen(base) bits
+    _bounded(products, MAX_WORD_PRODUCTS, f"the Alexander determinant of a size-{n} Seifert matrix takes "
+                                          f"{_count(products)} word products")
     value = _int_det([[base * v - w for v, w in zip(row, col)] for row, col in pairs])
     coeffs = _balanced_digits(value, base, n + 1)
 

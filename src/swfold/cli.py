@@ -267,19 +267,28 @@ def _cmd_obstruct(args) -> _Output:
 def _cmd_search(args) -> _Output:
     """The sweep's rows as printed: ``all_obstructed``, the count and each ``obstructed`` are the sweep's
     verdicts, and ``injective`` is a row's key count against sw3's term count.  The text header joins
-    each row's memoized ``pieces``; ``--json`` reads a row's ``terms`` only for the unit classes of a
-    row that is not obstructed; ``--quiet`` builds no piece and no class text."""
+    each row's memoized ``pieces``, once per list: the sweep gives every class whose fold leaves sw3 as
+    it is one shared list, so sw3's digest is rendered once per search; ``--json`` reads a row's
+    ``terms`` only for the unit classes of a row that is not obstructed; ``--quiet`` builds no piece and
+    no class text."""
     manifold = load_spec(args.spec)
     note, rows, terms, pieces, texts = _sweep(manifold, args.box)
     n = len(manifold.sw3)
     all_obstructed = all(obstructed for _, _, obstructed in rows)
     body = [f"all_obstructed = {_bool(all_obstructed)} ({len(rows)} entries)"] + note.splitlines()
 
-    header = lambda: [f"manifold = {manifold.name}, box = {args.box}"] + [
-        f"chi = {chi} | obstructed = {_bool(obstructed)} | "
-        f"injective = {_bool(len(keys) == n)} | sw4 = {_joined(map(pieces.__getitem__, keys))}"
-        for chi, (_, keys, obstructed) in zip(texts(), rows)
-    ]
+    def header():
+        lists = [keys for _, keys, _ in rows]
+        # sw3's own list, the one list rows share (see _sweep): its rows come in one run per pivot, and only
+        # the last coordinate's run can be a single row, so once shared it is held by two adjacent rows
+        own = next((keys for keys, after in zip(lists, lists[1:]) if keys is after), None)
+        own_text = _joined(map(pieces.__getitem__, own)) if own is not None else None
+        return [f"manifold = {manifold.name}, box = {args.box}"] + [
+            f"chi = {chi} | obstructed = {_bool(obstructed)} | injective = {_bool(len(keys) == n)} | "
+            f"sw4 = {own_text if keys is own else _joined(map(pieces.__getitem__, keys))}"
+            for chi, (_, keys, obstructed) in zip(texts(), rows)
+        ]
+
     return header, body, lambda: {
         "command": "search",
         "manifold": manifold.name,

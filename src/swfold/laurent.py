@@ -37,9 +37,10 @@ pass over them through the state machine ``_GRAMMAR``.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
-from operator import add, attrgetter, neg
+from operator import add, attrgetter, itemgetter, neg
 
 from .errors import DomainError, ParseError, StructuralError, UnknownVariableError, _count, _shown
 
@@ -392,6 +393,19 @@ def _digits(n: int) -> str:
         raise DomainError(_TOO_LARGE) from None
 
 
+def _printable(values: Iterable[int]) -> None:
+    """Refuse, before any is converted, integers of which ``str()`` would refuse the largest.
+
+    An integer of b bits is at least 2^(b-1), so it has at least floor((b-1)*log10(2)) + 1 digits, counted
+    here with 1233/4096 just under log10(2).  Past ``sys.get_int_max_str_digits()`` that lower bound raises
+    ``_digits``' own :class:`DomainError`; a limit of 0 refuses nothing, and a bound within the limit leaves
+    the last word to ``_digits``.
+    """
+    limit, bits = sys.get_int_max_str_digits(), max(map(int.bit_length, values), default=0)
+    if limit and ((bits - 1) * 1233 >> 12) + 1 > limit:
+        raise DomainError(_TOO_LARGE)
+
+
 def _signed(factors: str, coeff: int) -> str:
     """A term's text from its factor text: ``" + "`` or ``" - "``, then the magnitude, left out
     when it is 1 and a factor follows."""
@@ -462,7 +476,8 @@ def _code_monomials(basis: Basis, base: int) -> _Memo:
 
 def _render(basis: Basis, terms: Sequence[tuple[tuple[int, ...], int]]) -> str:
     """The one renderer: text form of terms already in canonical order, the ``_joined`` of each
-    term's ``_piece``."""
+    term's ``_piece``, refused by ``_printable`` before the first piece if a coefficient cannot print."""
+    _printable(map(itemgetter(1), terms))
     return _joined(map(_piece, repeat(basis), terms))
 
 

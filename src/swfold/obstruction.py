@@ -23,8 +23,11 @@ that set keeps sw3's coefficients and verdict.  It works per divisor of
 a column difference on a product support, else per pair difference, and
 refuses over ``MAX_TRIAL_DIVISIONS`` trial divisions before the first.
 The sweep finds the colliders once and builds the note from them before
-it packs any exponent, so a note that cannot print is refused before
-any row; it shifts the other classes' keys with no accumulation.
+it packs any exponent, the note's coefficient line checked printable
+before the collision scan, so a note that cannot print is refused before
+either; it shifts the other classes' keys with no accumulation, and
+gives every class whose pivot coordinate sw3 does not touch one shared
+row, sw3's own.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from math import gcd, isqrt, prod
 
 from .errors import _bounded, _count
 from .fold import _units, fold
-from .laurent import _Memo, _accumulate, _code_monomials, _digits, _joined, _pack, _positive, _signed, _unpack
+from .laurent import (_Memo, _accumulate, _code_monomials, _digits, _joined, _pack, _positive, _printable, _signed,
+                      _unpack)
 from .manifolds import ThreeManifold, require_b_plus
 
 
@@ -58,21 +62,27 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[str, list[tuple[tuple[int
 
     Over ``MAX_TERM_FOLDS`` classes times sw3 terms times the 64-bit words of the widest key, read off the
     bit lengths of R and W below (one word for every demo), raise :class:`DomainError` before any work; then
-    ``require_b_plus`` runs, :func:`colliding_classes` once, and the note is built from its classes, so a
-    note that cannot print is refused before any exponent is packed.  Classes come normalized, in
+    ``require_b_plus`` runs and the note is built, its coefficient line checked printable before the one
+    :func:`colliding_classes` whose classes it counts, so a note that cannot print is refused before the
+    collision scan and any exponent is packed.  Classes come normalized, in
     lexicographic order: pivot p from the last coordinate down, modulus m in 1..B, then ``(0,)*p + (m,
     *rest)`` for every ``rest`` in [-B, B].  Each sw3 exponent is packed once into a balanced base-R
     integer, R wide enough for every canonical representative in the box, so a term folds by one shift,
     ``code - (e_p // m) * pack(chi)``.  A term is one int, its key ``code * W + coefficient``: no merged
     coefficient passes sw3's L1 norm S, so with W = 2S + 1 the coefficient is one more balanced digit, which
     both memos read back, and sorting keys sorts terms by code.  In a (p, m) group each multiplier is fixed,
-    and the terms where it is 0 stay put.  A class outside the colliding ones merges nothing: its row is the
-    group's keys shifted, with no accumulation, and its verdict is sw3's own.  No record is built, and none
-    needs a check: each class is nonzero with a positive pivot entry, and each representative's pivot
-    coordinate ``e_p - (e_p // m) * m`` lies in [0, m).  A class's text lists its entries last coordinate
-    first, so it is the text of its rest followed by its modulus's piece, and ``texts`` joins each rest's
-    pieces once per pivot, at most (2B+1)^(r-1) strings, keeping one pivot's rest texts at a time; rows hold
-    no text.
+    and the terms where it is 0 stay put.  A group whose multipliers are all 0 moves no term, and none of its
+    classes can collide: every exponent's pivot coordinate lies in [0, m), so every support difference's lies
+    in (-m, m), and no multiple k*chi, k >= 1, whose pivot entry is k*m, is one.  Such a group gives all its
+    classes one shared list, sw3's sorted keys, built once per search, with no per-class key arithmetic,
+    collider lookup or sort; a caller must not change it.  As sw3 is symmetric under e -> -e, its
+    multipliers are all 0 exactly when sw3 does not touch the pivot coordinate.  Any other class outside
+    the colliding ones merges nothing: its row is the group's keys shifted, with no accumulation, and its
+    verdict is sw3's own.  No record is built, and none needs a check: each class is nonzero with a positive
+    pivot entry, and each representative's pivot coordinate ``e_p - (e_p // m) * m`` lies in [0, m).  A
+    class's text lists its entries last coordinate first, so it is the text of its rest followed by its
+    modulus's piece, and ``texts`` joins each rest's pieces once per pivot, at most (2B+1)^(r-1) strings,
+    keeping one pivot's rest texts at a time; rows hold no text.
     """
     _positive(box, "search box")
     basis, rank, sw3 = manifold.basis, manifold.basis.rank, manifold.sw3._terms
@@ -86,10 +96,10 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[str, list[tuple[tuple[int
     _bounded(folds * words, MAX_TERM_FOLDS, f"search box {_count(box)} holds {_count(classes)} Euler classes of "
                                             f"{len(sw3)} terms each: {_count(folds)} term folds{wide}")
     require_b_plus(manifold)
-    colliders = colliding_classes(manifold)
-    note = _note(manifold, box, colliders)  # a note that cannot print refuses before any row
+    note, colliders = _note(manifold, box)  # a note that cannot print refuses before the collision scan
     colliding, obstructed = set(colliders), not _units(sw3.items())  # an injective fold keeps sw3's verdict
     scaled = [_pack(exp, base) * width for exp in sw3]  # a term's key less its coefficient
+    own = sorted([sc + coeff for sc, coeff in zip(scaled, sw3.values())])  # sw3's keys, one list per search
     rows, pivots = [], []  # each pivot and its rests, in row order, for texts
     for pivot in reversed(range(rank)):
         # _pack is linear: a class's code is its modulus's code plus its rest's, packed once per pivot
@@ -99,6 +109,9 @@ def _sweep(manifold: ThreeManifold, box: int) -> tuple[str, list[tuple[tuple[int
         for modulus in range(1, box + 1):
             ks = [exp[pivot] // modulus for exp in sw3]
             head, offset = zeros + (modulus,), modulus * scale
+            if not any(ks):  # no term moves and none can merge: every class of the group holds sw3's own row
+                rows += [(head + rest, own, obstructed) for rest, _ in rests]
+                continue
             fixed = {sc: coeff for sc, k, coeff in zip(scaled, ks, sw3.values()) if not k}
             shifts = [(sc, k * width) for sc, k in zip(scaled, ks) if k]
             coeffs = [coeff for k, coeff in zip(ks, sw3.values()) if k]
@@ -193,26 +206,32 @@ def stabilization_note(manifold: ThreeManifold, box: int = 5) -> str:
     verdict equals the unfolded one, read off the fold by the zero class.
     """
     _positive(box, "search box")
-    return _note(manifold, box, colliding_classes(manifold))
+    return _note(manifold, box)[0]
 
 
-def _note(manifold: ThreeManifold, box: int, colliders: tuple[tuple[int, ...], ...]) -> str:
-    """The body of :func:`stabilization_note`, given the manifold's colliding classes."""
+def _note(manifold: ThreeManifold, box: int) -> tuple[str, tuple[tuple[int, ...], ...]]:
+    """The body of :func:`stabilization_note` and the :func:`colliding_classes` it counts.
+
+    Its coefficient line is checked by ``_printable`` before the collision scan, so sw3 coefficients that
+    cannot print are refused first.  A support of at most one term has no colliders and scans nothing.
+    """
     unfolded = fold(manifold, manifold.basis.origin)
     terms = unfolded.terms
     lines = [f"manifold {manifold.name}"]
     if len(terms) <= 1:
         lines.append("single-term support: every fold is injective")
         lines.append("every verdict equals the unfolded verdict")
-        return "\n".join(lines)
+        return "\n".join(lines), ()
 
     counts = Counter(coeff for _, coeff in terms)
+    _printable(counts)
     multiset = "{" + ", ".join(f"{_digits(value)} x{count}" if count > 1 else _digits(value)
                                for value, count in sorted(counts.items())) + "}"
     verdict = ("no units; all injective folds are obstructed" if unfolded.obstructed
                else "unit coefficients present; injective folds are not obstructed")
     lines.append(f"unfolded coefficients {multiset}: {verdict}")
 
+    colliders = colliding_classes(manifold)
     extents = [max(map(abs, chi)) for chi in colliders]
     largest, missed = max(extents), sum(extent > box for extent in extents)
     lines.append(
@@ -225,4 +244,4 @@ def _note(manifold: ThreeManifold, box: int, colliders: tuple[tuple[int, ...], .
     else:
         lines.append(f"box {box} misses {missed} collision-capable classes "
                      f"(increase the box to {largest} to cover all)")
-    return "\n".join(lines)
+    return "\n".join(lines), colliders

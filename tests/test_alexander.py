@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -21,7 +22,7 @@ from swfold.alexander import (
     record_from_dict,
     validate_alexander,
 )
-from swfold.errors import KnotLookupError, NotSeifertError, SpecFileError, StructuralError
+from swfold.errors import DomainError, KnotLookupError, NotSeifertError, SpecFileError, StructuralError
 from swfold.laurent import LaurentPoly, from_text
 
 from conftest import schema_validator
@@ -178,6 +179,22 @@ class TestAlexanderFromSeifert:
     def test_torus_knots_t2_up_to_size_40(self, g):
         expected = LaurentPoly(KNOT_BASIS, {(k,): (-1) ** (g - k) for k in range(-g, g + 1)})
         assert alexander_from_seifert(_torus_two(g)) == expected
+
+    def test_dense_size_50_is_refused_before_the_determinant(self, monkeypatch):
+        """A dense congruence P V P^T of T(2, 51), P = L U with random +-1 off the diagonal, counts about
+        1.3*10^10 word products: refused before the first elimination step, while the sparse matrix runs."""
+        rng, n, V = random.Random(50), 50, _torus_two(25)
+        lower, upper = ([[int(i == j) or (rng.choice((-1, 1)) if side(i, j) else 0) for j in range(n)]
+                         for i in range(n)] for side in (int.__gt__, int.__lt__))  # unit triangular, +-1 off it
+        P = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        PV = [[sum(P[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        dense = tuple(tuple(sum(PV[i][k] * P[j][k] for k in range(n)) for j in range(n)) for i in range(n))
+        assert alexander_from_seifert(V) == LaurentPoly(KNOT_BASIS, {(k,): (-1) ** (25 - k) for k in range(-25, 26)})
+        monkeypatch.setattr(sys.modules["swfold.alexander"], "_int_det",
+                            lambda rows: pytest.fail("the determinant ran"))
+        with pytest.raises(DomainError, match=r"^the Alexander determinant of a size-50 Seifert matrix takes \d+ "
+                                              r"word products, over the limit of 5000000000$"):
+            alexander_from_seifert(dense)
 
     @pytest.mark.parametrize("k", range(-6, 7))
     def test_twist_family(self, k):

@@ -188,11 +188,12 @@ class TestTextOutputs:
         assert "all_obstructed = true (62 entries)" in record.text
         assert "no units" in record.text  # stabilization note is appended
 
-    @pytest.mark.parametrize("flags, renders", [((), 62), (("--json",), 0), (("--quiet",), 0)])
+    @pytest.mark.parametrize("flags, renders", [((), 61), (("--json",), 0), (("--quiet",), 0)])
     def test_search_renders_digests_only_when_printed(self, monkeypatch, flags, renders):
-        """One digest per row in the text header, and none for the JSON payload or --quiet, which print
+        """One digest per row list in the text header, and none for the JSON payload or --quiet, which print
         no digest: a digest is the ``_joined`` of its row's pieces, looked up key by key in the sweep's
-        ``pieces`` memo, and chi texts come from the sweep's ``texts``."""
+        ``pieces`` memo, and chi texts come from the sweep's ``texts``.  The 62 rows hold 61 lists: the
+        classes m3 and 2*m3, whose pivot coordinate sw3 does not touch, share sw3's own."""
         calls, looked_up, rows = [], [], []
         sweep, joined = cli._sweep, cli._joined
 
@@ -219,8 +220,10 @@ class TestTextOutputs:
         monkeypatch.setattr(cli, "_joined", counting)
         run(["search", FIVE2_PAIR, "--box", "2", *flags])
         assert len(calls) == renders and len(looked_up) == sum(map(len, calls))
-        # each digest renders a row of the sweep as it stands: a sorted list of plain int keys
-        assert calls == rows[:renders]
+        # each digest renders a row list of the sweep as it stands, once: a sorted list of plain int keys
+        distinct = list({id(row): row for row in rows}.values())
+        assert len(rows) == 62 and len(distinct) == 61
+        assert calls == distinct[:renders]
         assert all(type(row) is list and row == sorted(row) and all(type(key) is int for key in row) for row in calls)
 
     def test_knot_list(self):
@@ -577,9 +580,9 @@ class TestMalformedInputs:
         self.assert_one_error_line(capsys, "error[domain]: finding the colliding Euler classes takes about 10^2151 "
                                            "trial divisions of 2 support differences, over the limit of 10000000")
 
-    def test_search_over_both_limits_reports_the_trial_divisions(self, capsys, tmp_path):
-        """Coefficients of 4400 digits and exponents of 4301: the colliders, found before any row is built,
-        refuse first, ahead of the note's coefficient multiset that could not print."""
+    def test_search_over_both_limits_reports_the_unprintable_coefficients(self, capsys, tmp_path):
+        """Coefficients of 4400 digits and exponents of 4301: the note's coefficient line, checked before the
+        collision scan, refuses first, ahead of the trial divisions of the colliders."""
         nines = "9" * 4300
         knot = {"name": "k", "fibered": False,
                 "alexander": f"{N_2200}*t^{nines}*t^{nines} - {2 * N_2200 - 1} + {N_2200}*t^-{nines}*t^-{nines}"}
@@ -587,8 +590,23 @@ class TestMalformedInputs:
         path.write_text(json.dumps({"base": "t3", "knots": [knot],
                                     "sums": [{"knot": "k", "meridian": m} for m in ("m1", "m2")]}))
         assert main(["search", str(path), "--box", "1"]) == 1
-        self.assert_one_error_line(capsys, "error[domain]: finding the colliding Euler classes takes about 10^2151 "
-                                           "trial divisions of 2 support differences, over the limit of 10000000")
+        self.assert_one_error_line(capsys, "error[domain]: result too large to print: an integer has more digits "
+                                           "than Python's int_max_str_digits limit (4300 by default)\n")
+
+    @pytest.mark.parametrize("command", [["search", "--box", "2", "--quiet"], ["search", "--box", "2", "--json"],
+                                         ["sw3"], ["fold", "--chi", "0"]], ids=["search", "search-json", "sw3", "fold"])
+    def test_unprintable_surface_row_is_refused_before_the_slow_part(self, capsys, monkeypatch, tmp_path, command):
+        """The genus-7200 row's C(14398, 7199) has 4334 digits: its bit length refuses it before search's
+        collision scan, and before sw3 and fold convert any coefficient."""
+        path = tmp_path / "g7200.json"
+        path.write_text(json.dumps({"base": {"surface_x_s1": 7200}}))
+        monkeypatch.setattr(sys.modules["swfold.obstruction"], "colliding_classes",
+                            lambda m: pytest.fail("the collision scan ran"))
+        monkeypatch.setattr(sys.modules["swfold.laurent"], "_digits",
+                            lambda n: pytest.fail("a coefficient was converted"))
+        assert main([command[0], str(path), *command[1:]]) == 1
+        assert capsys.readouterr() == ("", "error[domain]: result too large to print: an integer has more digits than "
+                                           "Python's int_max_str_digits limit (4300 by default)\n")
 
     @pytest.mark.parametrize("euler, method, digits", [(4, "closed", 4334), (4, "both", 4334), (-4, "direct", 4334),
                                                        (12, "both", 4334), (0, "direct", 4333)])

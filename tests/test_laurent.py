@@ -1,6 +1,7 @@
 """Laurent polynomial ring: construction, arithmetic, grammar, properties."""
 
 import random
+import sys
 from collections import Counter
 from functools import partial
 from itertools import product
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from swfold.errors import DomainError, ParseError, StructuralError, UnknownVariableError
 from swfold.fold import EulerClass, QuotientLattice, fold_poly
 from swfold.laurent import (Basis, LaurentPoly, _balanced_digits, _code_monomials, _joined, _Memo, _monomial,
-                            _pack, _piece, _unpack, from_text, to_text)
+                            _pack, _piece, _printable, _unpack, from_text, to_text)
 
 from conftest import coefficients, monomial, random_basis, random_poly
 
@@ -285,6 +286,40 @@ class TestGrammar:
         assert all(piece.startswith((" + ", " - ")) for piece in memo.values())
         with pytest.raises(DomainError, match="result too large to print"):
             to_text(monomial(b2, 1, (10**5000, 0)))
+
+    @pytest.mark.parametrize("limit", [640, 4300])
+    def test_printable_refuses_only_what_str_refuses(self, limit):
+        """A bit length whose lower bound on the digits passes the limit is refused before any conversion,
+        and only then: str() refuses it too.  Within a digit of the limit the bound may pass an integer
+        that str() refuses, which ``_digits`` then refuses with the same message."""
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            for n in (10**limit - 1, 10**limit, 2 * 10**limit, -(10 ** (limit + 1)), 2 ** (4 * limit)):
+                try:
+                    _printable([3, n, -1])
+                except DomainError as exc:
+                    assert str(exc).startswith("result too large to print: ")
+                    with pytest.raises(ValueError):
+                        str(n)
+                else:  # within a digit of the limit
+                    assert abs(n) < 2 * 10**limit
+            with pytest.raises(DomainError, match="result too large to print"):
+                _printable([2 * 10**limit])
+            _printable([10**limit - 1, -(10**limit - 1)])
+            _printable([])
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_printable_follows_the_live_limit(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # no limit: nothing is refused
+        try:
+            _printable([10**5000])
+        finally:
+            sys.set_int_max_str_digits(saved)
+        with pytest.raises(DomainError, match="result too large to print"):
+            _printable([10**5000])
 
     def test_memo_calls_fn_once_per_missing_key(self):
         """A miss stores fn(key); repeated lookups and seeded keys never call fn again."""

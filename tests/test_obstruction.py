@@ -274,7 +274,8 @@ class TestSearchListing:
 
     def test_chi_texts_are_joined_once_per_rest(self, fig8_pair, monkeypatch):
         """The text listing of ``search --box 8`` at rank 3 joins class texts once per rest of a pivot, at
-        most 17^2 + 17 + 1 = 307 times for its 2456 rows, and ``cli`` joins only each row's digest."""
+        most 17^2 + 17 + 1 = 307 times for its 2456 rows, and ``cli`` joins only each row's digest, once for
+        the 8 rows of pivot m3, a coordinate sw3 does not touch, which share sw3's own row: 2456 - 8 + 1."""
         joins = {}
         for name in ("swfold.cli", "swfold.obstruction"):
             module = sys.modules[name]
@@ -283,7 +284,8 @@ class TestSearchListing:
                                 joins.setdefault(name, []).append(1) or real(pieces), raising=False)
         rows = [line.split(" | ")[0] for line in search_text(fig8_pair, 8).splitlines() if line.startswith("chi = ")]
         assert rows == [f"chi = {EulerClass(fig8_pair.basis, chi).text}" for chi in half_box(3, 8)]
-        assert len(joins["swfold.cli"]) == len(rows) == 2456
+        assert len(rows) == 2456 and sum(row.endswith("*m3") or row == "chi = m3" for row in rows) == 8
+        assert len(joins["swfold.cli"]) == 2449
         assert len(joins["swfold.obstruction"]) <= 17**2 + 17 + 1
 
     @settings(max_examples=40, deadline=None)
@@ -559,6 +561,65 @@ class TestSweep:
         out = search_output(five2_pair, 2, *flags)
         assert calls == [five2_pair]
         assert out == search_reference(five2_pair, 2, *flags)
+
+
+@st.composite
+def partial_towers(draw):
+    """A ``random_manifold``-style T3 manifold whose sw3 leaves a random nonempty set of coordinates
+    untouched (every one of its exponents is 0 there), and a box of 1-4."""
+    rng, box = draw(st.randoms(use_true_random=False)), draw(st.integers(1, 4))
+    touched = draw(st.lists(st.sampled_from(T3_BASIS.names), unique=True, max_size=2))
+    p = LaurentPoly(T3_BASIS, {T3_BASIS.origin: rng.randint(-4, 4)})
+    if touched:
+        p = random_poly(rng, Basis(tuple(touched)), max_terms=6, max_exp=6, max_coeff=4)
+        p = p.reindex(T3_BASIS, {name: T3_BASIS.unit(name) for name in touched})
+    return ThreeManifold(None, T3_BASIS, 3, p + p.conjugate()), box
+
+
+def untouched(m: ThreeManifold, chi: tuple[int, ...]) -> bool:
+    """Whether chi's pivot coordinate is one that sw3 does not touch."""
+    pivot = next(i for i, c in enumerate(chi) if c)
+    return not any(exp[pivot] for exp in m.sw3.support())
+
+
+class TestUntouchedPivot:
+    """A class whose pivot coordinate sw3 does not touch moves no term: its row is sw3's own, one list
+    built once per search, rendered once by the listing, and it never collides."""
+
+    def test_rows_share_sw3s_keys_and_one_digest(self, monkeypatch):
+        m = fiber_sum(three_torus(), [(BUILTIN_KNOTS.lookup("4_1"), "m2"), (BUILTIN_KNOTS.lookup("5_2"), "m3")])
+        _, rows, read, _, _ = _sweep(m, 4)
+        shared = [keys for chi, keys, _ in rows if chi[0]]  # pivot m1, which no sum touches
+        assert len(rows) == 364 and len(shared) == 4 * 81
+        assert all(keys is shared[0] for keys in shared)
+        assert shared[0] == sorted(shared[0]) and tuple(read[key] for key in shared[0]) == m.sw3.terms()
+        assert all(keys is not shared[0] for chi, keys, _ in rows if not chi[0])
+        joins, joined = [], cli._joined
+        monkeypatch.setattr(cli, "_joined", lambda pieces: joins.append(joined(pieces)) or joins[-1])
+        text = search_text(m, 4)
+        assert text.encode() == search_reference(m, 4)
+        sw4 = f" | sw4 = {m.sw3}"
+        assert sum(row.endswith(sw4) for row in listing_rows(text).values()) == 4 * 81
+        assert len(joins) == 364 - 4 * 81 + 1 and joins.count(str(m.sw3)) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(partial_towers())
+    # m3 and m1 untouched at box 1: the lone m3 row comes before the m2 rows, the m1 rows after them
+    @example((fiber_sum(three_torus(), [(BUILTIN_KNOTS.lookup("4_1"), "m2")]), 1))
+    def test_listing_equals_the_folds_and_no_such_class_collides(self, drawn):
+        """Every output form equals the folds, the listing joins each row list once, and no class whose
+        pivot coordinate sw3 does not touch collides."""
+        m, box = drawn
+        joins, joined = [], cli._joined
+        with mock.patch.object(cli, "_joined", lambda pieces: joins.append(1) or joined(pieces)):
+            assert search_output(m, box) == search_reference(m, box)
+        for flags in (("--quiet",), ("--json",)):
+            assert search_output(m, box, *flags) == search_reference(m, box, *flags), flags
+        colliders, rows = set(colliding_classes(m)), _sweep(m, box)[1]
+        own = [keys for chi, keys, _ in rows if untouched(m, chi)]
+        assert own and all(keys is own[0] for keys in own)
+        assert len(joins) == len(rows) - len(own) + 1
+        assert not any(untouched(m, chi) for chi in colliders)
 
 
 def negated(chi: tuple[int, ...], terms, s: int) -> dict:
